@@ -5,26 +5,24 @@ JSON (see ``load_scenario``); grid sweeps emit CSV by default, single results
 structured text; ``--json`` switches everything to one JSON document. User and
 band numbers are 1-based on the command line.
 
-Policy derivation for ``simulate --system ...`` (the CLI has no raw policy
-flags): S solves a max-slack assignment LP at the requested rates and
-decomposes it; S_hat uses the dominant-system optimum for 2x2 scenarios and
-uniform selection otherwise; fixed picks the mapping with the largest
-worst-case margin.
+The CLI only parses arguments and formats output. ``simulate --system ...``
+takes its policy from the library (there are no raw policy flags): S from
+``orthogonal.max_slack_assignment`` decomposed into a schedule, S_hat from
+``randalloc.selection_for_rates``, fixed from ``fixedalloc.best_margin_mapping``.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__, fixedalloc, model, optim, orthogonal, randalloc, schedule, sim
+from . import __version__, fixedalloc, model, orthogonal, randalloc, schedule, sim
 from .model import ConfigurationError, PrimaryBand, Scenario, SecondaryUser, SlotConfig
 
 _GRID_TOL = 2e-3
@@ -246,25 +244,6 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _shat_guard(scenario: Scenario) -> None:
-    if scenario.m_s != 2 or scenario.m_p > 2:
-        raise CliError(
-            "analytic envelope for system S_hat covers only M_s=2, M_p<=2; use simulate"
-        )
-
-
-def _shat_envelope_value(mu: np.ndarray, axis: int, sweep_value: float) -> float | None:
-    """Union-region section for the maximized user given the swept user's rate."""
-    if axis == 1:
-        return randalloc.shat_section_lambda2(mu, sweep_value)
-    return randalloc.shat_section_lambda2(mu[:, ::-1], sweep_value)
-
-
-def _pad_one_band(mu: np.ndarray) -> np.ndarray:
-    """View an M_p=1 scenario as 2x2 with a dead second band for the S_hat formulas."""
-    return np.vstack([mu, np.zeros((1, mu.shape[1]))])
-
-
 @dataclass(frozen=True)
 class RegionReport:
     """One envelope sweep: grid of the swept user's rates and the axis user's maxima.
@@ -317,9 +296,7 @@ def _envelope_report(scenario, digest, system, axis, sweep_user, fixed, grid) ->
         points = orthogonal.sweep_envelope(rates, axis, grid, others=others, sweep_user=sweep_user)
         values = [p.max_rate if p.feasible else None for p in points]
     elif system == "S_hat":
-        _shat_guard(scenario)
-        mu = rates.mu if scenario.m_p == 2 else _pad_one_band(rates.mu)
-        values = [_shat_envelope_value(mu, axis, value) for value in grid]
+        values = randalloc.shat_envelope(rates.mu, axis, grid)
     else:  # fixed
         for value in grid:
             lam = others.copy()
@@ -392,71 +369,14 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _derive_policy(system: str, scenario: Scenario, rates: model.RateMatrix, lam: np.ndarray) -> sim.Policy:
+def _derive_policy(system: str, rates: model.RateMatrix, lam: np.ndarray) -> sim.Policy:
     """Pick a concrete policy for the requested rates (see module docstring)."""
-    m_p, m_s = scenario.m_p, scenario.m_s
     if system == "S":
-        n = m_p * m_s
-        c = np.zeros(n + 1)
-        c[-1] = 1.0
-        rows = []
-        rhs = []
-        for j in range(m_p):
-            r = np.zeros(n + 1)
-            r[j * m_s : (j + 1) * m_s] = 1.0
-            rows.append(r)
-            rhs.append(1.0)
-        for l in range(m_s):
-            r = np.zeros(n + 1)
-            r[np.arange(m_p) * m_s + l] = 1.0
-            rows.append(r)
-            rhs.append(1.0)
-        for l in range(m_s):
-            r = np.zeros(n + 1)
-            r[np.arange(m_p) * m_s + l] = -rates.mu[:, l]
-            r[-1] = 1.0
-            rows.append(r)
-            rhs.append(-float(lam[l]))
-        lo = np.zeros(n + 1)
-        lo[-1] = -2.0
-        hi = np.ones(n + 1)
-        hi[-1] = 2.0
-        sol = optim.solve_lp(optim.LpProblem(c=c, A=np.array(rows), b=np.array(rhs), lo=lo, hi=hi))
-        if not sol.is_optimal:
-            raise CliError(f"policy LP {sol.status}")
-        omega = orthogonal.AssignmentMatrix(sol.x[:n].reshape(m_p, m_s))
-        _, sched = schedule.schedule_from_assignment(omega)
+        _, sched = schedule.schedule_from_assignment(orthogonal.max_slack_assignment(rates, lam))
         return sim.Policy.orthogonal(sched)
     if system == "S_hat":
-        if m_s == 2 and m_p <= 2:
-            mu = rates.mu if m_p == 2 else _pad_one_band(rates.mu)
-            d1 = randalloc.dominant1_envelope_2x2(mu, float(lam[1]))
-            if d1.feasible and float(lam[0]) <= d1.max_lambda:
-                gamma = d1.gamma_star
-            else:
-                d2 = randalloc.dominant2_envelope_2x2(mu, float(lam[0]))
-                if d2.feasible and float(lam[1]) <= d2.max_lambda:
-                    gamma = d2.gamma_star
-                elif d1.feasible:
-                    gamma = d1.gamma_star
-                elif d2.feasible:
-                    gamma = d2.gamma_star
-                else:
-                    gamma = randalloc.SelectionMatrix(np.full((2, 2), 0.5))
-            matrix = gamma.gamma[:m_p] if m_p < 2 else gamma.gamma
-            return sim.Policy.random(randalloc.SelectionMatrix(matrix))
-        return sim.Policy.random(randalloc.SelectionMatrix(np.full((m_p, m_s), 1.0 / m_p)))
-    # fixed: mapping with the largest worst-case margin, lexicographic tie-break.
-    if m_p < m_s:
-        raise CliError("fixed system needs M_p >= M_s")
-    if m_s > 8 or math.perm(m_p, m_s) > 1_000_000:
-        raise CliError(f"fixed mapping search refuses M_s={m_s}, M_p={m_p}")
-    best = None
-    for assignment in itertools.permutations(range(1, m_p + 1), m_s):
-        margin = min(float(rates.mu[assignment[k] - 1, k]) - float(lam[k]) for k in range(m_s))
-        if best is None or margin > best[0]:
-            best = (margin, assignment)
-    return sim.Policy.fixed(fixedalloc.FixedMapping(best[1]))
+        return sim.Policy.random(randalloc.selection_for_rates(rates.mu, lam))
+    return sim.Policy.fixed(fixedalloc.best_margin_mapping(rates, lam))
 
 
 def cmd_simulate(args) -> int:
@@ -468,17 +388,9 @@ def cmd_simulate(args) -> int:
         lam[u] = rate
     if np.any(lam > 1):
         raise CliError("arrival rates must lie in [0, 1] packets/slot")
-    users = [
-        SecondaryUser(
-            arrival_rate_lambda_s=float(lam[k]),
-            gamma_s=u.gamma_s,
-            sigma2_s=u.sigma2_s,
-            out_complement_row=u.out_complement_row,
-        )
-        for k, u in enumerate(scenario.users)
-    ]
-    scenario = Scenario(slot=scenario.slot, bands=scenario.bands, users=tuple(users))
-    policy = _derive_policy(args.system, scenario, rates, lam)
+    users = tuple(replace(u, arrival_rate_lambda_s=float(lam[k])) for k, u in enumerate(scenario.users))
+    scenario = replace(scenario, users=users)
+    policy = _derive_policy(args.system, rates, lam)
     config = sim.SimConfig(n_slots=args.slots, seed=args.seed)
     result = sim.run(scenario, policy, config)
     prov = _provenance(digest, seed=args.seed)
@@ -504,7 +416,6 @@ def cmd_compare(args) -> int:
     if scenario.m_s != 2 or scenario.m_p != 2:
         raise CliError("compare needs a 2x2 scenario (2 bands, 2 users)")
     rates = model.rate_matrix(scenario)
-    mu = rates.mu
     axis = _axis_index(args.axis, scenario.m_s) if args.axis else 1
     sweep = 1 - axis
     grid = _parse_grid(args.grid)
@@ -519,11 +430,12 @@ def cmd_compare(args) -> int:
         s_val = reports["S"].values[idx]
         shat_val = reports["S_hat"].values[idx]
         fixed_val = reports["fixed"].values[idx]
-        d_sections = {}
-        for mapping in ((1, 2), (2, 1)):
-            m_sweep, m_axis = mapping[sweep], mapping[axis]
-            ok = value <= mu[m_sweep - 1, sweep] + 1e-12
-            d_sections[f"d{mapping[0]}{mapping[1]}"] = float(mu[m_axis - 1, axis]) if ok else None
+        lam = [0.0, 0.0]
+        lam[sweep] = value
+        d_sections = {
+            f"d{m[0]}{m[1]}": fixedalloc.mapping_max(rates, m, lam, axis)
+            for m in ((1, 2), (2, 1))
+        }
         row_violations = []
         if fixed_val is not None and (shat_val is None or fixed_val > shat_val + _GRID_TOL):
             row_violations.append("fixed>S_hat")

@@ -60,6 +60,30 @@ def region_for_mapping(d: FixedMapping, rates: RateMatrix, lambdas) -> bool:
     return True
 
 
+def _mappings(rates: RateMatrix, lambdas):
+    """One-to-one mappings (1-based bands, lexicographic order) and ``lambdas`` as a list."""
+    _check_shape(rates)
+    m_p, m_s = rates.m_p, rates.m_s
+    if m_s > 8 or math.perm(m_p, m_s) > _MAX_ENUMERATION:
+        raise ConfigurationError(
+            f"brute-force mapping search refuses M_s={m_s}, M_p={m_p} "
+            f"({math.perm(m_p, m_s)} mappings)"
+        )
+    lam = list(lambdas)
+    if len(lam) != m_s:
+        raise ConfigurationError("rates must have one entry per user")
+    return itertools.permutations(range(1, m_p + 1), m_s), lam
+
+
+def mapping_max(rates: RateMatrix, assignment, fixed_lambdas, k: int) -> float | None:
+    """Largest closure rate of user k under one mapping (1-based bands), or None when
+    it does not support every other user's fixed rate (lambda_l <= mu[m_l, l])."""
+    for l, m in enumerate(assignment):
+        if l != k and not fixed_lambdas[l] <= rates.mu[m - 1, l] + 1e-12:
+            return None
+    return float(rates.mu[assignment[k] - 1, k])
+
+
 def best_fixed_max(rates: RateMatrix, fixed_lambdas, k: int) -> tuple[float, FixedMapping] | None:
     """Largest closure rate of user k over all fixed mappings supporting the other users.
 
@@ -68,26 +92,27 @@ def best_fixed_max(rates: RateMatrix, fixed_lambdas, k: int) -> tuple[float, Fix
     maximizing mu[m_k, k] wins, ties broken lexicographically. None when no
     mapping supports the fixed rates.
     """
-    _check_shape(rates)
-    m_p, m_s = rates.m_p, rates.m_s
-    if not 0 <= k < m_s:
+    if not 0 <= k < rates.m_s:
         raise ConfigurationError(f"user index {k} out of range")
-    if m_s > 8 or math.perm(m_p, m_s) > _MAX_ENUMERATION:
-        raise ConfigurationError(
-            f"brute-force mapping search refuses M_s={m_s}, M_p={m_p} "
-            f"({math.perm(m_p, m_s)} mappings)"
-        )
-    lam = list(fixed_lambdas)
-    if len(lam) != m_s:
-        raise ConfigurationError("fixed_lambdas must have one entry per user")
+    mappings, lam = _mappings(rates, fixed_lambdas)
     best: tuple[float, FixedMapping] | None = None
-    for assignment in itertools.permutations(range(1, m_p + 1), m_s):
-        supported = all(
-            lam[l] <= rates.mu[assignment[l] - 1, l] + 1e-12 for l in range(m_s) if l != k
-        )
-        if not supported:
-            continue
-        value = float(rates.mu[assignment[k] - 1, k])
-        if best is None or value > best[0]:
+    for assignment in mappings:
+        value = mapping_max(rates, assignment, lam, k)
+        if value is not None and (best is None or value > best[0]):
             best = (value, FixedMapping(assignment))
     return best
+
+
+def best_margin_mapping(rates: RateMatrix, lambdas) -> FixedMapping:
+    """Mapping with the largest worst-case margin min_k (mu[m_k, k] - lambdas[k]).
+
+    Ties go to the lexicographically first mapping. The margin is negative when
+    no mapping supports the rates; the least-overloaded mapping is returned then.
+    """
+    mappings, lam = _mappings(rates, lambdas)
+    best = None
+    for assignment in mappings:
+        margin = min(float(rates.mu[m - 1, k]) - float(lam[k]) for k, m in enumerate(assignment))
+        if best is None or margin > best[0]:
+            best = (margin, assignment)
+    return FixedMapping(best[1])

@@ -73,21 +73,14 @@ def _fixed_vector(fixed_lambdas, m_s: int, k: int) -> np.ndarray:
     return lam
 
 
-def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:
-    """Maximize user k's stable rate with the other users' rates held fixed.
+def _assignment_constraints(mu: np.ndarray, lam: np.ndarray, served) -> tuple[np.ndarray, np.ndarray]:
+    """Rows A, b of the assignment LP ``A @ omega.ravel() <= b`` (variable j * M_s + l).
 
-    Solves: max sum_j omega[j,k]*mu[j,k] subject to omega >= 0, row/column sums
-    <= 1, and each fixed user's rate not exceeding its service rate. The entry
-    of ``fixed_lambdas`` at position k is ignored.
+    Row sums, then column sums (each at most one), then one row per user l in
+    ``served`` whose service covers its arrivals: -sum_j omega[j,l]*mu[j,l] <= -lam[l].
     """
-    m_p, m_s = rates.m_p, rates.m_s
-    if not 0 <= k < m_s:
-        raise ConfigurationError(f"user index {k} out of range")
-    lam = _fixed_vector(fixed_lambdas, m_s, k)
-
-    n = m_p * m_s  # variable v = j * m_s + l
-    c = np.zeros(n)
-    c[np.arange(m_p) * m_s + k] = rates.mu[:, k]
+    m_p, m_s = mu.shape
+    n = m_p * m_s
     rows: list[np.ndarray] = []
     rhs: list[float] = []
     for j in range(m_p):  # row sums
@@ -100,15 +93,31 @@ def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:
         r[np.arange(m_p) * m_s + l] = 1.0
         rows.append(r)
         rhs.append(1.0)
-    for l in range(m_s):  # service covers the fixed arrivals
-        if l == k:
-            continue
+    for l in served:  # service covers the arrivals
         r = np.zeros(n)
-        r[np.arange(m_p) * m_s + l] = -rates.mu[:, l]
+        r[np.arange(m_p) * m_s + l] = -mu[:, l]
         rows.append(r)
         rhs.append(-lam[l])
-    problem = optim.LpProblem(c=c, A=np.array(rows), b=np.array(rhs), lo=np.zeros(n), hi=np.ones(n))
-    sol = optim.solve_lp(problem)
+    return np.array(rows), np.array(rhs)
+
+
+def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:
+    """Maximize user k's stable rate with the other users' rates held fixed.
+
+    Solves: max sum_j omega[j,k]*mu[j,k] subject to omega >= 0, row/column sums
+    <= 1, and each fixed user's rate not exceeding its service rate. The entry
+    of ``fixed_lambdas`` at position k is ignored.
+    """
+    m_p, m_s = rates.m_p, rates.m_s
+    if not 0 <= k < m_s:
+        raise ConfigurationError(f"user index {k} out of range")
+    lam = _fixed_vector(fixed_lambdas, m_s, k)
+
+    n = m_p * m_s
+    c = np.zeros(n)
+    c[np.arange(m_p) * m_s + k] = rates.mu[:, k]
+    A, b = _assignment_constraints(rates.mu, lam, [l for l in range(m_s) if l != k])
+    sol = optim.solve_lp(optim.LpProblem(c=c, A=A, b=b, lo=np.zeros(n), hi=np.ones(n)))
     if sol.status == "infeasible":
         return EnvelopePoint(fixed_rates=tuple(lam), free_user=k, feasible=False)
     if not sol.is_optimal:
@@ -117,6 +126,30 @@ def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:
     return EnvelopePoint(
         fixed_rates=tuple(lam), free_user=k, feasible=True, max_rate=sol.value, omega_star=omega
     )
+
+
+def max_slack_assignment(rates: RateMatrix, lambdas) -> AssignmentMatrix:
+    """Assignment fractions maximizing the smallest service surplus over all users.
+
+    Solves: max t subject to the assignment constraints and, for every user l,
+    sum_j omega[j,l]*mu[j,l] >= lambdas[l] + t, with -2 <= t <= 2 (t < 0 outside the region).
+    """
+    m_p, m_s = rates.m_p, rates.m_s
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.shape != (m_s,):
+        raise ConfigurationError(f"lambdas must have length {m_s}")
+    n = m_p * m_s
+    A, b = _assignment_constraints(rates.mu, lam, range(m_s))
+    slack = np.zeros((A.shape[0], 1))
+    slack[m_p + m_s :] = 1.0  # t enters every service row
+    problem = optim.LpProblem(
+        c=np.append(np.zeros(n), 1.0), A=np.hstack([A, slack]), b=b,
+        lo=np.append(np.zeros(n), -2.0), hi=np.append(np.ones(n), 2.0),
+    )
+    sol = optim.solve_lp(problem)
+    if not sol.is_optimal:
+        raise ConfigurationError(f"policy LP {sol.status}")
+    return AssignmentMatrix(sol.x[:n].reshape(m_p, m_s))
 
 
 def two_by_two_closed_form(mu, lambda_s1: float) -> tuple[float, float] | None:

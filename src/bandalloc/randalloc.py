@@ -227,6 +227,52 @@ def shat_section_lambda2(mu, lambda_s1: float, tol: float = 1e-6) -> float | Non
     return None if best is None else float(best)
 
 
+def _padded_2x2(mu: np.ndarray) -> np.ndarray | None:
+    """mu as the dominant systems' 2x2 (one band gets a dead second band); None beyond 2 users on 1-2 bands."""
+    m_p, m_s = mu.shape
+    if m_s != 2 or m_p > 2:
+        return None
+    return mu if m_p == 2 else np.vstack([mu, np.zeros((1, m_s))])
+
+
+def shat_envelope(mu, axis: int, grid) -> list[float | None]:
+    """Union-region section of user ``axis`` (0 or 1) at each of the other user's rates in ``grid``."""
+    padded = _padded_2x2(np.asarray(mu, dtype=float))
+    if padded is None:
+        raise ConfigurationError(
+            "analytic envelope for system S_hat covers only M_s=2, M_p<=2; use simulate"
+        )
+    if axis == 0:
+        padded = padded[:, ::-1]
+    return [shat_section_lambda2(padded, value) for value in grid]
+
+
+def selection_for_rates(mu, lambdas) -> SelectionMatrix:
+    """Selection matrix for running the random system at the given rates.
+
+    Two users on 1-2 bands: the dominant-1 optimum if it carries the rates, else
+    dominant 2's if that does, else the first feasible one, else gamma = 1/2.
+    Any other shape: uniform selection over the bands.
+    """
+    mu = np.asarray(mu, dtype=float)
+    m_p, m_s = mu.shape
+    padded = _padded_2x2(mu)
+    if padded is None:
+        return SelectionMatrix(np.full((m_p, m_s), 1.0 / m_p))
+    lam1, lam2 = (float(v) for v in lambdas)
+    d1 = dominant1_envelope_2x2(padded, lam2)
+    if d1.feasible and lam1 <= d1.max_lambda:
+        return SelectionMatrix(d1.gamma_star.gamma[:m_p])
+    d2 = dominant2_envelope_2x2(padded, lam1)
+    if d2.feasible and lam2 <= d2.max_lambda:
+        gamma = d2.gamma_star.gamma
+    elif d1.feasible or d2.feasible:
+        gamma = (d1 if d1.feasible else d2).gamma_star.gamma
+    else:
+        gamma = np.full((2, 2), 0.5)
+    return SelectionMatrix(gamma[:m_p])
+
+
 def one_band_gamma_opt(mu11: float, mu12: float, lambda_s2: float) -> SelectionMatrix | None:
     """Optimal selection probabilities when only band 1 is ever available.
 

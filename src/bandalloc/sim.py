@@ -30,7 +30,7 @@ from . import model
 from .fixedalloc import FixedMapping
 from .model import ConfigurationError, Scenario
 from .randalloc import SelectionMatrix
-from .schedule import PermutationSchedule
+from .schedule import PermutationSchedule, sample_permutation
 
 # Stability surrogate thresholds (packets/slot for the fitted slope; fraction of
 # the post-warmup horizon for the terminal backlog).
@@ -206,14 +206,14 @@ def empirical_throughput(result: SimResult) -> tuple[float, ...]:
 def _policy_tables(policy: Policy, m_p: int, m_s: int):
     """Precompute 0-based lookup tables (virtual band = -1) for the hot loop."""
     if policy.kind == "orthogonal":
-        entries = []
-        for perm, w in policy.schedule.entries:
+        zero_based = {}
+        for perm, _ in policy.schedule.entries:
             if len(perm) != m_s:
                 raise ConfigurationError("schedule permutation length must equal M_s")
             if any(m > m_p for m in perm):
                 raise ConfigurationError("schedule assigns a band outside the scenario")
-            entries.append((tuple(m - 1 for m in perm), w))
-        return entries
+            zero_based[perm] = tuple(m - 1 for m in perm)
+        return zero_based
     if policy.kind == "random":
         g = policy.selection.gamma
         if g.shape != (m_p, m_s):
@@ -271,7 +271,10 @@ def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
     n_slots = config.n_slots
     bands = range(m_p)
     users = range(m_s)
-    fixed_assign = tables if kind == "fixed" else None
+    # band held by each user this slot (-1: none) and users per band; the
+    # orthogonal and fixed policies never put two users on one band
+    assign = tables if kind == "fixed" else None
+    load = [1] * m_p
 
     for t in range(n_slots):
         post = t >= warmup
@@ -294,23 +297,9 @@ def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
 
         # Secondary stream: assignment, then outcomes, then arrivals.
         if kind == "orthogonal":
-            u = sec_rnd()
-            assign = tables[-1][0]
-            for perm, w in tables:
-                u -= w
-                if u < 0:
-                    assign = perm
-                    break
-            for k in users:
-                if qs[k]:
-                    j = assign[k]
-                    if j >= 0 and live[j] and avail[j] and sec_rnd() < psucc[j][k]:
-                        qs[k] -= 1
-                        dep_s[k] += 1
-                        if post:
-                            dep_s_post[k] += 1
+            assign = tables[sample_permutation(policy.schedule, sec_rng)]
         elif kind == "random":
-            chosen = [-1] * m_s
+            assign = [-1] * m_s
             load = [0] * m_p
             for k in users:
                 if qs[k]:
@@ -323,27 +312,19 @@ def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
                             picked = j
                             break
                     if picked >= 0:
-                        chosen[k] = picked
+                        assign[k] = picked
                         load[picked] += 1
             for j in bands:
                 if load[j] > 1 and live[j] and avail[j]:
                     collisions += 1
-            for k in users:
-                j = chosen[k]
+        for k in users:
+            if qs[k]:
+                j = assign[k]
                 if j >= 0 and live[j] and avail[j] and load[j] == 1 and sec_rnd() < psucc[j][k]:
                     qs[k] -= 1
                     dep_s[k] += 1
                     if post:
                         dep_s_post[k] += 1
-        else:  # fixed
-            for k in users:
-                if qs[k]:
-                    j = fixed_assign[k]
-                    if live[j] and avail[j] and sec_rnd() < psucc[j][k]:
-                        qs[k] -= 1
-                        dep_s[k] += 1
-                        if post:
-                            dep_s_post[k] += 1
         for k in users:
             if lam_s[k] > 0.0 and sec_rnd() < lam_s[k]:
                 qs[k] += 1
