@@ -1,7 +1,7 @@
 """Stability regions of cognitive-radio band-allocation systems.
 
 Modules: model (domain types and rate formulas), optim (dense simplex,
-fractional maximizer, grid oracle), orthogonal (system S envelopes),
+fractional maximizer), orthogonal (system S envelopes),
 schedule (Birkhoff-von Neumann permutation schedules), randalloc (random
 selection, dominant systems), fixedalloc (fixed assignments), sim (slot-level
 Monte Carlo), cli (command-line front end).

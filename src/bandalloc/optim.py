@@ -1,6 +1,6 @@
 """Small dense LP machinery.
 
-Three tools live here:
+Two tools live here:
 
 * ``solve_lp``: a two-phase dense simplex with Bland's anti-cycling rule. The
   LPs in this package have at most a few dozen variables, so a plain tableau is
@@ -8,13 +8,10 @@ Three tools live here:
 * ``maximize_fractional_1d``: closed-form maximizer of the one-variable linear
   fractional objective (K1*g - K2)/(D + C*g) subject to a single linear
   constraint and g in [0, 1], by sign analysis of the derivative.
-* ``grid_search``: a brute-force boxed grid maximizer used as a ground-truth
-  oracle in tests.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -267,35 +264,3 @@ def maximize_fractional_1d(coeffs: FractionalCoeffs) -> tuple[float | None, str]
         lower, upper = 0.0, 1.0
     derivative = coeffs.K2 * C + coeffs.D * coeffs.K1
     return (upper if derivative > 0.0 else lower), "optimal"
-
-
-def grid_search(objective, box, step, constraint=None):
-    """Best feasible point of ``objective`` on a regular grid over ``box``.
-
-    ``box`` is a sequence of (lo, hi) pairs; the grid includes both endpoints.
-    Ties go to the lexicographically smallest point (scan order plus strict
-    improvement). Returns (point, value) or None when no grid point is feasible.
-    """
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    axes = []
-    for lo, hi in box:
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ValueError("box must be finite with lo <= hi")
-        count = int(math.floor((hi - lo) / step + 1e-12))
-        pts = [lo + i * step for i in range(count + 1)]
-        if pts[-1] < hi - 1e-12:
-            pts.append(hi)
-        axes.append(pts)
-    best_point = None
-    best_value = -math.inf
-    for point in itertools.product(*axes):
-        if constraint is not None and not constraint(point):
-            continue
-        value = objective(point)
-        if value > best_value:
-            best_value = value
-            best_point = point
-    if best_point is None:
-        return None
-    return best_point, best_value

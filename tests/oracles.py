@@ -2,9 +2,13 @@
 
 These deliberately avoid the library's solution paths: the assignment oracle
 scans a probability grid directly, the selection oracle scans the raw
-two-parameter objective, and doubly stochastic inputs are built as convex
-combinations of explicit permutation matrices.
+two-parameter objective, ``grid_search`` maximizes any objective over a boxed
+grid, and doubly stochastic inputs are built as convex combinations of
+explicit permutation matrices.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -64,3 +68,35 @@ def gamma_grid_oracle_dominant1(mu, lam2, step=1e-3):
             lam1 = np.where(feasible & (mus2 > 0), frac * coll + base * (1 - frac), -np.inf)
     best = lam1.max()
     return float(best) if np.isfinite(best) else None
+
+
+def grid_search(objective, box, step, constraint=None):
+    """Best feasible point of ``objective`` on a regular grid over ``box``.
+
+    ``box`` is a sequence of (lo, hi) pairs; the grid includes both endpoints.
+    Ties go to the lexicographically smallest point (scan order plus strict
+    improvement). Returns (point, value) or None when no grid point is feasible.
+    """
+    if step <= 0:
+        raise ValueError("step must be > 0")
+    axes = []
+    for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError("box must be finite with lo <= hi")
+        count = int(math.floor((hi - lo) / step + 1e-12))
+        pts = [lo + i * step for i in range(count + 1)]
+        if pts[-1] < hi - 1e-12:
+            pts.append(hi)
+        axes.append(pts)
+    best_point = None
+    best_value = -math.inf
+    for point in itertools.product(*axes):
+        if constraint is not None and not constraint(point):
+            continue
+        value = objective(point)
+        if value > best_value:
+            best_value = value
+            best_point = point
+    if best_point is None:
+        return None
+    return best_point, best_value

@@ -5,6 +5,7 @@ import pytest
 
 from bandalloc import optim
 from bandalloc.optim import FractionalCoeffs, LpProblem
+from oracles import grid_search
 
 
 def lp(c, A, b, lo=None, hi=None):
@@ -69,7 +70,7 @@ class TestSolveLp:
             b = tuple(rng.uniform(0.2, 1.0, 3))
             sol = optim.solve_lp(lp(c, A, b))
             assert sol.is_optimal
-            grid = optim.grid_search(
+            grid = grid_search(
                 lambda p: c[0] * p[0] + c[1] * p[1],
                 [(0.0, 1.0), (0.0, 1.0)],
                 step=1e-3,
@@ -203,19 +204,19 @@ class TestMaximizeFractional1d:
 
 class TestGridSearch:
     def test_linear(self):
-        point, value = optim.grid_search(lambda p: p[0], [(0.0, 1.0)], step=0.25)
+        point, value = grid_search(lambda p: p[0], [(0.0, 1.0)], step=0.25)
         assert point == (1.0,)
         assert value == 1.0
 
     def test_quadratic_peak(self):
-        point, _ = optim.grid_search(lambda p: -(p[0] - 0.5) ** 2, [(0.0, 1.0)], step=0.01)
+        point, _ = grid_search(lambda p: -(p[0] - 0.5) ** 2, [(0.0, 1.0)], step=0.01)
         assert point[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_no_feasible_point(self):
-        assert optim.grid_search(lambda p: p[0], [(0.0, 1.0)], step=0.5, constraint=lambda p: False) is None
+        assert grid_search(lambda p: p[0], [(0.0, 1.0)], step=0.5, constraint=lambda p: False) is None
 
     def test_lexicographic_tie_break(self):
-        point, _ = optim.grid_search(lambda p: 0.0, [(0.0, 1.0), (0.0, 1.0)], step=0.5)
+        point, _ = grid_search(lambda p: 0.0, [(0.0, 1.0), (0.0, 1.0)], step=0.5)
         assert point == (0.0, 0.0)
 
     def test_matches_family_of_fractional_programs(self, ref_2x2_mu):
@@ -234,7 +235,7 @@ class TestGridSearch:
             coll = (1 - g21) * g22 * mu[0, 0] + g21 * (1 - g22) * mu[1, 0]
             return (lam2 / m2) * coll + base * (1 - lam2 / m2)
 
-        got = optim.grid_search(objective, [(0.0, 1.0), (0.0, 1.0)], step=1e-3,
+        got = grid_search(objective, [(0.0, 1.0), (0.0, 1.0)], step=1e-3,
                                 constraint=lambda p: mus2(p) >= lam2)
         assert got is not None
         from bandalloc import randalloc
