@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .model import ConfigurationError, RateMatrix
+from .model import CLOSURE_TOL, ConfigurationError, RateMatrix
 
 _TOL = 1e-9
 _MAX_ENUMERATION = 1_000_000
@@ -79,7 +79,7 @@ def mapping_max(rates: RateMatrix, assignment, fixed_lambdas, k: int) -> float |
     """Largest closure rate of user k under one mapping (1-based bands), or None when
     it does not support every other user's fixed rate (lambda_l <= mu[m_l, l])."""
     for l, m in enumerate(assignment):
-        if l != k and not fixed_lambdas[l] <= rates.mu[m - 1, l] + 1e-12:
+        if l != k and not fixed_lambdas[l] <= rates.mu[m - 1, l] + CLOSURE_TOL:
             return None
     return float(rates.mu[assignment[k] - 1, k])
 

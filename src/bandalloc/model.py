@@ -19,6 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Rounding slack with which the envelope computations of every system accept a
+# rate on the closure boundary (lambda <= service rate + CLOSURE_TOL), so that
+# a boundary point one system reaches is not rejected by another.
+CLOSURE_TOL = 1e-12
+
+
 class ConfigurationError(ValueError):
     """A scenario (or one of its parts) is malformed or internally inconsistent."""
 

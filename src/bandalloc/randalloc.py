@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, RateMatrix
+from .model import CLOSURE_TOL, ConfigurationError, RateMatrix
 from .optim import FractionalCoeffs, maximize_fractional_1d
 
 _TOL = 1e-9
@@ -206,19 +206,20 @@ def shat_section_lambda2(mu, lambda_s1: float, tol: float = 1e-6) -> float | Non
     if d2.feasible:
         best = float(d2.max_lambda)
 
-    def d1val(lam2: float) -> float:
+    def carries(lam2: float) -> bool:
+        """True when the dominant-1 envelope at lam2 reaches lambda_s1 (closure)."""
         p = dominant1_envelope_2x2(mu, lam2)
-        return p.max_lambda if p.feasible else -math.inf
+        return p.feasible and p.max_lambda >= lambda_s1 - CLOSURE_TOL
 
     hi = max(mu[0, 1], mu[1, 1])
-    if d1val(0.0) >= lambda_s1:
+    if carries(0.0):
         lo = 0.0
-        if hi > 0 and d1val(hi) >= lambda_s1:
+        if hi > 0 and carries(hi):
             lo = hi
         elif hi > 0:
             while hi - lo > tol:
                 mid = (lo + hi) / 2.0
-                if d1val(mid) >= lambda_s1:
+                if carries(mid):
                     lo = mid
                 else:
                     hi = mid
