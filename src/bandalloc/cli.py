@@ -27,6 +27,7 @@ from .model import ConfigurationError, PrimaryBand, Scenario, SecondaryUser, Slo
 
 _GRID_TOL = 2e-3
 _ANALYTIC_TOL = 1e-9
+_MAX_GRID_POINTS = 100_000
 
 _SLOT_FIELDS = {"T", "tau", "b"}
 _BAND_FIELDS = {
@@ -54,6 +55,21 @@ def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
         raise CliError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
+def _number(value, where: str):
+    """``value`` when it is a finite JSON number (booleans are not numbers)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise CliError(f"{where} must be a finite number, got {json.dumps(value)}")
+
+
+def _numbers(doc: dict, where: str) -> dict:
+    return {name: _number(value, f"{where}: {name}") for name, value in doc.items()}
+
+
 def parse_scenario_dict(doc: dict) -> Scenario:
     """Build a Scenario from a parsed document, rejecting unknown fields."""
     if not isinstance(doc, dict):
@@ -72,7 +88,7 @@ def parse_scenario_dict(doc: dict) -> Scenario:
             raise CliError("slot: must be an object")
         _reject_unknown(slot_doc, _SLOT_FIELDS, "slot")
         try:
-            slot = SlotConfig(**slot_doc)
+            slot = SlotConfig(**_numbers(slot_doc, "slot"))
         except ConfigurationError as exc:
             raise CliError(f"slot: {exc}") from exc
     bands_doc = doc.get("bands")
@@ -88,7 +104,7 @@ def parse_scenario_dict(doc: dict) -> Scenario:
             raise CliError(f"{where}: must be an object")
         _reject_unknown(band_doc, _BAND_FIELDS[mode], where)
         try:
-            bands.append(PrimaryBand(**band_doc))
+            bands.append(PrimaryBand(**_numbers(band_doc, where)))
         except (ConfigurationError, TypeError) as exc:
             raise CliError(f"{where}: {exc}") from exc
     users = []
@@ -97,12 +113,14 @@ def parse_scenario_dict(doc: dict) -> Scenario:
         if not isinstance(user_doc, dict):
             raise CliError(f"{where}: must be an object")
         _reject_unknown(user_doc, _USER_FIELDS[mode], where)
-        prepared = dict(user_doc)
-        if "out_complement_row" in prepared:
-            row = prepared["out_complement_row"]
+        prepared = _numbers({n: v for n, v in user_doc.items() if n != "out_complement_row"}, where)
+        if "out_complement_row" in user_doc:
+            row = user_doc["out_complement_row"]
             if not isinstance(row, list):
                 raise CliError(f"{where}: out_complement_row must be a list")
-            prepared["out_complement_row"] = tuple(row)
+            prepared["out_complement_row"] = tuple(
+                _number(p, f"{where}: out_complement_row[{i}]") for i, p in enumerate(row)
+            )
         try:
             users.append(SecondaryUser(**prepared))
         except (ConfigurationError, TypeError) as exc:
@@ -153,6 +171,8 @@ def load_scenario(path: str) -> tuple[Scenario, str]:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, oversized integer, deep nesting
+        raise CliError(f"{path}: invalid JSON: {exc}") from exc
     return parse_scenario_dict(doc), digest
 
 
@@ -162,8 +182,12 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise CliError(f"--grid must look like start:stop:step, got {spec!r}") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise CliError(f"--grid values must be finite, got {spec!r}")
     if step <= 0 or stop < start:
         raise CliError("--grid needs step > 0 and stop >= start")
+    if (stop - start) / step >= _MAX_GRID_POINTS:
+        raise CliError(f"--grid {spec!r} has more than {_MAX_GRID_POINTS} points")
     count = int(math.floor((stop - start) / step + 1e-9))
     grid = [start + i * step for i in range(count + 1)]
     if grid[-1] < stop - 1e-9:
@@ -184,6 +208,8 @@ def _parse_fixed(spec: str | None, m_s: int) -> dict[int, float]:
             raise CliError(f"--fixed entries must look like k=rate, got {item!r}") from exc
         if not 1 <= user <= m_s:
             raise CliError(f"--fixed user {user} out of range 1..{m_s}")
+        if not math.isfinite(rate):
+            raise CliError(f"--fixed rates must be finite, got {item!r}")
         if rate < 0:
             raise CliError("--fixed rates must be >= 0")
         fixed[user - 1] = rate

@@ -79,9 +79,9 @@ class PrimaryBand:
         if physical:
             if self.gamma_p is None or self.sigma2_p is None:
                 raise ConfigurationError("physical band needs both gamma_p and sigma2_p")
-            if self.gamma_p <= 0 or self.sigma2_p <= 0:
+            if not (self.gamma_p > 0 and self.sigma2_p > 0):
                 raise ConfigurationError("gamma_p and sigma2_p must be > 0")
-            if self.bandwidth_W is None or self.bandwidth_W < 0:
+            if self.bandwidth_W is None or not self.bandwidth_W >= 0:
                 raise ConfigurationError("physical band needs bandwidth_W >= 0")
             if self.arrival_rate_lambda_p is None:
                 raise ConfigurationError("physical band needs arrival_rate_lambda_p")
@@ -97,7 +97,7 @@ class PrimaryBand:
                     "abstract band derives the primary arrival rate from availability_pi; "
                     "do not give arrival_rate_lambda_p"
                 )
-            if self.bandwidth_W is not None and self.bandwidth_W < 0:
+            if self.bandwidth_W is not None and not self.bandwidth_W >= 0:
                 raise ConfigurationError("bandwidth_W must be >= 0")
         else:
             raise ConfigurationError("band needs physical parameters or abstract overrides")
@@ -134,7 +134,7 @@ class SecondaryUser:
         if physical:
             if self.gamma_s is None or self.sigma2_s is None:
                 raise ConfigurationError("physical user needs both gamma_s and sigma2_s")
-            if self.gamma_s <= 0 or self.sigma2_s <= 0:
+            if not (self.gamma_s > 0 and self.sigma2_s > 0):
                 raise ConfigurationError("gamma_s and sigma2_s must be > 0")
         elif abstract:
             object.__setattr__(self, "out_complement_row", tuple(float(p) for p in self.out_complement_row))
@@ -207,7 +207,7 @@ class RateMatrix:
         if self.mu_p.shape != (mu.shape[0],) or self.pi.shape != (mu.shape[0],):
             raise ConfigurationError("mu_p and pi must have one entry per band")
         for arr, name in ((mu, "mu"), (self.mu_p, "mu_p"), (self.pi, "pi")):
-            if np.any(arr < 0) or np.any(arr > 1):
+            if not np.all((arr >= 0) & (arr <= 1)):
                 raise ConfigurationError(f"{name} entries must lie in [0, 1]")
 
     @property
@@ -242,11 +242,11 @@ def secondary_outage_complement(slot: SlotConfig, W: float, gamma: float, sigma2
     the rate and hence the outage probability. A zero-bandwidth (virtual) band
     returns 0.
     """
-    if W < 0:
+    if not W >= 0:
         raise ConfigurationError(f"bandwidth must be >= 0, got {W!r}")
     if W == 0:
         return 0.0
-    if gamma <= 0 or sigma2 <= 0:
+    if not (gamma > 0 and sigma2 > 0):
         raise ConfigurationError("gamma and sigma2 must be > 0")
     exponent = slot.b / (slot.T * W * (1.0 - slot.tau / slot.T))
     return math.exp(-(2.0 ** exponent - 1.0) / (gamma * sigma2))
@@ -254,11 +254,11 @@ def secondary_outage_complement(slot: SlotConfig, W: float, gamma: float, sigma2
 
 def primary_outage_complement(slot: SlotConfig, W: float, gamma: float, sigma2: float) -> float:
     """Probability of correct packet reception for a primary link (full-slot transmission)."""
-    if W < 0:
+    if not W >= 0:
         raise ConfigurationError(f"bandwidth must be >= 0, got {W!r}")
     if W == 0:
         return 0.0
-    if gamma <= 0 or sigma2 <= 0:
+    if not (gamma > 0 and sigma2 > 0):
         raise ConfigurationError("gamma and sigma2 must be > 0")
     exponent = slot.b / (slot.T * W)
     return math.exp(-(2.0 ** exponent - 1.0) / (gamma * sigma2))
@@ -270,7 +270,7 @@ def band_availability(lambda_p: float, mu_p: float) -> float:
     lambda_p = 0 gives 1 even for mu_p = 0 (an always-empty queue); a saturated
     or overloaded queue gives 0.
     """
-    if lambda_p < 0 or mu_p < 0:
+    if not (lambda_p >= 0 and mu_p >= 0):
         raise ConfigurationError("arrival and service rates must be >= 0")
     if lambda_p == 0:
         return 1.0

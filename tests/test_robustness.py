@@ -5,10 +5,13 @@ and exit status 1, never in a traceback.
 """
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from bandalloc import cli, fixedalloc, randalloc
+from bandalloc import cli, fixedalloc, model, randalloc
+from bandalloc.model import ConfigurationError, PrimaryBand, SecondaryUser, SlotConfig
 
 
 def run_cli(capsys, *argv):
@@ -32,3 +35,114 @@ class TestClosureEdge:
                                  "--grid", "0:0.175:0.025", "--json")
         assert (code, err) == (0, "")
         assert not any(json.loads(out)["violations"])
+
+
+def write_raw(tmp_path, raw: bytes) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_bytes(raw)
+    return str(path)
+
+
+def reference_doc() -> dict:
+    return {
+        "mode": "abstract",
+        "bands": [{"availability_pi": 0.25}, {"availability_pi": 0.875}],
+        "users": [
+            {"arrival_rate_lambda_s": 0.0, "out_complement_row": [0.7, 0.8]},
+            {"arrival_rate_lambda_s": 0.0, "out_complement_row": [0.85, 0.9]},
+        ],
+    }
+
+
+def physical_doc() -> dict:
+    return {
+        "mode": "physical",
+        "slot": {"T": 1.0, "tau": 0.1, "b": 100.0},
+        "bands": [{"bandwidth_W": 100.0, "arrival_rate_lambda_p": 0.2, "gamma_p": 10.0, "sigma2_p": 1.0}],
+        "users": [{"arrival_rate_lambda_s": 0.1, "gamma_s": 10.0, "sigma2_s": 1.0}],
+    }
+
+
+def assert_error(capsys, *argv, expect: str) -> None:
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and expect in err
+
+
+class TestMalformedArguments:
+    @pytest.mark.parametrize("grid", ["0:0.7:nan", "0:0.7:inf", "0:inf:0.1", "nan:0.7:0.1", "-inf:0:0.1"])
+    def test_non_finite_grid(self, ref_2x2_file, capsys, grid):
+        assert_error(capsys, "envelope", "--scenario", ref_2x2_file, "--system", "S",
+                     f"--grid={grid}", expect="finite")
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-9", "-1e308:1e308:1"])
+    def test_grid_point_cap(self, ref_2x2_file, capsys, grid):
+        assert_error(capsys, "compare", "--scenario", ref_2x2_file, f"--grid={grid}",
+                     expect="more than 100000 points")
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_fixed_rate(self, ref_2x2_file, capsys, rate):
+        assert_error(capsys, "decompose", "--scenario", ref_2x2_file, "--fixed", f"1={rate}",
+                     expect="finite")
+
+
+class TestMalformedScenario:
+    def bad(self, tmp_path, capsys, doc=None, raw=None, expect=""):
+        raw = json.dumps(doc).encode() if raw is None else raw
+        assert_error(capsys, "rates", "--scenario", write_raw(tmp_path, raw), expect=expect)
+
+    @pytest.mark.parametrize("value", [True, "0.7", None, [0.7]])
+    def test_non_number_in_row(self, tmp_path, capsys, value):
+        doc = reference_doc()
+        doc["users"][0]["out_complement_row"] = [value, 0.8]
+        self.bad(tmp_path, capsys, doc, expect="users[0]: out_complement_row[0] must be a finite number")
+
+    def test_boolean_arrival_rate(self, tmp_path, capsys):
+        doc = reference_doc()
+        doc["users"][1]["arrival_rate_lambda_s"] = False
+        self.bad(tmp_path, capsys, doc, expect="users[1]: arrival_rate_lambda_s must be a finite number")
+
+    def test_string_slot_field(self, tmp_path, capsys):
+        doc = physical_doc()
+        doc["slot"]["T"] = "1"
+        self.bad(tmp_path, capsys, doc, expect="slot: T must be a finite number")
+
+    @pytest.mark.parametrize("field", ["bandwidth_W", "gamma_p", "sigma2_p", "arrival_rate_lambda_p"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge_int"])
+    def test_non_finite_band_field(self, tmp_path, capsys, field, value):
+        doc = physical_doc()
+        doc["bands"][0][field] = value
+        self.bad(tmp_path, capsys, doc, expect=f"bands[0]: {field} must be a finite number")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"mode": "\xff"}', b'{"mode": ' + b"1" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000],
+        ids=["bad_utf8", "5000_digit_integer", "deep_nesting"],
+    )
+    def test_undecodable_document(self, tmp_path, capsys, raw):
+        self.bad(tmp_path, capsys, raw=raw, expect="invalid JSON")
+
+
+class TestModelRangeChecks:
+    @pytest.mark.parametrize("field", ["bandwidth_W", "gamma_p", "sigma2_p"])
+    def test_nan_band_parameter(self, field):
+        params = dict(bandwidth_W=100.0, arrival_rate_lambda_p=0.2, gamma_p=10.0, sigma2_p=1.0)
+        params[field] = math.nan
+        with pytest.raises(ConfigurationError):
+            PrimaryBand(**params)
+
+    @pytest.mark.parametrize("field", ["gamma_s", "sigma2_s"])
+    def test_nan_user_parameter(self, field):
+        params = dict(arrival_rate_lambda_s=0.1, gamma_s=10.0, sigma2_s=1.0)
+        params[field] = math.nan
+        with pytest.raises(ConfigurationError):
+            SecondaryUser(**params)
+
+    def test_nan_in_formulas_and_rate_matrix(self):
+        with pytest.raises(ConfigurationError):
+            model.secondary_outage_complement(SlotConfig(), math.nan, 1.0, 1.0)
+        with pytest.raises(ConfigurationError):
+            model.band_availability(math.nan, 1.0)
+        with pytest.raises(ConfigurationError):
+            model.RateMatrix(mu=np.array([[math.nan]]), mu_p=np.ones(1), pi=np.ones(1))
