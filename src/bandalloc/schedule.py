@@ -108,10 +108,11 @@ def pad_to_doubly_stochastic(omega: AssignmentMatrix | np.ndarray) -> PaddedAssi
     """Embed omega into an n x n doubly stochastic matrix, n = max(M_p, M_s).
 
     Row/column slack is routed into the virtual rows/columns first (northwest
-    order); residual mass that has no virtual cell to live in (possible only
-    when omega itself is slack and M_p = M_s leaves no virtual block) is placed
-    northwest-first in the real block, which only ever adds assignments on
-    otherwise-idle bands/users.
+    order). Slack the virtual cells cannot hold is placed northwest-first in the
+    real block: always when omega is slack and M_p = M_s (no virtual block), and
+    also when M_p != M_s and omega leaves more slack than the virtual cells take
+    (omega = [[.5, 0], [0, .5], [0, 0]] puts 0.5 of band 3 on each user). It only
+    ever adds assignments where both the band and the user have slack in omega.
     """
     if not isinstance(omega, AssignmentMatrix):
         omega = AssignmentMatrix(omega)
