@@ -63,7 +63,7 @@ def _number(value, where: str):
                 return value
         except OverflowError:  # an integer beyond the float range
             pass
-    raise CliError(f"{where} must be a finite number, got {json.dumps(value)}")
+    raise CliError(f"{where} must be a finite number, got {json.dumps(value, default=repr)}")
 
 
 def _numbers(doc: dict, where: str) -> dict:
@@ -184,8 +184,8 @@ def _parse_grid(spec: str) -> list[float]:
         raise CliError(f"--grid must look like start:stop:step, got {spec!r}") from exc
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise CliError(f"--grid values must be finite, got {spec!r}")
-    if step <= 0 or stop < start:
-        raise CliError("--grid needs step > 0 and stop >= start")
+    if start < 0 or step <= 0 or stop < start:
+        raise CliError("--grid needs start >= 0, step > 0 and stop >= start")
     if (stop - start) / step >= _MAX_GRID_POINTS:
         raise CliError(f"--grid {spec!r} has more than {_MAX_GRID_POINTS} points")
     count = int(math.floor((stop - start) / step + 1e-9))

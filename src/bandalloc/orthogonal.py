@@ -68,7 +68,7 @@ def _fixed_vector(fixed_lambdas, m_s: int, k: int) -> np.ndarray:
         raise ConfigurationError(f"fixed_lambdas must have length {m_s}")
     lam = lam.copy()
     lam[k] = 0.0
-    if np.any(lam < 0):
+    if not np.all(lam >= 0):
         raise ConfigurationError("fixed rates must be >= 0")
     return lam
 

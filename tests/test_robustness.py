@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from bandalloc import cli, fixedalloc, model, randalloc
+from bandalloc import cli, fixedalloc, model, orthogonal, randalloc
 from bandalloc.model import ConfigurationError, PrimaryBand, SecondaryUser, SlotConfig
 
 
@@ -76,10 +76,16 @@ class TestMalformedArguments:
         assert_error(capsys, "envelope", "--scenario", ref_2x2_file, "--system", "S",
                      f"--grid={grid}", expect="finite")
 
-    @pytest.mark.parametrize("grid", ["0:1:1e-9", "-1e308:1e308:1"])
+    @pytest.mark.parametrize("grid", ["0:1:1e-9", "0:1e308:1e-300"])
     def test_grid_point_cap(self, ref_2x2_file, capsys, grid):
         assert_error(capsys, "compare", "--scenario", ref_2x2_file, f"--grid={grid}",
                      expect="more than 100000 points")
+
+    @pytest.mark.parametrize("system", ["S", "S_hat", "fixed"])
+    def test_negative_grid_start(self, ref_2x2_file, capsys, system):
+        # fixed used to report a feasible envelope at lambda_s1 = -0.1
+        assert_error(capsys, "envelope", "--scenario", ref_2x2_file, "--system", system,
+                     "--grid=-0.1:0.1:0.1", expect="start >= 0")
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_fixed_rate(self, ref_2x2_file, capsys, rate):
@@ -138,6 +144,10 @@ class TestModelRangeChecks:
         params[field] = math.nan
         with pytest.raises(ConfigurationError):
             SecondaryUser(**params)
+
+    def test_nan_fixed_rate_in_envelope_lp(self, ref_2x2_rates):
+        with pytest.raises(ConfigurationError):
+            orthogonal.envelope_point(ref_2x2_rates, [math.nan, 0.0], 1)
 
     def test_nan_in_formulas_and_rate_matrix(self):
         with pytest.raises(ConfigurationError):
