@@ -5,9 +5,10 @@ Two tools live here:
 * ``solve_lp``: a two-phase dense simplex with Bland's anti-cycling rule. The
   LPs in this package have at most a few dozen variables, so a plain tableau is
   both fast enough and easy to audit.
-* ``maximize_fractional_1d``: closed-form maximizer of the one-variable linear
-  fractional objective (K1*g - K2)/(D + C*g) subject to a single linear
-  constraint and g in [0, 1], by sign analysis of the derivative.
+* ``fractional_argmax``: closed-form maximizer, elementwise over arrays, of the
+  one-variable linear fractional objective (K1*g - K2)/(D + C*g) subject to a
+  single linear constraint and g in [0, 1], by sign analysis of the derivative;
+  ``maximize_fractional_1d`` is its scalar form for one ``FractionalCoeffs``.
 """
 
 from __future__ import annotations
@@ -239,28 +240,23 @@ class FractionalCoeffs:
             raise ValueError("D must be >= 0")
 
 
-def maximize_fractional_1d(coeffs: FractionalCoeffs) -> tuple[float | None, str]:
-    """Maximize (K1*g - K2)/(D + C*g) over feasible g in [0, 1].
+def fractional_argmax(K1, K2, C, D, lambda_s2):
+    """Elementwise maximizer of (K1*g - K2)/(D + C*g) over feasible g in [0, 1].
 
-    The derivative has the constant sign of (K2*C + D*K1), so the optimum sits
-    at an end of the feasible interval, which the constraint
-    ``lambda_s2 - D <= C*g`` carves out of [0, 1]. Returns (g_opt, "optimal")
-    or (None, "infeasible").
+    The derivative has the constant sign of (K2*C + D*K1), so the optimum is an
+    end of the interval that ``lambda_s2 - D <= C*g`` carves out of [0, 1]: the
+    upper end when that sign is positive. Returns (g_opt, feasible) arrays.
     """
-    rhs = coeffs.lambda_s2 - coeffs.D
-    C = coeffs.C
-    if C > 0.0:
-        ratio = rhs / C
-        if ratio > 1.0:
-            return None, "infeasible"
-        lower, upper = max(ratio, 0.0), 1.0
-    elif C < 0.0:
-        if rhs > 0.0:
-            return None, "infeasible"
-        lower, upper = 0.0, min(rhs / C, 1.0) if rhs < 0.0 else 0.0
-    else:
-        if rhs > 0.0:
-            return None, "infeasible"
-        lower, upper = 0.0, 1.0
-    derivative = coeffs.K2 * C + coeffs.D * coeffs.K1
-    return (upper if derivative > 0.0 else lower), "optimal"
+    rhs = lambda_s2 - D
+    ratio = rhs / (C + (C == 0.0))  # divides by 1 where C == 0; read only where C != 0
+    positive = C > 0.0
+    feasible = ~np.where(positive, ratio > 1.0, rhs > 0.0)
+    lower = np.where(positive, np.where(ratio < 0.0, 0.0, ratio), 0.0)
+    upper = np.where(C < 0.0, np.where(rhs < 0.0, np.minimum(ratio, 1.0), 0.0), 1.0)
+    return np.where(K2 * C + D * K1 > 0.0, upper, lower), feasible
+
+
+def maximize_fractional_1d(coeffs: FractionalCoeffs) -> tuple[float | None, str]:
+    """Scalar form of ``fractional_argmax``: (g_opt, "optimal") or (None, "infeasible")."""
+    g, feasible = fractional_argmax(coeffs.K1, coeffs.K2, coeffs.C, coeffs.D, coeffs.lambda_s2)
+    return (float(g), "optimal") if feasible else (None, "infeasible")

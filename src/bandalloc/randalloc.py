@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CLOSURE_TOL, ConfigurationError, RateMatrix
-from .optim import FractionalCoeffs, maximize_fractional_1d
+from .optim import fractional_argmax
 
 _TOL = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_BATCH = 5  # golden-section steps per array call; divides 60
 
 
 @dataclass(frozen=True)
@@ -74,88 +75,81 @@ def conditional_service_rate(gamma, nonempty, rates: RateMatrix, k: int) -> floa
     return float(np.sum(rates.mu[:, k] * g[:, k] * clear))
 
 
-def _coeffs(mu: np.ndarray, gamma21: float, lambda_s2: float) -> FractionalCoeffs:
-    """Reduced fractional-program coefficients for a fixed gamma21 (2x2 instance)."""
-    g21b = 1.0 - gamma21
-    return FractionalCoeffs(
-        K1=g21b * mu[0, 0] - gamma21 * mu[1, 0],
-        K2=g21b * mu[0, 0],
-        C=g21b * mu[1, 1] - gamma21 * mu[0, 1],
-        D=gamma21 * mu[0, 1],
-        lambda_s2=lambda_s2,
-        gamma21=gamma21,
-    )
-
-
-def _dominant1_at(mu: np.ndarray, lambda_s2: float, gamma21: float) -> tuple[float, float] | None:
-    """Best lambda_s1 for a fixed gamma21, or None when lambda_s2 is unsupportable there.
+def _dominant1_values(mu: np.ndarray, lambda_s2: float, g21):
+    """Best lambda_s1 (-inf where lambda_s2 is unsupportable) and its gamma22 at each gamma21.
 
     lambda_s1 = (1-g21)*mu11 + g21*mu21 + lambda_s2 * (g22*K1 - K2)/(D + C*g22),
-    the affine lift of the reduced fractional objective.
+    the affine lift of the reduced fractional objective ``optim.fractional_argmax`` solves.
     """
-    coeffs = _coeffs(mu, gamma21, lambda_s2)
-    g22, status = maximize_fractional_1d(coeffs)
-    if status != "optimal":
-        return None
-    base = (1.0 - gamma21) * mu[0, 0] + gamma21 * mu[1, 0]
+    (mu11, mu12), (mu21, mu22) = mu.tolist()
+    g21b = 1.0 - g21
+    K2, shared, D = g21b * mu11, g21 * mu21, g21 * mu12
+    K1, base, C = K2 - shared, K2 + shared, g21b * mu22 - D
+    g22, feasible = fractional_argmax(K1, K2, C, D, lambda_s2)
     if lambda_s2 == 0:
-        return base, g22
-    denom = coeffs.D + coeffs.C * g22  # equals mu_s2 >= lambda_s2 > 0
-    return base + lambda_s2 * (g22 * coeffs.K1 - coeffs.K2) / denom, g22
+        return np.where(feasible, base, -np.inf), g22
+    denom = np.where(feasible, D + C * g22, 1.0)  # mu_s2 >= lambda_s2 > 0 where feasible
+    return np.where(feasible, base + lambda_s2 * (g22 * K1 - K2) / denom, -np.inf), g22
+
+
+def _golden_section(values, a: float, b: float) -> float:
+    """Midpoint of the bracket left by 60 golden-section steps maximizing ``values`` on [a, b].
+
+    The points of the next _GOLDEN_BATCH steps depend only on which way each
+    comparison goes, so all of them are evaluated in one call and the
+    comparisons then walk that tree: same points, same bracket, fewer calls.
+    """
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = values(np.array([x1, x2]))
+    for _ in range(60 // _GOLDEN_BATCH):
+        # Node n's children: 2n+1 keeps [a, x2] (taken when f1 >= f2), 2n+2 keeps [x1, b].
+        nodes, points = [(a, b, x1, x2)], []
+        for n in range(2 ** _GOLDEN_BATCH - 1):
+            a, b, x1, x2 = nodes[n]
+            left, right = x2 - _GOLDEN * (x2 - a), x1 + _GOLDEN * (b - x1)
+            nodes += (a, x2, left, x1), (x1, b, x2, right)
+            points += left, right
+        fresh = values(np.array(points))  # fresh[n - 1]: value at node n's new point
+        n = 0
+        for _ in range(_GOLDEN_BATCH):
+            if f1 >= f2:
+                n = 2 * n + 1
+                f1, f2 = fresh[n - 1], f1
+            else:
+                n = 2 * n + 2
+                f1, f2 = f2, fresh[n - 1]
+        a, b, x1, x2 = nodes[n]
+    return (a + b) / 2.0
 
 
 def dominant1_envelope_2x2(mu, lambda_s2: float, grid_step: float = 1e-3) -> DominantEnvelopePoint:
     """Max stable rate of user 1 when user 2's rate is fixed (user 1 sends dummy packets).
 
-    Sweeps gamma21 over a grid, solves the inner one-dimensional fractional
-    program in closed form, then refines around the best grid point with a
-    golden-section pass.
+    Solves the inner one-dimensional fractional program in closed form on the
+    whole gamma21 grid in one array call, takes the first best grid point, and
+    refines within one grid step of it by 60 golden-section steps.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (2, 2):
         raise ConfigurationError("mu must be 2x2")
     if lambda_s2 < 0:
         raise ConfigurationError("lambda_s2 must be >= 0")
+    infeasible = DominantEnvelopePoint(fixed_lambda=lambda_s2, dominant="first", feasible=False)
     if lambda_s2 > max(mu[0, 1], mu[1, 1]) + _TOL:
-        return DominantEnvelopePoint(fixed_lambda=lambda_s2, dominant="first", feasible=False)
+        return infeasible
 
-    n = int(round(1.0 / grid_step))
-    best_val = -math.inf
-    best_g21 = None
-    for i in range(n + 1):
-        g21 = min(i * grid_step, 1.0)
-        res = _dominant1_at(mu, lambda_s2, g21)
-        if res is not None and res[0] > best_val:
-            best_val, best_g21 = res[0], g21
-    if best_g21 is None:
-        return DominantEnvelopePoint(fixed_lambda=lambda_s2, dominant="first", feasible=False)
+    grid = np.minimum(np.arange(int(round(1.0 / grid_step)) + 1) * grid_step, 1.0)
+    values, g22s = _dominant1_values(mu, lambda_s2, grid)
+    best = int(np.argmax(values))  # the first best point, as a strict-improvement scan finds
+    if not values[best] > -math.inf:  # no grid point supports lambda_s2
+        return infeasible
+    best_val, g21, g22 = values[best], float(grid[best]), g22s[best]
+    mid = _golden_section(lambda g: _dominant1_values(mu, lambda_s2, g)[0],
+                          max(g21 - grid_step, 0.0), min(g21 + grid_step, 1.0))
+    mid_val, mid_g22 = _dominant1_values(mu, lambda_s2, mid)
+    if mid_val > best_val:
+        best_val, g21, g22 = mid_val, mid, mid_g22
 
-    def value(g21: float) -> float:
-        res = _dominant1_at(mu, lambda_s2, g21)
-        return res[0] if res is not None else -math.inf
-
-    lo = max(best_g21 - grid_step, 0.0)
-    hi = min(best_g21 + grid_step, 1.0)
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = value(x1), value(x2)
-    for _ in range(60):
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = value(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = value(x2)
-    for cand in (best_g21, (a + b) / 2.0):
-        v = value(cand)
-        if v > best_val:
-            best_val, best_g21 = v, cand
-
-    g21 = best_g21
-    g22 = _dominant1_at(mu, lambda_s2, g21)[1]
     gamma = SelectionMatrix(np.array([[1.0 - g21, 1.0 - g22], [g21, g22]]))
     return DominantEnvelopePoint(
         fixed_lambda=lambda_s2, dominant="first", feasible=True,
