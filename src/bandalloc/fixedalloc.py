@@ -60,8 +60,11 @@ def region_for_mapping(d: FixedMapping, rates: RateMatrix, lambdas) -> bool:
     return True
 
 
-def _mappings(rates: RateMatrix, lambdas):
-    """One-to-one mappings (1-based bands, lexicographic order) and ``lambdas`` as a list."""
+def _mappings(rates: RateMatrix, lambdas, free: int | None = None):
+    """One-to-one mappings (1-based bands, lexicographic order) and ``lambdas`` as a list.
+
+    Every rate but that of user ``free`` must be >= 0 (NaN fails the test).
+    """
     _check_shape(rates)
     m_p, m_s = rates.m_p, rates.m_s
     if m_s > 8 or math.perm(m_p, m_s) > _MAX_ENUMERATION:
@@ -72,6 +75,8 @@ def _mappings(rates: RateMatrix, lambdas):
     lam = list(lambdas)
     if len(lam) != m_s:
         raise ConfigurationError("rates must have one entry per user")
+    if any(not lam[l] >= 0 for l in range(m_s) if l != free):
+        raise ConfigurationError(f"rates must be >= 0, got {lam}")
     return itertools.permutations(range(1, m_p + 1), m_s), lam
 
 
@@ -90,11 +95,12 @@ def best_fixed_max(rates: RateMatrix, fixed_lambdas, k: int) -> tuple[float, Fix
     A mapping supports the fixed users when lambda_l <= mu[m_l, l] (closure
     semantics, to match the envelope LPs); among supporting mappings the one
     maximizing mu[m_k, k] wins, ties broken lexicographically. None when no
-    mapping supports the fixed rates.
+    mapping supports the fixed rates. Entry k of ``fixed_lambdas`` is ignored;
+    the others must be >= 0.
     """
     if not 0 <= k < rates.m_s:
         raise ConfigurationError(f"user index {k} out of range")
-    mappings, lam = _mappings(rates, fixed_lambdas)
+    mappings, lam = _mappings(rates, fixed_lambdas, k)
     best: tuple[float, FixedMapping] | None = None
     for assignment in mappings:
         value = mapping_max(rates, assignment, lam, k)

@@ -156,3 +156,24 @@ class TestModelRangeChecks:
             model.band_availability(math.nan, 1.0)
         with pytest.raises(ConfigurationError):
             model.RateMatrix(mu=np.array([[math.nan]]), mu_p=np.ones(1), pi=np.ones(1))
+
+
+class TestFixedAllocationRates:
+    # best_fixed_max([-0.1, 0], k=1) used to return (0.7875, (1, 2)), and a NaN
+    # rate silently made every mapping unsupported; the envelope LP refuses both.
+    @pytest.mark.parametrize("lam", [[-0.1, 0.0], [math.nan, 0.0]], ids=["negative", "nan"])
+    def test_best_fixed_max_refuses(self, ref_2x2_rates, lam):
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            fixedalloc.best_fixed_max(ref_2x2_rates, lam, 1)
+
+    @pytest.mark.parametrize("lam", [[-0.5, 0.1], [0.1, math.nan]], ids=["negative", "nan"])
+    def test_best_margin_mapping_refuses(self, ref_2x2_rates, lam):
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            fixedalloc.best_margin_mapping(ref_2x2_rates, lam)
+
+    @pytest.mark.parametrize("placeholder", [-1.0, math.nan])
+    def test_best_fixed_max_ignores_the_maximized_entry(self, ref_2x2_rates, placeholder):
+        # as orthogonal.envelope_point does for the free user's entry
+        expected = fixedalloc.best_fixed_max(ref_2x2_rates, [0.1, 0.0], 1)
+        assert fixedalloc.best_fixed_max(ref_2x2_rates, [0.1, placeholder], 1) == expected
+        assert expected == (0.7875, fixedalloc.FixedMapping((1, 2)))
