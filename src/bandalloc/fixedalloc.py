@@ -75,8 +75,9 @@ def _mappings(rates: RateMatrix, lambdas, free: int | None = None):
     lam = list(lambdas)
     if len(lam) != m_s:
         raise ConfigurationError("rates must have one entry per user")
-    if any(not lam[l] >= 0 for l in range(m_s) if l != free):
-        raise ConfigurationError(f"rates must be >= 0, got {lam}")
+    for l in range(m_s):
+        if l != free and not lam[l] >= 0:
+            raise ConfigurationError(f"rate of user {l + 1} must be >= 0, got {float(lam[l])}")
     return itertools.permutations(range(1, m_p + 1), m_s), lam
 
 
