@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from bandalloc import cli
 
+# The function-scoped fixtures are safe to share between examples: the shipped
+# scenario file is only read, and each scenario example rewrites its own file.
 FUZZ = settings(
     max_examples=75, deadline=None, derandomize=True, database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -66,7 +68,7 @@ def scenario_docs(draw):
     for _ in range(draw(st.integers(1, 3))):
         slots = list(_slots(doc))
         numeric = [(c, k) for c, k in slots if isinstance(c[k], (int, float))]
-        action = draw(st.sampled_from(["number", "number", "value", "delete", "add"]))
+        action = draw(st.sampled_from(["number", "number", "value", "delete", "add"]))  # numbers 2x
         if action == "number" and numeric:
             container, key = draw(st.sampled_from(numeric))
             container[key] = draw(numbers)
@@ -113,7 +115,7 @@ def test_arbitrary_json_documents(tmp_path, doc):
     path.write_text(json.dumps(doc))
     code, out, err = run("rates", "--scenario", str(path))
     assert_clean(code, out, err)
-    assert code == 1
+    assert code == 1  # keys of at most 6 characters cannot name a band's or user's fields
 
 
 grid_numbers = st.one_of(
