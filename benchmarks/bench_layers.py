@@ -2,16 +2,17 @@
 
 Usage, from the root of a checkout:
 
-    python3 benchmarks/bench_layers.py [--src DIR] [--repeat N]
+    python3 benchmarks/bench_layers.py [--src DIR]
 
 ``--src`` names the directory bandalloc is imported from (default: this
 checkout's ``src``), so one harness can time two revisions on the same machine.
 Each case is one call on a fixed input: the S_hat dominant-system envelopes
 and union-region section on the reference 2x2 scenario, and the S envelope LP
 on both shipped scenarios. ``timeit`` picks a loop count of at least 0.2 s per
-repeat; the case reports the median and the minimum over the repeats, in
-milliseconds per call. The output is one JSON object with the Python and numpy
-versions and the CPU model next to the timings. Not part of the test suite.
+repeat; the case reports the median and the minimum over ``_REPEAT`` (7)
+repeats, in milliseconds per call. The output is one JSON object with the
+Python and numpy versions and the CPU model next to the timings. Not part of
+the test suite.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+_REPEAT = 7
 
 
 def cpu_model() -> str:
@@ -58,19 +60,18 @@ def cases():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="per-layer timings of bandalloc")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory to import bandalloc from")
-    parser.add_argument("--repeat", type=int, default=7, help="timeit repeats per case")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     results = {}
     for name, fn in cases():
         timer = timeit.Timer(fn)
         number, _ = timer.autorange()
-        per_call = [t / number * 1e3 for t in timer.repeat(repeat=args.repeat, number=number)]
+        per_call = [t / number * 1e3 for t in timer.repeat(repeat=_REPEAT, number=number)]
         results[name] = {
             "median_ms": round(statistics.median(per_call), 4),
             "min_ms": round(min(per_call), 4),
             "calls_per_repeat": number,
-            "repeats": args.repeat,
+            "repeats": _REPEAT,
         }
     doc = {
         "python": platform.python_version(),
