@@ -81,13 +81,10 @@ def test_matches_scalar_path_on_coarse_grids(dominant):
 
 
 def test_matches_scalar_path_on_the_default_grid(ref_2x2_mu):
-    rng = np.random.default_rng(42)
-    cases = [(ref_2x2_mu, lam) for lam in (0.0, 0.3, 0.17500000000000002, 0.9)]
-    for mu, lam_kind, _, _ in _instances(43, 12):
-        cases.append((mu, _lam(rng, max(mu[:, 0].max(), mu[:, 1].max()), lam_kind)))
+    # The coarse-grid cases cover the input kinds; these cover the 1001-point grid.
     with np.errstate(all="raise"):
-        for mu, lam in cases:
-            _assert_same(randalloc.dominant1_envelope_2x2(mu, lam),
-                         scalar_dominant1_envelope_2x2(mu, lam))
-            _assert_same(randalloc.dominant2_envelope_2x2(mu, lam),
-                         scalar_dominant2_envelope_2x2(mu, lam))
+        for lam in (0.0, 0.3, 0.17500000000000002, 0.9):
+            _assert_same(randalloc.dominant1_envelope_2x2(ref_2x2_mu, lam),
+                         scalar_dominant1_envelope_2x2(ref_2x2_mu, lam))
+            _assert_same(randalloc.dominant2_envelope_2x2(ref_2x2_mu, lam),
+                         scalar_dominant2_envelope_2x2(ref_2x2_mu, lam))
