@@ -216,11 +216,25 @@ def schedule_from_assignment(omega: AssignmentMatrix | np.ndarray) -> tuple[Padd
     return padded, schedule
 
 
+def sample_indices(weights, u: np.ndarray, fallback: int) -> np.ndarray:
+    """Index drawn by each uniform in ``u`` from a list of nonnegative weights.
+
+    Each draw walks the weights in order, subtracting them from its uniform,
+    and takes the first index at which the remainder turns negative; a draw
+    that outlasts every weight takes ``fallback``. The subtractions run in the
+    same order as a scalar walk, so the result matches it bit for bit. The
+    remainder never grows, so the index is the count of nonnegative remainders.
+    """
+    rest = np.array(u, dtype=float)
+    count = np.zeros(rest.shape, dtype=np.intp)
+    for w in weights:
+        rest -= w
+        count += rest >= 0
+    return np.where(count == len(weights), fallback, count)
+
+
 def sample_permutation(schedule: PermutationSchedule, rng) -> tuple[int, ...]:
     """Draw one assignment pattern; consumes exactly one uniform from ``rng``."""
-    u = rng.random()
-    for perm, w in schedule.entries:
-        u -= w
-        if u < 0:
-            return perm
-    return schedule.entries[-1][0]
+    entries = schedule.entries
+    index = sample_indices([w for _, w in entries], rng.random(), len(entries) - 1)
+    return entries[int(index)][0]
