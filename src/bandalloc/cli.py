@@ -419,7 +419,7 @@ def cmd_simulate(args) -> int:
     policy = _derive_policy(args.system, rates, lam)
     config = sim.SimConfig(n_slots=args.slots, seed=args.seed)
     result = sim.run(scenario, policy, config)
-    prov = _provenance(digest, seed=args.seed)
+    prov = {**_provenance(digest, seed=args.seed), "stream_version": sim.STREAM_VERSION}
     if args.json:
         doc = {"provenance": prov, "system": args.system, "policy": policy.kind,
                "rates": [float(v) for v in lam], "result": result.to_dict()}

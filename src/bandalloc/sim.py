@@ -9,19 +9,40 @@ random selection - no other backlogged user picked the same band, and finally
 Bernoulli arrivals are appended (late-arrival model: a packet arriving in slot
 t is servable from slot t+1).
 
-Randomness is bit-reproducible: two substreams are derived deterministically
-from the seed. The primary stream drives PU outcome draws then PU arrival
-draws (ascending band index), so primary trajectories are identical across
-policies; the secondary stream drives assignment draws, then SU outcome draws
-(ascending user index), then SU arrival draws. Draws are consumed only when an
-event needs one (backlogged queue, attempted transmission, nonzero arrival
-rate).
+Engine. Every queue follows q' = max(q - S, 0) + A, with S the slot's service
+opportunity and A its arrival. Where S does not depend on the queue's own
+backlog this is a random walk reflected at zero, computed for a run of slots at
+once with ``cumsum`` and ``minimum.accumulate`` (Lindley 1952; Loynes 1962):
+every primary queue, and every secondary queue under the orthogonal and fixed
+policies, whose service depends only on the primary backlogs. Under random
+selection a user's service is its solo service (band picked, band idle at the
+slot start, link success), lost when another backlogged user picked the same
+band. That map from backlog indicators to backlog indicators is monotone and
+causal: the backlog at a slot start depends on service in earlier slots only.
+Iterated from "nobody backlogged", round r is exact on the first r slots, so
+the iteration reaches the slot-sequential trajectory within n + 1 rounds on n
+slots (in practice a few); a run that does not converge raises. The engine
+walks the horizon in blocks of ``_BLOCK`` slots and carries each queue's
+backlog from block to block, so memory does not grow with the run length.
+
+Randomness (stream contract version ``STREAM_VERSION`` = 2) is
+bit-reproducible. Every stream is its own numpy Generator spawned from a
+SeedSequence, supplies one uniform per slot whatever the queue state, and is
+read as one contiguous sequence, so results do not depend on ``_BLOCK``. The
+primary seed sequence is the seed XOR a fixed salt; its 2 M_p children are the
+outcome streams of bands 1..M_p, then their arrival streams. Primary
+trajectories are therefore identical across policies. The secondary seed
+sequence is the seed itself; its 1 + 3 M_s children are the orthogonal
+assignment stream, then the pick streams of users 1..M_s (random selection),
+their outcome streams and their arrival streams. Seeds are read modulo 2**64.
+A draw u succeeds (departs, arrives) when u < p, and a schedule or selection
+column maps u to the first entry at which u minus the weights so far turns
+negative (``schedule.sample_indices``).
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +51,7 @@ from . import model
 from .fixedalloc import FixedMapping
 from .model import ConfigurationError, Scenario
 from .randalloc import SelectionMatrix
-from .schedule import PermutationSchedule, sample_permutation
+from .schedule import PermutationSchedule, sample_indices
 
 # Stability surrogate thresholds (packets/slot for the fitted slope; fraction of
 # the post-warmup horizon for the terminal backlog).
@@ -39,6 +60,13 @@ SLOPE_UNSTABLE = 0.02
 BACKLOG_FRACTION = 0.05
 
 _PRIMARY_STREAM_SALT = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+# Version of the random-stream contract in the module docstring; a change of
+# which draw drives which event changes every trajectory, so it is recorded in
+# the provenance of simulation output.
+STREAM_VERSION = 2
+# Slots per block of the array engine; output does not depend on it.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -203,152 +231,184 @@ def empirical_throughput(result: SimResult) -> tuple[float, ...]:
     return tuple(d / result.post_warmup_slots for d in result.post_warmup_departures)
 
 
-def _policy_tables(policy: Policy, m_p: int, m_s: int):
-    """Precompute 0-based lookup tables (virtual band = -1) for the hot loop."""
+def _streams(seed: int, count: int) -> list[np.random.Generator]:
+    """``count`` independent generators spawned from the seed (read modulo 2**64)."""
+    children = np.random.SeedSequence(seed & _MASK64).spawn(count)
+    return [np.random.default_rng(child) for child in children]
+
+
+def _draw(streams, n: int) -> np.ndarray:
+    """The next ``n`` uniforms of each stream, one row per stream."""
+    return np.array([stream.random(n) for stream in streams])
+
+
+def _band_picker(policy: Policy, m_p: int, m_s: int, streams):
+    """Check the policy against the scenario; return pick(n) -> (M_s, n) bands.
+
+    ``pick(n)`` gives the 0-based band each user holds in each of the next n
+    slots (-1: none, or a virtual band of the schedule). The orthogonal policy
+    reads the assignment stream, random selection each user's pick stream.
+    """
     if policy.kind == "orthogonal":
-        zero_based = {}
-        for perm, _ in policy.schedule.entries:
-            if len(perm) != m_s:
-                raise ConfigurationError("schedule permutation length must equal M_s")
-            if any(m > m_p for m in perm):
-                raise ConfigurationError("schedule assigns a band outside the scenario")
-            zero_based[perm] = tuple(m - 1 for m in perm)
-        return zero_based
+        entries = policy.schedule.entries
+        if any(len(perm) != m_s for perm, _ in entries):
+            raise ConfigurationError("schedule permutation length must equal M_s")
+        if any(m > m_p for perm, _ in entries for m in perm):
+            raise ConfigurationError("schedule assigns a band outside the scenario")
+        table = np.array([perm for perm, _ in entries]) - 1
+        weights = [w for _, w in entries]
+        assignment = streams[0]
+        return lambda n: table[sample_indices(weights, assignment.random(n), len(entries) - 1)].T
     if policy.kind == "random":
         g = policy.selection.gamma
         if g.shape != (m_p, m_s):
             raise ConfigurationError(f"selection matrix has shape {g.shape}, expected {(m_p, m_s)}")
         columns = []
         for k in range(m_s):
-            col = tuple(float(g[j, k]) for j in range(m_p))
-            # fallback band guards the walk against rounding when the column
-            # sums to one (a complete column must always select something)
-            fallback = -1
-            if sum(col) >= 1.0 - 1e-9:
-                fallback = max(j for j in range(m_p) if col[j] > 0)
-            columns.append((col, fallback))
-        return columns
+            col = [float(v) for v in g[:, k]]
+            # a complete column always selects something: its last positive
+            # band catches draws that rounding carries past the final weight
+            fallback = max(j for j in range(m_p) if col[j] > 0) if sum(col) >= 1.0 - 1e-9 else -1
+            columns.append((col, fallback, streams[1 + k]))
+        return lambda n: np.array([sample_indices(col, pick.random(n), fallback)
+                                   for col, fallback, pick in columns])
     mapping = policy.mapping
     if mapping.m_s != m_s or any(m > m_p for m in mapping.assignment):
         raise ConfigurationError("fixed mapping does not fit the scenario")
-    return tuple(m - 1 for m in mapping.assignment)
+    bands = np.array(mapping.assignment)[:, None] - 1
+    return lambda n: np.repeat(bands, n, axis=1)
+
+
+def _reflect(q0: np.ndarray, arrivals: np.ndarray, service: np.ndarray):
+    """Backlogs of queues ``q' = max(q - S, 0) + A`` over a run of slots.
+
+    ``q0`` holds each queue's backlog at the first slot start; ``arrivals`` and
+    ``service`` are 0/1 arrays (queues x slots). The backlog left after service
+    in slot t is a random walk with steps A[t-1] - S[t] reflected at zero, so it
+    is the walk minus its running minimum (floored at -q0) (Lindley 1952).
+    Returns the start-of-slot backlogs (queues x slots+1; the last column is
+    the backlog after the final slot) and the departures in each slot.
+    """
+    steps = -service.astype(np.int64)
+    steps[:, 1:] += arrivals[:, :-1]
+    walk = np.cumsum(steps, axis=1)
+    served = walk - np.minimum(np.minimum.accumulate(walk, axis=1), -q0[:, None])
+    backlog = np.empty((len(q0), walk.shape[1] + 1), dtype=np.int64)
+    backlog[:, 0] = q0
+    backlog[:, 1:] = served + arrivals
+    return backlog, backlog[:, :-1] - served
+
+
+def _contend(q0: np.ndarray, arrivals: np.ndarray, solo: np.ndarray, bands: np.ndarray):
+    """Backlogs and departures of users that collide on shared bands.
+
+    A user's service in a slot is its solo service, lost when another
+    backlogged user picked the same band. Starting from "nobody backlogged",
+    each round recomputes every trajectory from the previous round's backlog
+    indicators. The map is monotone, and causal with a one-slot delay (the
+    backlog at a slot start depends on service in earlier slots only), so
+    round r is exact on the first r slots: the fixed point, which is the
+    slot-sequential trajectory, is reached within slots + 1 rounds.
+    Returns the backlogs, the departures and the backlogged indicators.
+    """
+    m_s, n = solo.shape
+    rivals = (bands[:, None] == bands[None, :]) & (bands >= 0)[:, None]
+    rivals[np.arange(m_s), np.arange(m_s)] = False
+    busy = np.zeros((m_s, n), dtype=bool)
+    for _ in range(n + 1):
+        lost = (rivals & busy[None]).any(axis=1)
+        backlog, departures = _reflect(q0, arrivals, solo & ~lost)
+        fresh = backlog[:, :-1] > 0
+        if np.array_equal(fresh, busy):
+            return backlog, departures, busy
+        busy = fresh
+    raise RuntimeError("collision fixed point did not converge")
 
 
 def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
     """Simulate ``config.n_slots`` slots; deterministic given the seed."""
     links = model.resolve_links(scenario)
     m_p, m_s = scenario.m_p, scenario.m_s
-    tables = _policy_tables(policy, m_p, m_s)
-    kind = policy.kind
+    primary_streams = _streams(config.seed ^ _PRIMARY_STREAM_SALT, 2 * m_p)
+    secondary_streams = _streams(config.seed, 1 + 3 * m_s)
+    pick = _band_picker(policy, m_p, m_s, secondary_streams)
+    contending = policy.kind == "random"
 
-    lam_p = [float(v) for v in links.lambda_p]
-    mu_p = [float(v) for v in links.mu_p]
-    lam_s = [float(v) for v in links.lambda_s]
-    psucc = [[float(links.p_success[j, k]) for k in range(m_s)] for j in range(m_p)]
-    # zero-bandwidth bands carry no transmissions at all (no outcome draw)
-    live = [not band.is_virtual for band in scenario.bands]
+    mu_p = links.mu_p[:, None]
+    lam_p = links.lambda_p[:, None]
+    lam_s = links.lambda_s[:, None]
+    psucc = links.p_success.T  # user x band
+    users = np.arange(m_s)[:, None]
+    # zero-bandwidth bands carry no transmissions at all
+    live = np.array([not band.is_virtual for band in scenario.bands])
+    band_ids = np.arange(m_p)[:, None, None]
 
-    sec_rng = random.Random(config.seed)
-    prim_rng = random.Random((config.seed ^ _PRIMARY_STREAM_SALT) & 0xFFFFFFFFFFFFFFFF)
-    sec_rnd = sec_rng.random
-    prim_rnd = prim_rng.random
-
-    qp = [0] * m_p
-    qs = [0] * m_s
-    arr_p = [0] * m_p
-    arr_s = [0] * m_s
-    dep_p = [0] * m_p
-    dep_s = [0] * m_s
-    dep_s_post = [0] * m_s
-    empty_post = [0] * m_p
+    qp = np.zeros(m_p, dtype=np.int64)
+    qs = np.zeros(m_s, dtype=np.int64)
+    arr_p = np.zeros(m_p, dtype=np.int64)
+    dep_p = np.zeros(m_p, dtype=np.int64)
+    empty_post = np.zeros(m_p, dtype=np.int64)
+    arr_s = np.zeros(m_s, dtype=np.int64)
+    dep_s = np.zeros(m_s, dtype=np.int64)
+    dep_s_post = np.zeros(m_s, dtype=np.int64)
     collisions = 0
-    trace_slots: list[int] = []
-    trace_p: list[tuple[int, ...]] = []
-    trace_s: list[tuple[int, ...]] = []
+    trace_slots, trace_p, trace_s = [], [], []
 
     warmup = config.warmup
     stride = config.trace_stride
     n_slots = config.n_slots
-    bands = range(m_p)
-    users = range(m_s)
-    # band held by each user this slot (-1: none) and users per band; the
-    # orthogonal and fixed policies never put two users on one band
-    assign = tables if kind == "fixed" else None
-    load = [1] * m_p
+    for start in range(0, n_slots, _BLOCK):
+        n = min(_BLOCK, n_slots - start)
+        post = max(warmup - start, 0)  # first post-warmup slot of the block
 
-    for t in range(n_slots):
-        post = t >= warmup
-        # Availability is the primary backlog at the slot start (perfect sensing).
-        avail = [q == 0 for q in qp]
-        if post:
-            for j in bands:
-                if avail[j]:
-                    empty_post[j] += 1
+        # Primary queues: availability is the backlog at the slot start.
+        u = _draw(primary_streams, n)
+        arrive = u[m_p:] < lam_p
+        backlog_p, departed_p = _reflect(qp, arrive, u[:m_p] < mu_p)
+        avail = backlog_p[:, :-1] == 0
+        arr_p += arrive.sum(axis=1)
+        dep_p += departed_p.sum(axis=1)
+        empty_post += avail[:, post:].sum(axis=1)
 
-        # Primary stream: outcome draws then arrival draws, ascending band index.
-        for j in bands:
-            if qp[j] and prim_rnd() < mu_p[j]:
-                qp[j] -= 1
-                dep_p[j] += 1
-        for j in bands:
-            if lam_p[j] > 0.0 and prim_rnd() < lam_p[j]:
-                qp[j] += 1
-                arr_p[j] += 1
+        # Secondary queues: solo service on the picked band, then contention.
+        u = _draw(secondary_streams[1 + m_s:], n)
+        arrive = u[m_s:] < lam_s
+        bands = pick(n)
+        on = np.maximum(bands, 0)
+        solo = ((bands >= 0) & live[on] & np.take_along_axis(avail, on, axis=0)
+                & (u[:m_s] < psucc[users, on]))
+        if contending:
+            backlog_s, departed_s, busy = _contend(qs, arrive, solo, bands)
+            load = ((bands[None] == band_ids) & busy[None]).sum(axis=1)
+            collisions += int(((load > 1) & live[:, None] & avail).sum())
+        else:
+            backlog_s, departed_s = _reflect(qs, arrive, solo)
+        arr_s += arrive.sum(axis=1)
+        dep_s += departed_s.sum(axis=1)
+        dep_s_post += departed_s[:, post:].sum(axis=1)
 
-        # Secondary stream: assignment, then outcomes, then arrivals.
-        if kind == "orthogonal":
-            assign = tables[sample_permutation(policy.schedule, sec_rng)]
-        elif kind == "random":
-            assign = [-1] * m_s
-            load = [0] * m_p
-            for k in users:
-                if qs[k]:
-                    u = sec_rnd()
-                    col, fallback = tables[k]
-                    picked = fallback
-                    for j in bands:
-                        u -= col[j]
-                        if u < 0:
-                            picked = j
-                            break
-                    if picked >= 0:
-                        assign[k] = picked
-                        load[picked] += 1
-            for j in bands:
-                if load[j] > 1 and live[j] and avail[j]:
-                    collisions += 1
-        for k in users:
-            if qs[k]:
-                j = assign[k]
-                if j >= 0 and live[j] and avail[j] and load[j] == 1 and sec_rnd() < psucc[j][k]:
-                    qs[k] -= 1
-                    dep_s[k] += 1
-                    if post:
-                        dep_s_post[k] += 1
-        for k in users:
-            if lam_s[k] > 0.0 and sec_rnd() < lam_s[k]:
-                qs[k] += 1
-                arr_s[k] += 1
-
-        if (t + 1) % stride == 0:
-            trace_slots.append(t)
-            trace_p.append(tuple(qp))
-            trace_s.append(tuple(qs))
+        # End-of-slot backlogs of slots t with (t + 1) % stride == 0.
+        idx = np.arange((stride - 1 - start) % stride, n, stride)
+        trace_slots.append(start + idx)
+        trace_p.append(backlog_p[:, idx + 1])
+        trace_s.append(backlog_s[:, idx + 1])
+        qp, qs = backlog_p[:, -1], backlog_s[:, -1]
 
     post_slots = n_slots - warmup
+    dep_s_post = dep_s_post.tolist()
     result = SimResult(
         n_slots=n_slots,
         warmup=warmup,
         seed=config.seed,
-        primary=tuple(QueueStats(arr_p[j], dep_p[j], qp[j]) for j in bands),
-        secondary=tuple(QueueStats(arr_s[k], dep_s[k], qs[k]) for k in users),
-        trace_slots=tuple(trace_slots),
-        trace_primary=tuple(trace_p),
-        trace_secondary=tuple(trace_s),
+        primary=tuple(QueueStats(*row) for row in zip(arr_p.tolist(), dep_p.tolist(), qp.tolist())),
+        secondary=tuple(QueueStats(*row) for row in zip(arr_s.tolist(), dep_s.tolist(), qs.tolist())),
+        trace_slots=tuple(np.concatenate(trace_slots).tolist()),
+        trace_primary=tuple(map(tuple, np.concatenate(trace_p, axis=1).T.tolist())),
+        trace_secondary=tuple(map(tuple, np.concatenate(trace_s, axis=1).T.tolist())),
         post_warmup_slots=post_slots,
         post_warmup_departures=tuple(dep_s_post),
         secondary_throughput=tuple(d / post_slots for d in dep_s_post),
-        primary_empty_fraction=tuple(e / post_slots for e in empty_post),
+        primary_empty_fraction=tuple(e / post_slots for e in empty_post.tolist()),
         collision_count=collisions,
     )
     prim_v, sec_v = assess_stability(result)

@@ -6,8 +6,10 @@ two-parameter objective, ``grid_search`` maximizes any objective over a boxed
 grid, and doubly stochastic inputs are built as convex combinations of
 explicit permutation matrices. ``scalar_dominant1_envelope_2x2`` and
 ``scalar_dominant2_envelope_2x2`` keep the one-gamma21-at-a-time dominant-system
-path that the array kernel in ``randalloc`` replaced; the differential test
-requires the kernel to reproduce them exactly.
+path that the array kernel in ``randalloc`` replaced, and ``reference_run``
+keeps the slot-by-slot simulator loop that the blocked engine in ``sim``
+replaced; the differential tests require the replacements to reproduce them
+exactly.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import math
 
 import numpy as np
 
+from bandalloc import model, sim
 from bandalloc.model import ConfigurationError
 from bandalloc.optim import FractionalCoeffs
 from bandalloc.randalloc import DominantEnvelopePoint, SelectionMatrix
@@ -225,3 +228,163 @@ def scalar_dominant2_envelope_2x2(mu, lambda_s1, grid_step=1e-3):
         fixed_lambda=lambda_s1, dominant="second", feasible=swapped.feasible,
         max_lambda=swapped.max_lambda, gamma_star=gamma,
     )
+
+
+# The slot-by-slot simulator, event for event. Instead of consuming draws only
+# when an event needs one, it reads the rows of the stream contract in the
+# ``sim`` docstring, pre-drawn for the whole horizon in one call per row.
+
+
+def _stream_rows(seed, count, n_slots):
+    children = np.random.SeedSequence(seed & ((1 << 64) - 1)).spawn(count)
+    return [np.random.default_rng(child).random(n_slots).tolist() for child in children]
+
+
+def _reference_tables(policy, m_p, m_s):
+    """0-based lookup tables (virtual band = -1) for the loop, with the engine's checks."""
+    if policy.kind == "orthogonal":
+        zero_based = {}
+        for perm, _ in policy.schedule.entries:
+            if len(perm) != m_s:
+                raise ConfigurationError("schedule permutation length must equal M_s")
+            if any(m > m_p for m in perm):
+                raise ConfigurationError("schedule assigns a band outside the scenario")
+            zero_based[perm] = tuple(m - 1 for m in perm)
+        return zero_based
+    if policy.kind == "random":
+        g = policy.selection.gamma
+        if g.shape != (m_p, m_s):
+            raise ConfigurationError(f"selection matrix has shape {g.shape}, expected {(m_p, m_s)}")
+        columns = []
+        for k in range(m_s):
+            col = tuple(float(g[j, k]) for j in range(m_p))
+            fallback = -1
+            if sum(col) >= 1.0 - 1e-9:
+                fallback = max(j for j in range(m_p) if col[j] > 0)
+            columns.append((col, fallback))
+        return columns
+    mapping = policy.mapping
+    if mapping.m_s != m_s or any(m > m_p for m in mapping.assignment):
+        raise ConfigurationError("fixed mapping does not fit the scenario")
+    return tuple(m - 1 for m in mapping.assignment)
+
+
+def reference_run(scenario, policy, config):
+    """``sim.run`` as a per-slot loop over pre-drawn rows; same result type."""
+    links = model.resolve_links(scenario)
+    m_p, m_s = scenario.m_p, scenario.m_s
+    tables = _reference_tables(policy, m_p, m_s)
+    kind = policy.kind
+    n_slots = config.n_slots
+
+    lam_p = [float(v) for v in links.lambda_p]
+    mu_p = [float(v) for v in links.mu_p]
+    lam_s = [float(v) for v in links.lambda_s]
+    psucc = [[float(links.p_success[j, k]) for k in range(m_s)] for j in range(m_p)]
+    live = [not band.is_virtual for band in scenario.bands]
+
+    prim = _stream_rows(config.seed ^ sim._PRIMARY_STREAM_SALT, 2 * m_p, n_slots)
+    sec = _stream_rows(config.seed, 1 + 3 * m_s, n_slots)
+    out_p, arr_p_u = prim[:m_p], prim[m_p:]
+    assign_u = sec[0]
+    pick_u, out_s, arr_s_u = sec[1:1 + m_s], sec[1 + m_s:1 + 2 * m_s], sec[1 + 2 * m_s:]
+
+    qp = [0] * m_p
+    qs = [0] * m_s
+    arr_p = [0] * m_p
+    arr_s = [0] * m_s
+    dep_p = [0] * m_p
+    dep_s = [0] * m_s
+    dep_s_post = [0] * m_s
+    empty_post = [0] * m_p
+    collisions = 0
+    trace_slots, trace_p, trace_s = [], [], []
+
+    warmup = config.warmup
+    stride = config.trace_stride
+    bands = range(m_p)
+    users = range(m_s)
+    assign = tables if kind == "fixed" else None
+    load = [1] * m_p
+
+    for t in range(n_slots):
+        post = t >= warmup
+        avail = [q == 0 for q in qp]
+        if post:
+            for j in bands:
+                if avail[j]:
+                    empty_post[j] += 1
+
+        for j in bands:
+            if qp[j] and out_p[j][t] < mu_p[j]:
+                qp[j] -= 1
+                dep_p[j] += 1
+        for j in bands:
+            if lam_p[j] > 0.0 and arr_p_u[j][t] < lam_p[j]:
+                qp[j] += 1
+                arr_p[j] += 1
+
+        if kind == "orthogonal":
+            u = assign_u[t]
+            perm = policy.schedule.entries[-1][0]
+            for entry, w in policy.schedule.entries:
+                u -= w
+                if u < 0:
+                    perm = entry
+                    break
+            assign = tables[perm]
+        elif kind == "random":
+            assign = [-1] * m_s
+            load = [0] * m_p
+            for k in users:
+                if qs[k]:
+                    u = pick_u[k][t]
+                    col, fallback = tables[k]
+                    picked = fallback
+                    for j in bands:
+                        u -= col[j]
+                        if u < 0:
+                            picked = j
+                            break
+                    if picked >= 0:
+                        assign[k] = picked
+                        load[picked] += 1
+            for j in bands:
+                if load[j] > 1 and live[j] and avail[j]:
+                    collisions += 1
+        for k in users:
+            if qs[k]:
+                j = assign[k]
+                if j >= 0 and live[j] and avail[j] and load[j] == 1 and out_s[k][t] < psucc[j][k]:
+                    qs[k] -= 1
+                    dep_s[k] += 1
+                    if post:
+                        dep_s_post[k] += 1
+        for k in users:
+            if lam_s[k] > 0.0 and arr_s_u[k][t] < lam_s[k]:
+                qs[k] += 1
+                arr_s[k] += 1
+
+        if (t + 1) % stride == 0:
+            trace_slots.append(t)
+            trace_p.append(tuple(qp))
+            trace_s.append(tuple(qs))
+
+    post_slots = n_slots - warmup
+    result = sim.SimResult(
+        n_slots=n_slots,
+        warmup=warmup,
+        seed=config.seed,
+        primary=tuple(sim.QueueStats(arr_p[j], dep_p[j], qp[j]) for j in bands),
+        secondary=tuple(sim.QueueStats(arr_s[k], dep_s[k], qs[k]) for k in users),
+        trace_slots=tuple(trace_slots),
+        trace_primary=tuple(trace_p),
+        trace_secondary=tuple(trace_s),
+        post_warmup_slots=post_slots,
+        post_warmup_departures=tuple(dep_s_post),
+        secondary_throughput=tuple(d / post_slots for d in dep_s_post),
+        primary_empty_fraction=tuple(e / post_slots for e in empty_post),
+        collision_count=collisions,
+    )
+    prim_v, sec_v = sim.assess_stability(result)
+    return sim.SimResult(**{**vars(result), "verdicts_primary": prim_v, "verdicts_secondary": sec_v})
