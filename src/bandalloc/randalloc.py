@@ -132,7 +132,7 @@ def dominant1_envelope_2x2(mu, lambda_s2: float, grid_step: float = 1e-3) -> Dom
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (2, 2):
         raise ConfigurationError("mu must be 2x2")
-    if lambda_s2 < 0:
+    if not lambda_s2 >= 0:  # NaN fails too
         raise ConfigurationError("lambda_s2 must be >= 0")
     infeasible = DominantEnvelopePoint(fixed_lambda=lambda_s2, dominant="first", feasible=False)
     if lambda_s2 > max(mu[0, 1], mu[1, 1]) + _TOL:
@@ -275,7 +275,7 @@ def one_band_gamma_opt(mu11: float, mu12: float, lambda_s2: float) -> SelectionM
     live band: gamma11 = 1 - min(sqrt(lambda_s2/mu12), 1); user 2 always picks
     the live band. None when lambda_s2 exceeds mu12.
     """
-    if mu11 < 0 or mu12 < 0 or lambda_s2 < 0:
+    if not (mu11 >= 0 and mu12 >= 0 and lambda_s2 >= 0):  # NaN fails too
         raise ConfigurationError("rates must be >= 0")
     if mu12 == 0:
         if lambda_s2 > 0:
@@ -290,11 +290,14 @@ def one_band_gamma_opt(mu11: float, mu12: float, lambda_s2: float) -> SelectionM
 
 
 def one_band_region_check(mu11: float, mu12: float, lambda_pair) -> bool:
-    """Single-band region: sqrt(lambda1/mu11) + sqrt(lambda2/mu12) < 1 (not convex)."""
+    """Single-band region: sqrt(lambda1/mu11) + sqrt(lambda2/mu12) < 1 (not convex).
+
+    A negative or NaN rate raises ConfigurationError.
+    """
     total = 0.0
     for lam, mu in zip(lambda_pair, (mu11, mu12)):
-        if lam < 0:
-            return False
+        if not lam >= 0:  # NaN fails too
+            raise ConfigurationError("rates must be >= 0")
         if lam == 0:
             continue
         if mu == 0:

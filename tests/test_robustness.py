@@ -177,3 +177,29 @@ class TestFixedAllocationRates:
         expected = fixedalloc.best_fixed_max(ref_2x2_rates, [0.1, 0.0], 1)
         assert fixedalloc.best_fixed_max(ref_2x2_rates, [0.1, placeholder], 1) == expected
         assert expected == (0.7875, fixedalloc.FixedMapping((1, 2)))
+
+
+class TestRandomSelectionRates:
+    # dominant1_envelope_2x2(mu, nan) used to report infeasible,
+    # shat_section_lambda2(mu, nan) to return None and selection_for_rates to
+    # return a selection matrix, because NaN passed the ``< 0`` guards.
+    def test_dominant_envelopes_refuse_nan(self, ref_2x2_mu):
+        for envelope in (randalloc.dominant1_envelope_2x2, randalloc.dominant2_envelope_2x2,
+                         randalloc.shat_section_lambda2):
+            with pytest.raises(ConfigurationError, match="must be >= 0"):
+                envelope(ref_2x2_mu, math.nan)
+
+    @pytest.mark.parametrize("lam", [(math.nan, 0.1), (0.1, math.nan)])
+    def test_selection_for_rates_refuses_nan(self, ref_2x2_mu, lam):
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            randalloc.selection_for_rates(ref_2x2_mu, lam)
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.2, 0.1), (0.2, math.nan, 0.1), (0.2, 0.3, math.nan)])
+    def test_one_band_optimum_refuses_nan(self, args):
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            randalloc.one_band_gamma_opt(*args)
+
+    @pytest.mark.parametrize("pair", [(math.nan, 0.1), (0.1, math.nan), (-0.1, 0.1)])
+    def test_one_band_region_check_refuses(self, pair):
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            randalloc.one_band_region_check(0.5, 0.7, pair)
