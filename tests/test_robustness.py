@@ -87,6 +87,12 @@ class TestMalformedArguments:
         assert_error(capsys, "envelope", "--scenario", ref_2x2_file, "--system", system,
                      "--grid=-0.1:0.1:0.1", expect="start >= 0")
 
+    def test_slot_cap(self, ref_2x2_file, capsys, monkeypatch):
+        # refused before any run is configured
+        monkeypatch.setattr(cli.sim, "SimConfig", None)
+        assert_error(capsys, "simulate", "--scenario", ref_2x2_file, "--system", "S",
+                     "--seed", "1", f"--slots={10**8 + 1}", expect="exceeds the limit of 100000000")
+
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_fixed_rate(self, ref_2x2_file, capsys, rate):
         assert_error(capsys, "decompose", "--scenario", ref_2x2_file, "--fixed", f"1={rate}",
