@@ -7,8 +7,10 @@ Usage, from the root of a checkout:
 ``--src`` names the directory bandalloc is imported from (default: this
 checkout's ``src``), so one harness can time two revisions on the same machine.
 Each case is one call on a fixed input: the S_hat dominant-system envelopes
-and union-region section on the reference 2x2 scenario, and the S envelope LP
-on both shipped scenarios. ``timeit`` picks a loop count of at least 0.2 s per
+and union-region section on the reference 2x2 scenario, the S envelope LP
+on both shipped scenarios, and a 1e5-slot ``sim.run`` of each policy on the
+reference 2x2 scenario at rates (0.3, 0.3), with the policy ``simulate``
+derives there (slots per second = 1e5 / the time per call). ``timeit`` picks a loop count of at least 0.2 s per
 repeat; the case reports the median and the minimum over ``_REPEAT`` (7)
 repeats, in milliseconds per call. The output is one JSON object with the
 Python and numpy versions and the CPU model next to the timings. Not part of
@@ -23,6 +25,7 @@ import platform
 import statistics
 import sys
 import timeit
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,17 +46,31 @@ def cpu_model() -> str:
 
 def cases():
     """(name, zero-argument callable) for each timed call."""
-    from bandalloc import cli, model, orthogonal, randalloc
+    from bandalloc import cli, fixedalloc, model, orthogonal, randalloc, schedule, sim
 
-    ref = model.rate_matrix(cli.load_scenario(str(ROOT / "scenarios" / "reference_2x2.json"))[0])
+    ref_scenario = cli.load_scenario(str(ROOT / "scenarios" / "reference_2x2.json"))[0]
+    ref = model.rate_matrix(ref_scenario)
     big = model.rate_matrix(cli.load_scenario(str(ROOT / "scenarios" / "five_by_four.json"))[0])
     mu = ref.mu
+    lam = [0.3, 0.3]
+    loaded = replace(ref_scenario, users=tuple(replace(u, arrival_rate_lambda_s=v)
+                                               for u, v in zip(ref_scenario.users, lam)))
+    policies = {
+        "orthogonal": sim.Policy.orthogonal(
+            schedule.schedule_from_assignment(orthogonal.max_slack_assignment(ref, lam))[1]),
+        "random": sim.Policy.random(randalloc.selection_for_rates(mu, lam)),
+        "fixed": sim.Policy.fixed(fixedalloc.best_margin_mapping(ref, lam)),
+    }
+    config = sim.SimConfig(n_slots=100_000, seed=1)
     return [
         ("randalloc.dominant1_envelope_2x2", lambda: randalloc.dominant1_envelope_2x2(mu, 0.3)),
         ("randalloc.dominant2_envelope_2x2", lambda: randalloc.dominant2_envelope_2x2(mu, 0.3)),
         ("randalloc.shat_section_lambda2", lambda: randalloc.shat_section_lambda2(mu, 0.3)),
         ("orthogonal.envelope_point 2x2", lambda: orthogonal.envelope_point(ref, [0.3, 0.0], 1)),
         ("orthogonal.envelope_point 5x4", lambda: orthogonal.envelope_point(big, [0.0, 0.1, 0.1, 0.1], 0)),
+    ] + [
+        (f"sim.run {kind} 1e5 slots", lambda p=policy: sim.run(loaded, p, config))
+        for kind, policy in policies.items()
     ]
 
 
