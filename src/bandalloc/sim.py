@@ -300,16 +300,13 @@ def _reflect(q0: np.ndarray, arrivals: np.ndarray, service: np.ndarray):
 
 
 def _contend(q0: np.ndarray, arrivals: np.ndarray, solo: np.ndarray, bands: np.ndarray):
-    """Backlogs and departures of users that collide on shared bands.
+    """Backlogs, departures and backlogged indicators of users sharing bands.
 
     A user's service in a slot is its solo service, lost when another
-    backlogged user picked the same band. Starting from "nobody backlogged",
-    each round recomputes every trajectory from the previous round's backlog
-    indicators. The map is monotone, and causal with a one-slot delay (the
-    backlog at a slot start depends on service in earlier slots only), so
-    round r is exact on the first r slots: the fixed point, which is the
-    slot-sequential trajectory, is reached within slots + 1 rounds.
-    Returns the backlogs, the departures and the backlogged indicators.
+    backlogged user picked the same band. Each round recomputes every
+    trajectory from the previous round's backlog indicators, starting from
+    "nobody backlogged"; round r is exact on the first r slots (module
+    docstring), so the fixed point is reached within n + 1 rounds.
     """
     m_s, n = solo.shape
     rivals = (bands[:, None] == bands[None, :]) & (bands >= 0)[:, None]
@@ -352,11 +349,15 @@ def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
     dep_s = np.zeros(m_s, dtype=np.int64)
     dep_s_post = np.zeros(m_s, dtype=np.int64)
     collisions = 0
-    trace_slots, trace_p, trace_s = [], [], []
 
     warmup = config.warmup
     stride = config.trace_stride
     n_slots = config.n_slots
+    # end-of-slot backlogs of the slots t with (t + 1) % stride == 0
+    trace_slots = np.arange(stride - 1, n_slots, stride)
+    trace_p = np.empty((len(trace_slots), m_p), dtype=np.int64)
+    trace_s = np.empty((len(trace_slots), m_s), dtype=np.int64)
+    traced = 0
     for start in range(0, n_slots, _BLOCK):
         n = min(_BLOCK, n_slots - start)
         post = max(warmup - start, 0)  # first post-warmup slot of the block
@@ -387,11 +388,11 @@ def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
         dep_s += departed_s.sum(axis=1)
         dep_s_post += departed_s[:, post:].sum(axis=1)
 
-        # End-of-slot backlogs of slots t with (t + 1) % stride == 0.
-        idx = np.arange((stride - 1 - start) % stride, n, stride)
-        trace_slots.append(start + idx)
-        trace_p.append(backlog_p[:, idx + 1])
-        trace_s.append(backlog_s[:, idx + 1])
+        stop = int(np.searchsorted(trace_slots, start + n))
+        ends = trace_slots[traced:stop] - start + 1  # columns after the traced slots
+        trace_p[traced:stop] = backlog_p[:, ends].T
+        trace_s[traced:stop] = backlog_s[:, ends].T
+        traced = stop
         qp, qs = backlog_p[:, -1], backlog_s[:, -1]
 
     post_slots = n_slots - warmup
@@ -402,9 +403,9 @@ def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
         seed=config.seed,
         primary=tuple(QueueStats(*row) for row in zip(arr_p.tolist(), dep_p.tolist(), qp.tolist())),
         secondary=tuple(QueueStats(*row) for row in zip(arr_s.tolist(), dep_s.tolist(), qs.tolist())),
-        trace_slots=tuple(np.concatenate(trace_slots).tolist()),
-        trace_primary=tuple(map(tuple, np.concatenate(trace_p, axis=1).T.tolist())),
-        trace_secondary=tuple(map(tuple, np.concatenate(trace_s, axis=1).T.tolist())),
+        trace_slots=tuple(trace_slots.tolist()),
+        trace_primary=tuple(map(tuple, trace_p.tolist())),
+        trace_secondary=tuple(map(tuple, trace_s.tolist())),
         post_warmup_slots=post_slots,
         post_warmup_departures=tuple(dep_s_post),
         secondary_throughput=tuple(d / post_slots for d in dep_s_post),
