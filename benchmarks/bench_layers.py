@@ -10,9 +10,9 @@ Each case is one call on a fixed input: the S_hat dominant-system envelopes
 and union-region section on the reference 2x2 scenario, the S envelope LP
 on both shipped scenarios, and a 1e5-slot ``sim.run`` of each policy on the
 reference 2x2 scenario at rates (0.3, 0.3), with the policy ``simulate``
-derives there (slots per second = 1e5 / the time per call). ``timeit`` picks a loop count of at least 0.2 s per
-repeat; the case reports the median and the minimum over ``_REPEAT`` (7)
-repeats, in milliseconds per call. The output is one JSON object with the
+derives there (slots per second = 1e5 / the time per call). ``timeit`` picks
+a loop count of at least 0.2 s per repeat; the case reports the median and
+the minimum over ``_REPEAT`` (7) repeats, in milliseconds per call. The output is one JSON object with the
 Python and numpy versions and the CPU model next to the timings. Not part of
 the test suite.
 """
