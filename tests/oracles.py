@@ -8,8 +8,9 @@ explicit permutation matrices. ``scalar_dominant1_envelope_2x2`` and
 ``scalar_dominant2_envelope_2x2`` keep the one-gamma21-at-a-time dominant-system
 path that the array kernel in ``randalloc`` replaced, and ``reference_run``
 keeps the slot-by-slot simulator loop that the blocked engine in ``sim``
-replaced; the differential tests require the replacements to reproduce them
-exactly.
+replaced, and ``reference_solve_lp`` keeps the two-loop Bland simplex that
+``optim.solve_lp`` replaced; the differential tests require the replacements
+to reproduce them exactly.
 """
 
 import itertools
@@ -19,7 +20,7 @@ import numpy as np
 
 from bandalloc import model, sim
 from bandalloc.model import ConfigurationError
-from bandalloc.optim import FractionalCoeffs
+from bandalloc.optim import FractionalCoeffs, LpProblem, LpSolution
 from bandalloc.randalloc import DominantEnvelopePoint, SelectionMatrix
 
 
@@ -228,6 +229,160 @@ def scalar_dominant2_envelope_2x2(mu, lambda_s1, grid_step=1e-3):
         fixed_lambda=lambda_s1, dominant="second", feasible=swapped.feasible,
         max_lambda=swapped.max_lambda, gamma_star=gamma,
     )
+
+
+# The dense two-phase Bland simplex that ``optim.solve_lp`` replaced, kept
+# statement for statement with its own tolerances, so the differential test
+# can require the one-loop solver to reproduce it bit for bit.
+_REF_FEAS_TOL = 1e-9
+_REF_PIVOT_TOL = 1e-12
+_REF_MAX_ITER = 20000
+
+
+def _ref_pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    T[row] /= T[row, col]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r] -= T[r, col] * T[row]
+    basis[row] = col
+
+
+def _ref_bland_entering(obj: np.ndarray, allowed: int) -> int | None:
+    """Smallest-index column with positive reduced cost (maximization)."""
+    for j in range(allowed):
+        if obj[j] > _REF_PIVOT_TOL:
+            return j
+    return None
+
+
+def _ref_bland_leaving(T: np.ndarray, basis: list[int], col: int, m: int) -> int | None:
+    """Minimum-ratio row; ties broken by smallest basis variable index (Bland)."""
+    best_row = None
+    best_ratio = math.inf
+    for i in range(m):
+        a = T[i, col]
+        if a > _REF_PIVOT_TOL:
+            ratio = T[i, -1] / a
+            if ratio < best_ratio - _REF_PIVOT_TOL or (
+                abs(ratio - best_ratio) <= _REF_PIVOT_TOL
+                and best_row is not None
+                and basis[i] < basis[best_row]
+            ):
+                best_ratio = ratio
+                best_row = i
+    return best_row
+
+
+def _ref_run_simplex(T: np.ndarray, basis: list[int], n_allowed: int, m: int) -> str:
+    """Iterate Bland pivots on tableau T (last row = objective, last col = rhs)."""
+    for _ in range(_REF_MAX_ITER):
+        col = _ref_bland_entering(T[-1], n_allowed)
+        if col is None:
+            return "optimal"
+        row = _ref_bland_leaving(T, basis, col, m)
+        if row is None:
+            return "unbounded"
+        _ref_pivot(T, basis, row, col)
+    return "failed"
+
+
+def reference_solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve a small dense LP; never reports a wrong "optimal".
+
+    The returned point of an optimal solution satisfies every constraint and
+    bound within 1e-9; if the tableau degrades numerically beyond that the
+    status is "failed".
+    """
+    n = problem.n_vars
+    # Shift to y = x - lo >= 0 and fold finite upper bounds in as rows.
+    shift = problem.lo
+    rows = [problem.A]
+    rhs = [problem.b - problem.A @ shift if problem.A.size else problem.b]
+    ub = problem.hi - problem.lo
+    finite_ub = np.where(np.isfinite(ub))[0]
+    if finite_ub.size:
+        E = np.zeros((finite_ub.size, n))
+        E[np.arange(finite_ub.size), finite_ub] = 1.0
+        rows.append(E)
+        rhs.append(ub[finite_ub])
+    A = np.vstack(rows)
+    b = np.concatenate(rhs)
+    m = A.shape[0]
+
+    # Flip negative-rhs rows; flipped rows need artificial variables.
+    flip = b < 0
+    A = np.where(flip[:, None], -A, A)
+    b = np.where(flip, -b, b)
+    slack_sign = np.where(flip, -1.0, 1.0)
+    art_rows = np.where(flip)[0]
+
+    n_slack = m
+    n_art = art_rows.size
+    n_total = n + n_slack + n_art
+    T = np.zeros((m + 1, n_total + 1))
+    T[:m, :n] = A
+    T[np.arange(m), n + np.arange(m)] = slack_sign
+    basis = [n + i for i in range(m)]
+    for idx, r in enumerate(art_rows):
+        T[r, n + n_slack + idx] = 1.0
+        basis[r] = n + n_slack + idx
+    T[:m, -1] = b
+
+    if n_art:
+        # Phase I: maximize -(sum of artificials).
+        T[-1, :] = 0.0
+        T[-1, n + n_slack : n + n_slack + n_art] = -1.0
+        for i, bv in enumerate(basis):
+            if T[-1, bv] != 0.0:
+                T[-1] -= T[-1, bv] * T[i]
+        status = _ref_run_simplex(T, basis, n_total, m)
+        if status != "optimal":
+            return LpSolution(status="failed")
+        # Objective cell holds -(phase-I value); a positive residual means some
+        # artificial variable is stuck above zero, i.e. the LP is infeasible.
+        if T[-1, -1] > _REF_FEAS_TOL:
+            return LpSolution(status="infeasible")
+        # Drive leftover artificials out of the basis; drop redundant rows.
+        keep = []
+        for i in range(m):
+            if basis[i] < n + n_slack:
+                keep.append(i)
+                continue
+            row = np.abs(T[i, : n + n_slack])
+            pivot_col = int(np.argmax(row))
+            if row[pivot_col] <= _REF_PIVOT_TOL:
+                continue  # redundant constraint
+            _ref_pivot(T, basis, i, pivot_col)
+            keep.append(i)
+        if len(keep) != m:
+            T = np.vstack([T[keep], T[-1:]])
+            basis = [basis[i] for i in keep]
+            m = len(keep)
+        T = np.hstack([T[:, : n + n_slack], T[:, -1:]])
+        n_total = n + n_slack
+
+    # Phase II
+    T[-1, :] = 0.0
+    T[-1, :n] = problem.c
+    for i, bv in enumerate(basis):
+        if T[-1, bv] != 0.0:
+            T[-1] -= T[-1, bv] * T[i]
+    status = _ref_run_simplex(T, basis, n_total, m)
+    if status == "unbounded":
+        return LpSolution(status="unbounded")
+    if status != "optimal":
+        return LpSolution(status="failed")
+
+    y = np.zeros(n_total)
+    for i, bv in enumerate(basis):
+        y[bv] = T[i, -1]
+    x = y[:n] + shift
+    # Independent residual check before declaring victory.
+    if problem.A.size and np.any(problem.A @ x - problem.b > _REF_FEAS_TOL):
+        return LpSolution(status="failed")
+    if np.any(x - problem.hi > _REF_FEAS_TOL) or np.any(problem.lo - x > _REF_FEAS_TOL):
+        return LpSolution(status="failed")
+    return LpSolution(status="optimal", value=float(problem.c @ x), x=x)
 
 
 # The slot-by-slot simulator, event for event. Instead of consuming draws only
