@@ -2,9 +2,16 @@
 
 Two tools live here:
 
-* ``solve_lp``: a two-phase dense simplex with Bland's anti-cycling rule. The
-  LPs in this package have at most a few dozen variables, so a plain tableau is
-  both fast enough and easy to audit.
+* ``solve_lp``: a two-phase dense simplex with Bland's anti-cycling rule
+  (Bland 1977). The LPs in this package have at most a few dozen variables, so
+  a plain tableau is both fast enough and easy to audit. Both phases run on one
+  tableau through one pivot loop, ``_simplex``; phase II keeps the artificial
+  columns out by the column count. Entering is the first column whose reduced
+  cost exceeds _PIVOT_TOL; leaving is the smallest ratio among rows whose pivot
+  element exceeds _PIVOT_MIN = 1e-9, with ratios within _PIVOT_TOL of it tied
+  and a tie going to the smallest basis index. A pivot element of 1.1e-11 near
+  the S boundary of a 5x4 scenario wrecked the tableau: phase II stopped at a
+  point 0.4 outside one constraint, so small elements are never pivoted on.
 * ``fractional_argmax``: closed-form maximizer, elementwise over arrays, of the
   one-variable linear fractional objective (K1*g - K2)/(D + C*g) subject to a
   single linear constraint and g in [0, 1], by sign analysis of the derivative;
@@ -13,14 +20,13 @@ Two tools live here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Feasibility residuals below this are accepted; pivot candidates must clear _PIVOT_TOL.
-_FEAS_TOL = 1e-9
+_FEAS_TOL = 1e-9  # feasibility residuals below this are accepted
 _PIVOT_TOL = 1e-12
+_PIVOT_MIN = 1e-9
 _MAX_ITER = 20000
 
 
@@ -73,50 +79,39 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+    f = T[:, col]
+    rows = f.nonzero()[0]
+    rows = rows[rows != row]
+    # Rows with a zero multiplier are left alone, which keeps their signed zeros.
+    T[rows] -= f[rows, None] * T[row]
     basis[row] = col
 
 
-def _bland_entering(obj: np.ndarray, allowed: int) -> int | None:
-    """Smallest-index column with positive reduced cost (maximization)."""
-    for j in range(allowed):
-        if obj[j] > _PIVOT_TOL:
-            return j
-    return None
+def _price(T: np.ndarray, basis: np.ndarray, costs: np.ndarray) -> None:
+    """Write the reduced costs of ``costs`` (one per leading column) into the objective row."""
+    T[-1] = 0.0
+    T[-1, : costs.size] = costs
+    for i, bv in enumerate(basis):
+        if T[-1, bv] != 0.0:
+            T[-1] -= T[-1, bv] * T[i]
 
 
-def _bland_leaving(T: np.ndarray, basis: list[int], col: int, m: int) -> int | None:
-    """Minimum-ratio row; ties broken by smallest basis variable index (Bland)."""
-    best_row = None
-    best_ratio = math.inf
-    for i in range(m):
-        a = T[i, col]
-        if a > _PIVOT_TOL:
-            ratio = T[i, -1] / a
-            if ratio < best_ratio - _PIVOT_TOL or (
-                abs(ratio - best_ratio) <= _PIVOT_TOL
-                and best_row is not None
-                and basis[i] < basis[best_row]
-            ):
-                best_ratio = ratio
-                best_row = i
-    return best_row
-
-
-def _run_simplex(T: np.ndarray, basis: list[int], n_allowed: int, m: int) -> str:
-    """Iterate Bland pivots on tableau T (last row = objective, last col = rhs)."""
+def _simplex(T: np.ndarray, basis: np.ndarray, allowed: int) -> str:
+    """Bland pivots on T (last row objective, last column rhs) over its first ``allowed`` columns."""
+    m = basis.size
     for _ in range(_MAX_ITER):
-        col = _bland_entering(T[-1], n_allowed)
-        if col is None:
+        obj = T[-1, :allowed]
+        col = (obj > _PIVOT_TOL).argmax()
+        if not obj[col] > _PIVOT_TOL:
             return "optimal"
-        row = _bland_leaving(T, basis, col, m)
-        if row is None:
+        rows = (T[:m, col] > _PIVOT_MIN).nonzero()[0]
+        if rows.size == 0:
             return "unbounded"
-        _pivot(T, basis, row, col)
+        ratios = T[rows, -1] / T[rows, col]
+        ties = rows[ratios <= ratios.min() + _PIVOT_TOL]
+        _pivot(T, basis, ties[basis[ties].argmin()], col)
     return "failed"
 
 
@@ -129,88 +124,52 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """
     n = problem.n_vars
     # Shift to y = x - lo >= 0 and fold finite upper bounds in as rows.
-    shift = problem.lo
-    rows = [problem.A]
-    rhs = [problem.b - problem.A @ shift if problem.A.size else problem.b]
     ub = problem.hi - problem.lo
-    finite_ub = np.where(np.isfinite(ub))[0]
-    if finite_ub.size:
-        E = np.zeros((finite_ub.size, n))
-        E[np.arange(finite_ub.size), finite_ub] = 1.0
-        rows.append(E)
-        rhs.append(ub[finite_ub])
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
+    finite_ub = np.flatnonzero(np.isfinite(ub))
+    A = np.vstack([problem.A, np.eye(n)[finite_ub]])
+    b = np.concatenate([problem.b - problem.A @ problem.lo, ub[finite_ub]])
     m = A.shape[0]
 
-    # Flip negative-rhs rows; flipped rows need artificial variables.
+    # Columns: variables, one slack per row, then one artificial per flipped
+    # (negative-rhs) row; the last column is the rhs.
     flip = b < 0
-    A = np.where(flip[:, None], -A, A)
-    b = np.where(flip, -b, b)
-    slack_sign = np.where(flip, -1.0, 1.0)
-    art_rows = np.where(flip)[0]
+    art_rows = np.flatnonzero(flip)
+    n_real = n + m
+    T = np.zeros((m + 1, n_real + art_rows.size + 1))
+    T[:m, :n] = np.where(flip[:, None], -A, A)
+    T[np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
+    T[art_rows, n_real + np.arange(art_rows.size)] = 1.0
+    T[:m, -1] = np.where(flip, -b, b)
+    basis = n + np.arange(m)
+    basis[art_rows] = n_real + np.arange(art_rows.size)
 
-    n_slack = m
-    n_art = art_rows.size
-    n_total = n + n_slack + n_art
-    T = np.zeros((m + 1, n_total + 1))
-    T[:m, :n] = A
-    T[np.arange(m), n + np.arange(m)] = slack_sign
-    basis = [n + i for i in range(m)]
-    for idx, r in enumerate(art_rows):
-        T[r, n + n_slack + idx] = 1.0
-        basis[r] = n + n_slack + idx
-    T[:m, -1] = b
-
-    if n_art:
+    if art_rows.size:
         # Phase I: maximize -(sum of artificials).
-        T[-1, :] = 0.0
-        T[-1, n + n_slack : n + n_slack + n_art] = -1.0
-        for i, bv in enumerate(basis):
-            if T[-1, bv] != 0.0:
-                T[-1] -= T[-1, bv] * T[i]
-        status = _run_simplex(T, basis, n_total, m)
-        if status != "optimal":
+        _price(T, basis, np.repeat([0.0, -1.0], [n_real, art_rows.size]))
+        if _simplex(T, basis, T.shape[1] - 1) != "optimal":
             return LpSolution(status="failed")
         # Objective cell holds -(phase-I value); a positive residual means some
         # artificial variable is stuck above zero, i.e. the LP is infeasible.
         if T[-1, -1] > _FEAS_TOL:
             return LpSolution(status="infeasible")
-        # Drive leftover artificials out of the basis; drop redundant rows.
-        keep = []
-        for i in range(m):
-            if basis[i] < n + n_slack:
-                keep.append(i)
-                continue
-            row = np.abs(T[i, : n + n_slack])
-            pivot_col = int(np.argmax(row))
-            if row[pivot_col] <= _PIVOT_TOL:
-                continue  # redundant constraint
-            _pivot(T, basis, i, pivot_col)
-            keep.append(i)
-        if len(keep) != m:
-            T = np.vstack([T[keep], T[-1:]])
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-        T = np.hstack([T[:, : n + n_slack], T[:, -1:]])
-        n_total = n + n_slack
+        # Pivot leftover artificials out of the basis. One that cannot leave sits
+        # on a row that is zero in every other column (a redundant constraint),
+        # so it stays basic at zero through phase II.
+        for i in np.flatnonzero(basis >= n_real):
+            row = np.abs(T[i, :n_real])
+            col = int(np.argmax(row))
+            if row[col] > _PIVOT_MIN:
+                _pivot(T, basis, i, col)
 
-    # Phase II
-    T[-1, :] = 0.0
-    T[-1, :n] = problem.c
-    for i, bv in enumerate(basis):
-        if T[-1, bv] != 0.0:
-            T[-1] -= T[-1, bv] * T[i]
-    status = _run_simplex(T, basis, n_total, m)
-    if status == "unbounded":
-        return LpSolution(status="unbounded")
+    # Phase II on the same tableau; artificial columns never enter.
+    _price(T, basis, problem.c)
+    status = _simplex(T, basis, n_real)
     if status != "optimal":
-        return LpSolution(status="failed")
+        return LpSolution(status=status)
 
-    y = np.zeros(n_total)
-    for i, bv in enumerate(basis):
-        y[bv] = T[i, -1]
-    x = y[:n] + shift
+    y = np.zeros(T.shape[1] - 1)
+    y[basis] = T[:m, -1]
+    x = y[:n] + problem.lo
     # Independent residual check before declaring victory.
     if problem.A.size and np.any(problem.A @ x - problem.b > _FEAS_TOL):
         return LpSolution(status="failed")

@@ -5,9 +5,13 @@ Every instance must give exactly the same ``status``, ``value`` and ``x``
 ``test_optim.py`` (phase-I equality-like rows included), the assignment LPs of
 ``orthogonal.envelope_point`` and ``orthogonal.max_slack_assignment`` on
 random, rounded and symmetric scenarios, and the sweeps of both shipped
-scenarios.
+scenarios. The one listed exception is a point near the S boundary of a 5x4
+scenario where the reference pivots on an element of 1.1e-11 and ends
+"failed"; there the solver must return an optimal point that passes the
+residual check, and the envelope point and the CLI sweep through it succeed.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -19,6 +23,41 @@ from bandalloc.model import ConfigurationError
 from bandalloc.optim import LpProblem
 
 from oracles import reference_solve_lp
+
+# five_by_four_jitter_28.json as the region-5x4 benchmark generates it for
+# seed 7, with users 3 and 4 pinned and user 1 at the grid point where the
+# reference fails while maximizing user 2.
+JITTER_28 = {
+    "mode": "abstract",
+    "bands": [
+        {"availability_pi": 0.45320052856291015},
+        {"availability_pi": 0.20504489027283032},
+        {"availability_pi": 0.6053570913211078},
+        {"availability_pi": 0.41211113496749957},
+        {"availability_pi": 0.6030282408274023},
+    ],
+    "users": [
+        {"arrival_rate_lambda_s": 0.0, "out_complement_row": [
+            0.5818886433882619, 0.8066181003387837, 0.6993655092977583, 0.8216045202595244,
+            0.9107249266044432]},
+        {"arrival_rate_lambda_s": 0.0, "out_complement_row": [
+            0.7221872379704801, 0.5781052616086674, 0.8035956689310405, 0.9210318419513945,
+            0.9407866716373405]},
+        {"arrival_rate_lambda_s": 0.0, "out_complement_row": [
+            0.5862027744727044, 0.7897824328536088, 0.7029188963185976, 0.5093330186606464,
+            0.9556216460667979]},
+        {"arrival_rate_lambda_s": 0.0, "out_complement_row": [
+            0.6724917524494867, 0.5158943196622383, 0.6254315828533087, 0.9121228200319731,
+            0.9262043488983722]},
+    ],
+}
+JITTER_28_LAMBDA = (0.18837314767620422, 0.0, 0.28788880371071895, 0.3778786799648825)
+JITTER_28_MAX_RATE = 0.5673209315913323
+
+
+def jitter_28_rates() -> model.RateMatrix:
+    return model.rate_matrix(cli.parse_scenario_dict(JITTER_28))
+
 
 def _assert_same(problem):
     got, want = optim.solve_lp(problem), reference_solve_lp(problem)
@@ -166,3 +205,29 @@ def test_shipped_scenario_sweeps(name, axis, pinned, grid_stop):
     assert len(problems) == 27
     for problem in problems:
         _assert_same(problem)
+
+
+class TestSBoundaryPoint:
+    """The envelope point that the reference solver reports as "failed"."""
+
+    def test_listed_exception(self):
+        (problem,) = _recorded_lps([lambda: orthogonal.envelope_point(jitter_28_rates(), JITTER_28_LAMBDA, 1)])
+        assert reference_solve_lp(problem).status == "failed"
+        sol = optim.solve_lp(problem)
+        assert sol.status == "optimal"
+        assert np.all(problem.A @ sol.x - problem.b <= 1e-9)
+        assert np.all(sol.x >= problem.lo - 1e-9) and np.all(sol.x <= problem.hi + 1e-9)
+
+    def test_envelope_point(self):
+        # scipy's HiGHS gives the same maximum
+        point = orthogonal.envelope_point(jitter_28_rates(), JITTER_28_LAMBDA, 1)
+        assert point.feasible
+        assert point.max_rate == pytest.approx(JITTER_28_MAX_RATE, abs=1e-9)
+
+    def test_cli_envelope_sweep(self, tmp_path, capsys):
+        path = tmp_path / "five_by_four_jitter_28.json"
+        path.write_text(json.dumps(JITTER_28))
+        code = cli.main(["envelope", "--scenario", str(path), "--system", "S", "--axis", "2",
+                         "--grid", "0:0.5382089933605835:0.026910449668029173",
+                         "--fixed", "3=0.28788880371071895,4=0.3778786799648825"])
+        assert code == 0, capsys.readouterr().err
