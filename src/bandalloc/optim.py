@@ -56,8 +56,8 @@ class LpProblem:
             raise ValueError("bounds must match the number of variables")
         if not np.all(np.isfinite(lo)):
             raise ValueError("lower bounds must be finite")
-        if np.any(lo > hi):
-            raise ValueError("lower bound exceeds upper bound")
+        if not np.all(lo <= hi):  # also refuses NaN upper bounds
+            raise ValueError("upper bounds must be numbers >= the lower bounds")
         if A.shape[0] != b.size:
             raise ValueError("A and b disagree on the number of constraints")
         for name, arr in (("c", c), ("A", A), ("b", b), ("lo", lo), ("hi", hi)):

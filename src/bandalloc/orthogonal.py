@@ -163,7 +163,7 @@ def two_by_two_closed_form(mu, lambda_s1: float) -> tuple[float, float] | None:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (2, 2):
         raise ConfigurationError("mu must be 2x2")
-    if lambda_s1 < 0:
+    if not lambda_s1 >= 0:  # also refuses NaN
         raise ConfigurationError("lambda_s1 must be >= 0")
     mu11, mu12, mu21, mu22 = mu[0, 0], mu[0, 1], mu[1, 0], mu[1, 1]
     a = mu21 - mu11
@@ -257,7 +257,7 @@ def fully_symmetric_max(m_p: int, m_s: int, beta: float) -> float:
     """Per-user maximum stable rate with symmetric users and bands: min(M_p/M_s, 1) * beta."""
     if m_p < 1 or m_s < 1:
         raise ConfigurationError("need at least one band and one user")
-    if beta < 0:
+    if not beta >= 0:  # also refuses NaN
         raise ConfigurationError("beta must be >= 0")
     return min(m_p / m_s, 1.0) * beta
 

@@ -12,6 +12,7 @@ import pytest
 
 from bandalloc import cli, fixedalloc, model, orthogonal, randalloc
 from bandalloc.model import ConfigurationError, PrimaryBand, SecondaryUser, SlotConfig
+from bandalloc.optim import LpProblem
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +163,25 @@ class TestModelRangeChecks:
             model.band_availability(math.nan, 1.0)
         with pytest.raises(ConfigurationError):
             model.RateMatrix(mu=np.array([[math.nan]]), mu_p=np.ones(1), pi=np.ones(1))
+
+
+class TestNanBoundsAndRates:
+    # LpProblem(hi=[nan]) used to solve as "unbounded",
+    # two_by_two_closed_form(mu, nan) to return (0.0, 0.5) and
+    # fully_symmetric_max(2, 2, nan) to return nan, because NaN passed the
+    # ``lo > hi`` and ``< 0`` guards.
+    def test_lp_problem_refuses_nan_upper_bound(self):
+        with pytest.raises(ValueError, match="upper bounds"):
+            LpProblem(c=np.ones(1), A=np.zeros((0, 1)), b=np.zeros(0), lo=np.zeros(1),
+                      hi=np.array([math.nan]))
+
+    def test_two_by_two_closed_form_refuses_nan(self, ref_2x2_mu):
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            orthogonal.two_by_two_closed_form(ref_2x2_mu, math.nan)
+
+    def test_fully_symmetric_max_refuses_nan(self):
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            orthogonal.fully_symmetric_max(2, 2, math.nan)
 
 
 class TestFixedAllocationRates:
