@@ -8,7 +8,9 @@ Usage, from the root of a checkout:
 checkout's ``src``), so one harness can time two revisions on the same machine.
 Each case is one call on a fixed input: the S_hat dominant-system envelopes
 and union-region section on the reference 2x2 scenario, the S envelope LP
-on both shipped scenarios, and a 1e5-slot ``sim.run`` of each policy on the
+and the max-slack assignment LP on both shipped scenarios, the Birkhoff
+decomposition of the padded 5x4 max-slack assignment (the matrix
+``decompose`` splits), and a 1e5-slot ``sim.run`` of each policy on the
 reference 2x2 scenario at rates (0.3, 0.3), with the policy ``simulate``
 derives there (slots per second = 1e5 / the time per call). ``timeit`` picks
 a loop count of at least 0.2 s per repeat; the case reports the median and
@@ -53,6 +55,8 @@ def cases():
     big = model.rate_matrix(cli.load_scenario(str(ROOT / "scenarios" / "five_by_four.json"))[0])
     mu = ref.mu
     lam = [0.3, 0.3]
+    big_lam = [0.1, 0.1, 0.1, 0.1]
+    padded = schedule.pad_to_doubly_stochastic(orthogonal.max_slack_assignment(big, big_lam))
     loaded = replace(ref_scenario, users=tuple(replace(u, arrival_rate_lambda_s=v)
                                                for u, v in zip(ref_scenario.users, lam)))
     policies = {
@@ -68,6 +72,10 @@ def cases():
         ("randalloc.shat_section_lambda2", lambda: randalloc.shat_section_lambda2(mu, 0.3)),
         ("orthogonal.envelope_point 2x2", lambda: orthogonal.envelope_point(ref, [0.3, 0.0], 1)),
         ("orthogonal.envelope_point 5x4", lambda: orthogonal.envelope_point(big, [0.0, 0.1, 0.1, 0.1], 0)),
+        ("orthogonal.max_slack_assignment 2x2", lambda: orthogonal.max_slack_assignment(ref, lam)),
+        ("orthogonal.max_slack_assignment 5x4", lambda: orthogonal.max_slack_assignment(big, big_lam)),
+        ("schedule.birkhoff_decompose 5x4", lambda: schedule.birkhoff_decompose(
+            padded.matrix, padded.band_of_row, padded.user_of_col)),
     ] + [
         (f"sim.run {kind} 1e5 slots", lambda p=policy: sim.run(loaded, p, config))
         for kind, policy in policies.items()
