@@ -153,8 +153,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         if T[-1, -1] > _FEAS_TOL:
             return LpSolution(status="infeasible")
         # Pivot leftover artificials out of the basis. One that cannot leave sits
-        # on a row that is zero in every other column (a redundant constraint),
-        # so it stays basic at zero through phase II.
+        # on a redundant row, whose elements outside the artificial columns are
+        # all within _PIVOT_MIN of zero, so phase II never pivots on it.
         for i in np.flatnonzero(basis >= n_real):
             row = np.abs(T[i, :n_real])
             col = int(np.argmax(row))

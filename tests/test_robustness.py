@@ -167,9 +167,9 @@ class TestModelRangeChecks:
 
 class TestNanBoundsAndRates:
     # LpProblem(hi=[nan]) used to solve as "unbounded",
-    # two_by_two_closed_form(mu, nan) to return (0.0, 0.5) and
-    # fully_symmetric_max(2, 2, nan) to return nan, because NaN passed the
-    # ``lo > hi`` and ``< 0`` guards.
+    # two_by_two_closed_form(mu, nan) to return (nan, nan) on the reference
+    # rates and fully_symmetric_max(2, 2, nan) to return nan, because NaN
+    # passed the ``lo > hi`` and ``< 0`` guards.
     def test_lp_problem_refuses_nan_upper_bound(self):
         with pytest.raises(ValueError, match="upper bounds"):
             LpProblem(c=np.ones(1), A=np.zeros((0, 1)), b=np.zeros(0), lo=np.zeros(1),
