@@ -10,10 +10,13 @@ Each case is one call on a fixed input: the S_hat dominant-system envelopes
 and union-region section on the reference 2x2 scenario, the S envelope LP
 and the max-slack assignment LP on both shipped scenarios, the Birkhoff
 decomposition of the padded 5x4 max-slack assignment (the matrix
-``decompose`` splits), and a 1e5-slot ``sim.run`` of each policy on the
-reference 2x2 scenario at rates (0.3, 0.3), with the policy ``simulate``
-derives there (slots per second = 1e5 / the time per call). ``timeit`` picks
-a loop count of at least 0.2 s per repeat; the case reports the median and
+``decompose`` splits), a 21-point fixed-system sweep on the 5x4 scenario,
+both as ``fixedalloc.sweep_envelope`` and as the whole ``envelope`` command
+through ``cli.main`` (output to the null device), and a 1e5-slot ``sim.run``
+of each policy on the reference 2x2 scenario at rates (0.3, 0.3), with the
+policy ``simulate`` derives there (slots per second = 1e5 / the time per
+call). ``timeit`` picks a loop count of at least 0.2 s per repeat; the case
+reports the median and
 the minimum over ``_REPEAT`` (7) repeats, in milliseconds per call. The output is one JSON object with the
 Python and numpy versions and the CPU model next to the timings. Not part of
 the test suite.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import sys
@@ -52,7 +56,8 @@ def cases():
 
     ref_scenario = cli.load_scenario(str(ROOT / "scenarios" / "reference_2x2.json"))[0]
     ref = model.rate_matrix(ref_scenario)
-    big = model.rate_matrix(cli.load_scenario(str(ROOT / "scenarios" / "five_by_four.json"))[0])
+    big_path = str(ROOT / "scenarios" / "five_by_four.json")
+    big = model.rate_matrix(cli.load_scenario(big_path)[0])
     mu = ref.mu
     lam = [0.3, 0.3]
     big_lam = [0.1, 0.1, 0.1, 0.1]
@@ -66,6 +71,9 @@ def cases():
         "fixed": sim.Policy.fixed(fixedalloc.best_margin_mapping(ref, lam)),
     }
     config = sim.SimConfig(n_slots=100_000, seed=1)
+    grid = [i * 0.03 for i in range(21)]
+    envelope = ["envelope", "--scenario", big_path, "--system", "fixed", "--axis", "1",
+                "--grid", "0:0.6:0.03", "--fixed", "3=0.2,4=0.3", "--json", "--out", os.devnull]
     return [
         ("randalloc.dominant1_envelope_2x2", lambda: randalloc.dominant1_envelope_2x2(mu, 0.3)),
         ("randalloc.dominant2_envelope_2x2", lambda: randalloc.dominant2_envelope_2x2(mu, 0.3)),
@@ -76,6 +84,9 @@ def cases():
         ("orthogonal.max_slack_assignment 5x4", lambda: orthogonal.max_slack_assignment(big, big_lam)),
         ("schedule.birkhoff_decompose 5x4", lambda: schedule.birkhoff_decompose(
             padded.matrix, padded.band_of_row, padded.user_of_col)),
+        ("fixedalloc.sweep_envelope 5x4 21 points", lambda: fixedalloc.sweep_envelope(
+            big, 0, grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
+        ("cli.main envelope --system fixed 5x4 21 points", lambda: cli.main(envelope)),
     ] + [
         (f"sim.run {kind} 1e5 slots", lambda p=policy: sim.run(loaded, p, config))
         for kind, policy in policies.items()

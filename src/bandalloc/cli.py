@@ -244,6 +244,15 @@ def _axis_index(args_axis: int, m_s: int) -> int:
     return args_axis - 1
 
 
+def _axis_and_fixed(args, m_s: int) -> tuple[int, dict[int, float]]:
+    """0-based ``--axis`` user and ``--fixed`` rates; the axis user cannot also be fixed."""
+    fixed = _parse_fixed(args.fixed, m_s)
+    axis = _axis_index(args.axis, m_s)
+    if axis in fixed:
+        raise CliError("--axis user cannot also be fixed")
+    return axis, fixed
+
+
 def _sweep_user(axis: int, fixed: dict[int, float], m_s: int) -> int:
     for u in range(m_s):
         if u != axis and u not in fixed:
@@ -315,23 +324,23 @@ class RegionReport:
         return "\n".join(lines) + "\n"
 
 
+def _fixed_values(rates, axis, grid, **sweep) -> list[float | None]:
+    """Fixed-system envelope values of a sweep (``fixedalloc.sweep_envelope`` arguments)."""
+    return [None if best is None else best[0] for best in fixedalloc.sweep_envelope(rates, axis, grid, **sweep)]
+
+
 def _envelope_report(scenario, digest, system, axis, sweep_user, fixed, grid) -> RegionReport:
     rates = model.rate_matrix(scenario)
     others = np.zeros(scenario.m_s)
     for u, rate in fixed.items():
         others[u] = rate
-    values: list[float | None] = []
     if system == "S":
         points = orthogonal.sweep_envelope(rates, axis, grid, others=others, sweep_user=sweep_user)
         values = [p.max_rate if p.feasible else None for p in points]
     elif system == "S_hat":
         values = randalloc.shat_envelope(rates.mu, axis, grid)
     else:  # fixed
-        for value in grid:
-            lam = others.copy()
-            lam[sweep_user] = value
-            best = fixedalloc.best_fixed_max(rates, lam, axis)
-            values.append(best[0] if best else None)
+        values = _fixed_values(rates, axis, grid, others=others, sweep_user=sweep_user)
     return RegionReport(
         system=system,
         axis_user=axis + 1,
@@ -345,10 +354,7 @@ def _envelope_report(scenario, digest, system, axis, sweep_user, fixed, grid) ->
 
 def cmd_envelope(args) -> int:
     scenario, digest = load_scenario(args.scenario)
-    fixed = _parse_fixed(args.fixed, scenario.m_s)
-    axis = _axis_index(args.axis, scenario.m_s)
-    if axis in fixed:
-        raise CliError("--axis user cannot also be fixed")
+    axis, fixed = _axis_and_fixed(args, scenario.m_s)
     grid = _parse_grid(args.grid)
     sweep_user = _sweep_user(axis, fixed, scenario.m_s)
     report = _envelope_report(scenario, digest, args.system, axis, sweep_user, fixed, grid)
@@ -362,8 +368,7 @@ def cmd_envelope(args) -> int:
 def cmd_decompose(args) -> int:
     scenario, digest = load_scenario(args.scenario)
     rates = model.rate_matrix(scenario)
-    fixed = _parse_fixed(args.fixed, scenario.m_s)
-    axis = _axis_index(args.axis, scenario.m_s)
+    axis, fixed = _axis_and_fixed(args, scenario.m_s)
     lam = np.zeros(scenario.m_s)
     for u, rate in fixed.items():
         lam[u] = rate
@@ -447,7 +452,7 @@ def cmd_compare(args) -> int:
     if scenario.m_s != 2 or scenario.m_p != 2:
         raise CliError("compare needs a 2x2 scenario (2 bands, 2 users)")
     rates = model.rate_matrix(scenario)
-    axis = _axis_index(args.axis, scenario.m_s) if args.axis else 1
+    axis = _axis_index(args.axis, scenario.m_s)
     sweep = 1 - axis
     grid = _parse_grid(args.grid)
 
@@ -455,18 +460,16 @@ def cmd_compare(args) -> int:
         system: _envelope_report(scenario, digest, system, axis, sweep, {}, grid)
         for system in ("S", "S_hat", "fixed")
     }
-    rows = []
-    violations = 0
-    for idx, value in enumerate(grid):
-        s_val = reports["S"].values[idx]
-        shat_val = reports["S_hat"].values[idx]
-        fixed_val = reports["fixed"].values[idx]
-        lam = [0.0, 0.0]
-        lam[sweep] = value
-        d_sections = {
-            f"d{m[0]}{m[1]}": fixedalloc.mapping_max(rates, m, lam, axis)
-            for m in ((1, 2), (2, 1))
-        }
+    columns = {
+        "S": reports["S"].values,
+        "S_hat": reports["S_hat"].values,
+        "fixed_best": reports["fixed"].values,
+    }
+    for m in ((1, 2), (2, 1)):
+        columns[f"fixed_d{m[0]}{m[1]}"] = _fixed_values(
+            rates, axis, grid, sweep_user=sweep, mapping=fixedalloc.FixedMapping(m))
+    flags = []
+    for s_val, shat_val, fixed_val in zip(columns["S"], columns["S_hat"], columns["fixed_best"]):
         row_violations = []
         if fixed_val is not None and (shat_val is None or fixed_val > shat_val + _GRID_TOL):
             row_violations.append("fixed>S_hat")
@@ -474,8 +477,8 @@ def cmd_compare(args) -> int:
             row_violations.append("S_hat>S")
         if fixed_val is not None and (s_val is None or fixed_val > s_val + _ANALYTIC_TOL):
             row_violations.append("fixed>S")
-        violations += len(row_violations)
-        rows.append((value, s_val, shat_val, fixed_val, d_sections, row_violations))
+        flags.append(row_violations)
+    violations = sum(len(row_violations) for row_violations in flags)
 
     prov = _provenance(digest)
     if args.json:
@@ -484,28 +487,17 @@ def cmd_compare(args) -> int:
             "axis_user": axis + 1,
             "sweep_user": sweep + 1,
             "grid": grid,
-            "systems": {
-                "S": [r[1] for r in rows],
-                "S_hat": [r[2] for r in rows],
-                "fixed_best": [r[3] for r in rows],
-                "fixed_d12": [r[4]["d12"] for r in rows],
-                "fixed_d21": [r[4]["d21"] for r in rows],
-            },
+            "systems": columns,
             "reports": {name: rep.to_dict() for name, rep in reports.items()},
-            "violations": [r[5] for r in rows],
+            "violations": flags,
         }
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     else:
         fmt = lambda v: "" if v is None else _r(v)  # noqa: E731
-        lines = [
-            _csv_header(prov)
-            + f"lambda_s{sweep + 1},S,S_hat,fixed_best,fixed_d12,fixed_d21,violations"
-        ]
-        for value, s_val, shat_val, fixed_val, d_sections, row_v in rows:
-            lines.append(
-                f"{_r(value)},{fmt(s_val)},{fmt(shat_val)},{fmt(fixed_val)},"
-                f"{fmt(d_sections['d12'])},{fmt(d_sections['d21'])},{';'.join(row_v)}"
-            )
+        lines = [_csv_header(prov) + f"lambda_s{sweep + 1}," + ",".join(columns) + ",violations"]
+        for idx, value in enumerate(grid):
+            cells = [_r(value)] + [fmt(column[idx]) for column in columns.values()]
+            lines.append(",".join(cells + [";".join(flags[idx])]))
         _emit("\n".join(lines) + "\n", args.out)
     if violations:
         print(f"containment violated at {violations} grid point(s)", file=sys.stderr)
@@ -526,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         if system:
             p.add_argument("--system", choices=["S", "S_hat", "fixed"], required=True)
         if axis:
-            p.add_argument("--axis", type=int, default=None, help="maximized user (1-based)")
+            p.add_argument("--axis", type=int, default=2, help="maximized user (1-based)")
         if grid:
             p.add_argument("--grid", required=True, help="start:stop:step over the swept user's rate")
         if fixed:
@@ -559,11 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "axis", None) is None and args.command in ("envelope", "decompose", "compare"):
-        args.axis = 2
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ConfigurationError) as exc:

@@ -2,7 +2,10 @@
 
 Every user keeps one band for the lifetime of the network, so each mapping
 yields an open orthotope stability region lambda_k < mu[m_k, k]; the system's
-region is the union over all one-to-one mappings, searched by brute force.
+region is the union over all one-to-one mappings. Searches scan the
+lexicographic table of mappings in chunks of at most ``_CHUNK_ELEMENTS``
+(rate rows x mappings x users) elements, one array expression per chunk, so
+a whole sweep costs one scan. More than 8 users or 1e6 mappings are refused.
 Requires at least as many bands as users.
 """
 
@@ -12,10 +15,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import orthogonal
 from .model import CLOSURE_TOL, ConfigurationError, RateMatrix
 
 _TOL = 1e-9
 _MAX_ENUMERATION = 1_000_000
+_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -44,13 +51,17 @@ def _check_shape(rates: RateMatrix) -> None:
         )
 
 
-def region_for_mapping(d: FixedMapping, rates: RateMatrix, lambdas) -> bool:
-    """True iff every user's rate is strictly below its assigned band's service rate."""
+def _check_mapping(d: FixedMapping, rates: RateMatrix) -> None:
     _check_shape(rates)
     if d.m_s != rates.m_s:
         raise ConfigurationError("mapping length must equal the number of users")
     if any(m > rates.m_p for m in d.assignment):
         raise ConfigurationError("mapping uses a band outside the scenario")
+
+
+def region_for_mapping(d: FixedMapping, rates: RateMatrix, lambdas) -> bool:
+    """True iff every user's rate is strictly below its assigned band's service rate."""
+    _check_mapping(d, rates)
     lambdas = list(lambdas)
     if len(lambdas) != rates.m_s:
         raise ConfigurationError("lambdas must have one entry per user")
@@ -60,34 +71,58 @@ def region_for_mapping(d: FixedMapping, rates: RateMatrix, lambdas) -> bool:
     return True
 
 
-def _mappings(rates: RateMatrix, lambdas, free: int | None = None):
-    """One-to-one mappings (1-based bands, lexicographic order) and ``lambdas`` as a list.
+def _scan(rates: RateMatrix, lambdas, k: int | None = None, mapping: FixedMapping | None = None):
+    """Best score and mapping (1-based bands) for each rate row of ``lambdas``.
 
-    Every rate but that of user ``free`` must be >= 0 (NaN fails the test).
+    The score is user k's closure rate mu[m_k, k] (-inf where the mapping does
+    not support the other users), or the worst-case margin when k is None. The
+    table holds ``mapping`` alone when given, else every one-to-one mapping in
+    lexicographic order, built and scored in chunks of at most
+    ``_CHUNK_ELEMENTS`` rate rows x mappings x users. argmax takes the first
+    maximum within a chunk and a later chunk wins only when strictly better,
+    so ties go to the lexicographically first mapping.
     """
-    _check_shape(rates)
     m_p, m_s = rates.m_p, rates.m_s
-    if m_s > 8 or math.perm(m_p, m_s) > _MAX_ENUMERATION:
-        raise ConfigurationError(
-            f"brute-force mapping search refuses M_s={m_s}, M_p={m_p} "
-            f"({math.perm(m_p, m_s)} mappings)"
-        )
-    lam = list(lambdas)
-    if len(lam) != m_s:
+    if k is not None and not 0 <= k < m_s:
+        raise ConfigurationError(f"user index {k} out of range")
+    if mapping is not None:
+        _check_mapping(mapping, rates)
+        total, flat = 1, (m - 1 for m in mapping.assignment)
+    else:
+        _check_shape(rates)
+        total = math.perm(m_p, m_s)
+        if m_s > 8 or total > _MAX_ENUMERATION:
+            raise ConfigurationError(
+                f"brute-force mapping search refuses M_s={m_s}, M_p={m_p} ({total} mappings)"
+            )
+        flat = itertools.chain.from_iterable(itertools.permutations(range(m_p), m_s))
+    lam = np.array(lambdas, dtype=float)
+    if lam.shape[1] != m_s:
         raise ConfigurationError("rates must have one entry per user")
     for l in range(m_s):
-        if l != free and not lam[l] >= 0:
-            raise ConfigurationError(f"rate of user {l + 1} must be >= 0, got {float(lam[l])}")
-    return itertools.permutations(range(1, m_p + 1), m_s), lam
-
-
-def mapping_max(rates: RateMatrix, assignment, fixed_lambdas, k: int) -> float | None:
-    """Largest closure rate of user k under one mapping (1-based bands), or None when
-    it does not support every other user's fixed rate (lambda_l <= mu[m_l, l])."""
-    for l, m in enumerate(assignment):
-        if l != k and not fixed_lambdas[l] <= rates.mu[m - 1, l] + CLOSURE_TOL:
-            return None
-    return float(rates.mu[assignment[k] - 1, k])
+        if l != k and not np.all(lam[:, l] >= 0):  # NaN fails the test
+            bad = lam[~(lam[:, l] >= 0), l][0]
+            raise ConfigurationError(f"rate of user {l + 1} must be >= 0, got {float(bad)}")
+    if k is not None:
+        lam[:, k] = 0.0  # so user k always passes the closure test
+    per_chunk = max(1, _CHUNK_ELEMENTS // (max(len(lam), 1) * m_s))
+    users, rows = np.arange(m_s), np.arange(len(lam))
+    best = np.full(len(lam), -np.inf)
+    chosen = np.tile(users, (len(lam), 1))  # the first mapping, kept where every score is -inf
+    for start in range(0, total, per_chunk):
+        table = np.fromiter(flat, dtype=np.intp, count=min(per_chunk, total - start) * m_s).reshape(-1, m_s)
+        served = rates.mu[table, users]  # served[i, l] = mu[m_l, l] under mapping i
+        if k is None:
+            scores = np.min(served - lam[:, None, :], axis=2)
+        else:
+            supported = np.all(lam[:, None, :] <= served + CLOSURE_TOL, axis=2)
+            scores = np.where(supported, served[:, k], -np.inf)
+        pick = np.argmax(scores, axis=1)
+        top = scores[rows, pick]
+        better = top > best
+        best[better] = top[better]
+        chosen[better] = table[pick[better]]
+    return best, chosen + 1
 
 
 def best_fixed_max(rates: RateMatrix, fixed_lambdas, k: int) -> tuple[float, FixedMapping] | None:
@@ -99,15 +134,22 @@ def best_fixed_max(rates: RateMatrix, fixed_lambdas, k: int) -> tuple[float, Fix
     mapping supports the fixed rates. Entry k of ``fixed_lambdas`` is ignored;
     the others must be >= 0.
     """
-    if not 0 <= k < rates.m_s:
-        raise ConfigurationError(f"user index {k} out of range")
-    mappings, lam = _mappings(rates, fixed_lambdas, k)
-    best: tuple[float, FixedMapping] | None = None
-    for assignment in mappings:
-        value = mapping_max(rates, assignment, lam, k)
-        if value is not None and (best is None or value > best[0]):
-            best = (value, FixedMapping(assignment))
-    return best
+    (value,), (assignment,) = _scan(rates, [fixed_lambdas], k)
+    return None if value == -np.inf else (float(value), FixedMapping(assignment))
+
+
+def sweep_envelope(
+    rates: RateMatrix, axis: int, grid, others=None, sweep_user=None, mapping: FixedMapping | None = None
+) -> list[tuple[float, FixedMapping] | None]:
+    """``best_fixed_max`` of user ``axis`` at each point of a sweep, in one scan.
+
+    The arguments ``grid``, ``others`` and ``sweep_user`` follow
+    ``orthogonal.sweep_envelope``. With ``mapping`` given, only that mapping is
+    considered (the envelope of its own orthotope).
+    """
+    lam = orthogonal.sweep_rates(rates.m_s, axis, grid, others, sweep_user)
+    values, chosen = _scan(rates, lam, axis, mapping)
+    return [None if v == -np.inf else (float(v), FixedMapping(m)) for v, m in zip(values, chosen)]
 
 
 def best_margin_mapping(rates: RateMatrix, lambdas) -> FixedMapping:
@@ -116,10 +158,4 @@ def best_margin_mapping(rates: RateMatrix, lambdas) -> FixedMapping:
     Ties go to the lexicographically first mapping. The margin is negative when
     no mapping supports the rates; the least-overloaded mapping is returned then.
     """
-    mappings, lam = _mappings(rates, lambdas)
-    best = None
-    for assignment in mappings:
-        margin = min(float(rates.mu[m - 1, k]) - float(lam[k]) for k, m in enumerate(assignment))
-        if best is None or margin > best[0]:
-            best = (margin, assignment)
-    return FixedMapping(best[1])
+    return FixedMapping(_scan(rates, [lambdas])[1][0])

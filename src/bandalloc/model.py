@@ -14,7 +14,7 @@ primary user) and M_s buffered secondary users. Two input modes exist:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -253,15 +253,9 @@ def secondary_outage_complement(slot: SlotConfig, W: float, gamma: float, sigma2
 
 
 def primary_outage_complement(slot: SlotConfig, W: float, gamma: float, sigma2: float) -> float:
-    """Probability of correct packet reception for a primary link (full-slot transmission)."""
-    if not W >= 0:
-        raise ConfigurationError(f"bandwidth must be >= 0, got {W!r}")
-    if W == 0:
-        return 0.0
-    if not (gamma > 0 and sigma2 > 0):
-        raise ConfigurationError("gamma and sigma2 must be > 0")
-    exponent = slot.b / (slot.T * W)
-    return math.exp(-(2.0 ** exponent - 1.0) / (gamma * sigma2))
+    """Probability of correct packet reception for a primary link: the secondary
+    formula with no sensing time (full-slot transmission)."""
+    return secondary_outage_complement(replace(slot, tau=0.0), W, gamma, sigma2)
 
 
 def band_availability(lambda_p: float, mu_p: float) -> float:

@@ -262,26 +262,30 @@ def fully_symmetric_max(m_p: int, m_s: int, beta: float) -> float:
     return min(m_p / m_s, 1.0) * beta
 
 
-def sweep_envelope(rates: RateMatrix, axis: int, grid, others=None, sweep_user=None) -> list[EnvelopePoint]:
-    """Envelope of user ``axis`` as one other user's rate walks an ascending grid.
+def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.ndarray:
+    """Rates of a sweep of user ``axis``'s envelope, one row per point of an ascending grid.
 
     ``sweep_user`` (default: the lowest index other than ``axis``) takes each
     grid value in turn; the remaining users keep the rates given in ``others``
-    (default all zero). Infeasible grid points are returned as infeasible
-    envelope points rather than raised.
+    (default all zero). Entry ``axis`` is 0.
     """
-    m_s = rates.m_s
     if sweep_user is None:
-        sweep_user = next(u for u in range(m_s) if u != axis)
+        sweep_user = next((u for u in range(m_s) if u != axis), axis)
     if sweep_user == axis:
         raise ConfigurationError("sweep_user must differ from axis")
     grid = [float(v) for v in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError("grid must be ascending")
     base = np.zeros(m_s) if others is None else _fixed_vector(others, m_s, axis)
-    points = []
-    for value in grid:
-        fixed = base.copy()
-        fixed[sweep_user] = value
-        points.append(envelope_point(rates, fixed, axis))
-    return points
+    lam = np.tile(base, (len(grid), 1))
+    lam[:, sweep_user] = grid
+    return lam
+
+
+def sweep_envelope(rates: RateMatrix, axis: int, grid, others=None, sweep_user=None) -> list[EnvelopePoint]:
+    """Envelope of user ``axis`` at each row of ``sweep_rates`` (same arguments).
+
+    Infeasible grid points are returned as infeasible envelope points rather
+    than raised.
+    """
+    return [envelope_point(rates, lam, axis) for lam in sweep_rates(rates.m_s, axis, grid, others, sweep_user)]

@@ -8,9 +8,11 @@ explicit permutation matrices. ``scalar_dominant1_envelope_2x2`` and
 ``scalar_dominant2_envelope_2x2`` keep the one-gamma21-at-a-time dominant-system
 path that the array kernel in ``randalloc`` replaced, and ``reference_run``
 keeps the slot-by-slot simulator loop that the blocked engine in ``sim``
-replaced, and ``reference_solve_lp`` keeps the two-loop Bland simplex that
-``optim.solve_lp`` replaced; the differential tests require the replacements
-to reproduce them exactly.
+replaced, ``reference_solve_lp`` keeps the two-loop Bland simplex that
+``optim.solve_lp`` replaced, and ``reference_best_fixed_max``,
+``reference_best_margin_mapping`` and ``reference_mapping_max`` keep the
+mapping-by-mapping search that the table scan in ``fixedalloc`` replaced; the
+differential tests require the replacements to reproduce them exactly.
 """
 
 import itertools
@@ -19,7 +21,8 @@ import math
 import numpy as np
 
 from bandalloc import model, sim
-from bandalloc.model import ConfigurationError
+from bandalloc.fixedalloc import FixedMapping
+from bandalloc.model import CLOSURE_TOL, ConfigurationError
 from bandalloc.optim import FractionalCoeffs, LpProblem, LpSolution
 from bandalloc.randalloc import DominantEnvelopePoint, SelectionMatrix
 
@@ -85,8 +88,12 @@ def grid_search(objective, box, step, constraint=None):
     """Best feasible point of ``objective`` on a regular grid over ``box``.
 
     ``box`` is a sequence of (lo, hi) pairs; the grid includes both endpoints.
-    Ties go to the lexicographically smallest point (scan order plus strict
-    improvement). Returns (point, value) or None when no grid point is feasible.
+    ``constraint`` is called once on a tuple of arrays, one per axis, holding
+    every grid point in ``itertools.product`` order, and ``objective`` once on
+    the feasible points in the same form; both may return scalars. Ties go to
+    the lexicographically smallest point (the first strict maximum in that
+    order); NaN and -inf values are never chosen. Returns (point, value) or
+    None when no grid point is feasible.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
@@ -98,19 +105,17 @@ def grid_search(objective, box, step, constraint=None):
         pts = [lo + i * step for i in range(count + 1)]
         if pts[-1] < hi - 1e-12:
             pts.append(hi)
-        axes.append(pts)
-    best_point = None
-    best_value = -math.inf
-    for point in itertools.product(*axes):
-        if constraint is not None and not constraint(point):
-            continue
-        value = objective(point)
-        if value > best_value:
-            best_value = value
-            best_point = point
-    if best_point is None:
+        axes.append(np.array(pts))
+    points = tuple(a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    n = points[0].size
+    feasible = np.ones(n, dtype=bool) if constraint is None else np.broadcast_to(constraint(points), (n,))
+    index = np.flatnonzero(feasible)
+    values = np.broadcast_to(objective(tuple(p[index] for p in points)), index.shape)
+    candidates = np.where(values > -math.inf, values, -math.inf)
+    if not np.any(candidates > -math.inf):
         return None
-    return best_point, best_value
+    best = int(np.argmax(candidates))
+    return tuple(float(p[index[best]]) for p in points), values[best].item()
 
 
 # The scalar dominant-system path, one gamma21 per call. The arithmetic is kept
@@ -543,3 +548,55 @@ def reference_run(scenario, policy, config):
     )
     prim_v, sec_v = sim.assess_stability(result)
     return sim.SimResult(**{**vars(result), "verdicts_primary": prim_v, "verdicts_secondary": sec_v})
+
+
+def _reference_mappings(rates, lambdas, free=None):
+    """One-to-one mappings (1-based bands, lexicographic order) and ``lambdas`` as a list."""
+    m_p, m_s = rates.m_p, rates.m_s
+    if m_p < m_s:
+        raise ConfigurationError(f"fixed allocation needs M_p >= M_s, got M_p={m_p}, M_s={m_s}")
+    if m_s > 8 or math.perm(m_p, m_s) > 1_000_000:
+        raise ConfigurationError(
+            f"brute-force mapping search refuses M_s={m_s}, M_p={m_p} "
+            f"({math.perm(m_p, m_s)} mappings)"
+        )
+    lam = list(lambdas)
+    if len(lam) != m_s:
+        raise ConfigurationError("rates must have one entry per user")
+    for l in range(m_s):
+        if l != free and not lam[l] >= 0:
+            raise ConfigurationError(f"rate of user {l + 1} must be >= 0, got {float(lam[l])}")
+    return itertools.permutations(range(1, m_p + 1), m_s), lam
+
+
+def reference_mapping_max(rates, assignment, fixed_lambdas, k):
+    """Largest closure rate of user k under one mapping, or None when it does not
+    support every other user's fixed rate (lambda_l <= mu[m_l, l])."""
+    for l, m in enumerate(assignment):
+        if l != k and not fixed_lambdas[l] <= rates.mu[m - 1, l] + CLOSURE_TOL:
+            return None
+    return float(rates.mu[assignment[k] - 1, k])
+
+
+def reference_best_fixed_max(rates, fixed_lambdas, k):
+    """Best supporting mapping for user k, one mapping at a time (strict improvement)."""
+    if not 0 <= k < rates.m_s:
+        raise ConfigurationError(f"user index {k} out of range")
+    mappings, lam = _reference_mappings(rates, fixed_lambdas, k)
+    best = None
+    for assignment in mappings:
+        value = reference_mapping_max(rates, assignment, lam, k)
+        if value is not None and (best is None or value > best[0]):
+            best = (value, FixedMapping(assignment))
+    return best
+
+
+def reference_best_margin_mapping(rates, lambdas):
+    """Mapping with the largest worst-case margin, one mapping at a time."""
+    mappings, lam = _reference_mappings(rates, lambdas)
+    best = None
+    for assignment in mappings:
+        margin = min(float(rates.mu[m - 1, k]) - float(lam[k]) for k, m in enumerate(assignment))
+        if best is None or margin > best[0]:
+            best = (margin, assignment)
+    return FixedMapping(best[1])

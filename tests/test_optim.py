@@ -74,8 +74,8 @@ class TestSolveLp:
                 lambda p: c[0] * p[0] + c[1] * p[1],
                 [(0.0, 1.0), (0.0, 1.0)],
                 step=1e-3,
-                constraint=lambda p: all(
-                    row[0] * p[0] + row[1] * p[1] <= cap for row, cap in zip(A, b)
+                constraint=lambda p: np.logical_and.reduce(
+                    [row[0] * p[0] + row[1] * p[1] <= cap for row, cap in zip(A, b)]
                 ),
             )
             assert grid is not None

@@ -99,6 +99,20 @@ class TestMalformedArguments:
         assert_error(capsys, "decompose", "--scenario", ref_2x2_file, "--fixed", f"1={rate}",
                      expect="finite")
 
+    @pytest.mark.parametrize("command", ["envelope", "decompose", "compare"])
+    def test_axis_zero(self, ref_2x2_file, capsys, command):
+        # compare used to run --axis 0 as --axis 2
+        extra = {"envelope": ["--system", "S", "--grid", "0:0.1:0.1"], "compare": ["--grid", "0:0.1:0.1"]}
+        assert_error(capsys, command, "--scenario", ref_2x2_file, "--axis", "0", *extra.get(command, []),
+                     expect="--axis user 0 out of range 1..2")
+
+    @pytest.mark.parametrize("command", ["envelope", "decompose"])
+    def test_axis_user_also_fixed(self, ref_2x2_file, capsys, command):
+        # decompose used to drop the axis user's fixed rate
+        extra = ["--system", "S", "--grid", "0:0.1:0.1"] if command == "envelope" else []
+        assert_error(capsys, command, "--scenario", ref_2x2_file, "--axis", "2", "--fixed", "2=0.3,1=0.4",
+                     *extra, expect="--axis user cannot also be fixed")
+
 
 class TestMalformedScenario:
     def bad(self, tmp_path, capsys, doc=None, raw=None, expect=""):
@@ -203,6 +217,14 @@ class TestFixedAllocationRates:
         expected = fixedalloc.best_fixed_max(ref_2x2_rates, [0.1, 0.0], 1)
         assert fixedalloc.best_fixed_max(ref_2x2_rates, [0.1, placeholder], 1) == expected
         assert expected == (0.7875, fixedalloc.FixedMapping((1, 2)))
+
+
+@pytest.mark.parametrize("module", [orthogonal, fixedalloc], ids=["orthogonal", "fixedalloc"])
+def test_sweep_needs_a_second_user(module):
+    # a one-user sweep used to escape as a bare StopIteration
+    rates = model.RateMatrix(mu=np.full((2, 1), 0.5), mu_p=np.ones(2), pi=np.ones(2))
+    with pytest.raises(ConfigurationError):
+        module.sweep_envelope(rates, 0, [0.1])
 
 
 class TestRandomSelectionRates:
