@@ -6,6 +6,8 @@ Usage, from the root of a checkout:
 
 ``--src`` names the directory bandalloc is imported from (default: this
 checkout's ``src``), so one harness can time two revisions on the same machine.
+A case is named after the function it times; where the ``--src`` tree lacks
+that function, the case is reported as ``{"absent": true}`` instead.
 Each case is one call on a fixed input: the S_hat dominant-system envelopes
 and union-region section on the reference 2x2 scenario, the S envelope LP
 and the max-slack assignment LP on both shipped scenarios, the Birkhoff
@@ -100,6 +102,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     results = {}
     for name, fn in cases():
+        module, func = name.split()[0].rsplit(".", 1)
+        if not hasattr(sys.modules[f"bandalloc.{module}"], func):
+            results[name] = {"absent": True}
+            continue
         timer = timeit.Timer(fn)
         number, _ = timer.autorange()
         per_call = [t / number * 1e3 for t in timer.repeat(repeat=_REPEAT, number=number)]

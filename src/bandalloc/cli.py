@@ -137,31 +137,6 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     return scenario
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Inverse of parse_scenario_dict (round-trip stable)."""
-    doc: dict = {
-        "mode": scenario.mode,
-        "slot": {"T": scenario.slot.T, "tau": scenario.slot.tau, "b": scenario.slot.b},
-        "bands": [],
-        "users": [],
-    }
-    for band in scenario.bands:
-        entry = {}
-        for name in sorted(_BAND_FIELDS[scenario.mode]):
-            value = getattr(band, name)
-            if value is not None:
-                entry[name] = value
-        doc["bands"].append(entry)
-    for user in scenario.users:
-        entry = {"arrival_rate_lambda_s": user.arrival_rate_lambda_s}
-        for name in sorted(_USER_FIELDS[scenario.mode] - {"arrival_rate_lambda_s"}):
-            value = getattr(user, name)
-            if value is not None:
-                entry[name] = list(value) if isinstance(value, tuple) else value
-        doc["users"].append(entry)
-    return doc
-
-
 def load_scenario(path: str) -> tuple[Scenario, str]:
     """Load and validate a scenario file; returns (scenario, content digest)."""
     try:
@@ -189,13 +164,14 @@ def _parse_grid(spec: str) -> list[float]:
         raise CliError(f"--grid values must be finite, got {spec!r}")
     if start < 0 or step <= 0 or stop < start:
         raise CliError("--grid needs start >= 0, step > 0 and stop >= start")
-    if (stop - start) / step >= _MAX_GRID_POINTS:
-        raise CliError(f"--grid {spec!r} has more than {_MAX_GRID_POINTS} points")
-    count = int(math.floor((stop - start) / step + 1e-9))
-    grid = [start + i * step for i in range(count + 1)]
-    if grid[-1] < stop - 1e-9:
-        grid.append(stop)
-    return grid
+    span = (stop - start) / step
+    if span < _MAX_GRID_POINTS:  # bounds the list below (and keeps floor() finite)
+        grid = [start + i * step for i in range(int(math.floor(span + 1e-9)) + 1)]
+        if grid[-1] < stop - 1e-9:
+            grid.append(stop)
+        if len(grid) <= _MAX_GRID_POINTS:  # the appended stop point counts too
+            return grid
+    raise CliError(f"--grid {spec!r} has more than {_MAX_GRID_POINTS} points")
 
 
 def _parse_fixed(spec: str | None, m_s: int) -> dict[int, float]:
@@ -329,9 +305,8 @@ def _fixed_values(rates, axis, grid, **sweep) -> list[float | None]:
     return [None if best is None else best[0] for best in fixedalloc.sweep_envelope(rates, axis, grid, **sweep)]
 
 
-def _envelope_report(scenario, digest, system, axis, sweep_user, fixed, grid) -> RegionReport:
-    rates = model.rate_matrix(scenario)
-    others = np.zeros(scenario.m_s)
+def _envelope_report(rates, digest, system, axis, sweep_user, fixed, grid) -> RegionReport:
+    others = np.zeros(rates.m_s)
     for u, rate in fixed.items():
         others[u] = rate
     if system == "S":
@@ -357,7 +332,8 @@ def cmd_envelope(args) -> int:
     axis, fixed = _axis_and_fixed(args, scenario.m_s)
     grid = _parse_grid(args.grid)
     sweep_user = _sweep_user(axis, fixed, scenario.m_s)
-    report = _envelope_report(scenario, digest, args.system, axis, sweep_user, fixed, grid)
+    rates = model.rate_matrix(scenario)
+    report = _envelope_report(rates, digest, args.system, axis, sweep_user, fixed, grid)
     if args.json:
         _emit(json.dumps(report.to_dict(), sort_keys=True) + "\n", args.out)
     else:
@@ -457,7 +433,7 @@ def cmd_compare(args) -> int:
     grid = _parse_grid(args.grid)
 
     reports = {
-        system: _envelope_report(scenario, digest, system, axis, sweep, {}, grid)
+        system: _envelope_report(rates, digest, system, axis, sweep, {}, grid)
         for system in ("S", "S_hat", "fixed")
     }
     columns = {

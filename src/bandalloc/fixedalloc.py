@@ -20,7 +20,6 @@ import numpy as np
 from . import orthogonal
 from .model import CLOSURE_TOL, ConfigurationError, RateMatrix
 
-_TOL = 1e-9
 _MAX_ENUMERATION = 1_000_000
 _CHUNK_ELEMENTS = 1 << 20
 
@@ -57,18 +56,6 @@ def _check_mapping(d: FixedMapping, rates: RateMatrix) -> None:
         raise ConfigurationError("mapping length must equal the number of users")
     if any(m > rates.m_p for m in d.assignment):
         raise ConfigurationError("mapping uses a band outside the scenario")
-
-
-def region_for_mapping(d: FixedMapping, rates: RateMatrix, lambdas) -> bool:
-    """True iff every user's rate is strictly below its assigned band's service rate."""
-    _check_mapping(d, rates)
-    lambdas = list(lambdas)
-    if len(lambdas) != rates.m_s:
-        raise ConfigurationError("lambdas must have one entry per user")
-    for k, m in enumerate(d.assignment):
-        if lambdas[k] < 0 or lambdas[k] >= rates.mu[m - 1, k] - _TOL:
-            return False
-    return True
 
 
 def _scan(rates: RateMatrix, lambdas, k: int | None = None, mapping: FixedMapping | None = None):

@@ -14,8 +14,7 @@ Two tools live here:
   point 0.4 outside one constraint, so small elements are never pivoted on.
 * ``fractional_argmax``: closed-form maximizer, elementwise over arrays, of the
   one-variable linear fractional objective (K1*g - K2)/(D + C*g) subject to a
-  single linear constraint and g in [0, 1], by sign analysis of the derivative;
-  ``maximize_fractional_1d`` is its scalar form for one ``FractionalCoeffs``.
+  single linear constraint and g in [0, 1], by sign analysis of the derivative.
 """
 
 from __future__ import annotations
@@ -178,27 +177,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     return LpSolution(status="optimal", value=float(problem.c @ x), x=x)
 
 
-@dataclass(frozen=True)
-class FractionalCoeffs:
-    """Coefficients of the reduced linear-fractional objective (K1*g22 - K2)/(D + C*g22).
-
-    The constraint is ``lambda_s2 - D <= C * g22`` with 0 <= g22 <= 1; D >= 0.
-    ``gamma21`` is carried along because the optimum is evaluated per fixed
-    first-user selection probability.
-    """
-
-    K1: float
-    K2: float
-    C: float
-    D: float
-    lambda_s2: float
-    gamma21: float
-
-    def __post_init__(self) -> None:
-        if self.D < 0:
-            raise ValueError("D must be >= 0")
-
-
 def fractional_argmax(K1, K2, C, D, lambda_s2):
     """Elementwise maximizer of (K1*g - K2)/(D + C*g) over feasible g in [0, 1].
 
@@ -213,9 +191,3 @@ def fractional_argmax(K1, K2, C, D, lambda_s2):
     lower = np.where(positive, np.where(ratio < 0.0, 0.0, ratio), 0.0)
     upper = np.where(C < 0.0, np.where(rhs < 0.0, np.minimum(ratio, 1.0), 0.0), 1.0)
     return np.where(K2 * C + D * K1 > 0.0, upper, lower), feasible
-
-
-def maximize_fractional_1d(coeffs: FractionalCoeffs) -> tuple[float | None, str]:
-    """Scalar form of ``fractional_argmax``: (g_opt, "optimal") or (None, "infeasible")."""
-    g, feasible = fractional_argmax(coeffs.K1, coeffs.K2, coeffs.C, coeffs.D, coeffs.lambda_s2)
-    return (float(g), "optimal") if feasible else (None, "infeasible")

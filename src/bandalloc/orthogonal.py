@@ -1,9 +1,9 @@
 """Stability envelope of the orthogonal band-allocation system (system S).
 
-The general envelope is the LP over assignment fractions omega[j, k] (row and
-column sums at most one); the closed forms cover the classic special cases:
-two users/two bands, a single available band, symmetric users, symmetric
-bands, and the fully symmetric network.
+The envelope is the LP over assignment fractions omega[j, k] (row and
+column sums at most one), solved one point at a time or over a sweep; the
+two-user/two-band case also has a closed form. The other special cases
+(single band, symmetric users or bands) are test oracles in ``tests/oracles.py``.
 
 Convention used throughout the package: envelope computations use non-strict
 constraints (the closure of the stability region), region-membership
@@ -55,8 +55,6 @@ class EnvelopePoint:
     unsupportable (infeasible point).
     """
 
-    fixed_rates: tuple[float, ...]
-    free_user: int
     feasible: bool
     max_rate: float | None = None
     omega_star: AssignmentMatrix | None = None
@@ -119,13 +117,11 @@ def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:
     A, b = _assignment_constraints(rates.mu, lam, [l for l in range(m_s) if l != k])
     sol = optim.solve_lp(optim.LpProblem(c=c, A=A, b=b, lo=np.zeros(n), hi=np.ones(n)))
     if sol.status == "infeasible":
-        return EnvelopePoint(fixed_rates=tuple(lam), free_user=k, feasible=False)
+        return EnvelopePoint(feasible=False)
     if not sol.is_optimal:
         raise RuntimeError(f"envelope LP unexpectedly {sol.status}")
     omega = AssignmentMatrix(sol.x.reshape(m_p, m_s))
-    return EnvelopePoint(
-        fixed_rates=tuple(lam), free_user=k, feasible=True, max_rate=sol.value, omega_star=omega
-    )
+    return EnvelopePoint(feasible=True, max_rate=sol.value, omega_star=omega)
 
 
 def max_slack_assignment(rates: RateMatrix, lambdas) -> AssignmentMatrix:
@@ -185,83 +181,6 @@ def two_by_two_closed_form(mu, lambda_s1: float) -> tuple[float, float] | None:
     return eps, float(eps * mu12 + (1.0 - eps) * mu22)
 
 
-def one_band_envelope(mu_row, fixed_lambdas, k: int) -> EnvelopePoint:
-    """Envelope when only one band is ever available.
-
-    Fixed users take exactly the share lambda/mu they need; user k gets the
-    rest of the band: lambda_k_max = mu_row[k] * (1 - sum_{l != k} lambda_l / mu_row[l]).
-    """
-    mu_row = np.asarray(mu_row, dtype=float)
-    m_s = mu_row.size
-    lam = _fixed_vector(fixed_lambdas, m_s, k)
-    omega = np.zeros((1, m_s))
-    load = 0.0
-    for l in range(m_s):
-        if l == k or lam[l] == 0:
-            continue
-        if mu_row[l] == 0:
-            return EnvelopePoint(fixed_rates=tuple(lam), free_user=k, feasible=False)
-        omega[0, l] = lam[l] / mu_row[l]
-        load += lam[l] / mu_row[l]
-    if load > 1:
-        return EnvelopePoint(fixed_rates=tuple(lam), free_user=k, feasible=False)
-    omega[0, k] = 1.0 - load
-    return EnvelopePoint(
-        fixed_rates=tuple(lam),
-        free_user=k,
-        feasible=True,
-        max_rate=float(mu_row[k] * (1.0 - load)),
-        omega_star=AssignmentMatrix(omega),
-    )
-
-
-def symmetric_su_max(g, m_s: int) -> tuple[float, tuple[float, ...]]:
-    """Symmetric users (mu[j, k] = g[j] for every k): share the best min(M_p, M_s) bands.
-
-    Returns (lambda_max, theta_star) where theta_star[j] is each user's
-    per-slot probability of being on band j (1/M_s on the chosen bands).
-    """
-    g = np.asarray(g, dtype=float)
-    if m_s < 1:
-        raise ConfigurationError("m_s must be >= 1")
-    m_p = g.size
-    order = sorted(range(m_p), key=lambda j: (-g[j], j))
-    theta = [0.0] * m_p
-    for j in order[: min(m_p, m_s)]:
-        theta[j] = 1.0 / m_s
-    lam_max = float(sum(theta[j] * g[j] for j in range(m_p)))
-    return lam_max, tuple(theta)
-
-
-def symmetric_band_region_check(beta, m_p: int, lambdas) -> bool:
-    """Membership test for identical bands (mu[j, k] = beta[k] for every j).
-
-    M_p >= M_s: the region is the open orthotope lambda_k < beta_k. M_p < M_s:
-    additionally sum_k lambda_k / beta_k < M_p.
-    """
-    beta = np.asarray(beta, dtype=float)
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != beta.shape:
-        raise ConfigurationError("lambdas must match beta in length")
-    m_s = beta.size
-    if np.any(lam < 0):
-        return False
-    if not np.all(lam < beta - _TOL):
-        return False
-    if m_p < m_s and float(np.sum(lam / beta)) >= m_p - _TOL:
-        return False
-    return True
-
-
-def fully_symmetric_max(m_p: int, m_s: int, beta: float) -> float:
-    """Per-user maximum stable rate with symmetric users and bands: min(M_p/M_s, 1) * beta."""
-    if m_p < 1 or m_s < 1:
-        raise ConfigurationError("need at least one band and one user")
-    if not beta >= 0:  # also refuses NaN
-        raise ConfigurationError("beta must be >= 0")
-    return min(m_p / m_s, 1.0) * beta
-
-
 def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.ndarray:
     """Rates of a sweep of user ``axis``'s envelope, one row per point of an ascending grid.
 
@@ -269,6 +188,8 @@ def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.n
     grid value in turn; the remaining users keep the rates given in ``others``
     (default all zero). Entry ``axis`` is 0.
     """
+    if not 0 <= axis < m_s:
+        raise ConfigurationError(f"user index {axis} out of range")
     if sweep_user is None:
         sweep_user = next((u for u in range(m_s) if u != axis), axis)
     if sweep_user == axis:

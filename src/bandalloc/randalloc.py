@@ -4,8 +4,10 @@ Each user independently picks a band every slot from its column of a
 selection-probability matrix; simultaneous picks of one band by several
 backlogged users all fail. Closed analysis exists for two users on one or two
 bands via dominant systems (a designated queue transmits dummy packets when
-empty, which decouples the interaction); the general multi-user case is only
-simulated.
+empty, which decouples the interaction): the dominant envelopes, the
+union-region sections and the selection policy below. The general multi-user
+case is only simulated. The one-band closed forms, the collision service rate
+and the union-region membership test are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLOSURE_TOL, ConfigurationError, RateMatrix
+from .model import CLOSURE_TOL, ConfigurationError
 from .optim import fractional_argmax
 
 _TOL = 1e-9
@@ -57,22 +59,6 @@ class DominantEnvelopePoint:
     feasible: bool
     max_lambda: float | None = None
     gamma_star: SelectionMatrix | None = None
-
-
-def conditional_service_rate(gamma, nonempty, rates: RateMatrix, k: int) -> float:
-    """Service rate of backlogged user k: sum_j mu[j,k]*gamma[j,k]*prod_{v in nonempty, v!=k}(1-gamma[j,v]).
-
-    ``nonempty`` is the set of users with backlogged queues (k included by
-    convention); only they can collide with k.
-    """
-    g = np.asarray(getattr(gamma, "gamma", gamma), dtype=float)
-    if g.shape != rates.mu.shape:
-        raise ConfigurationError(f"gamma has shape {g.shape}, expected {rates.mu.shape}")
-    if not 0 <= k < rates.m_s:
-        raise ConfigurationError(f"user index {k} out of range")
-    others = [v for v in set(nonempty) if v != k]
-    clear = np.prod(1.0 - g[:, others], axis=1) if others else np.ones(rates.m_p)
-    return float(np.sum(rates.mu[:, k] * g[:, k] * clear))
 
 
 def _dominant1_values(mu: np.ndarray, lambda_s2: float, g21):
@@ -175,18 +161,6 @@ def dominant2_envelope_2x2(mu, lambda_s1: float, grid_step: float = 1e-3) -> Dom
     )
 
 
-def region_2x2_check(mu, lambda_pair) -> bool:
-    """True iff the rate pair lies strictly inside the union of the two dominant regions."""
-    lam1, lam2 = (float(v) for v in lambda_pair)
-    if lam1 < 0 or lam2 < 0:
-        return False
-    d1 = dominant1_envelope_2x2(mu, lam2)
-    if d1.feasible and lam1 < d1.max_lambda - _TOL:
-        return True
-    d2 = dominant2_envelope_2x2(mu, lam1)
-    return d2.feasible and lam2 < d2.max_lambda - _TOL
-
-
 def shat_section_lambda2(mu, lambda_s1: float, tol: float = 1e-6) -> float | None:
     """Largest lambda_s2 such that (lambda_s1, lambda_s2) is in the union region.
 
@@ -237,6 +211,8 @@ def shat_envelope(mu, axis: int, grid) -> list[float | None]:
         raise ConfigurationError(
             "analytic envelope for system S_hat covers only M_s=2, M_p<=2; use simulate"
         )
+    if axis not in (0, 1):
+        raise ConfigurationError(f"user index {axis} out of range")
     if axis == 0:
         padded = padded[:, ::-1]
     return [shat_section_lambda2(padded, value) for value in grid]
@@ -266,41 +242,3 @@ def selection_for_rates(mu, lambdas) -> SelectionMatrix:
     else:
         gamma = np.full((2, 2), 0.5)
     return SelectionMatrix(gamma[:m_p])
-
-
-def one_band_gamma_opt(mu11: float, mu12: float, lambda_s2: float) -> SelectionMatrix | None:
-    """Optimal selection probabilities when only band 1 is ever available.
-
-    The sole non-trivial parameter is user 1's probability of staying on the
-    live band: gamma11 = 1 - min(sqrt(lambda_s2/mu12), 1); user 2 always picks
-    the live band. None when lambda_s2 exceeds mu12.
-    """
-    if not (mu11 >= 0 and mu12 >= 0 and lambda_s2 >= 0):  # NaN fails too
-        raise ConfigurationError("rates must be >= 0")
-    if mu12 == 0:
-        if lambda_s2 > 0:
-            return None
-        g11 = 1.0
-    else:
-        ratio = lambda_s2 / mu12
-        if ratio > 1.0 + _TOL:
-            return None
-        g11 = 1.0 - min(math.sqrt(ratio), 1.0)
-    return SelectionMatrix(np.array([[g11, 1.0], [1.0 - g11, 0.0]]))
-
-
-def one_band_region_check(mu11: float, mu12: float, lambda_pair) -> bool:
-    """Single-band region: sqrt(lambda1/mu11) + sqrt(lambda2/mu12) < 1 (not convex).
-
-    A negative or NaN rate raises ConfigurationError.
-    """
-    total = 0.0
-    for lam, mu in zip(lambda_pair, (mu11, mu12)):
-        if not lam >= 0:  # NaN fails too
-            raise ConfigurationError("rates must be >= 0")
-        if lam == 0:
-            continue
-        if mu == 0:
-            return False
-        total += math.sqrt(lam / mu)
-    return total < 1.0 - _TOL

@@ -78,16 +78,8 @@ class PermutationSchedule:
     def m_s(self) -> int:
         return len(self.entries[0][0])
 
-    def marginal(self, band: int, user: int) -> float:
-        """Total probability that ``band`` (1-based) is assigned to ``user`` (0-based)."""
-        return sum(w for perm, w in self.entries if perm[user] == band)
-
     def to_dict(self) -> dict:
         return {"entries": [{"assignment": list(perm), "weight": w} for perm, w in self.entries]}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PermutationSchedule":
-        return cls(tuple((tuple(e["assignment"]), e["weight"]) for e in doc["entries"]))
 
 
 @dataclass(frozen=True)
@@ -231,10 +223,3 @@ def sample_indices(weights, u: np.ndarray, fallback: int) -> np.ndarray:
         rest -= w
         count += rest >= 0
     return np.where(count == len(weights), fallback, count)
-
-
-def sample_permutation(schedule: PermutationSchedule, rng) -> tuple[int, ...]:
-    """Draw one assignment pattern; consumes exactly one uniform from ``rng``."""
-    entries = schedule.entries
-    index = sample_indices([w for _, w in entries], rng.random(), len(entries) - 1)
-    return entries[int(index)][0]

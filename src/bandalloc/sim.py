@@ -38,11 +38,15 @@ their outcome streams and their arrival streams. Seeds are read modulo 2**64.
 A draw u succeeds (departs, arrives) when u < p, and a schedule or selection
 column maps u to the first entry at which u minus the weights so far turns
 negative (``schedule.sample_indices``).
+
+Results. ``run`` returns a ``SimResult``: per-queue counters, the sampled
+backlog traces, the post-warmup secondary throughput (departures per slot) and
+the stability verdict of each queue. ``SimResult.to_dict`` is the form the CLI
+prints.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,22 +181,6 @@ class SimResult:
             "verdicts_secondary": list(self.verdicts_secondary),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def trace_csv(self) -> str:
-        """Sampled backlog trace as CSV: slot, qp_1.., qs_1..."""
-        m_p = len(self.primary)
-        m_s = len(self.secondary)
-        lines = ["slot," + ",".join(f"qp_{j+1}" for j in range(m_p)) + ","
-                 + ",".join(f"qs_{k+1}" for k in range(m_s))]
-        for i, slot in enumerate(self.trace_slots):
-            row = [str(slot)]
-            row += [str(v) for v in self.trace_primary[i]]
-            row += [str(v) for v in self.trace_secondary[i]]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
 
 def _verdict(trace_slots, lengths, warmup: int, n_slots: int, final_length: int) -> str:
     """Slope/backlog surrogate for the asymptotic stability definition."""
@@ -222,13 +210,6 @@ def assess_stability(result: SimResult) -> tuple[tuple[str, ...], tuple[str, ...
         for k in range(len(result.secondary))
     )
     return prim, sec
-
-
-def empirical_throughput(result: SimResult) -> tuple[float, ...]:
-    """Post-warmup departures per slot for each secondary user."""
-    if result.post_warmup_slots < 1:
-        raise ConfigurationError("post-warmup window is empty")
-    return tuple(d / result.post_warmup_slots for d in result.post_warmup_departures)
 
 
 def _streams(seed: int, count: int) -> list[np.random.Generator]:

@@ -13,18 +13,41 @@ replaced, ``reference_solve_lp`` keeps the two-loop Bland simplex that
 ``reference_best_margin_mapping`` and ``reference_mapping_max`` keep the
 mapping-by-mapping search that the table scan in ``fixedalloc`` replaced; the
 differential tests require the replacements to reproduce them exactly.
+
+The paper's closed forms and the wrappers that only tests call live here too,
+as reference code the library does not carry: the one-band envelope
+(``one_band_envelope``), the symmetric cases (``symmetric_su_max``,
+``symmetric_band_region_check``, ``fully_symmetric_max``), the collision
+service rate (``conditional_service_rate``), the S_hat membership tests
+(``region_2x2_check``, ``one_band_region_check``) and one-band selection
+(``one_band_gamma_opt``), the fixed-mapping orthotope test
+(``region_for_mapping``), the scenario writer (``scenario_to_dict``), the scalar
+fractional maximizer (``FractionalCoeffs``, ``maximize_fractional_1d``), the
+one-draw schedule sampler (``sample_permutation``), and the former methods
+``marginal`` and ``schedule_from_dict`` of ``PermutationSchedule`` and
+``to_json`` and ``trace_csv`` of ``SimResult``.
 """
 
 import itertools
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from bandalloc import model, sim
-from bandalloc.fixedalloc import FixedMapping
-from bandalloc.model import CLOSURE_TOL, ConfigurationError
-from bandalloc.optim import FractionalCoeffs, LpProblem, LpSolution
-from bandalloc.randalloc import DominantEnvelopePoint, SelectionMatrix
+from bandalloc.cli import _BAND_FIELDS, _USER_FIELDS
+from bandalloc.fixedalloc import FixedMapping, _check_mapping
+from bandalloc.model import CLOSURE_TOL, ConfigurationError, RateMatrix, Scenario
+from bandalloc.optim import LpProblem, LpSolution, fractional_argmax
+from bandalloc.orthogonal import AssignmentMatrix, EnvelopePoint, _fixed_vector
+from bandalloc.randalloc import (
+    DominantEnvelopePoint,
+    SelectionMatrix,
+    dominant1_envelope_2x2,
+    dominant2_envelope_2x2,
+)
+from bandalloc.schedule import PermutationSchedule, sample_indices
 
 
 def random_doubly_stochastic(rng, n):
@@ -116,6 +139,253 @@ def grid_search(objective, box, step, constraint=None):
         return None
     best = int(np.argmax(candidates))
     return tuple(float(p[index[best]]) for p in points), values[best].item()
+
+
+# The paper's closed forms and the wrappers only the tests call. The library
+# computes the regions through the envelope LPs, the dominant-system kernel and
+# the mapping scan, and the tests check those against these. A former method
+# of a library class takes its object as the first argument.
+_TOL = 1e-9
+
+
+def one_band_envelope(mu_row, fixed_lambdas, k: int) -> EnvelopePoint:
+    """Envelope when only one band is ever available.
+
+    Fixed users take exactly the share lambda/mu they need; user k gets the
+    rest of the band: lambda_k_max = mu_row[k] * (1 - sum_{l != k} lambda_l / mu_row[l]).
+    """
+    mu_row = np.asarray(mu_row, dtype=float)
+    m_s = mu_row.size
+    lam = _fixed_vector(fixed_lambdas, m_s, k)
+    omega = np.zeros((1, m_s))
+    load = 0.0
+    for l in range(m_s):
+        if l == k or lam[l] == 0:
+            continue
+        if mu_row[l] == 0:
+            return EnvelopePoint(feasible=False)
+        omega[0, l] = lam[l] / mu_row[l]
+        load += lam[l] / mu_row[l]
+    if load > 1:
+        return EnvelopePoint(feasible=False)
+    omega[0, k] = 1.0 - load
+    return EnvelopePoint(
+        feasible=True,
+        max_rate=float(mu_row[k] * (1.0 - load)),
+        omega_star=AssignmentMatrix(omega),
+    )
+
+
+def symmetric_su_max(g, m_s: int) -> tuple[float, tuple[float, ...]]:
+    """Symmetric users (mu[j, k] = g[j] for every k): share the best min(M_p, M_s) bands.
+
+    Returns (lambda_max, theta_star) where theta_star[j] is each user's
+    per-slot probability of being on band j (1/M_s on the chosen bands).
+    """
+    g = np.asarray(g, dtype=float)
+    if m_s < 1:
+        raise ConfigurationError("m_s must be >= 1")
+    m_p = g.size
+    order = sorted(range(m_p), key=lambda j: (-g[j], j))
+    theta = [0.0] * m_p
+    for j in order[: min(m_p, m_s)]:
+        theta[j] = 1.0 / m_s
+    lam_max = float(sum(theta[j] * g[j] for j in range(m_p)))
+    return lam_max, tuple(theta)
+
+
+def symmetric_band_region_check(beta, m_p: int, lambdas) -> bool:
+    """Membership test for identical bands (mu[j, k] = beta[k] for every j).
+
+    M_p >= M_s: the region is the open orthotope lambda_k < beta_k. M_p < M_s:
+    additionally sum_k lambda_k / beta_k < M_p.
+    """
+    beta = np.asarray(beta, dtype=float)
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.shape != beta.shape:
+        raise ConfigurationError("lambdas must match beta in length")
+    m_s = beta.size
+    if np.any(lam < 0):
+        return False
+    if not np.all(lam < beta - _TOL):
+        return False
+    if m_p < m_s and float(np.sum(lam / beta)) >= m_p - _TOL:
+        return False
+    return True
+
+
+def fully_symmetric_max(m_p: int, m_s: int, beta: float) -> float:
+    """Per-user maximum stable rate with symmetric users and bands: min(M_p/M_s, 1) * beta."""
+    if m_p < 1 or m_s < 1:
+        raise ConfigurationError("need at least one band and one user")
+    if not beta >= 0:  # also refuses NaN
+        raise ConfigurationError("beta must be >= 0")
+    return min(m_p / m_s, 1.0) * beta
+
+
+def conditional_service_rate(gamma, nonempty, rates: RateMatrix, k: int) -> float:
+    """Service rate of backlogged user k: sum_j mu[j,k]*gamma[j,k]*prod_{v in nonempty, v!=k}(1-gamma[j,v]).
+
+    ``nonempty`` is the set of users with backlogged queues (k included by
+    convention); only they can collide with k.
+    """
+    g = np.asarray(getattr(gamma, "gamma", gamma), dtype=float)
+    if g.shape != rates.mu.shape:
+        raise ConfigurationError(f"gamma has shape {g.shape}, expected {rates.mu.shape}")
+    if not 0 <= k < rates.m_s:
+        raise ConfigurationError(f"user index {k} out of range")
+    others = [v for v in set(nonempty) if v != k]
+    clear = np.prod(1.0 - g[:, others], axis=1) if others else np.ones(rates.m_p)
+    return float(np.sum(rates.mu[:, k] * g[:, k] * clear))
+
+
+def region_2x2_check(mu, lambda_pair) -> bool:
+    """True iff the rate pair lies strictly inside the union of the two dominant regions."""
+    lam1, lam2 = (float(v) for v in lambda_pair)
+    if lam1 < 0 or lam2 < 0:
+        return False
+    d1 = dominant1_envelope_2x2(mu, lam2)
+    if d1.feasible and lam1 < d1.max_lambda - _TOL:
+        return True
+    d2 = dominant2_envelope_2x2(mu, lam1)
+    return d2.feasible and lam2 < d2.max_lambda - _TOL
+
+
+def one_band_gamma_opt(mu11: float, mu12: float, lambda_s2: float) -> SelectionMatrix | None:
+    """Optimal selection probabilities when only band 1 is ever available.
+
+    The sole non-trivial parameter is user 1's probability of staying on the
+    live band: gamma11 = 1 - min(sqrt(lambda_s2/mu12), 1); user 2 always picks
+    the live band. None when lambda_s2 exceeds mu12.
+    """
+    if not (mu11 >= 0 and mu12 >= 0 and lambda_s2 >= 0):  # NaN fails too
+        raise ConfigurationError("rates must be >= 0")
+    if mu12 == 0:
+        if lambda_s2 > 0:
+            return None
+        g11 = 1.0
+    else:
+        ratio = lambda_s2 / mu12
+        if ratio > 1.0 + _TOL:
+            return None
+        g11 = 1.0 - min(math.sqrt(ratio), 1.0)
+    return SelectionMatrix(np.array([[g11, 1.0], [1.0 - g11, 0.0]]))
+
+
+def one_band_region_check(mu11: float, mu12: float, lambda_pair) -> bool:
+    """Single-band region: sqrt(lambda1/mu11) + sqrt(lambda2/mu12) < 1 (not convex).
+
+    A negative or NaN rate raises ConfigurationError.
+    """
+    total = 0.0
+    for lam, mu in zip(lambda_pair, (mu11, mu12)):
+        if not lam >= 0:  # NaN fails too
+            raise ConfigurationError("rates must be >= 0")
+        if lam == 0:
+            continue
+        if mu == 0:
+            return False
+        total += math.sqrt(lam / mu)
+    return total < 1.0 - _TOL
+
+
+def region_for_mapping(d: FixedMapping, rates: RateMatrix, lambdas) -> bool:
+    """True iff every user's rate is strictly below its assigned band's service rate."""
+    _check_mapping(d, rates)
+    lambdas = list(lambdas)
+    if len(lambdas) != rates.m_s:
+        raise ConfigurationError("lambdas must have one entry per user")
+    for k, m in enumerate(d.assignment):
+        if lambdas[k] < 0 or lambdas[k] >= rates.mu[m - 1, k] - _TOL:
+            return False
+    return True
+
+
+def scenario_to_dict(scenario: Scenario) -> dict:
+    """Inverse of cli.parse_scenario_dict (round-trip stable)."""
+    doc: dict = {
+        "mode": scenario.mode,
+        "slot": {"T": scenario.slot.T, "tau": scenario.slot.tau, "b": scenario.slot.b},
+        "bands": [],
+        "users": [],
+    }
+    for band in scenario.bands:
+        entry = {}
+        for name in sorted(_BAND_FIELDS[scenario.mode]):
+            value = getattr(band, name)
+            if value is not None:
+                entry[name] = value
+        doc["bands"].append(entry)
+    for user in scenario.users:
+        entry = {"arrival_rate_lambda_s": user.arrival_rate_lambda_s}
+        for name in sorted(_USER_FIELDS[scenario.mode] - {"arrival_rate_lambda_s"}):
+            value = getattr(user, name)
+            if value is not None:
+                entry[name] = list(value) if isinstance(value, tuple) else value
+        doc["users"].append(entry)
+    return doc
+
+
+@dataclass(frozen=True)
+class FractionalCoeffs:
+    """Coefficients of the reduced linear-fractional objective (K1*g22 - K2)/(D + C*g22).
+
+    The constraint is ``lambda_s2 - D <= C * g22`` with 0 <= g22 <= 1; D >= 0.
+    ``gamma21`` is carried along because the optimum is evaluated per fixed
+    first-user selection probability.
+    """
+
+    K1: float
+    K2: float
+    C: float
+    D: float
+    lambda_s2: float
+    gamma21: float
+
+    def __post_init__(self) -> None:
+        if self.D < 0:
+            raise ValueError("D must be >= 0")
+
+
+def maximize_fractional_1d(coeffs: FractionalCoeffs) -> tuple[float | None, str]:
+    """Scalar form of ``optim.fractional_argmax``: (g_opt, "optimal") or (None, "infeasible")."""
+    g, feasible = fractional_argmax(coeffs.K1, coeffs.K2, coeffs.C, coeffs.D, coeffs.lambda_s2)
+    return (float(g), "optimal") if feasible else (None, "infeasible")
+
+
+def sample_permutation(schedule: PermutationSchedule, rng) -> tuple[int, ...]:
+    """Draw one assignment pattern; consumes exactly one uniform from ``rng``."""
+    entries = schedule.entries
+    index = sample_indices([w for _, w in entries], rng.random(), len(entries) - 1)
+    return entries[int(index)][0]
+
+
+def marginal(schedule: PermutationSchedule, band: int, user: int) -> float:
+    """Total probability that ``band`` (1-based) is assigned to ``user`` (0-based)."""
+    return sum(w for perm, w in schedule.entries if perm[user] == band)
+
+
+def schedule_from_dict(doc: dict) -> PermutationSchedule:
+    """Inverse of ``PermutationSchedule.to_dict``."""
+    return PermutationSchedule(tuple((tuple(e["assignment"]), e["weight"]) for e in doc["entries"]))
+
+
+def to_json(result: sim.SimResult) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def trace_csv(result: sim.SimResult) -> str:
+    """Sampled backlog trace as CSV: slot, qp_1.., qs_1..."""
+    m_p = len(result.primary)
+    m_s = len(result.secondary)
+    lines = ["slot," + ",".join(f"qp_{j+1}" for j in range(m_p)) + ","
+             + ",".join(f"qs_{k+1}" for k in range(m_s))]
+    for i, slot in enumerate(result.trace_slots):
+        row = [str(slot)]
+        row += [str(v) for v in result.trace_primary[i]]
+        row += [str(v) for v in result.trace_secondary[i]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 # The scalar dominant-system path, one gamma21 per call. The arithmetic is kept

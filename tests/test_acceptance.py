@@ -15,7 +15,18 @@ import pytest
 from bandalloc import fixedalloc, model, optim, orthogonal, randalloc, schedule, sim
 
 from conftest import ref_2x2_scenario, random_rate_matrix
-from oracles import gamma_grid_oracle_dominant1, omega_grid_oracle, random_doubly_stochastic
+from oracles import (
+    conditional_service_rate,
+    fully_symmetric_max,
+    gamma_grid_oracle_dominant1,
+    omega_grid_oracle,
+    one_band_envelope,
+    one_band_gamma_opt,
+    one_band_region_check,
+    random_doubly_stochastic,
+    symmetric_su_max,
+    to_json,
+)
 
 
 @contextmanager
@@ -69,7 +80,7 @@ def test_criterion_2_closed_form_lp_equivalence():
             rates = model.RateMatrix(mu=mu, mu_p=np.ones(2), pi=np.array([1.0, 0.0]))
             lam = np.zeros(m_s)
             lam[1:] = mu_row[1:] * rng.dirichlet(np.ones(m_s - 1)) * rng.uniform(0, 0.98)
-            closed = orthogonal.one_band_envelope(mu_row, lam, 0)
+            closed = one_band_envelope(mu_row, lam, 0)
             point = orthogonal.envelope_point(rates, lam, 0)
             assert closed.feasible and point.feasible
             assert abs(closed.max_rate - point.max_rate) <= 1e-9
@@ -78,7 +89,7 @@ def test_criterion_2_closed_form_lp_equivalence():
             m_p, m_s = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             g = rng.uniform(0.1, 1.0, m_p)
             rates = model.RateMatrix(mu=np.tile(g[:, None], (1, m_s)), mu_p=np.ones(m_p), pi=g)
-            lam_max, theta = orthogonal.symmetric_su_max(g, m_s)
+            lam_max, theta = symmetric_su_max(g, m_s)
             assert abs(sum(t * gj for t, gj in zip(theta, g)) - lam_max) <= 1e-12
             point = orthogonal.envelope_point(rates, np.full(m_s, lam_max), 0)
             assert point.feasible and abs(point.max_rate - lam_max) <= 1e-9
@@ -104,7 +115,7 @@ def test_criterion_2_closed_form_lp_equivalence():
             rates = model.RateMatrix(
                 mu=np.full((m_p, m_s), beta), mu_p=np.ones(m_p), pi=np.full(m_p, beta)
             )
-            lam_max = orthogonal.fully_symmetric_max(m_p, m_s, beta)
+            lam_max = fully_symmetric_max(m_p, m_s, beta)
             point = orthogonal.envelope_point(rates, np.full(m_s, lam_max), 0)
             assert point.feasible and abs(point.max_rate - lam_max) <= 1e-9
 
@@ -192,7 +203,7 @@ def test_criterion_5_containment():
             radius = rng.uniform(0, 0.999)
             split = rng.uniform(0, 1)
             pair = (mu11 * (radius * split) ** 2, mu12 * (radius * (1 - split)) ** 2)
-            assert randalloc.one_band_region_check(mu11, mu12, pair)
+            assert one_band_region_check(mu11, mu12, pair)
             assert pair[0] / mu11 + pair[1] / mu12 < 1.0
 
 
@@ -202,7 +213,7 @@ def test_criterion_6_one_band_random_region():
         for _ in range(200):
             mu11, mu12 = rng.uniform(0.05, 1.0, 2)
             lam2 = rng.uniform(0.0, mu12 * 0.999)
-            selection = randalloc.one_band_gamma_opt(mu11, mu12, lam2)
+            selection = one_band_gamma_opt(mu11, mu12, lam2)
             g11 = selection.gamma[0, 0]
             if lam2 == 0:
                 lam1_env = mu11 * g11
@@ -212,12 +223,12 @@ def test_criterion_6_one_band_random_region():
             sqrt_boundary = mu11 * (1.0 - math.sqrt(lam2 / mu12)) ** 2
             assert abs(lam1_env - sqrt_boundary) <= 1e-6
             if lam1_env > 2e-6:
-                assert randalloc.one_band_region_check(mu11, mu12, (lam1_env - 1e-6, lam2))
-            assert not randalloc.one_band_region_check(mu11, mu12, (lam1_env + 1e-6, lam2))
+                assert one_band_region_check(mu11, mu12, (lam1_env - 1e-6, lam2))
+            assert not one_band_region_check(mu11, mu12, (lam1_env + 1e-6, lam2))
         # non-convexity witness: midpoint of the axis extremes is outside
         for _ in range(50):
             mu = float(rng.uniform(0.05, 1.0))
-            assert not randalloc.one_band_region_check(mu, mu, (mu / 2, mu / 2))
+            assert not one_band_region_check(mu, mu, (mu / 2, mu / 2))
             assert math.sqrt(0.5) + math.sqrt(0.5) > 1.0
 
 
@@ -271,7 +282,7 @@ def test_criterion_8_saturated_rates():
         point = orthogonal.envelope_point(rates, [0.4, 0.0], 1)
         _, sched = schedule.schedule_from_assignment(point.omega_star)
         result = sim.run(saturated, sim.Policy.orthogonal(sched), sim.SimConfig(n_slots=100_000, seed=8_001))
-        throughput = sim.empirical_throughput(result)
+        throughput = result.secondary_throughput
         for k in range(2):
             analytic = model.secondary_service_rate(point.omega_star.omega, rates, k)
             assert abs(throughput[k] - analytic) <= 0.01
@@ -280,9 +291,9 @@ def test_criterion_8_saturated_rates():
             randalloc.SelectionMatrix(np.array([[0.3, 0.5], [0.5, 0.5]])),
         ):
             result = sim.run(saturated, sim.Policy.random(gamma), sim.SimConfig(n_slots=100_000, seed=8_002))
-            throughput = sim.empirical_throughput(result)
+            throughput = result.secondary_throughput
             for k in range(2):
-                analytic = randalloc.conditional_service_rate(gamma, {0, 1}, rates, k)
+                analytic = conditional_service_rate(gamma, {0, 1}, rates, k)
                 assert abs(throughput[k] - analytic) <= 0.01
 
 
@@ -305,7 +316,7 @@ def test_criterion_9_convexity_and_determinism():
         config = sim.SimConfig(n_slots=50_000, seed=4_242)
         first = sim.run(scenario, sim.Policy.orthogonal(sched), config)
         second = sim.run(scenario, sim.Policy.orthogonal(sched), config)
-        assert first.to_json() == second.to_json()
+        assert to_json(first) == to_json(second)
         lp_a = orthogonal.envelope_point(ref_2x2_rates(), [0.4, 0.0], 1)
         lp_b = orthogonal.envelope_point(ref_2x2_rates(), [0.4, 0.0], 1)
         assert lp_a.max_rate == lp_b.max_rate

@@ -4,6 +4,8 @@ import pytest
 
 from bandalloc import cli
 
+from oracles import scenario_to_dict
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -38,9 +40,9 @@ FIVE_BY_FOUR = {
 class TestScenarioParsing:
     def test_roundtrip_idempotent(self, ref_2x2_file):
         scenario, _ = cli.load_scenario(ref_2x2_file)
-        doc = cli.scenario_to_dict(scenario)
+        doc = scenario_to_dict(scenario)
         again = cli.parse_scenario_dict(doc)
-        assert cli.scenario_to_dict(again) == doc
+        assert scenario_to_dict(again) == doc
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         path = write_scenario(

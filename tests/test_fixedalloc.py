@@ -8,6 +8,7 @@ from bandalloc.fixedalloc import FixedMapping
 from bandalloc.model import ConfigurationError
 
 from conftest import random_rate_matrix
+from oracles import region_for_mapping
 
 
 class TestFixedMapping:
@@ -22,21 +23,21 @@ class TestFixedMapping:
 
 class TestRegionForMapping:
     def test_origin_inside(self, ref_2x2_rates):
-        assert fixedalloc.region_for_mapping(FixedMapping((2, 1)), ref_2x2_rates, [0.0, 0.0])
+        assert region_for_mapping(FixedMapping((2, 1)), ref_2x2_rates, [0.0, 0.0])
 
     def test_ref_2x2_d21_orthotope(self, ref_2x2_rates):
         d = FixedMapping((2, 1))
-        assert fixedalloc.region_for_mapping(d, ref_2x2_rates, [0.69, 0.21])
-        assert not fixedalloc.region_for_mapping(d, ref_2x2_rates, [0.71, 0.21])
-        assert not fixedalloc.region_for_mapping(d, ref_2x2_rates, [0.69, 0.22])
+        assert region_for_mapping(d, ref_2x2_rates, [0.69, 0.21])
+        assert not region_for_mapping(d, ref_2x2_rates, [0.71, 0.21])
+        assert not region_for_mapping(d, ref_2x2_rates, [0.69, 0.22])
 
     def test_boundary_excluded(self, ref_2x2_rates):
-        assert not fixedalloc.region_for_mapping(FixedMapping((2, 1)), ref_2x2_rates, [0.7, 0.21])
+        assert not region_for_mapping(FixedMapping((2, 1)), ref_2x2_rates, [0.7, 0.21])
 
     def test_shape_guard(self):
         rates = model.RateMatrix(mu=np.full((1, 2), 0.5), mu_p=np.ones(1), pi=np.array([0.5]))
         with pytest.raises(ConfigurationError):
-            fixedalloc.region_for_mapping(FixedMapping((1, 2)), rates, [0.1, 0.1])
+            region_for_mapping(FixedMapping((1, 2)), rates, [0.1, 0.1])
 
 
 class TestBestFixedMax:
@@ -82,7 +83,7 @@ class TestBestFixedMax:
     def test_pointwise_max_over_regions(self, ref_2x2_rates):
         value, mapping = fixedalloc.best_fixed_max(ref_2x2_rates, [0.4, 0.0], 1)
         lam = [0.4, value - 1e-6]
-        assert fixedalloc.region_for_mapping(mapping, ref_2x2_rates, lam)
+        assert region_for_mapping(mapping, ref_2x2_rates, lam)
 
     def test_size_refusal(self):
         rng = np.random.default_rng(41)
@@ -113,7 +114,7 @@ class TestContainment:
             rates = random_rate_matrix(rng)
             d = FixedMapping((2, 1)) if rng.random() < 0.5 else FixedMapping((1, 2))
             lam = [rng.uniform(0, 1), rng.uniform(0, 1)]
-            if fixedalloc.region_for_mapping(d, rates, lam):
+            if region_for_mapping(d, rates, lam):
                 pt = orthogonal.envelope_point(rates, [lam[0], 0.0], 1)
                 assert pt.feasible
                 assert pt.max_rate >= lam[1] - 1e-9

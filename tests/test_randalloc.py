@@ -8,25 +8,31 @@ from bandalloc.model import ConfigurationError
 from bandalloc.randalloc import SelectionMatrix
 
 from conftest import random_rate_matrix
-from oracles import gamma_grid_oracle_dominant1 as grid_oracle_dominant1
+from oracles import (
+    conditional_service_rate,
+    gamma_grid_oracle_dominant1 as grid_oracle_dominant1,
+    one_band_gamma_opt,
+    one_band_region_check,
+    region_2x2_check,
+)
 
 
 class TestConditionalServiceRate:
     def test_alone(self, ref_2x2_rates):
         gamma = np.array([[0.3, 0.0], [0.6, 0.0]])
         expected = 0.3 * 0.175 + 0.6 * 0.7
-        got = randalloc.conditional_service_rate(gamma, {0}, ref_2x2_rates, 0)
+        got = conditional_service_rate(gamma, {0}, ref_2x2_rates, 0)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_certain_collision(self):
         mu = np.array([[0.5, 0.5]])
         rates = model.RateMatrix(mu=mu, mu_p=np.ones(1), pi=np.array([0.5]))
         gamma = np.array([[1.0, 1.0]])
-        assert randalloc.conditional_service_rate(gamma, {0, 1}, rates, 0) == 0.0
+        assert conditional_service_rate(gamma, {0, 1}, rates, 0) == 0.0
 
     def test_hand_value(self, ref_2x2_rates):
         gamma = np.array([[0.4, 1.0], [0.6, 0.0]])
-        got = randalloc.conditional_service_rate(gamma, {0, 1}, ref_2x2_rates, 0)
+        got = conditional_service_rate(gamma, {0, 1}, ref_2x2_rates, 0)
         assert got == pytest.approx(0.42, abs=1e-12)
 
     def test_nonincreasing_in_competitors(self):
@@ -38,7 +44,7 @@ class TestConditionalServiceRate:
             sets = [{0}]
             for v in range(1, m_s):
                 sets.append(sets[-1] | {v})
-            values = [randalloc.conditional_service_rate(gamma, s, rates, 0) for s in sets]
+            values = [conditional_service_rate(gamma, s, rates, 0) for s in sets]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -93,53 +99,53 @@ class TestDominantEnvelopes:
 
 class TestRegionCheck:
     def test_origin_inside(self, ref_2x2_mu):
-        assert randalloc.region_2x2_check(ref_2x2_mu, (0.0, 0.0))
+        assert region_2x2_check(ref_2x2_mu, (0.0, 0.0))
 
     def test_outside_orthogonal_region_is_outside(self, ref_2x2_mu, ref_2x2_rates):
         pt = orthogonal.envelope_point(ref_2x2_rates, [0.4, 0.0], 1)
-        assert not randalloc.region_2x2_check(ref_2x2_mu, (0.4, pt.max_rate + 0.01))
+        assert not region_2x2_check(ref_2x2_mu, (0.4, pt.max_rate + 0.01))
 
     def test_just_inside_dominant1_boundary(self, ref_2x2_mu):
         point = randalloc.dominant1_envelope_2x2(ref_2x2_mu, 0.3)
-        assert randalloc.region_2x2_check(ref_2x2_mu, (point.max_lambda - 1e-3, 0.3))
+        assert region_2x2_check(ref_2x2_mu, (point.max_lambda - 1e-3, 0.3))
 
 
 class TestOneBand:
     def test_gamma_opt_sole_user(self):
-        sel = randalloc.one_band_gamma_opt(0.175, 0.2125, 0.0)
+        sel = one_band_gamma_opt(0.175, 0.2125, 0.0)
         assert sel.gamma[0, 0] == 1.0
 
     def test_gamma_opt_example(self):
-        sel = randalloc.one_band_gamma_opt(0.175, 0.2125, 0.1)
+        sel = one_band_gamma_opt(0.175, 0.2125, 0.1)
         assert sel.gamma[0, 0] == pytest.approx(0.3140056594299646, abs=1e-9)
         assert sel.gamma[0, 1] == 1.0
         assert sel.gamma[1, 1] == 0.0
 
     def test_gamma_opt_saturating_competitor(self):
-        sel = randalloc.one_band_gamma_opt(0.175, 0.2125, 0.2125)
+        sel = one_band_gamma_opt(0.175, 0.2125, 0.2125)
         assert sel.gamma[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_gamma_opt_infeasible(self):
-        assert randalloc.one_band_gamma_opt(0.175, 0.2125, 0.25) is None
+        assert one_band_gamma_opt(0.175, 0.2125, 0.25) is None
 
     def test_region_boundary_value(self):
         lam1 = 0.175 * (1 - math.sqrt(0.1 / 0.2125)) ** 2
-        assert randalloc.one_band_region_check(0.175, 0.2125, (lam1 - 1e-6, 0.1))
-        assert not randalloc.one_band_region_check(0.175, 0.2125, (lam1 + 1e-6, 0.1))
+        assert one_band_region_check(0.175, 0.2125, (lam1 - 1e-6, 0.1))
+        assert not one_band_region_check(0.175, 0.2125, (lam1 + 1e-6, 0.1))
 
     def test_symmetric_quarter_point(self):
         mu = 0.6
-        assert not randalloc.one_band_region_check(mu, mu, (mu / 4, mu / 4))
-        assert randalloc.one_band_region_check(mu, mu, (mu / 4 - 1e-6, mu / 4 - 1e-6))
+        assert not one_band_region_check(mu, mu, (mu / 4, mu / 4))
+        assert one_band_region_check(mu, mu, (mu / 4 - 1e-6, mu / 4 - 1e-6))
 
     def test_single_coordinate_reduces_to_rate_check(self):
-        assert randalloc.one_band_region_check(0.5, 0.7, (0.49, 0.0))
-        assert not randalloc.one_band_region_check(0.5, 0.7, (0.51, 0.0))
+        assert one_band_region_check(0.5, 0.7, (0.49, 0.0))
+        assert not one_band_region_check(0.5, 0.7, (0.51, 0.0))
 
     def test_construction_matches_sqrt_region(self):
         # the optimal-selection service rate traces the same boundary as the sqrt form
         for lam2 in np.linspace(0.005, 0.21, 30):
-            sel = randalloc.one_band_gamma_opt(0.175, 0.2125, lam2)
+            sel = one_band_gamma_opt(0.175, 0.2125, lam2)
             g11 = sel.gamma[0, 0]
             mus2 = (1 - g11) * 0.2125  # competitor succeeds when user 1 is elsewhere
             lam1_env = 0.175 * g11 * (1 - lam2 / mus2)
@@ -152,11 +158,11 @@ class TestOneBand:
         for _ in range(100):
             mu11, mu12 = rng.uniform(0.05, 1.0, 2)
             lam2 = rng.uniform(0, mu12 * 0.999)
-            first = randalloc.one_band_gamma_opt(mu11, mu12, lam2)
+            first = one_band_gamma_opt(mu11, mu12, lam2)
             g11 = first.gamma[0, 0]
             lam1_b = mu11 * g11 * (1 - lam2 / ((1 - g11) * mu12)) if lam2 else mu11
             # mirrored construction: swap the user roles and trace back
-            second = randalloc.one_band_gamma_opt(mu12, mu11, lam1_b)
+            second = one_band_gamma_opt(mu12, mu11, lam1_b)
             if second is None:
                 assert lam1_b > mu11 * (1 - 1e-9)
                 continue
@@ -167,7 +173,7 @@ class TestOneBand:
     def test_non_convexity_witness(self):
         mu = 0.5
         # midpoint of the two axis extremes lies outside the region
-        assert not randalloc.one_band_region_check(mu, mu, (mu / 2, mu / 2))
+        assert not one_band_region_check(mu, mu, (mu / 2, mu / 2))
 
 
 class TestSelectionMatrix:
@@ -179,4 +185,4 @@ class TestSelectionMatrix:
 
     def test_dimension_mismatch_in_service_rate(self, ref_2x2_rates):
         with pytest.raises(ConfigurationError):
-            randalloc.conditional_service_rate(np.ones((1, 1)), {0}, ref_2x2_rates, 0)
+            conditional_service_rate(np.ones((1, 1)), {0}, ref_2x2_rates, 0)

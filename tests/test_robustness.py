@@ -14,6 +14,8 @@ from bandalloc import cli, fixedalloc, model, orthogonal, randalloc
 from bandalloc.model import ConfigurationError, PrimaryBand, SecondaryUser, SlotConfig
 from bandalloc.optim import LpProblem
 
+from oracles import fully_symmetric_max, one_band_gamma_opt, one_band_region_check
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -81,6 +83,14 @@ class TestMalformedArguments:
     def test_grid_point_cap(self, ref_2x2_file, capsys, grid):
         assert_error(capsys, "compare", "--scenario", ref_2x2_file, f"--grid={grid}",
                      expect="more than 100000 points")
+
+    def test_grid_point_cap_counts_the_stop_point(self, ref_2x2_file, capsys, monkeypatch):
+        # 99999.5 / 1 steps give 100000 points plus the appended stop point,
+        # which used to pass the cap; refused before any sweep runs
+        assert len(cli._parse_grid("0:99999:1")) == 100_000
+        monkeypatch.setattr(cli, "_envelope_report", None)
+        assert_error(capsys, "envelope", "--scenario", ref_2x2_file, "--system", "S",
+                     "--grid=0:99999.5:1", expect="more than 100000 points")
 
     @pytest.mark.parametrize("system", ["S", "S_hat", "fixed"])
     def test_negative_grid_start(self, ref_2x2_file, capsys, system):
@@ -195,7 +205,7 @@ class TestNanBoundsAndRates:
 
     def test_fully_symmetric_max_refuses_nan(self):
         with pytest.raises(ConfigurationError, match="must be >= 0"):
-            orthogonal.fully_symmetric_max(2, 2, math.nan)
+            fully_symmetric_max(2, 2, math.nan)
 
 
 class TestFixedAllocationRates:
@@ -227,6 +237,20 @@ def test_sweep_needs_a_second_user(module):
         module.sweep_envelope(rates, 0, [0.1])
 
 
+@pytest.mark.parametrize("axis", [2, 7, -1])
+@pytest.mark.parametrize("system", ["S", "S_hat", "fixed"])
+def test_sweeps_refuse_an_axis_out_of_range(ref_2x2_rates, system, axis):
+    # shat_envelope used to sweep any axis but 0 as axis 1, and the S and fixed
+    # sweeps with ``others`` given raised IndexError for axis 7
+    sweep = {
+        "S": lambda: orthogonal.sweep_envelope(ref_2x2_rates, axis, [0.1], others=[0.0, 0.0]),
+        "S_hat": lambda: randalloc.shat_envelope(ref_2x2_rates.mu, axis, [0.1]),
+        "fixed": lambda: fixedalloc.sweep_envelope(ref_2x2_rates, axis, [0.1], others=[0.0, 0.0]),
+    }[system]
+    with pytest.raises(ConfigurationError, match=f"user index {axis} out of range"):
+        sweep()
+
+
 class TestRandomSelectionRates:
     # dominant1_envelope_2x2(mu, nan) used to report infeasible,
     # shat_section_lambda2(mu, nan) to return None and selection_for_rates to
@@ -245,9 +269,9 @@ class TestRandomSelectionRates:
     @pytest.mark.parametrize("args", [(math.nan, 0.2, 0.1), (0.2, math.nan, 0.1), (0.2, 0.3, math.nan)])
     def test_one_band_optimum_refuses_nan(self, args):
         with pytest.raises(ConfigurationError, match="must be >= 0"):
-            randalloc.one_band_gamma_opt(*args)
+            one_band_gamma_opt(*args)
 
     @pytest.mark.parametrize("pair", [(math.nan, 0.1), (0.1, math.nan), (-0.1, 0.1)])
     def test_one_band_region_check_refuses(self, pair):
         with pytest.raises(ConfigurationError, match="must be >= 0"):
-            randalloc.one_band_region_check(0.5, 0.7, pair)
+            one_band_region_check(0.5, 0.7, pair)

@@ -6,6 +6,7 @@ from bandalloc.model import ConfigurationError
 from bandalloc.schedule import PermutationSchedule
 
 from conftest import ref_2x2_scenario
+from oracles import conditional_service_rate, to_json, trace_csv
 
 
 def ref_2x2_schedule(lam1=0.4):
@@ -53,7 +54,7 @@ class TestRunBasics:
         sc = ref_2x2_scenario(0.9 * 0.4, lam2)
         res = sim.run(sc, sim.Policy.orthogonal(sched), sim.SimConfig(n_slots=100_000, seed=4))
         assert res.verdicts_secondary == ("stable", "stable")
-        thr = sim.empirical_throughput(res)
+        thr = res.secondary_throughput
         assert thr[1] == pytest.approx(lam2, abs=0.01)
 
     def test_outside_point_unstable(self):
@@ -99,13 +100,13 @@ class TestEmpiricalRates:
     def test_saturated_single_user_one_free_band(self):
         sc = single_band_scenario(lam_p=0.0, mu_p=1.0, lam_s=1.0, pbar=0.7)
         res = sim.run(sc, sim.Policy.fixed((1,)), sim.SimConfig(n_slots=100_000, seed=9))
-        assert sim.empirical_throughput(res)[0] == pytest.approx(0.7, abs=0.01)
+        assert res.secondary_throughput[0] == pytest.approx(0.7, abs=0.01)
 
     def test_saturated_orthogonal_matches_service_formula(self):
         rates, point, sched = ref_2x2_schedule(0.4)
         sc = ref_2x2_scenario(1.0, 1.0)
         res = sim.run(sc, sim.Policy.orthogonal(sched), sim.SimConfig(n_slots=100_000, seed=10))
-        thr = sim.empirical_throughput(res)
+        thr = res.secondary_throughput
         for k in range(2):
             analytic = model.secondary_service_rate(point.omega_star.omega, rates, k)
             assert thr[k] == pytest.approx(analytic, abs=0.01)
@@ -115,9 +116,9 @@ class TestEmpiricalRates:
         gamma = randalloc.SelectionMatrix(np.array([[0.4, 1.0], [0.6, 0.0]]))
         sc = ref_2x2_scenario(1.0, 1.0)
         res = sim.run(sc, sim.Policy.random(gamma), sim.SimConfig(n_slots=100_000, seed=11))
-        thr = sim.empirical_throughput(res)
+        thr = res.secondary_throughput
         for k in range(2):
-            analytic = randalloc.conditional_service_rate(gamma, {0, 1}, rates, k)
+            analytic = conditional_service_rate(gamma, {0, 1}, rates, k)
             assert thr[k] == pytest.approx(analytic, abs=0.01)
 
     def test_two_saturated_users_one_band_always_collide(self):
@@ -150,7 +151,7 @@ class TestVirtualBands:
         assert res.verdicts_secondary == ("unstable",)
         # pinned to the live band instead: serviced at its link rate
         res = sim.run(sc, sim.Policy.fixed((2,)), sim.SimConfig(n_slots=100_000, seed=21))
-        assert sim.empirical_throughput(res)[0] == pytest.approx(0.9, abs=0.01)
+        assert res.secondary_throughput[0] == pytest.approx(0.9, abs=0.01)
 
 
 class TestDeterminism:
@@ -160,7 +161,7 @@ class TestDeterminism:
         cfg = sim.SimConfig(n_slots=20_000, seed=13)
         a = sim.run(sc, sim.Policy.orthogonal(sched), cfg)
         b = sim.run(sc, sim.Policy.orthogonal(sched), cfg)
-        assert a.to_json() == b.to_json()
+        assert to_json(a) == to_json(b)
 
     def test_primary_identical_across_policies(self):
         sc = ref_2x2_scenario(0.3, 0.2)
@@ -180,7 +181,7 @@ class TestDeterminism:
         _, _, sched = ref_2x2_schedule()
         a = sim.run(sc, sim.Policy.orthogonal(sched), sim.SimConfig(n_slots=5000, seed=1))
         b = sim.run(sc, sim.Policy.orthogonal(sched), sim.SimConfig(n_slots=5000, seed=2))
-        assert a.to_json() != b.to_json()
+        assert to_json(a) != to_json(b)
 
 
 class TestVerdictsAndSerialization:
@@ -208,7 +209,7 @@ class TestVerdictsAndSerialization:
         _, _, sched = ref_2x2_schedule()
         res = sim.run(sc, sim.Policy.orthogonal(sched),
                       sim.SimConfig(n_slots=1000, seed=18, trace_stride=100))
-        lines = res.trace_csv().strip().split("\n")
+        lines = trace_csv(res).strip().split("\n")
         assert lines[0] == "slot,qp_1,qp_2,qs_1,qs_2"
         assert len(lines) == 1 + 10
 

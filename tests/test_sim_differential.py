@@ -20,7 +20,7 @@ import pytest
 from bandalloc import cli, fixedalloc, model, orthogonal, randalloc, schedule, sim
 
 from conftest import ref_2x2_scenario
-from oracles import reference_run
+from oracles import reference_run, to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -124,5 +124,5 @@ def test_output_does_not_depend_on_block_length(monkeypatch):
     results = []
     for block in (1000, 7, 8192, 1100):
         monkeypatch.setattr(sim, "_BLOCK", block)
-        results.append(sim.run(scenario, policy, config).to_json())
+        results.append(to_json(sim.run(scenario, policy, config)))
     assert len(set(results)) == 1
