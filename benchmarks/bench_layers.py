@@ -10,9 +10,10 @@ A case is named after the function it times; where the ``--src`` tree lacks
 that function, the case is reported as ``{"absent": true}`` instead.
 Each case is one call on a fixed input: the S_hat dominant-system envelopes
 and union-region section on the reference 2x2 scenario, the S envelope LP
-and the max-slack assignment LP on both shipped scenarios, the Birkhoff
-decomposition of the padded 5x4 max-slack assignment (the matrix
-``decompose`` splits), a 21-point fixed-system sweep on the 5x4 scenario,
+and the max-slack assignment LP on both shipped scenarios, the padding and
+Birkhoff decomposition of the 5x4 max-slack assignment
+(``schedule.schedule_from_assignment``, which ``decompose`` and ``simulate
+--system S`` call), a 21-point fixed-system sweep on the 5x4 scenario,
 both as ``fixedalloc.sweep_envelope`` and as the whole ``envelope`` command
 through ``cli.main`` (output to the null device), and a 1e5-slot ``sim.run``
 of each policy on the reference 2x2 scenario at rates (0.3, 0.3), with the
@@ -63,7 +64,7 @@ def cases():
     mu = ref.mu
     lam = [0.3, 0.3]
     big_lam = [0.1, 0.1, 0.1, 0.1]
-    padded = schedule.pad_to_doubly_stochastic(orthogonal.max_slack_assignment(big, big_lam))
+    big_omega = orthogonal.max_slack_assignment(big, big_lam)
     loaded = replace(ref_scenario, users=tuple(replace(u, arrival_rate_lambda_s=v)
                                                for u, v in zip(ref_scenario.users, lam)))
     policies = {
@@ -84,8 +85,8 @@ def cases():
         ("orthogonal.envelope_point 5x4", lambda: orthogonal.envelope_point(big, [0.0, 0.1, 0.1, 0.1], 0)),
         ("orthogonal.max_slack_assignment 2x2", lambda: orthogonal.max_slack_assignment(ref, lam)),
         ("orthogonal.max_slack_assignment 5x4", lambda: orthogonal.max_slack_assignment(big, big_lam)),
-        ("schedule.birkhoff_decompose 5x4", lambda: schedule.birkhoff_decompose(
-            padded.matrix, padded.band_of_row, padded.user_of_col)),
+        ("schedule.schedule_from_assignment 5x4",
+         lambda: schedule.schedule_from_assignment(big_omega)),
         ("fixedalloc.sweep_envelope 5x4 21 points", lambda: fixedalloc.sweep_envelope(
             big, 0, grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
         ("cli.main envelope --system fixed 5x4 21 points", lambda: cli.main(envelope)),

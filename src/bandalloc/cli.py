@@ -359,7 +359,7 @@ def cmd_decompose(args) -> int:
             "axis_user": axis + 1,
             "max_rate": point.max_rate,
             "omega": [[float(v) for v in row] for row in point.omega_star.omega],
-            "padded": [[float(v) for v in row] for row in padded.matrix.m],
+            "padded": [[float(v) for v in row] for row in padded.m],
             "schedule": sched.to_dict(),
         }
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
@@ -370,7 +370,7 @@ def cmd_decompose(args) -> int:
     for row in point.omega_star.omega:
         lines.append("  " + " ".join(_r(v) for v in row))
     lines.append("padded doubly stochastic matrix:")
-    for row in padded.matrix.m:
+    for row in padded.m:
         lines.append("  " + " ".join(_r(v) for v in row))
     lines.append("schedule (band per user; 0 = idle):")
     for perm, w in sched.entries:

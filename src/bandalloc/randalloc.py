@@ -23,6 +23,7 @@ from .optim import fractional_argmax
 _TOL = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_BATCH = 5  # golden-section steps per array call; divides 60
+_SECTION_TOL = 1e-6  # bisection stops once the lambda_s2 bracket is this narrow
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def dominant2_envelope_2x2(mu, lambda_s1: float, grid_step: float = 1e-3) -> Dom
     )
 
 
-def shat_section_lambda2(mu, lambda_s1: float, tol: float = 1e-6) -> float | None:
+def shat_section_lambda2(mu, lambda_s1: float) -> float | None:
     """Largest lambda_s2 such that (lambda_s1, lambda_s2) is in the union region.
 
     Takes the better of the dominant-2 envelope at lambda_s1 and the inverse of
@@ -185,7 +186,7 @@ def shat_section_lambda2(mu, lambda_s1: float, tol: float = 1e-6) -> float | Non
         if hi > 0 and carries(hi):
             lo = hi
         elif hi > 0:
-            while hi - lo > tol:
+            while hi - lo > _SECTION_TOL:
                 mid = (lo + hi) / 2.0
                 if carries(mid):
                     lo = mid
@@ -223,10 +224,13 @@ def selection_for_rates(mu, lambdas) -> SelectionMatrix:
 
     Two users on 1-2 bands: the dominant-1 optimum if it carries the rates, else
     dominant 2's if that does, else the first feasible one, else gamma = 1/2.
-    Any other shape: uniform selection over the bands.
+    Any other shape: uniform selection over the bands. ``lambdas`` holds one
+    rate per user, whatever the shape.
     """
     mu = np.asarray(mu, dtype=float)
     m_p, m_s = mu.shape
+    if np.shape(lambdas) != (m_s,):
+        raise ConfigurationError("rates must have one entry per user")
     padded = _padded_2x2(mu)
     if padded is None:
         return SelectionMatrix(np.full((m_p, m_s), 1.0 / m_p))

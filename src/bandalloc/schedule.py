@@ -9,7 +9,8 @@ perfect matching on the strictly-positive support with augmenting paths and
 subtract the minimum matched entry.
 
 Permutations are encoded as M_s-tuples of band numbers (1-based), 0 meaning
-the user sits on a virtual band that slot.
+the user sits on a virtual band that slot. The padded matrix holds the virtual
+bands in the rows after M_p and the virtual users in the columns after M_s.
 """
 
 from __future__ import annotations
@@ -82,29 +83,15 @@ class PermutationSchedule:
         return {"entries": [{"assignment": list(perm), "weight": w} for perm, w in self.entries]}
 
 
-@dataclass(frozen=True)
-class PaddedAssignment:
-    """omega embedded in a doubly stochastic matrix plus the index maps back.
-
-    ``band_of_row[i]`` is the 1-based band number of row i (0 for a virtual
-    band row); ``user_of_col[j]`` is the user index of column j (None for a
-    virtual user column).
-    """
-
-    matrix: DoublyStochasticMatrix
-    band_of_row: tuple[int, ...]
-    user_of_col: tuple[int | None, ...]
-
-
-def pad_to_doubly_stochastic(omega: AssignmentMatrix | np.ndarray) -> PaddedAssignment:
+def pad_to_doubly_stochastic(omega: AssignmentMatrix | np.ndarray) -> DoublyStochasticMatrix:
     """Embed omega into an n x n doubly stochastic matrix, n = max(M_p, M_s).
 
-    Row/column slack is routed into the virtual rows/columns first (northwest
-    order). Slack the virtual cells cannot hold is placed northwest-first in the
-    real block: always when omega is slack and M_p = M_s (no virtual block), and
-    also when M_p != M_s and omega leaves more slack than the virtual cells take
-    (omega = [[.5, 0], [0, .5], [0, 0]] puts 0.5 of band 3 on each user). It only
-    ever adds assignments where both the band and the user have slack in omega.
+    Row/column slack is routed into the virtual cells first, then into the
+    real block, each in row-major (northwest) order. The real block takes
+    slack always when omega is slack and M_p = M_s (no virtual block), and
+    also when M_p != M_s and omega leaves more slack than the virtual cells
+    take (omega = [[.5, 0], [0, .5], [0, 0]] puts 0.5 of band 3 on each user).
+    It only ever adds assignments where both the band and the user have slack.
     """
     if not isinstance(omega, AssignmentMatrix):
         omega = AssignmentMatrix(omega)
@@ -114,27 +101,15 @@ def pad_to_doubly_stochastic(omega: AssignmentMatrix | np.ndarray) -> PaddedAssi
     D[:m_p, :m_s] = omega.omega
     row_slack = np.clip(1.0 - D.sum(axis=1), 0.0, None)
     col_slack = np.clip(1.0 - D.sum(axis=0), 0.0, None)
-    for i in range(n):
-        for j in range(n):
-            if i < m_p and j < m_s:
-                continue
-            fill = min(row_slack[i], col_slack[j])
-            if fill > 0:
-                D[i, j] += fill
-                row_slack[i] -= fill
-                col_slack[j] -= fill
-    for i in range(m_p):
-        if row_slack[i] <= 0:
-            continue
-        for j in range(m_s):
-            fill = min(row_slack[i], col_slack[j])
-            if fill > 0:
-                D[i, j] += fill
-                row_slack[i] -= fill
-                col_slack[j] -= fill
-    band_of_row = tuple(j + 1 if j < m_p else 0 for j in range(n))
-    user_of_col = tuple(k if k < m_s else None for k in range(n))
-    return PaddedAssignment(DoublyStochasticMatrix(D), band_of_row, user_of_col)
+    virtual = [(i, j) for i in range(n) for j in range(n) if i >= m_p or j >= m_s]
+    real = [(i, j) for i in range(m_p) for j in range(m_s)]
+    for i, j in virtual + real:
+        fill = min(row_slack[i], col_slack[j])
+        if fill > 0:
+            D[i, j] += fill
+            row_slack[i] -= fill
+            col_slack[j] -= fill
+    return DoublyStochasticMatrix(D)
 
 
 def _perfect_matching(support: np.ndarray) -> list[int] | None:
@@ -157,29 +132,17 @@ def _perfect_matching(support: np.ndarray) -> list[int] | None:
     return row_of_col
 
 
-def birkhoff_decompose(
-    matrix: DoublyStochasticMatrix | np.ndarray,
-    band_of_row: tuple[int, ...] | None = None,
-    user_of_col: tuple[int | None, ...] | None = None,
-) -> PermutationSchedule:
+def birkhoff_decompose(matrix: DoublyStochasticMatrix | np.ndarray) -> PermutationSchedule:
     """Greedy Birkhoff-von Neumann decomposition of a doubly stochastic matrix.
 
     Repeatedly finds a perfect matching on the > 1e-9 support, emits it with
     the minimum matched entry as weight, and subtracts. At most (n-1)^2 + 1
-    permutations result; weights are renormalized to sum to one exactly.
-    Index maps translate padded rows/columns back to band numbers and users
-    (defaults treat every row as band 1..n and every column as a real user).
+    permutations result; weights are renormalized to sum to one exactly. Row i
+    is band i+1 and column k is user k.
     """
     if not isinstance(matrix, DoublyStochasticMatrix):
         matrix = DoublyStochasticMatrix(matrix)
     n = matrix.n
-    if band_of_row is None:
-        band_of_row = tuple(range(1, n + 1))
-    if user_of_col is None:
-        user_of_col = tuple(range(n))
-    user_cols = [(user, col) for col, user in enumerate(user_of_col) if user is not None]
-    user_cols.sort()
-
     residual = matrix.m.copy()
     raw: list[tuple[tuple[int, ...], float]] = []
     for _ in range(n * n + 1):
@@ -189,8 +152,7 @@ def birkhoff_decompose(
         if row_of_col is None:
             raise DecompositionError("support has no perfect matching")
         weight = min(residual[row_of_col[c], c] for c in range(n))
-        perm = tuple(band_of_row[row_of_col[col]] for _, col in user_cols)
-        raw.append((perm, weight))
+        raw.append((tuple(r + 1 for r in row_of_col), weight))
         for c in range(n):
             residual[row_of_col[c], c] -= weight
     else:
@@ -201,11 +163,18 @@ def birkhoff_decompose(
     return PermutationSchedule(tuple((perm, w / total) for perm, w in kept))
 
 
-def schedule_from_assignment(omega: AssignmentMatrix | np.ndarray) -> tuple[PaddedAssignment, PermutationSchedule]:
-    """Pad omega and decompose it in one step."""
+def schedule_from_assignment(omega: AssignmentMatrix | np.ndarray) -> tuple[DoublyStochasticMatrix, PermutationSchedule]:
+    """Pad omega and decompose it: the padded matrix and the schedule.
+
+    Bands above M_p (virtual) read as 0, and only the first M_s users are kept.
+    """
+    if not isinstance(omega, AssignmentMatrix):
+        omega = AssignmentMatrix(omega)
     padded = pad_to_doubly_stochastic(omega)
-    schedule = birkhoff_decompose(padded.matrix, padded.band_of_row, padded.user_of_col)
-    return padded, schedule
+    m_p, m_s = omega.m_p, omega.m_s
+    entries = tuple((tuple(band if band <= m_p else 0 for band in perm[:m_s]), w)
+                    for perm, w in birkhoff_decompose(padded).entries)
+    return padded, PermutationSchedule(entries)
 
 
 def sample_indices(weights, u: np.ndarray, fallback: int) -> np.ndarray:

@@ -41,8 +41,8 @@ negative (``schedule.sample_indices``).
 
 Results. ``run`` returns a ``SimResult``: per-queue counters, the sampled
 backlog traces, the post-warmup secondary throughput (departures per slot) and
-the stability verdict of each queue. ``SimResult.to_dict`` is the form the CLI
-prints.
+the stability verdict of each queue, fitted to its trace array. ``to_dict`` is
+the form the CLI prints: the fields in order, queue counters as dicts.
 """
 
 from __future__ import annotations
@@ -163,53 +163,23 @@ class SimResult:
     verdicts_secondary: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        return {
-            "n_slots": self.n_slots,
-            "warmup": self.warmup,
-            "seed": self.seed,
-            "primary": [vars(q) for q in self.primary],
-            "secondary": [vars(q) for q in self.secondary],
-            "trace_slots": list(self.trace_slots),
-            "trace_primary": [list(r) for r in self.trace_primary],
-            "trace_secondary": [list(r) for r in self.trace_secondary],
-            "post_warmup_slots": self.post_warmup_slots,
-            "post_warmup_departures": list(self.post_warmup_departures),
-            "secondary_throughput": list(self.secondary_throughput),
-            "primary_empty_fraction": list(self.primary_empty_fraction),
-            "collision_count": self.collision_count,
-            "verdicts_primary": list(self.verdicts_primary),
-            "verdicts_secondary": list(self.verdicts_secondary),
-        }
+        return {**vars(self), "primary": [vars(q) for q in self.primary],
+                "secondary": [vars(q) for q in self.secondary]}
 
 
 def _verdict(trace_slots, lengths, warmup: int, n_slots: int, final_length: int) -> str:
     """Slope/backlog surrogate for the asymptotic stability definition."""
-    xs = [s for s in trace_slots if s >= warmup]
-    ys = [l for s, l in zip(trace_slots, lengths) if s >= warmup]
+    slots = np.asarray(trace_slots)
+    post = slots >= warmup
+    xs = slots[post]
     if len(xs) < 3:
         return "inconclusive"
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    post = n_slots - warmup
-    if slope < SLOPE_STABLE and final_length < BACKLOG_FRACTION * post:
+    slope = float(np.polyfit(xs, np.asarray(lengths)[post], 1)[0])
+    if slope < SLOPE_STABLE and final_length < BACKLOG_FRACTION * (n_slots - warmup):
         return "stable"
     if slope > SLOPE_UNSTABLE:
         return "unstable"
     return "inconclusive"
-
-
-def assess_stability(result: SimResult) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Re-derive the per-queue verdicts from a result's trace (primary, secondary)."""
-    prim = tuple(
-        _verdict(result.trace_slots, [row[j] for row in result.trace_primary],
-                 result.warmup, result.n_slots, result.primary[j].final_length)
-        for j in range(len(result.primary))
-    )
-    sec = tuple(
-        _verdict(result.trace_slots, [row[k] for row in result.trace_secondary],
-                 result.warmup, result.n_slots, result.secondary[k].final_length)
-        for k in range(len(result.secondary))
-    )
-    return prim, sec
 
 
 def _streams(seed: int, count: int) -> list[np.random.Generator]:
@@ -378,7 +348,7 @@ def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
 
     post_slots = n_slots - warmup
     dep_s_post = dep_s_post.tolist()
-    result = SimResult(
+    return SimResult(
         n_slots=n_slots,
         warmup=warmup,
         seed=config.seed,
@@ -392,6 +362,8 @@ def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
         secondary_throughput=tuple(d / post_slots for d in dep_s_post),
         primary_empty_fraction=tuple(e / post_slots for e in empty_post.tolist()),
         collision_count=collisions,
+        verdicts_primary=tuple(_verdict(trace_slots, col, warmup, n_slots, q)
+                               for col, q in zip(trace_p.T, qp)),
+        verdicts_secondary=tuple(_verdict(trace_slots, col, warmup, n_slots, q)
+                                 for col, q in zip(trace_s.T, qs)),
     )
-    prim_v, sec_v = assess_stability(result)
-    return SimResult(**{**vars(result), "verdicts_primary": prim_v, "verdicts_secondary": sec_v})

@@ -25,7 +25,10 @@ service rate (``conditional_service_rate``), the S_hat membership tests
 fractional maximizer (``FractionalCoeffs``, ``maximize_fractional_1d``), the
 one-draw schedule sampler (``sample_permutation``), and the former methods
 ``marginal`` and ``schedule_from_dict`` of ``PermutationSchedule`` and
-``to_json`` and ``trace_csv`` of ``SimResult``.
+``to_json`` and ``trace_csv`` of ``SimResult``. ``assess_stability``
+re-derives a result's verdicts from its stored trace tuples; ``reference_run``
+and the simulator tests compare it with the verdicts ``sim.run`` computes from
+its trace arrays.
 """
 
 import itertools
@@ -386,6 +389,21 @@ def trace_csv(result: sim.SimResult) -> str:
         row += [str(v) for v in result.trace_secondary[i]]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def assess_stability(result: sim.SimResult) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Re-derive the per-queue verdicts from a result's trace (primary, secondary)."""
+    prim = tuple(
+        sim._verdict(result.trace_slots, [row[j] for row in result.trace_primary],
+                     result.warmup, result.n_slots, result.primary[j].final_length)
+        for j in range(len(result.primary))
+    )
+    sec = tuple(
+        sim._verdict(result.trace_slots, [row[k] for row in result.trace_secondary],
+                     result.warmup, result.n_slots, result.secondary[k].final_length)
+        for k in range(len(result.secondary))
+    )
+    return prim, sec
 
 
 # The scalar dominant-system path, one gamma21 per call. The arithmetic is kept
@@ -816,7 +834,7 @@ def reference_run(scenario, policy, config):
         primary_empty_fraction=tuple(e / post_slots for e in empty_post),
         collision_count=collisions,
     )
-    prim_v, sec_v = sim.assess_stability(result)
+    prim_v, sec_v = assess_stability(result)
     return sim.SimResult(**{**vars(result), "verdicts_primary": prim_v, "verdicts_secondary": sec_v})
 
 

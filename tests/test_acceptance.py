@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
 
-import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -12,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from bandalloc import fixedalloc, model, optim, orthogonal, randalloc, schedule, sim
+from bandalloc import fixedalloc, model, orthogonal, randalloc, schedule, sim
 
 from conftest import ref_2x2_scenario, random_rate_matrix
 from oracles import (

@@ -321,7 +321,7 @@ class TestOptimumStructure:
             pt = orthogonal.envelope_point(rates, [lam1, 0.0], 1)
             assert pt.feasible
             padded = schedule.pad_to_doubly_stochastic(pt.omega_star)
-            full = padded.matrix.m  # square case: the real block itself
+            full = padded.m  # square case: the real block itself
             assert np.allclose(full.sum(axis=0), 1.0, atol=1e-9)
             assert np.allclose(full.sum(axis=1), 1.0, atol=1e-9)
             assert model.secondary_service_rate(full, rates, 0) >= lam1 - 1e-9

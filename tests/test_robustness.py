@@ -266,6 +266,15 @@ class TestRandomSelectionRates:
         with pytest.raises(ConfigurationError, match="must be >= 0"):
             randalloc.selection_for_rates(ref_2x2_mu, lam)
 
+    def test_selection_for_rates_refuses_a_wrong_rate_count(self, ref_2x2_mu):
+        # on the 2x2 shape a wrong count used to fail unpacking with a bare
+        # ValueError; on other shapes the rates were never read
+        for mu in (ref_2x2_mu, ref_2x2_mu[:1], np.full((3, 3), 0.5), np.full((2, 1), 0.5)):
+            m_s = mu.shape[1]
+            for count in {0, m_s - 1, m_s + 1}:
+                with pytest.raises(ConfigurationError, match="one entry per user"):
+                    randalloc.selection_for_rates(mu, [0.1] * count)
+
     @pytest.mark.parametrize("args", [(math.nan, 0.2, 0.1), (0.2, math.nan, 0.1), (0.2, 0.3, math.nan)])
     def test_one_band_optimum_refuses_nan(self, args):
         with pytest.raises(ConfigurationError, match="must be >= 0"):

@@ -21,19 +21,18 @@ from oracles import marginal, random_doubly_stochastic, sample_permutation, sche
 class TestPadding:
     def test_already_doubly_stochastic(self):
         omega = np.array([[0.3, 0.7], [0.7, 0.3]])
-        padded = pad_to_doubly_stochastic(omega)
-        assert np.allclose(padded.matrix.m, omega, atol=1e-12)
-        assert padded.band_of_row == (1, 2)
-        assert padded.user_of_col == (0, 1)
+        padded, sched = schedule_from_assignment(omega)
+        assert np.allclose(padded.m, omega, atol=1e-12)
+        assert sorted(perm for perm, _ in sched.entries) == [(1, 2), (2, 1)]  # no virtual band
 
     def test_one_band_two_users(self):
-        padded = pad_to_doubly_stochastic(np.array([[0.53, 0.47]]))
-        assert np.allclose(padded.matrix.m, [[0.53, 0.47], [0.47, 0.53]], atol=1e-12)
-        assert padded.band_of_row == (1, 0)  # second row is a virtual band
+        padded, sched = schedule_from_assignment(np.array([[0.53, 0.47]]))
+        assert np.allclose(padded.m, [[0.53, 0.47], [0.47, 0.53]], atol=1e-12)
+        assert sorted(perm for perm, _ in sched.entries) == [(0, 1), (1, 0)]  # second row is a virtual band
 
     def test_all_zero_square(self):
         padded = pad_to_doubly_stochastic(np.zeros((2, 2)))
-        assert np.allclose(padded.matrix.m, np.eye(2), atol=1e-12)
+        assert np.allclose(padded.m, np.eye(2), atol=1e-12)
 
     def test_rejects_violating_omega(self):
         with pytest.raises(ConfigurationError):
@@ -53,7 +52,7 @@ class TestPadding:
             else:
                 omega = random_doubly_stochastic(rng, m_s)[:m_p, :]
             padded = pad_to_doubly_stochastic(omega)
-            assert np.allclose(padded.matrix.m[:m_p, :m_s], omega, atol=1e-9)
+            assert np.allclose(padded.m[:m_p, :m_s], omega, atol=1e-9)
 
 
 class TestBirkhoff:

@@ -6,7 +6,7 @@ from bandalloc.model import ConfigurationError
 from bandalloc.schedule import PermutationSchedule
 
 from conftest import ref_2x2_scenario
-from oracles import conditional_service_rate, to_json, trace_csv
+from oracles import assess_stability, conditional_service_rate, to_json, trace_csv
 
 
 def ref_2x2_schedule(lam1=0.4):
@@ -194,7 +194,7 @@ class TestVerdictsAndSerialization:
         sc = ref_2x2_scenario(0.3, 0.4)
         _, _, sched = ref_2x2_schedule()
         res = sim.run(sc, sim.Policy.orthogonal(sched), sim.SimConfig(n_slots=20_000, seed=16))
-        prim, sec = sim.assess_stability(res)
+        prim, sec = assess_stability(res)
         assert prim == res.verdicts_primary
         assert sec == res.verdicts_secondary
 
