@@ -579,6 +579,20 @@ def _ref_run_simplex(T: np.ndarray, basis: list[int], n_allowed: int, m: int) ->
     return "failed"
 
 
+def bound_rows_lp(c, A, b, lo, hi) -> LpProblem:
+    """maximize c @ x s.t. A @ x <= b, lo <= x <= hi, with each finite upper bound a row.
+
+    The rows x_i <= hi_i follow A in variable order: the rows ``solve_lp``
+    built from upper bounds when ``LpProblem`` still carried them.
+    """
+    c = np.atleast_1d(np.asarray(c, float))
+    hi = np.broadcast_to(np.asarray(hi, float), c.shape)
+    finite = np.isfinite(hi)
+    A = np.vstack([np.asarray(A, float).reshape(-1, c.size), np.eye(c.size)[finite]])
+    b = np.concatenate([np.atleast_1d(np.asarray(b, float)), hi[finite]])
+    return LpProblem(c=c, A=A, b=b, lo=np.asarray(lo, float), hi=np.full(c.size, math.inf))
+
+
 def reference_solve_lp(problem: LpProblem) -> LpSolution:
     """Solve a small dense LP; never reports a wrong "optimal".
 

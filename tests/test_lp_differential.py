@@ -22,7 +22,7 @@ from bandalloc import cli, model, optim, orthogonal
 from bandalloc.model import ConfigurationError
 from bandalloc.optim import LpProblem
 
-from oracles import reference_solve_lp
+from oracles import bound_rows_lp, reference_solve_lp
 
 # five_by_four_jitter_28.json as the region-5x4 benchmark generates it for
 # seed 7, with users 3 and 4 pinned and user 1 at the grid point where the
@@ -60,7 +60,10 @@ def jitter_28_rates() -> model.RateMatrix:
 
 
 def _assert_same(problem):
-    got, want = optim.solve_lp(problem), reference_solve_lp(problem)
+    return _assert_equal(optim.solve_lp(problem), reference_solve_lp(problem))
+
+
+def _assert_equal(got, want):
     assert got.status == want.status
     assert got.value == want.value
     if want.x is None:
@@ -133,12 +136,17 @@ def test_optim_test_shapes(ref_2x2_mu):
 
 def _recorded_lps(calls):
     """Every LpProblem the calls hand to ``optim.solve_lp``, in call order."""
-    problems = []
+    return [problem for problem, _ in _recorded_solves(calls)]
+
+
+def _recorded_solves(calls):
+    """(problem, solution) for every LpProblem the calls hand to ``optim.solve_lp``."""
+    solves = []
     solve = optim.solve_lp
 
     def record(problem):
-        problems.append(problem)
-        return solve(problem)
+        solves.append((problem, solve(problem)))
+        return solves[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optim, "solve_lp", record)
@@ -147,7 +155,7 @@ def _recorded_lps(calls):
                 call()
             except (RuntimeError, ConfigurationError):
                 pass  # the recorded problem is compared below either way
-    return problems
+    return solves
 
 
 def _scenario_mu(rng, kind):
@@ -155,6 +163,8 @@ def _scenario_mu(rng, kind):
     mu = rng.uniform(0.05, 1.0, (m_p, m_s))
     if kind == "rounded":
         mu = np.round(mu, 1)
+    elif kind == "zeros":
+        mu = np.where(rng.random((m_p, m_s)) < 0.3, 0.0, np.round(mu, 2))
     elif kind == "symmetric_users":
         mu = np.repeat(mu[:, :1], m_s, axis=1)
     elif kind == "symmetric_bands":
@@ -205,6 +215,56 @@ def test_shipped_scenario_sweeps(name, axis, pinned, grid_stop):
     assert len(problems) == 27
     for problem in problems:
         _assert_same(problem)
+
+
+def _random_assignment_calls(rng, count, kinds):
+    """``count`` envelope_point calls and ``count`` max_slack_assignment calls on random scenarios."""
+    envelope, slack = [], []
+    for i in range(count):
+        rates = _scenario_mu(rng, kinds[i % len(kinds)])
+        m_s = rates.m_s
+        lam = rng.uniform(0.0, 0.6, m_s) * rates.mu.max(axis=0) * min(rates.m_p / m_s, 1.0)
+        if i % 8 == 1:
+            lam = np.round(lam, 2)
+        k = int(rng.integers(m_s))
+        envelope.append(lambda r=rates, l=lam, k=k: orthogonal.envelope_point(r, l, k))
+        slack.append(lambda r=rates, l=lam: orthogonal.max_slack_assignment(r, l))
+    return envelope, slack
+
+
+def _shipped_sweep_calls():
+    """Every axis of both shipped scenarios at 101 grid points, past the S boundary."""
+    envelope, slack = [], []
+    for name in ("reference_2x2", "five_by_four"):
+        rates = _shipped_rates(name)
+        for axis in range(rates.m_s):
+            sweep_user = 1 if axis == 0 else 0
+            grid = np.linspace(0.0, 1.05 * rates.mu[:, sweep_user].max(), 101)
+            envelope.append(lambda r=rates, a=axis, g=grid: orthogonal.sweep_envelope(r, a, g))
+            for lam in orthogonal.sweep_rates(rates.m_s, axis, grid):
+                lam[axis] = 0.5 * lam[sweep_user]
+                slack.append(lambda r=rates, l=lam: orthogonal.max_slack_assignment(r, l))
+    return envelope, slack
+
+
+@pytest.mark.parametrize("source", ["random", "shipped"])
+def test_implied_bound_rows_change_nothing(source):
+    # omega <= 1 follows from omega >= 0 and the row sums, and t <= 2 from any
+    # service row with lambda >= 0 and mu <= 1; with those bounds added back as
+    # rows after A, as solve_lp once folded them in, each solve must be unchanged
+    if source == "random":
+        kinds = ("uniform", "rounded", "zeros", "symmetric_users", "symmetric_bands")
+        envelope, slack = _random_assignment_calls(np.random.default_rng(29), 1500, kinds)
+        expected = 3000
+    else:
+        envelope, slack = _shipped_sweep_calls()
+        expected = 2 * 6 * 101
+    envelope, slack = _recorded_solves(envelope), _recorded_solves(slack)
+    assert len(envelope) + len(slack) == expected
+    for solves, t_bound in ((envelope, []), (slack, [2.0])):
+        for p, sol in solves:
+            hi = np.append(np.ones(p.c.size - len(t_bound)), t_bound)
+            _assert_equal(sol, optim.solve_lp(bound_rows_lp(p.c, p.A, p.b, p.lo, hi)))
 
 
 class TestSBoundaryPoint:
