@@ -15,14 +15,17 @@ Birkhoff decomposition of the 5x4 max-slack assignment
 (``schedule.schedule_from_assignment``, which ``decompose`` and ``simulate
 --system S`` call), a 21-point fixed-system sweep on the 5x4 scenario,
 both as ``fixedalloc.sweep_envelope`` and as the whole ``envelope`` command
-through ``cli.main`` (output to the null device), and a 1e5-slot ``sim.run``
+through ``cli.main``, three more whole commands on the reference 2x2
+scenario through ``cli.main`` (a 100-point S ``envelope`` sweep, a 29-point
+``compare`` and a 1e5-slot ``simulate --system S`` at rates (0.3, 0.3)),
+each with its output sent to the null device, and a 1e5-slot ``sim.run``
 of each policy on the reference 2x2 scenario at rates (0.3, 0.3), with the
 policy ``simulate`` derives there (slots per second = 1e5 / the time per
 call). ``timeit`` picks a loop count of at least 0.2 s per repeat; the case
-reports the median and
-the minimum over ``_REPEAT`` (7) repeats, in milliseconds per call. The output is one JSON object with the
-Python and numpy versions and the CPU model next to the timings. Not part of
-the test suite.
+reports the median and the minimum over ``_REPEAT`` (7) repeats, in
+milliseconds per call. The output is one JSON object with the Python and
+numpy versions and the CPU model next to the timings. Not part of the test
+suite.
 """
 
 from __future__ import annotations
@@ -75,8 +78,18 @@ def cases():
     }
     config = sim.SimConfig(n_slots=100_000, seed=1)
     grid = [i * 0.03 for i in range(21)]
-    envelope = ["envelope", "--scenario", big_path, "--system", "fixed", "--axis", "1",
-                "--grid", "0:0.6:0.03", "--fixed", "3=0.2,4=0.3", "--json", "--out", os.devnull]
+    ref_path = str(ROOT / "scenarios" / "reference_2x2.json")
+    commands = {
+        "envelope --system fixed 5x4 21 points": [
+            "envelope", "--scenario", big_path, "--system", "fixed", "--axis", "1",
+            "--grid", "0:0.6:0.03", "--fixed", "3=0.2,4=0.3", "--json"],
+        "envelope --system S 2x2 100 points": [
+            "envelope", "--scenario", ref_path, "--system", "S", "--axis", "2", "--grid", "0:0.99:0.01"],
+        "compare 2x2 29 points": ["compare", "--scenario", ref_path, "--grid", "0:0.7:0.025"],
+        "simulate --system S 2x2 1e5 slots": [
+            "simulate", "--scenario", ref_path, "--system", "S", "--fixed", "1=0.3,2=0.3",
+            "--slots", "100000", "--seed", "1"],
+    }
     return [
         ("randalloc.dominant1_envelope_2x2", lambda: randalloc.dominant1_envelope_2x2(mu, 0.3)),
         ("randalloc.dominant2_envelope_2x2", lambda: randalloc.dominant2_envelope_2x2(mu, 0.3)),
@@ -89,7 +102,9 @@ def cases():
          lambda: schedule.schedule_from_assignment(big_omega)),
         ("fixedalloc.sweep_envelope 5x4 21 points", lambda: fixedalloc.sweep_envelope(
             big, 0, grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
-        ("cli.main envelope --system fixed 5x4 21 points", lambda: cli.main(envelope)),
+    ] + [
+        (f"cli.main {label}", lambda argv=argv: cli.main(argv + ["--out", os.devnull]))
+        for label, argv in commands.items()
     ] + [
         (f"sim.run {kind} 1e5 slots", lambda p=policy: sim.run(loaded, p, config))
         for kind, policy in policies.items()

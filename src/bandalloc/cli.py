@@ -197,8 +197,11 @@ def _parse_fixed(spec: str | None, m_s: int) -> dict[int, float]:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 

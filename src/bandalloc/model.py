@@ -34,6 +34,19 @@ def _check_prob(value: float, name: str) -> None:
         raise ConfigurationError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def rate_vector(rates, m_s: int, skip: int | None = None) -> np.ndarray:
+    """A copy of ``rates`` as one arrival rate per user, each >= 0; entry ``skip`` is read as 0."""
+    lam = np.array(rates, dtype=float)
+    if lam.shape != (m_s,):
+        raise ConfigurationError("rates must have one entry per user")
+    if skip is not None:
+        lam[skip] = 0.0
+    bad = np.flatnonzero(~(lam >= 0))  # NaN fails the test
+    if bad.size:
+        raise ConfigurationError(f"rate of user {bad[0] + 1} must be >= 0, got {float(lam[bad[0]])}")
+    return lam
+
+
 @dataclass(frozen=True)
 class SlotConfig:
     """Slot timing: duration ``T`` (s), sensing time ``tau`` (s), packet size ``b`` (bits)."""

@@ -3,15 +3,17 @@
 Two tools live here:
 
 * ``solve_lp``: a two-phase dense simplex with Bland's anti-cycling rule
-  (Bland 1977). The LPs in this package have at most a few dozen variables, so
-  a plain tableau is both fast enough and easy to audit. Both phases run on one
-  tableau through one pivot loop, ``_simplex``; phase II keeps the artificial
-  columns out by the column count. Entering is the first column whose reduced
-  cost exceeds _PIVOT_TOL; leaving is the smallest ratio among rows whose pivot
-  element exceeds _PIVOT_MIN = 1e-9, with ratios within _PIVOT_TOL of it tied
-  and a tie going to the smallest basis index. A pivot element of 1.1e-11 near
-  the S boundary of a 5x4 scenario wrecked the tableau: phase II stopped at a
-  point 0.4 outside one constraint, so small elements are never pivoted on.
+  (Bland 1977) for ``maximize c @ x s.t. A @ x <= b, x >= lo``; an upper bound
+  is one more row of A. The LPs in this package have at most a few dozen
+  variables, so a plain tableau is both fast enough and easy to audit. Both
+  phases run on one tableau through one pivot loop, ``_simplex``; phase II
+  keeps the artificial columns out by the column count. Entering is the first
+  column whose reduced cost exceeds _PIVOT_TOL; leaving is the smallest ratio
+  among rows whose pivot element exceeds _PIVOT_MIN = 1e-9, with ratios within
+  _PIVOT_TOL of it tied and a tie going to the smallest basis index. A pivot
+  element of 1.1e-11 near the S boundary of a 5x4 scenario wrecked the tableau:
+  phase II stopped at a point 0.4 outside one constraint, so small elements are
+  never pivoted on.
 * ``fractional_argmax``: closed-form maximizer, elementwise over arrays, of the
   one-variable linear fractional objective (K1*g - K2)/(D + C*g) subject to a
   single linear constraint and g in [0, 1], by sign analysis of the derivative.
@@ -31,40 +33,30 @@ _MAX_ITER = 20000
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize c @ x  subject to  A @ x <= b,  lo <= x <= hi.
+    """maximize c @ x  subject to  A @ x <= b,  x >= lo.
 
-    Lower bounds must be finite; upper bounds may be +inf.
+    Every entry must be finite. An upper bound is a row of A.
     """
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
     lo: np.ndarray
-    hi: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         A = np.asarray(self.A, dtype=float).reshape(-1, c.size) if np.size(self.A) else np.zeros((0, c.size))
         b = np.atleast_1d(np.asarray(self.b, dtype=float)) if np.size(self.b) else np.zeros(0)
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        for name, arr in (("c", c), ("A", A), ("b", b)):
+        for name, arr in (("c", c), ("A", A), ("b", b), ("lower bounds", lo)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-        if lo.shape != c.shape or hi.shape != c.shape:
-            raise ValueError("bounds must match the number of variables")
-        if not np.all(np.isfinite(lo)):
-            raise ValueError("lower bounds must be finite")
-        if not np.all(lo <= hi):  # also refuses NaN upper bounds
-            raise ValueError("upper bounds must be numbers >= the lower bounds")
+        if lo.shape != c.shape:
+            raise ValueError("lower bounds must match the number of variables")
         if A.shape[0] != b.size:
             raise ValueError("A and b disagree on the number of constraints")
-        for name, arr in (("c", c), ("A", A), ("b", b), ("lo", lo), ("hi", hi)):
+        for name, arr in (("c", c), ("A", A), ("b", b), ("lo", lo)):
             object.__setattr__(self, name, arr)
-
-    @property
-    def n_vars(self) -> int:
-        return self.c.size
 
 
 @dataclass(frozen=True)
@@ -121,13 +113,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     bound within 1e-9; if the tableau degrades numerically beyond that the
     status is "failed".
     """
-    n = problem.n_vars
-    # Shift to y = x - lo >= 0 and fold finite upper bounds in as rows.
-    ub = problem.hi - problem.lo
-    finite_ub = np.flatnonzero(np.isfinite(ub))
-    A = np.vstack([problem.A, np.eye(n)[finite_ub]])
-    b = np.concatenate([problem.b - problem.A @ problem.lo, ub[finite_ub]])
-    m = A.shape[0]
+    A = problem.A
+    b = problem.b - A @ problem.lo  # shift to y = x - lo >= 0
+    m, n = A.shape
 
     # Columns: variables, one slack per row, then one artificial per flipped
     # (negative-rhs) row; the last column is the rhs.
@@ -170,9 +158,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     y[basis] = T[:m, -1]
     x = y[:n] + problem.lo
     # Independent residual check before declaring victory.
-    if problem.A.size and np.any(problem.A @ x - problem.b > _FEAS_TOL):
-        return LpSolution(status="failed")
-    if np.any(x - problem.hi > _FEAS_TOL) or np.any(problem.lo - x > _FEAS_TOL):
+    if np.any(A @ x - problem.b > _FEAS_TOL) or np.any(problem.lo - x > _FEAS_TOL):
         return LpSolution(status="failed")
     return LpSolution(status="optimal", value=float(problem.c @ x), x=x)
 

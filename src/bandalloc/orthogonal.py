@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .model import ConfigurationError, RateMatrix
+from .model import ConfigurationError, RateMatrix, rate_vector
 
 _TOL = 1e-9
 
@@ -60,43 +60,22 @@ class EnvelopePoint:
     omega_star: AssignmentMatrix | None = None
 
 
-def _fixed_vector(fixed_lambdas, m_s: int, k: int) -> np.ndarray:
-    lam = np.asarray(fixed_lambdas, dtype=float)
-    if lam.shape != (m_s,):
-        raise ConfigurationError(f"fixed_lambdas must have length {m_s}")
-    lam = lam.copy()
-    lam[k] = 0.0
-    if not np.all(lam >= 0):
-        raise ConfigurationError("fixed rates must be >= 0")
-    return lam
-
-
 def _assignment_constraints(mu: np.ndarray, lam: np.ndarray, served) -> tuple[np.ndarray, np.ndarray]:
     """Rows A, b of the assignment LP ``A @ omega.ravel() <= b`` (variable j * M_s + l).
 
     Row sums, then column sums (each at most one), then one row per user l in
     ``served`` whose service covers its arrivals: -sum_j omega[j,l]*mu[j,l] <= -lam[l].
+    With omega >= 0, a row sum of at most one already gives omega <= 1, so the
+    LP carries no bound rows.
     """
     m_p, m_s = mu.shape
-    n = m_p * m_s
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for j in range(m_p):  # row sums
-        r = np.zeros(n)
-        r[j * m_s : (j + 1) * m_s] = 1.0
-        rows.append(r)
-        rhs.append(1.0)
-    for l in range(m_s):  # column sums
-        r = np.zeros(n)
-        r[np.arange(m_p) * m_s + l] = 1.0
-        rows.append(r)
-        rhs.append(1.0)
-    for l in served:  # service covers the arrivals
-        r = np.zeros(n)
-        r[np.arange(m_p) * m_s + l] = -mu[:, l]
-        rows.append(r)
-        rhs.append(-lam[l])
-    return np.array(rows), np.array(rhs)
+    cols = np.arange(m_p * m_s)
+    A = np.zeros((m_p + m_s + len(served), cols.size))
+    A[cols // m_s, cols] = 1.0
+    A[m_p + cols % m_s, cols] = 1.0
+    for i, l in enumerate(served):
+        A[m_p + m_s + i, l::m_s] = -mu[:, l]
+    return A, np.concatenate([np.ones(m_p + m_s), -lam[served]])
 
 
 def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:
@@ -109,13 +88,13 @@ def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:
     m_p, m_s = rates.m_p, rates.m_s
     if not 0 <= k < m_s:
         raise ConfigurationError(f"user index {k} out of range")
-    lam = _fixed_vector(fixed_lambdas, m_s, k)
+    lam = rate_vector(fixed_lambdas, m_s, skip=k)
 
     n = m_p * m_s
     c = np.zeros(n)
     c[np.arange(m_p) * m_s + k] = rates.mu[:, k]
     A, b = _assignment_constraints(rates.mu, lam, [l for l in range(m_s) if l != k])
-    sol = optim.solve_lp(optim.LpProblem(c=c, A=A, b=b, lo=np.zeros(n), hi=np.ones(n)))
+    sol = optim.solve_lp(optim.LpProblem(c=c, A=A, b=b, lo=np.zeros(n)))
     if sol.status == "infeasible":
         return EnvelopePoint(feasible=False)
     if not sol.is_optimal:
@@ -128,20 +107,17 @@ def max_slack_assignment(rates: RateMatrix, lambdas) -> AssignmentMatrix:
     """Assignment fractions maximizing the smallest service surplus over all users.
 
     Solves: max t subject to the assignment constraints and, for every user l,
-    sum_j omega[j,l]*mu[j,l] >= lambdas[l] + t, with -2 <= t <= 2 (t < 0 outside the region).
+    sum_j omega[j,l]*mu[j,l] >= lambdas[l] + t, with t >= -2 (t < 0 outside the
+    region). Rates are >= 0 and mu <= 1, so every service row gives t <= 1.
     """
     m_p, m_s = rates.m_p, rates.m_s
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != (m_s,):
-        raise ConfigurationError(f"lambdas must have length {m_s}")
+    lam = rate_vector(lambdas, m_s)
     n = m_p * m_s
     A, b = _assignment_constraints(rates.mu, lam, range(m_s))
     slack = np.zeros((A.shape[0], 1))
     slack[m_p + m_s :] = 1.0  # t enters every service row
-    problem = optim.LpProblem(
-        c=np.append(np.zeros(n), 1.0), A=np.hstack([A, slack]), b=b,
-        lo=np.append(np.zeros(n), -2.0), hi=np.append(np.ones(n), 2.0),
-    )
+    problem = optim.LpProblem(c=np.append(np.zeros(n), 1.0), A=np.hstack([A, slack]), b=b,
+                              lo=np.append(np.zeros(n), -2.0))
     sol = optim.solve_lp(problem)
     if not sol.is_optimal:
         raise ConfigurationError(f"policy LP {sol.status}")
@@ -197,7 +173,7 @@ def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.n
     grid = [float(v) for v in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError("grid must be ascending")
-    base = np.zeros(m_s) if others is None else _fixed_vector(others, m_s, axis)
+    base = np.zeros(m_s) if others is None else rate_vector(others, m_s, skip=axis)
     lam = np.tile(base, (len(grid), 1))
     lam[:, sweep_user] = grid
     return lam

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLOSURE_TOL, ConfigurationError
+from .model import CLOSURE_TOL, ConfigurationError, rate_vector
 from .optim import fractional_argmax
 
 _TOL = 1e-9
@@ -225,16 +225,15 @@ def selection_for_rates(mu, lambdas) -> SelectionMatrix:
     Two users on 1-2 bands: the dominant-1 optimum if it carries the rates, else
     dominant 2's if that does, else the first feasible one, else gamma = 1/2.
     Any other shape: uniform selection over the bands. ``lambdas`` holds one
-    rate per user, whatever the shape.
+    rate >= 0 per user, whatever the shape.
     """
     mu = np.asarray(mu, dtype=float)
     m_p, m_s = mu.shape
-    if np.shape(lambdas) != (m_s,):
-        raise ConfigurationError("rates must have one entry per user")
+    lam = rate_vector(lambdas, m_s)
     padded = _padded_2x2(mu)
     if padded is None:
         return SelectionMatrix(np.full((m_p, m_s), 1.0 / m_p))
-    lam1, lam2 = (float(v) for v in lambdas)
+    lam1, lam2 = (float(v) for v in lam)
     d1 = dominant1_envelope_2x2(padded, lam2)
     if d1.feasible and lam1 <= d1.max_lambda:
         return SelectionMatrix(d1.gamma_star.gamma[:m_p])

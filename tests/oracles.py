@@ -9,7 +9,8 @@ explicit permutation matrices. ``scalar_dominant1_envelope_2x2`` and
 path that the array kernel in ``randalloc`` replaced, and ``reference_run``
 keeps the slot-by-slot simulator loop that the blocked engine in ``sim``
 replaced, ``reference_solve_lp`` keeps the two-loop Bland simplex that
-``optim.solve_lp`` replaced, and ``reference_best_fixed_max``,
+``optim.solve_lp`` replaced (``bound_rows_lp`` writes upper bounds as the rows
+``solve_lp`` once built from them), and ``reference_best_fixed_max``,
 ``reference_best_margin_mapping`` and ``reference_mapping_max`` keep the
 mapping-by-mapping search that the table scan in ``fixedalloc`` replaced; the
 differential tests require the replacements to reproduce them exactly.
@@ -41,9 +42,9 @@ import numpy as np
 from bandalloc import model, sim
 from bandalloc.cli import _BAND_FIELDS, _USER_FIELDS
 from bandalloc.fixedalloc import FixedMapping, _check_mapping
-from bandalloc.model import CLOSURE_TOL, ConfigurationError, RateMatrix, Scenario
+from bandalloc.model import CLOSURE_TOL, ConfigurationError, RateMatrix, Scenario, rate_vector
 from bandalloc.optim import LpProblem, LpSolution, fractional_argmax
-from bandalloc.orthogonal import AssignmentMatrix, EnvelopePoint, _fixed_vector
+from bandalloc.orthogonal import AssignmentMatrix, EnvelopePoint
 from bandalloc.randalloc import (
     DominantEnvelopePoint,
     SelectionMatrix,
@@ -159,7 +160,7 @@ def one_band_envelope(mu_row, fixed_lambdas, k: int) -> EnvelopePoint:
     """
     mu_row = np.asarray(mu_row, dtype=float)
     m_s = mu_row.size
-    lam = _fixed_vector(fixed_lambdas, m_s, k)
+    lam = rate_vector(fixed_lambdas, m_s, skip=k)
     omega = np.zeros((1, m_s))
     load = 0.0
     for l in range(m_s):
@@ -586,11 +587,11 @@ def bound_rows_lp(c, A, b, lo, hi) -> LpProblem:
     built from upper bounds when ``LpProblem`` still carried them.
     """
     c = np.atleast_1d(np.asarray(c, float))
-    hi = np.broadcast_to(np.asarray(hi, float), c.shape)
+    hi = np.asarray(hi, float)
     finite = np.isfinite(hi)
     A = np.vstack([np.asarray(A, float).reshape(-1, c.size), np.eye(c.size)[finite]])
     b = np.concatenate([np.atleast_1d(np.asarray(b, float)), hi[finite]])
-    return LpProblem(c=c, A=A, b=b, lo=np.asarray(lo, float), hi=np.full(c.size, math.inf))
+    return LpProblem(c=c, A=A, b=b, lo=lo)
 
 
 def reference_solve_lp(problem: LpProblem) -> LpSolution:
@@ -600,20 +601,11 @@ def reference_solve_lp(problem: LpProblem) -> LpSolution:
     bound within 1e-9; if the tableau degrades numerically beyond that the
     status is "failed".
     """
-    n = problem.n_vars
-    # Shift to y = x - lo >= 0 and fold finite upper bounds in as rows.
+    n = problem.c.size
+    # Shift to y = x - lo >= 0.
     shift = problem.lo
-    rows = [problem.A]
-    rhs = [problem.b - problem.A @ shift if problem.A.size else problem.b]
-    ub = problem.hi - problem.lo
-    finite_ub = np.where(np.isfinite(ub))[0]
-    if finite_ub.size:
-        E = np.zeros((finite_ub.size, n))
-        E[np.arange(finite_ub.size), finite_ub] = 1.0
-        rows.append(E)
-        rhs.append(ub[finite_ub])
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
+    A = problem.A
+    b = problem.b - problem.A @ shift if problem.A.size else problem.b
     m = A.shape[0]
 
     # Flip negative-rhs rows; flipped rows need artificial variables.
@@ -687,7 +679,7 @@ def reference_solve_lp(problem: LpProblem) -> LpSolution:
     # Independent residual check before declaring victory.
     if problem.A.size and np.any(problem.A @ x - problem.b > _REF_FEAS_TOL):
         return LpSolution(status="failed")
-    if np.any(x - problem.hi > _REF_FEAS_TOL) or np.any(problem.lo - x > _REF_FEAS_TOL):
+    if np.any(problem.lo - x > _REF_FEAS_TOL):
         return LpSolution(status="failed")
     return LpSolution(status="optimal", value=float(problem.c @ x), x=x)
 

@@ -5,10 +5,12 @@ Every instance must give exactly the same ``status``, ``value`` and ``x``
 ``test_optim.py`` (phase-I equality-like rows included), the assignment LPs of
 ``orthogonal.envelope_point`` and ``orthogonal.max_slack_assignment`` on
 random, rounded and symmetric scenarios, and the sweeps of both shipped
-scenarios. The one listed exception is a point near the S boundary of a 5x4
-scenario where the reference pivots on an element of 1.1e-11 and ends
-"failed"; there the solver must return an optimal point that passes the
-residual check, and the envelope point and the CLI sweep through it succeed.
+scenarios. Those assignment LPs must also solve exactly as they did with their
+implied upper bounds (omega <= 1, t <= 2) as explicit rows. The one listed
+exception is a point near the S boundary of a 5x4 scenario where the
+reference pivots on an element of 1.1e-11 and ends "failed"; there the solver
+must return an optimal point that passes the residual check, and the envelope
+point and the CLI sweep through it succeed.
 """
 
 import json
@@ -90,7 +92,7 @@ def _box_lp(rng, kind):
     elif kind == "equality" and m:  # a <= b and -a <= -b: phase I, redundant rows
         A = np.vstack([A, -A[:1]])
         b = np.append(b, -b[0])
-    return LpProblem(c=c, A=A, b=b, lo=lo, hi=hi)
+    return bound_rows_lp(c, A, b, lo, hi)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -107,7 +109,7 @@ def _lp(c, A, b, lo=None, hi=None):
     c = np.atleast_1d(np.asarray(c, float))
     lo = np.zeros(c.size) if lo is None else lo
     hi = np.ones(c.size) if hi is None else hi
-    return LpProblem(c=c, A=np.asarray(A, float).reshape(-1, c.size), b=np.atleast_1d(b), lo=lo, hi=hi)
+    return bound_rows_lp(c, A, b, lo, hi)
 
 
 def test_optim_test_shapes(ref_2x2_mu):
@@ -115,7 +117,7 @@ def test_optim_test_shapes(ref_2x2_mu):
     problems = [
         _lp([1.0], [[1.0]], [0.5]),
         _lp([1.0], [[-1.0]], [-2.0]),
-        LpProblem(c=np.ones(1), A=np.zeros((0, 1)), b=np.zeros(0), lo=np.zeros(1), hi=np.full(1, math.inf)),
+        LpProblem(c=np.ones(1), A=np.zeros((0, 1)), b=np.zeros(0), lo=np.zeros(1)),
         _lp([0.0, mu[0, 1], 0.0, mu[1, 1]],
             [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1], [-mu[0, 0], 0, -mu[1, 0], 0]],
             [1, 1, 1, 1, -0.4]),
@@ -276,7 +278,7 @@ class TestSBoundaryPoint:
         sol = optim.solve_lp(problem)
         assert sol.status == "optimal"
         assert np.all(problem.A @ sol.x - problem.b <= 1e-9)
-        assert np.all(sol.x >= problem.lo - 1e-9) and np.all(sol.x <= problem.hi + 1e-9)
+        assert np.all(sol.x >= problem.lo - 1e-9)
 
     def test_envelope_point(self):
         # scipy's HiGHS gives the same maximum

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from bandalloc import optim
 from bandalloc.optim import LpProblem
-from oracles import FractionalCoeffs, grid_search, maximize_fractional_1d
+from oracles import FractionalCoeffs, bound_rows_lp, grid_search, maximize_fractional_1d
 
 
 def lp(c, A, b, lo=None, hi=None):
@@ -13,7 +11,7 @@ def lp(c, A, b, lo=None, hi=None):
     n = c.size
     lo = np.zeros(n) if lo is None else np.asarray(lo, float)
     hi = np.ones(n) if hi is None else np.asarray(hi, float)
-    return LpProblem(c=c, A=np.asarray(A, float).reshape(-1, n), b=np.atleast_1d(np.asarray(b, float)), lo=lo, hi=hi)
+    return bound_rows_lp(c, A, b, lo, hi)
 
 
 class TestSolveLp:
@@ -28,10 +26,7 @@ class TestSolveLp:
         assert sol.status == "infeasible"
 
     def test_unbounded(self):
-        problem = LpProblem(
-            c=np.array([1.0]), A=np.zeros((0, 1)), b=np.zeros(0),
-            lo=np.array([0.0]), hi=np.array([math.inf]),
-        )
+        problem = LpProblem(c=np.array([1.0]), A=np.zeros((0, 1)), b=np.zeros(0), lo=np.array([0.0]))
         assert optim.solve_lp(problem).status == "unbounded"
 
     def test_ref_2x2_envelope_lp(self, ref_2x2_mu):
@@ -100,11 +95,9 @@ class TestSolveLp:
 
     def test_rejects_bad_problems(self):
         with pytest.raises(ValueError):
-            LpProblem(c=np.array([np.inf]), A=np.zeros((0, 1)), b=np.zeros(0),
-                      lo=np.zeros(1), hi=np.ones(1))
+            LpProblem(c=np.array([np.inf]), A=np.zeros((0, 1)), b=np.zeros(0), lo=np.zeros(1))
         with pytest.raises(ValueError):
-            LpProblem(c=np.array([1.0]), A=np.zeros((0, 1)), b=np.zeros(0),
-                      lo=np.array([2.0]), hi=np.ones(1))
+            LpProblem(c=np.array([1.0]), A=np.zeros((0, 1)), b=np.zeros(0), lo=np.array([-np.inf]))
 
 
 def coeffs_for(mu, g21, lam2):

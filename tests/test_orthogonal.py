@@ -254,9 +254,7 @@ class TestPermutationSpaceEquivalence:
                 continue
             rows.append(-service[l])
             rhs.append(-float(lam[l]))
-        problem = optim.LpProblem(
-            c=service[k], A=np.array(rows), b=np.array(rhs), lo=np.zeros(n), hi=np.ones(n)
-        )
+        problem = optim.LpProblem(c=service[k], A=np.array(rows), b=np.array(rhs), lo=np.zeros(n))
         sol = optim.solve_lp(problem)
         return sol.value if sol.is_optimal else None
 

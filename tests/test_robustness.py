@@ -124,6 +124,14 @@ class TestMalformedArguments:
                      *extra, expect="--axis user cannot also be fixed")
 
 
+    @pytest.mark.parametrize("target", ["directory", "missing_parent"])
+    def test_unwritable_out(self, ref_2x2_file, tmp_path, capsys, target):
+        # used to escape as IsADirectoryError / FileNotFoundError
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "x"
+        assert_error(capsys, "rates", "--scenario", ref_2x2_file, "--out", str(out),
+                     expect="cannot write output file")
+
+
 class TestMalformedScenario:
     def bad(self, tmp_path, capsys, doc=None, raw=None, expect=""):
         raw = json.dumps(doc).encode() if raw is None else raw
@@ -190,14 +198,12 @@ class TestModelRangeChecks:
 
 
 class TestNanBoundsAndRates:
-    # LpProblem(hi=[nan]) used to solve as "unbounded",
-    # two_by_two_closed_form(mu, nan) to return (nan, nan) on the reference
-    # rates and fully_symmetric_max(2, 2, nan) to return nan, because NaN
-    # passed the ``lo > hi`` and ``< 0`` guards.
-    def test_lp_problem_refuses_nan_upper_bound(self):
-        with pytest.raises(ValueError, match="upper bounds"):
-            LpProblem(c=np.ones(1), A=np.zeros((0, 1)), b=np.zeros(0), lo=np.zeros(1),
-                      hi=np.array([math.nan]))
+    # two_by_two_closed_form(mu, nan) used to return (nan, nan) on the
+    # reference rates and fully_symmetric_max(2, 2, nan) to return nan, because
+    # NaN passed the ``< 0`` guards.
+    def test_lp_problem_refuses_nan_lower_bound(self):
+        with pytest.raises(ValueError, match="lower bounds must be finite"):
+            LpProblem(c=np.ones(1), A=np.zeros((0, 1)), b=np.zeros(0), lo=np.array([math.nan]))
 
     def test_two_by_two_closed_form_refuses_nan(self, ref_2x2_mu):
         with pytest.raises(ConfigurationError, match="must be >= 0"):
@@ -251,6 +257,14 @@ def test_sweeps_refuse_an_axis_out_of_range(ref_2x2_rates, system, axis):
         sweep()
 
 
+@pytest.mark.parametrize("lam", [(math.nan, 0.1), (-0.5, 0.1), (0.1, -1e-12)])
+def test_max_slack_assignment_refuses_a_bad_rate(ref_2x2_rates, lam):
+    # a NaN rate used to escape as a bare ValueError from LpProblem and a
+    # negative one to return an assignment
+    with pytest.raises(ConfigurationError, match="must be >= 0"):
+        orthogonal.max_slack_assignment(ref_2x2_rates, lam)
+
+
 class TestRandomSelectionRates:
     # dominant1_envelope_2x2(mu, nan) used to report infeasible,
     # shat_section_lambda2(mu, nan) to return None and selection_for_rates to
@@ -265,6 +279,14 @@ class TestRandomSelectionRates:
     def test_selection_for_rates_refuses_nan(self, ref_2x2_mu, lam):
         with pytest.raises(ConfigurationError, match="must be >= 0"):
             randalloc.selection_for_rates(ref_2x2_mu, lam)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
+    @pytest.mark.parametrize("lam", [(-0.5, 0.1), (0.1, -1e-12)])
+    def test_selection_for_rates_refuses_a_negative_rate(self, shape, lam):
+        # used to return a selection matrix
+        lam = lam + (0.1,) * (shape[1] - 2)
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            randalloc.selection_for_rates(np.full(shape, 0.5), lam)
 
     def test_selection_for_rates_refuses_a_wrong_rate_count(self, ref_2x2_mu):
         # on the 2x2 shape a wrong count used to fail unpacking with a bare
