@@ -69,13 +69,16 @@ def _assignment_constraints(mu: np.ndarray, lam: np.ndarray, served) -> tuple[np
     LP carries no bound rows.
     """
     m_p, m_s = mu.shape
-    cols = np.arange(m_p * m_s)
-    A = np.zeros((m_p + m_s + len(served), cols.size))
-    A[cols // m_s, cols] = 1.0
-    A[m_p + cols % m_s, cols] = 1.0
-    for i, l in enumerate(served):
-        A[m_p + m_s + i, l::m_s] = -mu[:, l]
-    return A, np.concatenate([np.ones(m_p + m_s), -lam[served]])
+    A = np.zeros((m_p + m_s + len(served), m_p * m_s))
+    b = np.ones(len(A))
+    for j in range(m_p):
+        A[j, j * m_s : (j + 1) * m_s] = 1.0
+    for l in range(m_s):
+        A[m_p + l, l::m_s] = 1.0
+    for i, l in enumerate(served, m_p + m_s):
+        A[i, l::m_s] = -mu[:, l]
+        b[i] = -lam[l]
+    return A, b
 
 
 def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:

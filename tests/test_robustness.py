@@ -123,7 +123,6 @@ class TestMalformedArguments:
         assert_error(capsys, command, "--scenario", ref_2x2_file, "--axis", "2", "--fixed", "2=0.3,1=0.4",
                      *extra, expect="--axis user cannot also be fixed")
 
-
     @pytest.mark.parametrize("target", ["directory", "missing_parent"])
     def test_unwritable_out(self, ref_2x2_file, tmp_path, capsys, target):
         # used to escape as IsADirectoryError / FileNotFoundError
@@ -283,7 +282,8 @@ class TestRandomSelectionRates:
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
     @pytest.mark.parametrize("lam", [(-0.5, 0.1), (0.1, -1e-12)])
     def test_selection_for_rates_refuses_a_negative_rate(self, shape, lam):
-        # used to return a selection matrix
+        # used to return a selection matrix, except where the 2x2 dominant-1
+        # envelope refused a negative second rate
         lam = lam + (0.1,) * (shape[1] - 2)
         with pytest.raises(ConfigurationError, match="must be >= 0"):
             randalloc.selection_for_rates(np.full(shape, 0.5), lam)
