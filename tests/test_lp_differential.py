@@ -174,20 +174,25 @@ def _scenario_mu(rng, kind):
     return model.RateMatrix(mu=mu, mu_p=np.ones(m_p), pi=mu.max(axis=1))
 
 
-def test_assignment_lps():
-    rng = np.random.default_rng(11)
-    kinds = ("uniform", "rounded", "symmetric_users", "symmetric_bands")
-    calls = []
-    for i in range(160):
-        rates = _scenario_mu(rng, kinds[i % 4])
+def _random_assignment_calls(rng, count, kinds):
+    """``count`` envelope_point calls and ``count`` max_slack_assignment calls on random scenarios."""
+    envelope, slack = [], []
+    for i in range(count):
+        rates = _scenario_mu(rng, kinds[i % len(kinds)])
         m_s = rates.m_s
         lam = rng.uniform(0.0, 0.6, m_s) * rates.mu.max(axis=0) * min(rates.m_p / m_s, 1.0)
         if i % 8 == 1:
             lam = np.round(lam, 2)
         k = int(rng.integers(m_s))
-        calls.append(lambda r=rates, l=lam, k=k: orthogonal.envelope_point(r, l, k))
-        calls.append(lambda r=rates, l=lam: orthogonal.max_slack_assignment(r, l))
-    problems = _recorded_lps(calls)
+        envelope.append(lambda r=rates, l=lam, k=k: orthogonal.envelope_point(r, l, k))
+        slack.append(lambda r=rates, l=lam: orthogonal.max_slack_assignment(r, l))
+    return envelope, slack
+
+
+def test_assignment_lps():
+    kinds = ("uniform", "rounded", "symmetric_users", "symmetric_bands")
+    envelope, slack = _random_assignment_calls(np.random.default_rng(11), 160, kinds)
+    problems = _recorded_lps(envelope + slack)
     assert len(problems) == 320
     for problem in problems:
         _assert_same(problem)
@@ -217,21 +222,6 @@ def test_shipped_scenario_sweeps(name, axis, pinned, grid_stop):
     assert len(problems) == 27
     for problem in problems:
         _assert_same(problem)
-
-
-def _random_assignment_calls(rng, count, kinds):
-    """``count`` envelope_point calls and ``count`` max_slack_assignment calls on random scenarios."""
-    envelope, slack = [], []
-    for i in range(count):
-        rates = _scenario_mu(rng, kinds[i % len(kinds)])
-        m_s = rates.m_s
-        lam = rng.uniform(0.0, 0.6, m_s) * rates.mu.max(axis=0) * min(rates.m_p / m_s, 1.0)
-        if i % 8 == 1:
-            lam = np.round(lam, 2)
-        k = int(rng.integers(m_s))
-        envelope.append(lambda r=rates, l=lam, k=k: orthogonal.envelope_point(r, l, k))
-        slack.append(lambda r=rates, l=lam: orthogonal.max_slack_assignment(r, l))
-    return envelope, slack
 
 
 def _shipped_sweep_calls():
