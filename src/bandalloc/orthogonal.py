@@ -69,8 +69,8 @@ def _assignment_constraints(mu: np.ndarray, lam: np.ndarray, served) -> tuple[np
     LP carries no bound rows.
     """
     m_p, m_s = mu.shape
-    # Basic slices only: an index-array form (cols // m_s, cols % m_s) was
-    # slower and faulted in 64 KB more of numpy's code per process.
+    # Basic slices only: an index-array fill (cols // m_s, cols % m_s) is
+    # slower and faults in 64 KB more of numpy's code per process.
     A = np.zeros((m_p + m_s + len(served), m_p * m_s))
     b = np.ones(len(A))
     for j in range(m_p):
