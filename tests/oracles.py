@@ -6,7 +6,9 @@ two-parameter objective, ``grid_search`` maximizes any objective over a boxed
 grid, and doubly stochastic inputs are built as convex combinations of
 explicit permutation matrices. ``scalar_dominant1_envelope_2x2`` and
 ``scalar_dominant2_envelope_2x2`` keep the one-gamma21-at-a-time dominant-system
-path that the array kernel in ``randalloc`` replaced, and ``reference_run``
+path that the array kernel in ``randalloc`` replaced,
+``reference_shat_section_lambda2`` keeps the one-section-at-a-time bisection
+that the lockstep sweep in ``randalloc.shat_envelope`` replaced, ``reference_run``
 keeps the slot-by-slot simulator loop that the blocked engine in ``sim``
 replaced, ``reference_solve_lp`` keeps the two-loop Bland simplex that
 ``optim.solve_lp`` replaced (``bound_rows_lp`` writes upper bounds as the rows
@@ -523,6 +525,45 @@ def scalar_dominant2_envelope_2x2(mu, lambda_s1, grid_step=1e-3):
         fixed_lambda=lambda_s1, dominant="second", feasible=swapped.feasible,
         max_lambda=swapped.max_lambda, gamma_star=gamma,
     )
+
+
+# The one-section-at-a-time S_hat section that the lockstep sweep in
+# ``randalloc.shat_envelope`` replaced, kept statement for statement.
+_REF_SECTION_TOL = 1e-6
+
+
+def reference_shat_section_lambda2(mu, lambda_s1, dominant1=dominant1_envelope_2x2,
+                                   dominant2=dominant2_envelope_2x2):
+    """Largest lambda_s2 with (lambda_s1, lambda_s2) in the union region, by one bisection.
+
+    ``dominant1`` and ``dominant2`` default to the library's envelopes; the
+    scalar ones above tie the section to the one-gamma21-at-a-time path.
+    """
+    mu = np.asarray(mu, dtype=float)
+    best = None
+    d2 = dominant2(mu, lambda_s1)
+    if d2.feasible:
+        best = float(d2.max_lambda)
+
+    def carries(lam2: float) -> bool:
+        p = dominant1(mu, lam2)
+        return p.feasible and p.max_lambda >= lambda_s1 - CLOSURE_TOL
+
+    hi = max(mu[0, 1], mu[1, 1])
+    if carries(0.0):
+        lo = 0.0
+        if hi > 0 and carries(hi):
+            lo = hi
+        elif hi > 0:
+            while hi - lo > _REF_SECTION_TOL:
+                mid = (lo + hi) / 2.0
+                if carries(mid):
+                    lo = mid
+                else:
+                    hi = mid
+        if best is None or lo > best:
+            best = lo
+    return None if best is None else float(best)
 
 
 # The dense two-phase Bland simplex that ``optim.solve_lp`` replaced, kept

@@ -5,6 +5,10 @@ Every instance must give exactly the same ``feasible``, ``max_lambda`` and
 raised as an error. Most instances use a coarse gamma21 grid so that 2000 of
 them fit in a few seconds; the grid scan, the tie-break on the best grid point
 and the 60 golden-section steps run the same way at every grid step.
+
+The S_hat sweeps of ``randalloc.shat_envelope`` must equal, section by
+section, the one-bisection-per-point ``reference_shat_section_lambda2``
+(``==``, None included), on both axes.
 """
 
 import numpy as np
@@ -12,7 +16,11 @@ import pytest
 
 from bandalloc import randalloc
 
-from oracles import scalar_dominant1_envelope_2x2, scalar_dominant2_envelope_2x2
+from oracles import (
+    reference_shat_section_lambda2,
+    scalar_dominant1_envelope_2x2,
+    scalar_dominant2_envelope_2x2,
+)
 
 # Coarse steps, including ones whose grid stops short of gamma21 = 1.
 _STEPS = (0.1, 0.05, 0.04, 1 / 30, 0.03, 0.07, 0.3)
@@ -88,3 +96,74 @@ def test_matches_scalar_path_on_the_default_grid(ref_2x2_mu):
                          scalar_dominant1_envelope_2x2(ref_2x2_mu, lam))
             _assert_same(randalloc.dominant2_envelope_2x2(ref_2x2_mu, lam),
                          scalar_dominant2_envelope_2x2(ref_2x2_mu, lam))
+
+
+# --- S_hat sweeps against the one-section-at-a-time bisection -------------------
+
+
+def _oriented(mu, axis):
+    """The 2x2 mu ``reference_shat_section_lambda2`` sees for ``shat_envelope(mu, axis, grid)``."""
+    mu = np.asarray(mu, dtype=float)
+    padded = mu if mu.shape[0] == 2 else np.vstack([mu, np.zeros((1, 2))])
+    return padded[:, ::-1] if axis == 0 else padded
+
+
+def _assert_sweep(mu, axis, grid, **dominants):
+    want = [reference_shat_section_lambda2(_oriented(mu, axis), lam, **dominants) for lam in grid]
+    got = randalloc.shat_envelope(mu, axis, grid)
+    assert got == want, (mu.tolist(), axis, list(grid))
+    return want
+
+
+def _sweep_mu(rng, kind):
+    if kind == "one_band":
+        return np.round(rng.uniform(0.05, 1.0, (1, 2)), int(rng.integers(1, 4)))
+    return _mu(rng, kind)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "rounded", "zeros", "one_band"])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_sweep_matches_the_per_section_reference(kind, axis):
+    # Each grid runs from 0 to 1.05 times the swept user's single-user maximum,
+    # so it has a lambda = 0 point and, past the maximum, None points.
+    rng = np.random.default_rng(60 + 2 * ["uniform", "rounded", "zeros", "one_band"].index(kind) + axis)
+    sections = []
+    with np.errstate(all="raise"):
+        for _ in range(3):
+            mu = _sweep_mu(rng, kind)
+            top = float(_oriented(mu, axis)[:, 0].max())
+            sections += _assert_sweep(mu, axis, np.linspace(0.0, 1.05 * top, 6))
+    assert None in sections or kind == "zeros"
+    assert any(v is not None for v in sections)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_sweep_matches_the_per_section_reference_on_jittered_scenarios(ref_2x2_mu, axis):
+    # Seeded jitters of the reference scenario, as the region-2x2 benchmark
+    # builds them, swept to just under the swept user's maximum; most of
+    # these sections run the bisection.
+    rng = np.random.default_rng(70 + axis)
+    with np.errstate(all="raise"):
+        for scale in ([[1.03, 0.97], [0.98, 1.02]], *rng.uniform(0.9, 1.1, (2, 2, 2))):
+            mu = ref_2x2_mu * np.asarray(scale)
+            top = float(_oriented(mu, axis)[:, 0].max())
+            _assert_sweep(mu, axis, np.linspace(0.0, 0.98 * top, 6))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_sweep_matches_the_per_section_reference_on_the_reference_grid(ref_2x2_mu, axis):
+    # 0:0.7:0.025 as the CLI builds it, 7 * 0.025 == 0.17500000000000002 included.
+    grid = [i * 0.025 for i in range(29)]
+    assert grid[7] == 0.17500000000000002
+    with np.errstate(all="raise"):
+        _assert_sweep(ref_2x2_mu, axis, grid)
+
+
+def test_sweep_matches_the_scalar_path_on_the_region_2x2_grid(ref_2x2_mu):
+    # The reference scenario's 0:0.175:0.025 grid, through the scalar
+    # one-gamma21-at-a-time envelopes: 3 dominant-1 envelopes per section.
+    grid = [i * 0.025 for i in range(8)]
+    with np.errstate(all="raise"):
+        sections = _assert_sweep(ref_2x2_mu, 1, grid, dominant1=scalar_dominant1_envelope_2x2,
+                                 dominant2=scalar_dominant2_envelope_2x2)
+    assert None not in sections
