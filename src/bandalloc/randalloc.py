@@ -24,6 +24,7 @@ _TOL = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_BATCH = 5  # golden-section steps per array call; divides 60
 _SECTION_TOL = 1e-6  # bisection stops once the lambda_s2 bracket is this narrow
+_SECTIONS_PER_CALL = 64  # bounds the (sections, 64) golden-section arrays of one kernel call
 
 
 @dataclass(frozen=True)
@@ -62,51 +63,143 @@ class DominantEnvelopePoint:
     gamma_star: SelectionMatrix | None = None
 
 
-def _dominant1_values(mu: np.ndarray, lambda_s2: float, g21):
+def _check_rates(values, name: str) -> None:
+    """Refuse a negative or NaN rate in ``values``, naming the rate ``name`` and giving its value."""
+    for value in values:
+        if not value >= 0:  # NaN fails too
+            raise ConfigurationError(f"{name} must be >= 0, got {float(value)}")
+
+
+def _mu_2x2(mu) -> np.ndarray:
+    """``mu`` as a 2x2 float array; anything else is refused."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (2, 2):
+        raise ConfigurationError("mu must be 2x2")
+    return mu
+
+
+def _dominant1_values(mu: np.ndarray, lambda_s2, g21):
     """Best lambda_s1 (-inf where lambda_s2 is unsupportable) and its gamma22 at each gamma21.
 
     lambda_s1 = (1-g21)*mu11 + g21*mu21 + lambda_s2 * (g22*K1 - K2)/(D + C*g22),
-    the affine lift of the reduced fractional objective ``optim.fractional_argmax`` solves.
+    the affine lift of the reduced fractional objective ``optim.fractional_argmax``
+    solves. ``lambda_s2`` is a scalar or a column with one row per section of
+    ``g21``; where it is 0 the value is the base itself, since adding
+    0 * ... would turn a -0.0 into 0.0.
     """
     (mu11, mu12), (mu21, mu22) = mu.tolist()
     g21b = 1.0 - g21
     K2, shared, D = g21b * mu11, g21 * mu21, g21 * mu12
     K1, base, C = K2 - shared, K2 + shared, g21b * mu22 - D
     g22, feasible = fractional_argmax(K1, K2, C, D, lambda_s2)
-    if lambda_s2 == 0:
-        return np.where(feasible, base, -np.inf), g22
-    denom = np.where(feasible, D + C * g22, 1.0)  # mu_s2 >= lambda_s2 > 0 where feasible
-    return np.where(feasible, base + lambda_s2 * (g22 * K1 - K2) / denom, -np.inf), g22
+    lift = lambda_s2 != 0
+    denom = np.where(feasible & lift, D + C * g22, 1.0)  # mu_s2 >= lambda_s2 > 0 where lifted
+    values = np.where(lift, base + lambda_s2 * (g22 * K1 - K2) / denom, base)
+    return np.where(feasible, values, -np.inf), g22
 
 
-def _golden_section(values, a: float, b: float) -> float:
-    """Midpoint of the bracket left by 60 golden-section steps maximizing ``values`` on [a, b].
+def _golden_points(a: float, b: float, x1: float, x2: float) -> list[float]:
+    """The inner points x1, x2 of [a, b], then the new points of the next _GOLDEN_BATCH steps.
 
-    The points of the next _GOLDEN_BATCH steps depend only on which way each
-    comparison goes, so all of them are evaluated in one call and the
-    comparisons then walk that tree: same points, same bracket, fewer calls.
+    The points of those steps depend only on which way each comparison goes,
+    so one array call evaluates all of them. Node n's children: 2n+1 keeps
+    [a, x2] (taken when f1 >= f2), 2n+2 keeps [x1, b]; point n + 1 is node n's
+    new point.
     """
-    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = values(np.array([x1, x2]))
-    for _ in range(60 // _GOLDEN_BATCH):
-        # Node n's children: 2n+1 keeps [a, x2] (taken when f1 >= f2), 2n+2 keeps [x1, b].
-        nodes, points = [(a, b, x1, x2)], []
-        for n in range(2 ** _GOLDEN_BATCH - 1):
-            a, b, x1, x2 = nodes[n]
+    level, points = [(a, b, x1, x2)], [x1, x2]
+    for depth in range(_GOLDEN_BATCH):
+        inner = depth < _GOLDEN_BATCH - 1  # the leaves' children are never visited
+        children = []
+        for a, b, x1, x2 in level:
             left, right = x2 - _GOLDEN * (x2 - a), x1 + _GOLDEN * (b - x1)
-            nodes += (a, x2, left, x1), (x1, b, x2, right)
             points += left, right
-        fresh = values(np.array(points))  # fresh[n - 1]: value at node n's new point
-        n = 0
-        for _ in range(_GOLDEN_BATCH):
-            if f1 >= f2:
-                n = 2 * n + 1
-                f1, f2 = fresh[n - 1], f1
-            else:
-                n = 2 * n + 2
-                f1, f2 = f2, fresh[n - 1]
-        a, b, x1, x2 = nodes[n]
-    return (a + b) / 2.0
+            if inner:
+                children += (a, x2, left, x1), (x1, b, x2, right)
+        level = children
+    return points
+
+
+def _golden_sections(mu: np.ndarray, lam: list[float], brackets: list[tuple[float, float]]) -> list[float]:
+    """Midpoint of the bracket left by 60 golden-section steps on each section's bracket.
+
+    Section i maximizes the dominant-1 value at lambda_s2 = lam[i] over
+    gamma21 in brackets[i]. All sections step together: one array call per
+    _GOLDEN_BATCH steps evaluates every section's ``_golden_points``, one row
+    each, and each section then walks its tree in Python floats.
+    """
+    column = np.array(lam)[:, None] if len(lam) > 1 else lam[0]  # a scalar broadcasts faster
+    states = [(a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)) for a, b in brackets]
+    points = np.empty((len(states), 2 ** (_GOLDEN_BATCH + 1)))
+    for _ in range(60 // _GOLDEN_BATCH):
+        for i, state in enumerate(states):
+            points[i] = _golden_points(*state)
+        for i, row in enumerate(_dominant1_values(mu, column, points)[0]):
+            values, (a, b, x1, x2) = row.tolist(), states[i]
+            f1, f2, n = values[0], values[1], 0
+            for _ in range(_GOLDEN_BATCH):  # down the tree, with the tree's bracket arithmetic
+                if f1 >= f2:
+                    n = 2 * n + 1
+                    a, b, x1, x2 = a, x2, x2 - _GOLDEN * (x2 - a), x1
+                    f1, f2 = values[n + 1], f1
+                else:
+                    n = 2 * n + 2
+                    a, b, x1, x2 = x1, b, x2, x1 + _GOLDEN * (b - x1)
+                    f1, f2 = f2, values[n + 1]
+            states[i] = a, b, x1, x2
+    return [(a + b) / 2.0 for a, b, _, _ in states]
+
+
+def _grid_best(mu: np.ndarray, lam2: float, grid: np.ndarray) -> tuple | None:
+    """(value, gamma21, gamma22) at the first best gamma21 of ``grid``, as a strict-improvement
+    scan finds it; None where no grid point supports lam2. The grid's arrays die on return."""
+    values, g22s = _dominant1_values(mu, lam2, grid)
+    k = int(np.argmax(values))
+    # gamma21 as a Python float: the golden-section trees run in Python floats
+    return (values[k], float(grid[k]), g22s[k]) if values[k] > -math.inf else None
+
+
+def _dominant1_envelopes(mu: np.ndarray, lambdas: list[float], grid_step: float = 1e-3) -> list[tuple | None]:
+    """The dominant-1 envelope (max lambda_s1, gamma21, gamma22) at each lambda_s2 in ``lambdas``.
+
+    None where lambda_s2 is unsupportable. Each section scans the whole
+    gamma21 grid in one array call, takes the first best grid point, and
+    refines within one grid step of it by 60 golden-section steps, which run
+    for all sections together, at most _SECTIONS_PER_CALL at a time.
+    """
+    if len(lambdas) > _SECTIONS_PER_CALL:
+        return [point for i in range(0, len(lambdas), _SECTIONS_PER_CALL)
+                for point in _dominant1_envelopes(mu, lambdas[i:i + _SECTIONS_PER_CALL], grid_step)]
+    grid = np.minimum(np.arange(int(round(1.0 / grid_step)) + 1) * grid_step, 1.0)
+    cap = max(mu[0, 1], mu[1, 1]) + _TOL
+    points, rows, brackets = [None] * len(lambdas), [], []
+    for i, lam2 in enumerate(lambdas):
+        points[i] = None if lam2 > cap else _grid_best(mu, lam2, grid)
+        if points[i] is not None:
+            g21 = points[i][1]
+            rows.append(i)
+            brackets.append((max(g21 - grid_step, 0.0), min(g21 + grid_step, 1.0)))
+    if rows:
+        lam = [lambdas[i] for i in rows]
+        mids = _golden_sections(mu, lam, brackets)
+        mid_values, mid_g22s = _dominant1_values(mu, np.array(lam), np.array(mids))
+        for i, mid, value, g22 in zip(rows, mids, mid_values.tolist(), mid_g22s.tolist()):
+            if value > points[i][0]:
+                points[i] = value, mid, g22
+    return points
+
+
+def _envelope_point(mu: np.ndarray, lam, dominant: str, grid_step: float) -> DominantEnvelopePoint:
+    """The dominant-1 kernel at one rate, as the envelope point of dominant system ``dominant``."""
+    first = dominant == "first"
+    point = _dominant1_envelopes(mu if first else mu[:, ::-1], [float(lam)], grid_step)[0]
+    if point is None:
+        return DominantEnvelopePoint(fixed_lambda=lam, dominant=dominant, feasible=False)
+    best, g21, g22 = point
+    gamma = np.array([[1.0 - g21, 1.0 - g22], [g21, g22]])
+    return DominantEnvelopePoint(
+        fixed_lambda=lam, dominant=dominant, feasible=True, max_lambda=float(best),
+        gamma_star=SelectionMatrix(gamma if first else gamma[:, ::-1]),
+    )
 
 
 def dominant1_envelope_2x2(mu, lambda_s2: float, grid_step: float = 1e-3) -> DominantEnvelopePoint:
@@ -116,85 +209,61 @@ def dominant1_envelope_2x2(mu, lambda_s2: float, grid_step: float = 1e-3) -> Dom
     whole gamma21 grid in one array call, takes the first best grid point, and
     refines within one grid step of it by 60 golden-section steps.
     """
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (2, 2):
-        raise ConfigurationError("mu must be 2x2")
-    if not lambda_s2 >= 0:  # NaN fails too
-        raise ConfigurationError("lambda_s2 must be >= 0")
-    infeasible = DominantEnvelopePoint(fixed_lambda=lambda_s2, dominant="first", feasible=False)
-    if lambda_s2 > max(mu[0, 1], mu[1, 1]) + _TOL:
-        return infeasible
-
-    grid = np.minimum(np.arange(int(round(1.0 / grid_step)) + 1) * grid_step, 1.0)
-    values, g22s = _dominant1_values(mu, lambda_s2, grid)
-    best = int(np.argmax(values))  # the first best point, as a strict-improvement scan finds
-    if not values[best] > -math.inf:  # no grid point supports lambda_s2
-        return infeasible
-    best_val, g21, g22 = values[best], float(grid[best]), g22s[best]
-    mid = _golden_section(lambda g: _dominant1_values(mu, lambda_s2, g)[0],
-                          max(g21 - grid_step, 0.0), min(g21 + grid_step, 1.0))
-    mid_val, mid_g22 = _dominant1_values(mu, lambda_s2, mid)
-    if mid_val > best_val:
-        best_val, g21, g22 = mid_val, mid, mid_g22
-
-    gamma = SelectionMatrix(np.array([[1.0 - g21, 1.0 - g22], [g21, g22]]))
-    return DominantEnvelopePoint(
-        fixed_lambda=lambda_s2, dominant="first", feasible=True,
-        max_lambda=float(best_val), gamma_star=gamma,
-    )
+    mu = _mu_2x2(mu)
+    _check_rates([lambda_s2], "lambda_s2")
+    return _envelope_point(mu, lambda_s2, "first", grid_step)
 
 
 def dominant2_envelope_2x2(mu, lambda_s1: float, grid_step: float = 1e-3) -> DominantEnvelopePoint:
     """Mirror image of dominant1_envelope_2x2 with the user roles swapped."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (2, 2):
-        raise ConfigurationError("mu must be 2x2")
-    swapped = dominant1_envelope_2x2(mu[:, ::-1], lambda_s1, grid_step)
-    gamma = None
-    if swapped.gamma_star is not None:
-        gamma = SelectionMatrix(swapped.gamma_star.gamma[:, ::-1])
-    return DominantEnvelopePoint(
-        fixed_lambda=lambda_s1,
-        dominant="second",
-        feasible=swapped.feasible,
-        max_lambda=swapped.max_lambda,
-        gamma_star=gamma,
-    )
+    mu = _mu_2x2(mu)
+    _check_rates([lambda_s1], "lambda_s1")
+    return _envelope_point(mu, lambda_s1, "second", grid_step)
 
 
-def shat_section_lambda2(mu, lambda_s1: float) -> float | None:
-    """Largest lambda_s2 such that (lambda_s1, lambda_s2) is in the union region.
+def _shat_sections(mu: np.ndarray, lam1: list[float]) -> list[float | None]:
+    """Largest lambda_s2 such that (lambda_s1, lambda_s2) is in the union region, at each lambda_s1.
 
     Takes the better of the dominant-2 envelope at lambda_s1 and the inverse of
     the dominant-1 envelope (nonincreasing in lambda_s2, so invertible by
-    bisection). None when even lambda_s2 = 0 cannot carry lambda_s1.
+    bisection). None when even lambda_s2 = 0 cannot carry lambda_s1. The
+    bisections of all sections run in lockstep: one dominant-1 kernel call per
+    step, over the midpoints of every section still bracketing.
     """
-    mu = np.asarray(mu, dtype=float)
-    best = None
-    d2 = dominant2_envelope_2x2(mu, lambda_s1)
-    if d2.feasible:
-        best = float(d2.max_lambda)
+    def reach(point) -> float:
+        return -math.inf if point is None else point[0]
 
-    def carries(lam2: float) -> bool:
-        """True when the dominant-1 envelope at lam2 reaches lambda_s1 (closure)."""
-        p = dominant1_envelope_2x2(mu, lam2)
-        return p.feasible and p.max_lambda >= lambda_s1 - CLOSURE_TOL
+    # The dominant-1 envelope at lambda_s2 carries lambda_s1 once it reaches lambda_s1 - CLOSURE_TOL.
+    need = [lam - CLOSURE_TOL for lam in lam1]
+    top = float(max(mu[0, 1], mu[1, 1]))
+    at_zero, at_top = (reach(p) for p in _dominant1_envelopes(mu, [0.0, top]))
+    lo = [top if top > 0 and at_top >= n else 0.0 for n in need]
+    hi = [top] * len(lam1)
+    active = [k for k, n in enumerate(need) if at_zero >= n and lo[k] < top]
+    while True:
+        active = [k for k in active if hi[k] - lo[k] > _SECTION_TOL]
+        if not active:
+            break
+        mids = [(lo[k] + hi[k]) / 2.0 for k in active]
+        for k, mid, point in zip(active, mids, _dominant1_envelopes(mu, mids)):
+            if reach(point) >= need[k]:
+                lo[k] = mid
+            else:
+                hi[k] = mid
+    sections = []
+    for n, lo_k, d2 in zip(need, lo, _dominant1_envelopes(mu[:, ::-1], lam1)):
+        best = None if d2 is None else float(d2[0])
+        if at_zero >= n and (best is None or lo_k > best):
+            best = lo_k
+        sections.append(best)
+    return sections
 
-    hi = max(mu[0, 1], mu[1, 1])
-    if carries(0.0):
-        lo = 0.0
-        if hi > 0 and carries(hi):
-            lo = hi
-        elif hi > 0:
-            while hi - lo > _SECTION_TOL:
-                mid = (lo + hi) / 2.0
-                if carries(mid):
-                    lo = mid
-                else:
-                    hi = mid
-        if best is None or lo > best:
-            best = lo
-    return None if best is None else float(best)
+
+def shat_section_lambda2(mu, lambda_s1: float) -> float | None:
+    """Largest lambda_s2 such that (lambda_s1, lambda_s2) is in the union region (``_shat_sections``)."""
+    mu = _mu_2x2(mu)
+    _check_rates([lambda_s1], "lambda_s1")
+    return _shat_sections(mu, [float(lambda_s1)])[0]
 
 
 def _padded_2x2(mu: np.ndarray) -> np.ndarray | None:
@@ -214,9 +283,8 @@ def shat_envelope(mu, axis: int, grid) -> list[float | None]:
         )
     if axis not in (0, 1):
         raise ConfigurationError(f"user index {axis} out of range")
-    if axis == 0:
-        padded = padded[:, ::-1]
-    return [shat_section_lambda2(padded, value) for value in grid]
+    _check_rates(grid, f"lambda_s{2 - axis}")
+    return _shat_sections(padded if axis == 1 else padded[:, ::-1], [float(v) for v in grid])
 
 
 def selection_for_rates(mu, lambdas) -> SelectionMatrix:

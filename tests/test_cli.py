@@ -261,7 +261,7 @@ class TestCompare:
         # sabotage the S_hat section so the asserted ordering breaks
         from bandalloc import randalloc
 
-        monkeypatch.setattr(randalloc, "shat_section_lambda2", lambda mu, lam1, tol=1e-6: 1e-6)
+        monkeypatch.setattr(randalloc, "shat_envelope", lambda mu, axis, grid: [1e-6] * len(grid))
         code, out, err = run_cli(
             capsys, "compare", "--scenario", ref_2x2_file, "--grid", "0:0.2:0.1", "--json",
         )

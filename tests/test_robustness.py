@@ -274,6 +274,32 @@ class TestRandomSelectionRates:
             with pytest.raises(ConfigurationError, match="must be >= 0"):
                 envelope(ref_2x2_mu, math.nan)
 
+    @pytest.mark.parametrize("bad", [-0.1, math.nan])
+    def test_envelopes_name_the_refused_rate(self, ref_2x2_mu, bad):
+        # the dominant-2 envelope and the section used to call a bad
+        # lambda_s1 "lambda_s2"
+        for envelope, name in ((randalloc.dominant1_envelope_2x2, "lambda_s2"),
+                               (randalloc.dominant2_envelope_2x2, "lambda_s1"),
+                               (randalloc.shat_section_lambda2, "lambda_s1")):
+            with pytest.raises(ConfigurationError, match=f"^{name} must be >= 0, got {bad}$"):
+                envelope(ref_2x2_mu, bad)
+
+    @pytest.mark.parametrize("axis, name", [(1, "lambda_s1"), (0, "lambda_s2")])
+    @pytest.mark.parametrize("bad", [-0.2, math.nan])
+    def test_shat_envelope_names_the_refused_grid_rate(self, ref_2x2_mu, axis, name, bad):
+        # the grid holds the other user's rate; shat_envelope used to compute
+        # the sections before it and then name lambda_s2 whatever the axis
+        with pytest.raises(ConfigurationError, match=f"^{name} must be >= 0, got {bad}$"):
+            randalloc.shat_envelope(ref_2x2_mu, axis, [0.1, bad])
+
+    def test_shat_envelope_checks_the_grid_before_any_section(self, ref_2x2_mu, monkeypatch):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a section was computed before the grid was checked")
+
+        monkeypatch.setattr(randalloc, "_dominant1_values", no_kernel)
+        with pytest.raises(ConfigurationError, match="got -0.2"):
+            randalloc.shat_envelope(ref_2x2_mu, 1, [0.1, -0.2])
+
     @pytest.mark.parametrize("lam", [(math.nan, 0.1), (0.1, math.nan)])
     def test_selection_for_rates_refuses_nan(self, ref_2x2_mu, lam):
         with pytest.raises(ConfigurationError, match="must be >= 0"):
