@@ -9,11 +9,16 @@ checkout's ``src``), so one harness can time two revisions on the same machine.
 A case is named after the function it times; where the ``--src`` tree lacks
 that function, the case is reported as ``{"absent": true}`` instead.
 Each case is one call on a fixed input: the S_hat dominant-system envelopes
-and union-region section on the reference 2x2 scenario, the S envelope LP
-and the max-slack assignment LP on both shipped scenarios, the padding and
-Birkhoff decomposition of the 5x4 max-slack assignment
+and union-region section on the reference 2x2 scenario, two S_hat sweeps
+(``randalloc.shat_envelope``: the reference scenario on the region-2x2
+benchmark grid 0:0.175:0.025, and a jittered copy of it, mu times
+[[1.03, 0.97], [0.98, 1.02]], on 6 points up to 0.98 of its largest
+mu[:, 0], where 4 of the 6 sections bisect), the S envelope LP and the
+max-slack assignment LP on both shipped scenarios, the padding and Birkhoff
+decomposition of the 5x4 max-slack assignment
 (``schedule.schedule_from_assignment``, which ``decompose`` and ``simulate
---system S`` call), a 21-point fixed-system sweep on the 5x4 scenario,
+--system S`` call), a 21-point S sweep on the 5x4 scenario
+(``orthogonal.sweep_envelope``) and the same sweep of the fixed system,
 both as ``fixedalloc.sweep_envelope`` and as the whole ``envelope`` command
 through ``cli.main``, three more whole commands on the reference 2x2
 scenario through ``cli.main`` (a 100-point S ``envelope`` sweep, a 29-point
@@ -78,6 +83,10 @@ def cases():
     }
     config = sim.SimConfig(n_slots=100_000, seed=1)
     grid = [i * 0.03 for i in range(21)]
+    region_grid = [i * 0.025 for i in range(8)]  # 0:0.175:0.025 as the CLI builds it
+    jittered = mu * np.array([[1.03, 0.97], [0.98, 1.02]])
+    jitter_top = 0.98 * float(jittered[:, 0].max())
+    jitter_grid = [i * (jitter_top / 5) for i in range(6)]
     ref_path = str(ROOT / "scenarios" / "reference_2x2.json")
     commands = {
         "envelope --system fixed 5x4 21 points": [
@@ -94,12 +103,17 @@ def cases():
         ("randalloc.dominant1_envelope_2x2", lambda: randalloc.dominant1_envelope_2x2(mu, 0.3)),
         ("randalloc.dominant2_envelope_2x2", lambda: randalloc.dominant2_envelope_2x2(mu, 0.3)),
         ("randalloc.shat_section_lambda2", lambda: randalloc.shat_section_lambda2(mu, 0.3)),
+        ("randalloc.shat_envelope 2x2 8 points", lambda: randalloc.shat_envelope(mu, 1, region_grid)),
+        ("randalloc.shat_envelope 2x2 6 points bisecting",
+         lambda: randalloc.shat_envelope(jittered, 1, jitter_grid)),
         ("orthogonal.envelope_point 2x2", lambda: orthogonal.envelope_point(ref, [0.3, 0.0], 1)),
         ("orthogonal.envelope_point 5x4", lambda: orthogonal.envelope_point(big, [0.0, 0.1, 0.1, 0.1], 0)),
         ("orthogonal.max_slack_assignment 2x2", lambda: orthogonal.max_slack_assignment(ref, lam)),
         ("orthogonal.max_slack_assignment 5x4", lambda: orthogonal.max_slack_assignment(big, big_lam)),
         ("schedule.schedule_from_assignment 5x4",
          lambda: schedule.schedule_from_assignment(big_omega)),
+        ("orthogonal.sweep_envelope 5x4 21 points", lambda: orthogonal.sweep_envelope(
+            big, 0, grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
         ("fixedalloc.sweep_envelope 5x4 21 points", lambda: fixedalloc.sweep_envelope(
             big, 0, grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
     ] + [

@@ -8,6 +8,14 @@ empty, which decouples the interaction): the dominant envelopes, the
 union-region sections and the selection policy below. The general multi-user
 case is only simulated. The one-band closed forms, the collision service rate
 and the union-region membership test are test oracles in ``tests/oracles.py``.
+
+One kernel, ``_dominant1_envelopes``, computes the dominant-1 envelope at a
+list of lambda_s2; the dominant-2 envelope is the same kernel on mu with its
+columns swapped. ``shat_envelope`` solves the sections of all its grid points
+in lockstep: each bisection step is one kernel call over the midpoints of the
+sections still bracketing, and the kernel runs the golden-section refinement
+of all its sections through one array call per five steps. The one-rate
+functions are the kernel, or the sweep, at one rate.
 """
 
 from __future__ import annotations
@@ -84,17 +92,22 @@ def _dominant1_values(mu: np.ndarray, lambda_s2, g21):
     lambda_s1 = (1-g21)*mu11 + g21*mu21 + lambda_s2 * (g22*K1 - K2)/(D + C*g22),
     the affine lift of the reduced fractional objective ``optim.fractional_argmax``
     solves. ``lambda_s2`` is a scalar or a column with one row per section of
-    ``g21``; where it is 0 the value is the base itself, since adding
-    0 * ... would turn a -0.0 into 0.0.
+    ``g21``. Where it is 0 the value is the base itself, since adding 0 * ...
+    would turn a -0.0 into 0.0.
     """
     (mu11, mu12), (mu21, mu22) = mu.tolist()
     g21b = 1.0 - g21
     K2, shared, D = g21b * mu11, g21 * mu21, g21 * mu12
     K1, base, C = K2 - shared, K2 + shared, g21b * mu22 - D
     g22, feasible = fractional_argmax(K1, K2, C, D, lambda_s2)
-    lift = lambda_s2 != 0
-    denom = np.where(feasible & lift, D + C * g22, 1.0)  # mu_s2 >= lambda_s2 > 0 where lifted
-    values = np.where(lift, base + lambda_s2 * (g22 * K1 - K2) / denom, base)
+    column = np.ndim(lambda_s2) > 0  # else one lambda_s2 for every point, and no masks to build
+    if not column and lambda_s2 == 0:
+        return np.where(feasible, base, -np.inf), g22
+    lifted = feasible & (lambda_s2 != 0) if column else feasible
+    denom = np.where(lifted, D + C * g22, 1.0)  # mu_s2 >= lambda_s2 > 0 where lifted
+    values = base + lambda_s2 * (g22 * K1 - K2) / denom
+    if column:
+        values = np.where(lifted, values, base)
     return np.where(feasible, values, -np.inf), g22
 
 
@@ -119,15 +132,15 @@ def _golden_points(a: float, b: float, x1: float, x2: float) -> list[float]:
     return points
 
 
-def _golden_sections(mu: np.ndarray, lam: list[float], brackets: list[tuple[float, float]]) -> list[float]:
+def _golden_sections(mu: np.ndarray, column, brackets: list[tuple]) -> list[float]:
     """Midpoint of the bracket left by 60 golden-section steps on each section's bracket.
 
-    Section i maximizes the dominant-1 value at lambda_s2 = lam[i] over
-    gamma21 in brackets[i]. All sections step together: one array call per
-    _GOLDEN_BATCH steps evaluates every section's ``_golden_points``, one row
-    each, and each section then walks its tree in Python floats.
+    Section i maximizes the dominant-1 value at lambda_s2 = column[i] over
+    gamma21 in brackets[i] (``column`` is one scalar for one section). All
+    sections step together: one array call per _GOLDEN_BATCH steps evaluates
+    every section's ``_golden_points``, one row each, and each section then
+    walks its tree in Python floats.
     """
-    column = np.array(lam)[:, None] if len(lam) > 1 else lam[0]  # a scalar broadcasts faster
     states = [(a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)) for a, b in brackets]
     points = np.empty((len(states), 2 ** (_GOLDEN_BATCH + 1)))
     for _ in range(60 // _GOLDEN_BATCH):
@@ -158,7 +171,8 @@ def _grid_best(mu: np.ndarray, lam2: float, grid: np.ndarray) -> tuple | None:
     return (values[k], float(grid[k]), g22s[k]) if values[k] > -math.inf else None
 
 
-def _dominant1_envelopes(mu: np.ndarray, lambdas: list[float], grid_step: float = 1e-3) -> list[tuple | None]:
+def _dominant1_envelopes(mu: np.ndarray, lambdas: list[float],
+                         grid_step: float = 1e-3) -> list[tuple | None]:
     """The dominant-1 envelope (max lambda_s1, gamma21, gamma22) at each lambda_s2 in ``lambdas``.
 
     None where lambda_s2 is unsupportable. Each section scans the whole
@@ -179,10 +193,12 @@ def _dominant1_envelopes(mu: np.ndarray, lambdas: list[float], grid_step: float 
             rows.append(i)
             brackets.append((max(g21 - grid_step, 0.0), min(g21 + grid_step, 1.0)))
     if rows:
+        # One section goes in as scalars, which need no masks and run its midpoint in Python floats.
         lam = [lambdas[i] for i in rows]
-        mids = _golden_sections(mu, lam, brackets)
-        mid_values, mid_g22s = _dominant1_values(mu, np.array(lam), np.array(mids))
-        for i, mid, value, g22 in zip(rows, mids, mid_values.tolist(), mid_g22s.tolist()):
+        column = np.array(lam)[:, None] if len(lam) > 1 else lam[0]
+        mids = _golden_sections(mu, column, brackets)
+        at_mids = _dominant1_values(mu, column, np.array(mids)[:, None] if len(lam) > 1 else mids[0])
+        for i, mid, value, g22 in zip(rows, mids, *(np.ravel(a).tolist() for a in at_mids)):
             if value > points[i][0]:
                 points[i] = value, mid, g22
     return points
