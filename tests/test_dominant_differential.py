@@ -167,3 +167,13 @@ def test_sweep_matches_the_scalar_path_on_the_region_2x2_grid(ref_2x2_mu):
         sections = _assert_sweep(ref_2x2_mu, 1, grid, dominant1=scalar_dominant1_envelope_2x2,
                                  dominant2=scalar_dominant2_envelope_2x2)
     assert None not in sections
+
+
+def test_sweep_does_not_depend_on_the_kernel_block(ref_2x2_mu, monkeypatch):
+    # _SECTIONS_PER_CALL only bounds the memory of one kernel call: with
+    # blocks of 3 sections, the dominant-2 envelopes and the bisection
+    # rounds of an 11-point sweep each span several blocks.
+    monkeypatch.setattr(randalloc, "_SECTIONS_PER_CALL", 3)
+    mu = ref_2x2_mu * np.array([[1.03, 0.97], [0.98, 1.02]])
+    with np.errstate(all="raise"):
+        _assert_sweep(mu, 1, np.linspace(0.0, 0.98 * float(mu[:, 0].max()), 11))
