@@ -32,7 +32,7 @@ _TOL = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_BATCH = 5  # golden-section steps per array call; divides 60
 _SECTION_TOL = 1e-6  # bisection stops once the lambda_s2 bracket is this narrow
-_SECTIONS_PER_CALL = 64  # bounds the (sections, 64) golden-section arrays of one kernel call
+_SECTIONS_PER_CALL = 64  # bounds the 64-points-per-section golden-section arrays of one kernel call
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _dominant1_values(mu: np.ndarray, lambda_s2, g21):
 
     lambda_s1 = (1-g21)*mu11 + g21*mu21 + lambda_s2 * (g22*K1 - K2)/(D + C*g22),
     the affine lift of the reduced fractional objective ``optim.fractional_argmax``
-    solves. ``lambda_s2`` is a scalar or a column with one row per section of
+    solves. ``lambda_s2`` is a scalar or an array with one rate per point of
     ``g21``. Where it is 0 the value is the base itself, since adding 0 * ...
     would turn a -0.0 into 0.0.
     """
@@ -100,13 +100,13 @@ def _dominant1_values(mu: np.ndarray, lambda_s2, g21):
     K2, shared, D = g21b * mu11, g21 * mu21, g21 * mu12
     K1, base, C = K2 - shared, K2 + shared, g21b * mu22 - D
     g22, feasible = fractional_argmax(K1, K2, C, D, lambda_s2)
-    column = np.ndim(lambda_s2) > 0  # else one lambda_s2 for every point, and no masks to build
-    if not column and lambda_s2 == 0:
+    per_point = np.ndim(lambda_s2) > 0  # else one lambda_s2 for every point, and no masks to build
+    if not per_point and lambda_s2 == 0:
         return np.where(feasible, base, -np.inf), g22
-    lifted = feasible & (lambda_s2 != 0) if column else feasible
+    lifted = feasible & (lambda_s2 != 0) if per_point else feasible
     denom = np.where(lifted, D + C * g22, 1.0)  # mu_s2 >= lambda_s2 > 0 where lifted
     values = base + lambda_s2 * (g22 * K1 - K2) / denom
-    if column:
+    if per_point:
         values = np.where(lifted, values, base)
     return np.where(feasible, values, -np.inf), g22
 
@@ -132,34 +132,43 @@ def _golden_points(a: float, b: float, x1: float, x2: float) -> list[float]:
     return points
 
 
-def _golden_sections(mu: np.ndarray, column, brackets: list[tuple]) -> list[float]:
-    """Midpoint of the bracket left by 60 golden-section steps on each section's bracket.
+def _golden_sections(mu: np.ndarray, lam: list[float], brackets: list[tuple]) -> list[tuple]:
+    """(midpoint, value, gamma22) after 60 golden-section steps on each section's bracket.
 
-    Section i maximizes the dominant-1 value at lambda_s2 = column[i] over
-    gamma21 in brackets[i] (``column`` is one scalar for one section). All
-    sections step together: one array call per _GOLDEN_BATCH steps evaluates
-    every section's ``_golden_points``, one row each, and each section then
-    walks its tree in Python floats.
+    Section i maximizes the dominant-1 value at lambda_s2 = lam[i] over
+    gamma21 in brackets[i]. All sections step together: one array call per
+    _GOLDEN_BATCH steps evaluates every section's ``_golden_points``, and each
+    section then walks its tree in Python floats. The sections' points lie
+    side by side in one flat array, so every array operation stays
+    one-dimensional, as for one section: broadcasting over a second axis runs
+    numpy code that a lone section never reaches, and its pages count in
+    resident memory. A lone section runs on a scalar rate, which needs no
+    masks, and its midpoint in Python floats.
     """
+    width, one = 2 ** (_GOLDEN_BATCH + 1), len(lam) == 1
+    rates = lam[0] if one else np.repeat(lam, width)
     states = [(a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)) for a, b in brackets]
-    points = np.empty((len(states), 2 ** (_GOLDEN_BATCH + 1)))
+    points = np.empty(len(states) * width)
     for _ in range(60 // _GOLDEN_BATCH):
         for i, state in enumerate(states):
-            points[i] = _golden_points(*state)
-        for i, row in enumerate(_dominant1_values(mu, column, points)[0]):
-            values, (a, b, x1, x2) = row.tolist(), states[i]
-            f1, f2, n = values[0], values[1], 0
+            points[i * width:(i + 1) * width] = _golden_points(*state)
+        values = _dominant1_values(mu, rates, points)[0]
+        for i, (a, b, x1, x2) in enumerate(states):
+            fresh = values[i * width:(i + 1) * width].tolist()
+            f1, f2, n = fresh[0], fresh[1], 0
             for _ in range(_GOLDEN_BATCH):  # down the tree, with the tree's bracket arithmetic
                 if f1 >= f2:
                     n = 2 * n + 1
                     a, b, x1, x2 = a, x2, x2 - _GOLDEN * (x2 - a), x1
-                    f1, f2 = values[n + 1], f1
+                    f1, f2 = fresh[n + 1], f1
                 else:
                     n = 2 * n + 2
                     a, b, x1, x2 = x1, b, x2, x1 + _GOLDEN * (b - x1)
-                    f1, f2 = f2, values[n + 1]
+                    f1, f2 = f2, fresh[n + 1]
             states[i] = a, b, x1, x2
-    return [(a + b) / 2.0 for a, b, _, _ in states]
+    mids = [(a + b) / 2.0 for a, b, _, _ in states]
+    at_mids = _dominant1_values(mu, lam[0] if one else np.array(lam), mids[0] if one else np.array(mids))
+    return list(zip(mids, *(np.ravel(a).tolist() for a in at_mids)))
 
 
 def _grid_best(mu: np.ndarray, lam2: float, grid: np.ndarray) -> tuple | None:
@@ -193,12 +202,7 @@ def _dominant1_envelopes(mu: np.ndarray, lambdas: list[float],
             rows.append(i)
             brackets.append((max(g21 - grid_step, 0.0), min(g21 + grid_step, 1.0)))
     if rows:
-        # One section goes in as scalars, which need no masks and run its midpoint in Python floats.
-        lam = [lambdas[i] for i in rows]
-        column = np.array(lam)[:, None] if len(lam) > 1 else lam[0]
-        mids = _golden_sections(mu, column, brackets)
-        at_mids = _dominant1_values(mu, column, np.array(mids)[:, None] if len(lam) > 1 else mids[0])
-        for i, mid, value, g22 in zip(rows, mids, *(np.ravel(a).tolist() for a in at_mids)):
+        for i, (mid, value, g22) in zip(rows, _golden_sections(mu, [lambdas[i] for i in rows], brackets)):
             if value > points[i][0]:
                 points[i] = value, mid, g22
     return points
