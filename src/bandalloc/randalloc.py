@@ -139,10 +139,10 @@ def _golden_sections(mu: np.ndarray, lam: list[float], brackets: list[tuple]) ->
     gamma21 in brackets[i]. All sections step together: one array call per
     _GOLDEN_BATCH steps evaluates every section's ``_golden_points``, and each
     section then walks its tree in Python floats. The sections' points lie
-    side by side in one flat array, so every array operation stays
-    one-dimensional, as for one section: broadcasting over a second axis runs
-    numpy code that a lone section never reaches, and its pages count in
-    resident memory. A lone section runs on a scalar rate, which needs no
+    side by side in one preallocated flat array, each section's rate repeated
+    over its points, so every array operation stays one-dimensional, as for
+    one section; a (sections, 64) array with a column of rates kept more
+    memory resident. A lone section runs on a scalar rate, which needs no
     masks, and its midpoint in Python floats.
     """
     width, one = 2 ** (_GOLDEN_BATCH + 1), len(lam) == 1
