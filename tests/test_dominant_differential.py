@@ -1,10 +1,15 @@
 """The dominant-system envelopes against the scalar reference path in ``oracles``.
 
-Every instance must give exactly the same ``feasible``, ``max_lambda`` and
-``gamma_star`` (``==``, no tolerance), with every floating-point warning
-raised as an error. Most instances use a coarse gamma21 grid so that 2000 of
-them fit in a few seconds; the grid scan, the tie-break on the best grid point
-and the 60 golden-section steps run the same way at every grid step.
+The scalar path scans a gamma21 grid and refines the best grid point by 60
+golden-section steps. ``randalloc`` instead evaluates closed-form candidate
+points, so the two agree to rounding, not bit for bit. At the scalar path's
+default step of 1e-3, ``feasible`` must be equal and ``max_lambda`` within
+_ULP_BOUND either way. On coarse grids the scalar path may miss the optimum,
+so there the envelope must be feasible wherever the scalar path is, and never
+more than _ULP_BOUND below it. Every envelope point's ``gamma_star`` must give
+back its ``max_lambda`` bit for bit through the scalar per-gamma21 value, and
+no envelope may fall more than 1e-15 below the brute-force (gamma21, gamma22)
+grid oracle. Every floating-point warning is raised as an error.
 
 The S_hat sweeps of ``randalloc.shat_envelope`` must equal, section by
 section, the one-bisection-per-point ``reference_shat_section_lambda2``
@@ -17,10 +22,15 @@ import pytest
 from bandalloc import randalloc
 
 from oracles import (
+    _scalar_dominant1_at,
+    gamma_grid_oracle_dominant1,
     reference_shat_section_lambda2,
     scalar_dominant1_envelope_2x2,
     scalar_dominant2_envelope_2x2,
 )
+
+# Two ulp of an envelope value in [0.25, 1]; the largest gap measured was 2.3e-16.
+_ULP_BOUND = 4.5e-16
 
 # Coarse steps, including ones whose grid stops short of gamma21 = 1.
 _STEPS = (0.1, 0.05, 0.04, 1 / 30, 0.03, 0.07, 0.3)
@@ -59,43 +69,72 @@ def _instances(seed, count):
         yield mu, lam_kind, step, rng
 
 
-def _assert_same(got, want):
-    assert got.feasible == want.feasible
-    assert got.dominant == want.dominant
-    assert got.max_lambda == want.max_lambda
-    if want.gamma_star is None:
-        assert got.gamma_star is None
-    else:
-        assert np.array_equal(got.gamma_star.gamma, want.gamma_star.gamma)
+def _paths(dominant):
+    """(library envelope, scalar envelope, column of the user whose rate is fixed)."""
+    if dominant == "first":
+        return randalloc.dominant1_envelope_2x2, scalar_dominant1_envelope_2x2, 1
+    return randalloc.dominant2_envelope_2x2, scalar_dominant2_envelope_2x2, 0
+
+
+def _assert_reproduces(point, mu):
+    """``gamma_star`` gives back ``max_lambda`` through the scalar per-gamma21 value."""
+    assert point.feasible == (point.gamma_star is not None)
+    if not point.feasible:
+        return
+    gamma = point.gamma_star.gamma
+    if point.dominant == "second":
+        mu, gamma = mu[:, ::-1], gamma[:, ::-1]
+    g21, g22 = gamma[1]
+    assert _scalar_dominant1_at(mu, point.fixed_lambda, g21) == (point.max_lambda, g22)
 
 
 @pytest.mark.parametrize("dominant", ["first", "second"])
-def test_matches_scalar_path_on_coarse_grids(dominant):
+def test_matches_scalar_path_at_the_default_step(dominant, ref_2x2_mu):
+    # 150 seeded instances per dominant system, then the reference scenario.
+    new, old, own = _paths(dominant)
+    cases = [(mu, _lam(rng, mu[:, own].max(), kind)) for mu, kind, _, rng in _instances(50 + own, 150)]
+    cases += [(ref_2x2_mu, lam) for lam in (0.0, 0.3, 0.17500000000000002, 0.9)]
+    feasible = 0
+    with np.errstate(all="raise"):
+        for mu, lam in cases:
+            got, want = new(mu, lam), old(mu, lam)
+            assert got.feasible == want.feasible, (mu.tolist(), lam)
+            if want.feasible:
+                assert abs(got.max_lambda - want.max_lambda) <= _ULP_BOUND, (mu.tolist(), lam)
+                feasible += 1
+            _assert_reproduces(got, mu)
+    assert feasible > 120
+
+
+@pytest.mark.parametrize("dominant", ["first", "second"])
+def test_never_below_scalar_path_on_coarse_grids(dominant):
     # 1000 instances per dominant system, 2000 in all.
-    new, old = (
-        (randalloc.dominant1_envelope_2x2, scalar_dominant1_envelope_2x2)
-        if dominant == "first"
-        else (randalloc.dominant2_envelope_2x2, scalar_dominant2_envelope_2x2)
-    )
-    own = 1 if dominant == "first" else 0  # column of the user whose rate is fixed
+    new, old, own = _paths(dominant)
     feasible = 0
     with np.errstate(all="raise"):
         for mu, lam_kind, step, rng in _instances(40 + own, 1000):
             lam = _lam(rng, mu[:, own].max(), lam_kind)
-            want = old(mu, lam, step)
-            _assert_same(new(mu, lam, step), want)
-            feasible += want.feasible
+            got, want = new(mu, lam), old(mu, lam, step)
+            if want.feasible:
+                assert got.feasible and got.max_lambda >= want.max_lambda - _ULP_BOUND, (mu.tolist(), lam, step)
+                feasible += 1
+            _assert_reproduces(got, mu)
     assert feasible > 800  # the cases exercise the refinement, not just the refusal
 
 
-def test_matches_scalar_path_on_the_default_grid(ref_2x2_mu):
-    # The coarse-grid cases cover the input kinds; these cover the 1001-point grid.
+@pytest.mark.parametrize("dominant", ["first", "second"])
+def test_never_below_the_grid_oracle(dominant):
+    new, _, own = _paths(dominant)
+    supported = 0
     with np.errstate(all="raise"):
-        for lam in (0.0, 0.3, 0.17500000000000002, 0.9):
-            _assert_same(randalloc.dominant1_envelope_2x2(ref_2x2_mu, lam),
-                         scalar_dominant1_envelope_2x2(ref_2x2_mu, lam))
-            _assert_same(randalloc.dominant2_envelope_2x2(ref_2x2_mu, lam),
-                         scalar_dominant2_envelope_2x2(ref_2x2_mu, lam))
+        for mu, lam_kind, _, rng in _instances(80 + own, 40):
+            lam = _lam(rng, mu[:, own].max(), lam_kind)
+            oracle = gamma_grid_oracle_dominant1(mu if own else mu[:, ::-1], lam)
+            if oracle is not None:
+                got = new(mu, lam)
+                assert got.feasible and got.max_lambda >= oracle - 1e-15, (mu.tolist(), lam)
+                supported += 1
+    assert supported > 30
 
 
 # --- S_hat sweeps against the one-section-at-a-time bisection -------------------
