@@ -95,21 +95,29 @@ def omega_grid_oracle(mu, lam1, step=1e-2):
 
 
 def gamma_grid_oracle_dominant1(mu, lam2, step=1e-3):
-    """Brute-force first-dominant-system envelope over a (gamma21, gamma22) grid."""
+    """Brute-force first-dominant-system envelope over a (gamma21, gamma22) grid.
+
+    The grid is evaluated 64 gamma21 values at a time, keeping the running
+    max, so the temporaries stay cache-sized; every point's arithmetic is
+    that of one whole-grid expression.
+    """
     mu = np.asarray(mu, dtype=float)
     g = np.arange(0.0, 1.0 + step / 2, step)
-    G21, G22 = np.meshgrid(g, g, indexing="ij")
-    mus2 = (1 - G22) * G21 * mu[0, 1] + G22 * (1 - G21) * mu[1, 1]
-    base = (1 - G21) * mu[0, 0] + G21 * mu[1, 0]
-    feasible = mus2 >= lam2
-    if lam2 == 0:
-        lam1 = np.where(feasible, base, -np.inf)
-    else:
-        coll = (1 - G21) * G22 * mu[0, 0] + G21 * (1 - G22) * mu[1, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = lam2 / mus2
-            lam1 = np.where(feasible & (mus2 > 0), frac * coll + base * (1 - frac), -np.inf)
-    best = lam1.max()
+    G22 = g[None, :]
+    best = -np.inf
+    for i in range(0, g.size, 64):
+        G21 = g[i:i + 64, None]
+        mus2 = (1 - G22) * G21 * mu[0, 1] + G22 * (1 - G21) * mu[1, 1]
+        base = (1 - G21) * mu[0, 0] + G21 * mu[1, 0]
+        feasible = mus2 >= lam2
+        if lam2 == 0:
+            lam1 = np.where(feasible, base, -np.inf)
+        else:
+            coll = (1 - G21) * G22 * mu[0, 0] + G21 * (1 - G22) * mu[1, 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                frac = lam2 / mus2
+                lam1 = np.where(feasible & (mus2 > 0), frac * coll + base * (1 - frac), -np.inf)
+        best = max(best, lam1.max())
     return float(best) if np.isfinite(best) else None
 
 
