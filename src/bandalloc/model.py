@@ -34,6 +34,12 @@ def _check_prob(value: float, name: str) -> None:
         raise ConfigurationError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def check_unit_interval(values, name: str) -> None:
+    """Refuse ``values`` unless every entry lies in [0, 1]; NaN and inf fail too."""
+    if not np.all((values >= 0) & (values <= 1)):
+        raise ConfigurationError(f"{name} entries must lie in [0, 1]")
+
+
 def rate_vector(rates, m_s: int, skip: int | None = None) -> np.ndarray:
     """A copy of ``rates`` as one arrival rate per user, each >= 0; entry ``skip`` is read as 0."""
     lam = np.array(rates, dtype=float)
@@ -220,8 +226,7 @@ class RateMatrix:
         if self.mu_p.shape != (mu.shape[0],) or self.pi.shape != (mu.shape[0],):
             raise ConfigurationError("mu_p and pi must have one entry per band")
         for arr, name in ((mu, "mu"), (self.mu_p, "mu_p"), (self.pi, "pi")):
-            if not np.all((arr >= 0) & (arr <= 1)):
-                raise ConfigurationError(f"{name} entries must lie in [0, 1]")
+            check_unit_interval(arr, name)
 
     @property
     def m_p(self) -> int:

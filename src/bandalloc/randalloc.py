@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLOSURE_TOL, ConfigurationError, rate_vector
+from .model import CLOSURE_TOL, ConfigurationError, check_unit_interval, rate_vector
 from .optim import fractional_argmax
 
 _TOL = 1e-9
@@ -78,12 +78,19 @@ def _check_rates(values, name: str) -> None:
             raise ConfigurationError(f"{name} must be >= 0, got {float(value)}")
 
 
+def _checked_mu(mu) -> np.ndarray:
+    """``mu`` as a float array, refused unless every entry lies in [0, 1] as in ``RateMatrix``."""
+    mu = np.asarray(mu, dtype=float)
+    check_unit_interval(mu, "mu")
+    return mu
+
+
 def _mu_2x2(mu) -> np.ndarray:
-    """``mu`` as a 2x2 float array; anything else is refused."""
+    """``mu`` as a checked 2x2 float array; anything else is refused."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (2, 2):
         raise ConfigurationError("mu must be 2x2")
-    return mu
+    return _checked_mu(mu)
 
 
 def _dominant1_values(mu: np.ndarray, lambda_s2, g21):
@@ -296,7 +303,7 @@ def _padded_2x2(mu: np.ndarray) -> np.ndarray | None:
 
 def shat_envelope(mu, axis: int, grid) -> list[float | None]:
     """Union-region section of user ``axis`` (0 or 1) at each of the other user's rates in ``grid``."""
-    padded = _padded_2x2(np.asarray(mu, dtype=float))
+    padded = _padded_2x2(_checked_mu(mu))
     if padded is None:
         raise ConfigurationError(
             "analytic envelope for system S_hat covers only M_s=2, M_p<=2; use simulate"
@@ -315,7 +322,7 @@ def selection_for_rates(mu, lambdas) -> SelectionMatrix:
     Any other shape: uniform selection over the bands. ``lambdas`` holds one
     rate >= 0 per user, whatever the shape.
     """
-    mu = np.asarray(mu, dtype=float)
+    mu = _checked_mu(mu)
     m_p, m_s = mu.shape
     lam = rate_vector(lambdas, m_s)
     padded = _padded_2x2(mu)

@@ -323,6 +323,28 @@ class TestRandomSelectionRates:
                 with pytest.raises(ConfigurationError, match="one entry per user"):
                     randalloc.selection_for_rates(mu, [0.1] * count)
 
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.1, math.inf], ids=["nan", "above_one", "negative", "inf"])
+    def test_raw_mu_entry_points_refuse_a_bad_entry(self, ref_2x2_mu, bad):
+        # These used to check only mu's shape: a NaN entry gave sections of
+        # 0.0, entries outside [0, 1] were used as rates, and an infinite one
+        # never returned from the S_hat bisection on the bracket [0, inf].
+        mu = ref_2x2_mu.copy()
+        mu[0, 1] = bad
+        square = np.full((3, 3), 0.5)
+        square[2, 0] = bad
+        calls = (
+            lambda: randalloc.dominant1_envelope_2x2(mu, 0.1),
+            lambda: randalloc.dominant2_envelope_2x2(mu, 0.1),
+            lambda: randalloc.shat_section_lambda2(mu, 0.1),
+            lambda: randalloc.shat_envelope(mu, 1, [0.1]),
+            lambda: randalloc.shat_envelope(mu[:1], 0, [0.1]),
+            lambda: randalloc.selection_for_rates(mu, [0.1, 0.1]),
+            lambda: randalloc.selection_for_rates(square, [0.1, 0.1, 0.1]),
+        )
+        for call in calls:
+            with pytest.raises(ConfigurationError, match=r"^mu entries must lie in \[0, 1\]$"):
+                call()
+
     @pytest.mark.parametrize("args", [(math.nan, 0.2, 0.1), (0.2, math.nan, 0.1), (0.2, 0.3, math.nan)])
     def test_one_band_optimum_refuses_nan(self, args):
         with pytest.raises(ConfigurationError, match="must be >= 0"):
