@@ -11,11 +11,16 @@ and the union-region membership test are test oracles in ``tests/oracles.py``.
 
 One kernel, ``_dominant1_envelopes``, computes the dominant-1 envelope at a
 list of lambda_s2; the dominant-2 envelope is the same kernel on mu with its
-columns swapped. ``shat_envelope`` solves the sections of all its grid points
-in lockstep: each bisection step is one kernel call over the midpoints of the
-sections still bracketing, and the kernel runs the golden-section refinement
-of all its sections through one array call per five steps. The one-rate
-functions are the kernel, or the sweep, at one rate.
+columns swapped. For a fixed gamma21 the best gamma22 is an end of its
+feasible interval (``optim.fractional_argmax``), so the dominant-1 value is a
+continuous function of gamma21 made of three rational pieces, and its maximum
+lies at one of ten closed-form points: an end of the feasible set, a switch
+between pieces or a stationary point of a piece. The kernel evaluates those
+points, and their float neighbours, for all its rates in one array call.
+``shat_envelope`` solves the sections of all its grid points in lockstep:
+each bisection step is one kernel call over the midpoints of the sections
+still bracketing. The one-rate functions are the kernel, or the sweep, at one
+rate.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ from .model import CLOSURE_TOL, ConfigurationError, check_unit_interval, rate_ve
 from .optim import fractional_argmax
 
 _TOL = 1e-9
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_BATCH = 5  # golden-section steps per array call; divides 60
 _SECTION_TOL = 1e-6  # bisection stops once the lambda_s2 bracket is this narrow
-_SECTIONS_PER_CALL = 64  # bounds the 64-points-per-section golden-section arrays of one kernel call
+# Sections per kernel call: each holds 30 candidate points, so one call's
+# temporaries are arrays of at most 30 * 1024 = 30720 floats (240 KB each).
+_SECTIONS_PER_CALL = 1024
 
 
 @dataclass(frozen=True)
@@ -93,132 +98,79 @@ def _mu_2x2(mu) -> np.ndarray:
     return _checked_mu(mu)
 
 
-def _dominant1_values(mu: np.ndarray, lambda_s2, g21):
+def _dominant1_values(mu: np.ndarray, lambda_s2: np.ndarray, g21: np.ndarray):
     """Best lambda_s1 (-inf where lambda_s2 is unsupportable) and its gamma22 at each gamma21.
 
     lambda_s1 = (1-g21)*mu11 + g21*mu21 + lambda_s2 * (g22*K1 - K2)/(D + C*g22),
     the affine lift of the reduced fractional objective ``optim.fractional_argmax``
-    solves. ``lambda_s2`` is a scalar or an array with one rate per point of
-    ``g21``. Where it is 0 the value is the base itself, since adding 0 * ...
-    would turn a -0.0 into 0.0.
+    solves. ``lambda_s2`` broadcasts against ``g21``. Where it is 0 the value is
+    the base itself, since adding 0 * ... would turn a -0.0 into 0.0.
     """
     (mu11, mu12), (mu21, mu22) = mu.tolist()
     g21b = 1.0 - g21
     K2, shared, D = g21b * mu11, g21 * mu21, g21 * mu12
     K1, base, C = K2 - shared, K2 + shared, g21b * mu22 - D
     g22, feasible = fractional_argmax(K1, K2, C, D, lambda_s2)
-    per_point = np.ndim(lambda_s2) > 0  # else one lambda_s2 for every point, and no masks to build
-    if not per_point and lambda_s2 == 0:
-        return np.where(feasible, base, -np.inf), g22
-    lifted = feasible & (lambda_s2 != 0) if per_point else feasible
+    lifted = feasible & (lambda_s2 != 0)
     denom = np.where(lifted, D + C * g22, 1.0)  # mu_s2 >= lambda_s2 > 0 where lifted
-    values = base + lambda_s2 * (g22 * K1 - K2) / denom
-    if per_point:
-        values = np.where(lifted, values, base)
+    values = np.where(lifted, base + lambda_s2 * (g22 * K1 - K2) / denom, base)
     return np.where(feasible, values, -np.inf), g22
 
 
-def _golden_points(a: float, b: float, x1: float, x2: float) -> list[float]:
-    """The inner points x1, x2 of [a, b], then the new points of the next _GOLDEN_BATCH steps.
+def _candidates(mu: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The gamma21 where the dominant-1 maximum can lie, one row of 30 per rate in ``lam``.
 
-    The points of those steps depend only on which way each comparison goes,
-    so one array call evaluates all of them. Node n's children: 2n+1 keeps
-    [a, x2] (taken when f1 >= f2), 2n+2 keeps [x1, b]; point n + 1 is node n's
-    new point.
+    gamma22 is 0, 1 or r, the root of D + C*r = lambda_s2, so the value is
+    one of three rational pieces of gamma21; the maximum lies at an end of
+    the feasible set, a switch between pieces or a stationary point of a
+    piece. Each point strictly inside (0, 1) comes with its two float
+    neighbours, against rounding at the switches; nextafter(0, 1) is
+    subnormal and would underflow in the kernel. Undefined points (0/0, the
+    square root of a negative number) are read as 0, points beyond [0, 1] as
+    its nearer end.
     """
-    level, points = [(a, b, x1, x2)], [x1, x2]
-    for depth in range(_GOLDEN_BATCH):
-        inner = depth < _GOLDEN_BATCH - 1  # the leaves' children are never visited
-        children = []
-        for a, b, x1, x2 in level:
-            left, right = x2 - _GOLDEN * (x2 - a), x1 + _GOLDEN * (b - x1)
-            points += left, right
-            if inner:
-                children += (a, x2, left, x1), (x1, b, x2, right)
-        level = children
-    return points
+    (mu11, mu12), (mu21, mu22) = mu
+    lam = lam[:, None]
+    with np.errstate(all="ignore"):
+        cross, total = np.sqrt(mu11 * mu22), mu12 + mu22
+        root = np.sqrt(lam * total - mu12 * mu22)
+        points = np.hstack(np.broadcast_arrays(
+            0.0, 1.0, lam / mu12, 1.0 - lam / mu22,  # ends: D = lambda_s2, D + C = lambda_s2
+            mu22 / total, cross / (cross + np.sqrt(mu12 * mu21)),  # C = 0; K2*C + D*K1 = 0
+            np.sqrt(lam * mu11 / (mu12 * (mu11 - mu21))),  # stationary: gamma22 = 0
+            1.0 - np.sqrt(lam * mu21 / (mu22 * (mu21 - mu11))),  # gamma22 = 1
+            (mu22 + root) / total, (mu22 - root) / total,  # gamma22 = r
+        ))
+        points = np.where(points > 0.0, np.minimum(points, 1.0), 0.0)  # NaN fails > 0
+        inner = (points > 0.0) & (points < 1.0)
+        below, above = (np.where(inner, np.nextafter(points, end), points) for end in (0.0, 1.0))
+    return np.hstack([points, below, above])
 
 
-def _golden_sections(mu: np.ndarray, lam: list[float], brackets: list[tuple]) -> list[tuple]:
-    """(midpoint, value, gamma22) after 60 golden-section steps on each section's bracket.
-
-    Section i maximizes the dominant-1 value at lambda_s2 = lam[i] over
-    gamma21 in brackets[i]. All sections step together: one array call per
-    _GOLDEN_BATCH steps evaluates every section's ``_golden_points``, and each
-    section then walks its tree in Python floats. The sections' points lie
-    side by side in one preallocated flat array, each section's rate repeated
-    over its points, so every array operation stays one-dimensional, as for
-    one section; a (sections, 64) array with a column of rates kept more
-    memory resident. A lone section runs on a scalar rate, which needs no
-    masks, and its midpoint in Python floats.
-    """
-    width, one = 2 ** (_GOLDEN_BATCH + 1), len(lam) == 1
-    rates = lam[0] if one else np.repeat(lam, width)
-    states = [(a, b, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)) for a, b in brackets]
-    points = np.empty(len(states) * width)
-    for _ in range(60 // _GOLDEN_BATCH):
-        for i, state in enumerate(states):
-            points[i * width:(i + 1) * width] = _golden_points(*state)
-        values = _dominant1_values(mu, rates, points)[0]
-        for i, (a, b, x1, x2) in enumerate(states):
-            fresh = values[i * width:(i + 1) * width].tolist()
-            f1, f2, n = fresh[0], fresh[1], 0
-            for _ in range(_GOLDEN_BATCH):  # down the tree, with the tree's bracket arithmetic
-                if f1 >= f2:
-                    n = 2 * n + 1
-                    a, b, x1, x2 = a, x2, x2 - _GOLDEN * (x2 - a), x1
-                    f1, f2 = fresh[n + 1], f1
-                else:
-                    n = 2 * n + 2
-                    a, b, x1, x2 = x1, b, x2, x1 + _GOLDEN * (b - x1)
-                    f1, f2 = f2, fresh[n + 1]
-            states[i] = a, b, x1, x2
-    mids = [(a + b) / 2.0 for a, b, _, _ in states]
-    at_mids = _dominant1_values(mu, lam[0] if one else np.array(lam), mids[0] if one else np.array(mids))
-    return list(zip(mids, *(np.ravel(a).tolist() for a in at_mids)))
-
-
-def _grid_best(mu: np.ndarray, lam2: float, grid: np.ndarray) -> tuple | None:
-    """(value, gamma21, gamma22) at the first best gamma21 of ``grid``, as a strict-improvement
-    scan finds it; None where no grid point supports lam2. The grid's arrays die on return."""
-    values, g22s = _dominant1_values(mu, lam2, grid)
-    k = int(np.argmax(values))
-    # gamma21 as a Python float: the golden-section trees run in Python floats
-    return (values[k], float(grid[k]), g22s[k]) if values[k] > -math.inf else None
-
-
-def _dominant1_envelopes(mu: np.ndarray, lambdas: list[float],
-                         grid_step: float = 1e-3) -> list[tuple | None]:
+def _dominant1_envelopes(mu: np.ndarray, lambdas: list[float]) -> list[tuple | None]:
     """The dominant-1 envelope (max lambda_s1, gamma21, gamma22) at each lambda_s2 in ``lambdas``.
 
-    None where lambda_s2 is unsupportable. Each section scans the whole
-    gamma21 grid in one array call, takes the first best grid point, and
-    refines within one grid step of it by 60 golden-section steps, which run
-    for all sections together, at most _SECTIONS_PER_CALL at a time.
+    None where lambda_s2 is unsupportable. One array call evaluates the
+    ``_candidates`` of every section, at most _SECTIONS_PER_CALL at a time,
+    and each section takes its first best candidate.
     """
     if len(lambdas) > _SECTIONS_PER_CALL:
         return [point for i in range(0, len(lambdas), _SECTIONS_PER_CALL)
-                for point in _dominant1_envelopes(mu, lambdas[i:i + _SECTIONS_PER_CALL], grid_step)]
-    grid = np.minimum(np.arange(int(round(1.0 / grid_step)) + 1) * grid_step, 1.0)
+                for point in _dominant1_envelopes(mu, lambdas[i:i + _SECTIONS_PER_CALL])]
+    lam = np.array(lambdas, dtype=float)
+    g21 = _candidates(mu, lam)
+    values, g22 = _dominant1_values(mu, lam[:, None], g21)
+    rows, best = np.arange(lam.size), values.argmax(axis=1)
     cap = max(mu[0, 1], mu[1, 1]) + _TOL
-    points, rows, brackets = [None] * len(lambdas), [], []
-    for i, lam2 in enumerate(lambdas):
-        points[i] = None if lam2 > cap else _grid_best(mu, lam2, grid)
-        if points[i] is not None:
-            g21 = points[i][1]
-            rows.append(i)
-            brackets.append((max(g21 - grid_step, 0.0), min(g21 + grid_step, 1.0)))
-    if rows:
-        for i, (mid, value, g22) in zip(rows, _golden_sections(mu, [lambdas[i] for i in rows], brackets)):
-            if value > points[i][0]:
-                points[i] = value, mid, g22
-    return points
+    return [None if lam2 > cap or value == -math.inf else (value, g, r)
+            for lam2, value, g, r in zip(lambdas, values[rows, best].tolist(),
+                                         g21[rows, best].tolist(), g22[rows, best].tolist())]
 
 
-def _envelope_point(mu: np.ndarray, lam, dominant: str, grid_step: float) -> DominantEnvelopePoint:
+def _envelope_point(mu: np.ndarray, lam, dominant: str) -> DominantEnvelopePoint:
     """The dominant-1 kernel at one rate, as the envelope point of dominant system ``dominant``."""
     first = dominant == "first"
-    point = _dominant1_envelopes(mu if first else mu[:, ::-1], [float(lam)], grid_step)[0]
+    point = _dominant1_envelopes(mu if first else mu[:, ::-1], [float(lam)])[0]
     if point is None:
         return DominantEnvelopePoint(fixed_lambda=lam, dominant=dominant, feasible=False)
     best, g21, g22 = point
@@ -229,23 +181,23 @@ def _envelope_point(mu: np.ndarray, lam, dominant: str, grid_step: float) -> Dom
     )
 
 
-def dominant1_envelope_2x2(mu, lambda_s2: float, grid_step: float = 1e-3) -> DominantEnvelopePoint:
+def dominant1_envelope_2x2(mu, lambda_s2: float) -> DominantEnvelopePoint:
     """Max stable rate of user 1 when user 2's rate is fixed (user 1 sends dummy packets).
 
-    Solves the inner one-dimensional fractional program in closed form on the
-    whole gamma21 grid in one array call, takes the first best grid point, and
-    refines within one grid step of it by 60 golden-section steps.
+    Evaluates the closed-form candidate gamma21 of the module docstring, with
+    the inner one-dimensional fractional program solved in closed form at
+    each, in one array call, and takes the first best.
     """
     mu = _mu_2x2(mu)
     _check_rates([lambda_s2], "lambda_s2")
-    return _envelope_point(mu, lambda_s2, "first", grid_step)
+    return _envelope_point(mu, lambda_s2, "first")
 
 
-def dominant2_envelope_2x2(mu, lambda_s1: float, grid_step: float = 1e-3) -> DominantEnvelopePoint:
+def dominant2_envelope_2x2(mu, lambda_s1: float) -> DominantEnvelopePoint:
     """Mirror image of dominant1_envelope_2x2 with the user roles swapped."""
     mu = _mu_2x2(mu)
     _check_rates([lambda_s1], "lambda_s1")
-    return _envelope_point(mu, lambda_s1, "second", grid_step)
+    return _envelope_point(mu, lambda_s1, "second")
 
 
 def _shat_sections(mu: np.ndarray, lam1: list[float]) -> list[float | None]:

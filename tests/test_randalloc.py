@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,3 +187,19 @@ class TestSelectionMatrix:
     def test_dimension_mismatch_in_service_rate(self, ref_2x2_rates):
         with pytest.raises(ConfigurationError):
             conditional_service_rate(np.ones((1, 1)), {0}, ref_2x2_rates, 0)
+
+
+def test_sweep_memory_is_bounded_by_the_kernel_block(ref_2x2_mu, monkeypatch):
+    # With blocks of 64 sections a 1000-point sweep peaks at about 0.5 MB,
+    # mostly its per-section lists; one call over all 1000 sections at once
+    # holds 30000-float candidate arrays and peaks at about 3.8 MB.
+    monkeypatch.setattr(randalloc, "_SECTIONS_PER_CALL", 64)
+    grid = np.linspace(0.0, 0.7, 1000).tolist()
+    tracemalloc.start()
+    try:
+        sections = randalloc.shat_envelope(ref_2x2_mu, 1, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sections) == 1000 and sections[0] is not None
+    assert peak < 1_500_000
