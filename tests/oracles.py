@@ -4,18 +4,20 @@ These deliberately avoid the library's solution paths: the assignment oracle
 scans a probability grid directly, the selection oracle scans the raw
 two-parameter objective, ``grid_search`` maximizes any objective over a boxed
 grid, and doubly stochastic inputs are built as convex combinations of
-explicit permutation matrices. ``scalar_dominant1_envelope_2x2`` and
-``scalar_dominant2_envelope_2x2`` keep the one-gamma21-at-a-time dominant-system
-path that the array kernel in ``randalloc`` replaced,
-``reference_shat_section_lambda2`` keeps the one-section-at-a-time bisection
-that the lockstep sweep in ``randalloc.shat_envelope`` replaced, ``reference_run``
-keeps the slot-by-slot simulator loop that the blocked engine in ``sim``
-replaced, ``reference_solve_lp`` keeps the two-loop Bland simplex that
+explicit permutation matrices. ``reference_shat_section_lambda2`` keeps the
+one-section-at-a-time bisection that the lockstep sweep in
+``randalloc.shat_envelope`` replaced, ``reference_run`` keeps the
+slot-by-slot simulator loop that the blocked engine in ``sim`` replaced,
+``reference_solve_lp`` keeps the two-loop Bland simplex that
 ``optim.solve_lp`` replaced (``bound_rows_lp`` writes upper bounds as the rows
 ``solve_lp`` once built from them), and ``reference_best_fixed_max``,
 ``reference_best_margin_mapping`` and ``reference_mapping_max`` keep the
 mapping-by-mapping search that the table scan in ``fixedalloc`` replaced; the
 differential tests require the replacements to reproduce them exactly.
+``scalar_dominant1_envelope_2x2`` and ``scalar_dominant2_envelope_2x2`` keep
+the one-gamma21-at-a-time grid scan and golden-section search that the
+closed-form candidate kernel in ``randalloc`` replaced; the kernel must match
+them to rounding, and their per-gamma21 value bit for bit.
 
 The paper's closed forms and the wrappers that only tests call live here too,
 as reference code the library does not carry: the one-band envelope
@@ -417,8 +419,9 @@ def assess_stability(result: sim.SimResult) -> tuple[tuple[str, ...], tuple[str,
     return prim, sec
 
 
-# The scalar dominant-system path, one gamma21 per call. The arithmetic is kept
-# operation for operation, so the array kernel must match it bit for bit.
+# The scalar dominant-system path, one gamma21 per call: a grid scan refined by
+# golden section. The per-gamma21 arithmetic is kept operation for operation,
+# so the library kernel's value at its chosen gamma21 must match it bit for bit.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ENVELOPE_TOL = 1e-9
 
