@@ -92,10 +92,10 @@ def _checked_mu(mu) -> np.ndarray:
 
 def _mu_2x2(mu) -> np.ndarray:
     """``mu`` as a checked 2x2 float array; anything else is refused."""
-    mu = np.asarray(mu, dtype=float)
+    mu = _checked_mu(mu)
     if mu.shape != (2, 2):
         raise ConfigurationError("mu must be 2x2")
-    return _checked_mu(mu)
+    return mu
 
 
 def _dominant1_values(mu: np.ndarray, lambda_s2: np.ndarray, g21: np.ndarray):
@@ -161,10 +161,9 @@ def _dominant1_envelopes(mu: np.ndarray, lambdas: list[float]) -> list[tuple | N
     g21 = _candidates(mu, lam)
     values, g22 = _dominant1_values(mu, lam[:, None], g21)
     rows, best = np.arange(lam.size), values.argmax(axis=1)
-    cap = max(mu[0, 1], mu[1, 1]) + _TOL
-    return [None if lam2 > cap or value == -math.inf else (value, g, r)
-            for lam2, value, g, r in zip(lambdas, values[rows, best].tolist(),
-                                         g21[rows, best].tolist(), g22[rows, best].tolist())]
+    return [None if value == -math.inf else (value, g, r)
+            for value, g, r in zip(values[rows, best].tolist(), g21[rows, best].tolist(),
+                                   g22[rows, best].tolist())]
 
 
 def _envelope_point(mu: np.ndarray, lam, dominant: str) -> DominantEnvelopePoint:
