@@ -29,7 +29,8 @@ from oracles import (
     scalar_dominant2_envelope_2x2,
 )
 
-# Two ulp of an envelope value in [0.25, 1]; the largest gap measured was 2.3e-16.
+# Just over two ulp of 1.0, the largest envelope value; over 6000 seeded instances
+# at the default step the largest gap measured was 2.2e-16.
 _ULP_BOUND = 4.5e-16
 
 # Coarse steps, including ones whose grid stops short of gamma21 = 1.
