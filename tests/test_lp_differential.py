@@ -283,3 +283,158 @@ class TestSBoundaryPoint:
                          "--grid", "0:0.5382089933605835:0.026910449668029173",
                          "--fixed", "3=0.28788880371071895,4=0.3778786799648825"])
         assert code == 0, capsys.readouterr().err
+
+
+# --- S sweeps, grid point by grid point ---------------------------------------
+# ``orthogonal.sweep_envelope`` must solve, at every grid point, the LP that
+# ``envelope_point`` solves there, to the reference's solution, and return the
+# point ``envelope_point`` returns.
+
+FIVE_BY_FOUR_PINS = (2, 3)  # users 3 and 4, as the region-5x4 benchmark pins them
+
+
+def _assert_same_point(got, want):
+    assert got.feasible == want.feasible
+    assert got.max_rate == want.max_rate
+    if want.omega_star is None:
+        assert got.omega_star is None
+    else:
+        assert np.array_equal(got.omega_star.omega, want.omega_star.omega)
+        assert np.array_equal(np.signbit(got.omega_star.omega), np.signbit(want.omega_star.omega))
+
+
+def _check_sweep(rates, axis, grid, others=None, sweep_user=None):
+    """Compare the sweep with ``envelope_point`` and the reference at every grid point.
+
+    Returns the statuses of the reference and the number of points where it
+    ended "failed" and the solver's optimum passed the residual check instead
+    (the listed exception of ``TestSBoundaryPoint``).
+    """
+    rows = orthogonal.sweep_rates(rates.m_s, axis, grid, others, sweep_user)
+    points = []
+    solves = _recorded_solves([lambda: points.extend(
+        orthogonal.sweep_envelope(rates, axis, grid, others=others, sweep_user=sweep_user))])
+    alone = _recorded_solves([lambda lam=lam: orthogonal.envelope_point(rates, lam, axis) for lam in rows])
+    assert len(points) == len(solves) == len(alone) == len(rows)
+    statuses, exceptions = [], 0
+    for lam, point, (problem, sol), (alone_problem, _) in zip(rows, points, solves, alone):
+        for field in ("c", "A", "b", "lo"):
+            assert np.array_equal(getattr(problem, field), getattr(alone_problem, field))
+        want = reference_solve_lp(problem)
+        statuses.append(want.status)
+        if want.status == "failed":
+            exceptions += 1
+            assert sol.status == "optimal"
+            assert np.all(problem.A @ sol.x - problem.b <= 1e-9)
+            assert np.all(sol.x >= problem.lo - 1e-9)
+        else:
+            _assert_equal(sol, want)
+        _assert_same_point(point, orthogonal.envelope_point(rates, lam, axis))
+    return statuses, exceptions
+
+
+def _jittered_five_by_four(rng):
+    mu = np.minimum(_shipped_rates("five_by_four").mu * rng.uniform(0.95, 1.05, (5, 4)), 1.0)
+    return model.RateMatrix(mu=mu, mu_p=np.ones(5), pi=mu.max(axis=1))
+
+
+def _pinned(rates, share):
+    """Rates with users 3 and 4 at ``share`` of their best bands, and user 1's largest rate under them."""
+    others = np.zeros(rates.m_s)
+    for user in FIVE_BY_FOUR_PINS:
+        others[user] = share * rates.mu[:, user].max()
+    top = orthogonal.envelope_point(rates, others, 0).max_rate
+    return others, top
+
+
+class TestSweepBatches:
+    @pytest.mark.parametrize("name, axis, others, stop", [
+        ("reference_2x2", 1, None, 0.7),
+        ("reference_2x2", 0, None, 0.8),
+        ("five_by_four", 1, [0.0, 0.0, 0.15, 0.2], 0.55),
+        ("five_by_four", 0, [0.0, 0.1, 0.25, 0.3], 0.5),
+    ])
+    def test_shipped_scenarios(self, name, axis, others, stop):
+        statuses, exceptions = _check_sweep(_shipped_rates(name), axis, np.linspace(0.0, stop, 21), others)
+        assert exceptions == 0 and "optimal" in statuses
+
+    def test_seeded_five_by_four_jitters(self):
+        # users 3 and 4 pinned, user 2 maximized over user 1's rate from 0 to
+        # past its largest, so every sweep holds unflipped, flipped and
+        # infeasible points
+        rng = np.random.default_rng(12)
+        seen = set()
+        for i in range(12):
+            rates = _jittered_five_by_four(rng)
+            others, top = _pinned(rates, 0.4 + 0.3 * i / 11)
+            statuses, exceptions = _check_sweep(rates, 1, np.linspace(0.0, 1.1 * top, 21), others, 0)
+            assert exceptions == 0
+            assert statuses[0] == "optimal" and statuses[-1] == "infeasible"
+            seen.update(statuses)
+        assert seen == {"optimal", "infeasible"}
+
+    @pytest.mark.parametrize("name", ["reference_2x2", "five_by_four"])
+    def test_zero_pinned_rates(self, name):
+        # others all zero: the grid's first point flips no row, every later one flips one
+        rates = _shipped_rates(name)
+        for axis in range(rates.m_s):
+            sweep_user = 1 if axis == 0 else 0
+            grid = np.linspace(0.0, 1.05 * rates.mu[:, sweep_user].max(), 15)
+            statuses, exceptions = _check_sweep(rates, axis, grid)
+            assert exceptions == 0 and statuses[0] == "optimal"
+
+    def test_grid_without_zero(self):
+        # every point flips the same rows: one flip pattern for the whole sweep
+        rates = _shipped_rates("five_by_four")
+        statuses, _ = _check_sweep(rates, 1, np.linspace(0.05, 0.6, 12), [0.0, 0.0, 0.15, 0.2])
+        assert "optimal" in statuses
+
+    def test_repeated_and_past_boundary_points(self):
+        rates = _shipped_rates("reference_2x2")
+        statuses, _ = _check_sweep(rates, 1, [0.0, 0.0, 0.3, 0.3, 0.7, 0.75, 0.75, 2.0])
+        assert statuses == ["optimal"] * 5 + ["infeasible"] * 3
+
+    def test_through_the_s_boundary_point(self):
+        # the CLI grid of TestSBoundaryPoint: the reference fails at
+        # JITTER_28_LAMBDA's point only, and the sweep still solves it
+        grid = cli._parse_grid("0:0.5382089933605835:0.026910449668029173")
+        assert JITTER_28_LAMBDA[0] in grid
+        others = [0.0, 0.0, *JITTER_28_LAMBDA[2:]]
+        statuses, exceptions = _check_sweep(jitter_28_rates(), 1, grid, others, 0)
+        assert exceptions == 1
+        assert statuses[grid.index(JITTER_28_LAMBDA[0])] == "failed"
+
+
+def test_empty_sweep():
+    assert orthogonal.sweep_envelope(_shipped_rates("five_by_four"), 0, []) == []
+
+
+@pytest.mark.parametrize("name, others, setting, value, grid", [
+    # the second point runs out of pivots, the last is infeasible
+    ("reference_2x2", None, "_MAX_ITER", 4, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8]),
+    ("reference_2x2", None, "_MAX_ITER", 6, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8]),
+    ("five_by_four", [0.0, 0.0, 0.15, 0.2], "_MAX_ITER", 11, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
+    # no row passes the pivot test: the unflipped first point ends
+    # "unbounded" and the flipped ones fail in phase I
+    ("reference_2x2", None, "_PIVOT_MIN", 10.0, [0.0, 0.1, 0.2]),
+])
+def test_sweep_errors_in_grid_order(monkeypatch, name, others, setting, value, grid):
+    # on every prefix of the grid, an LP that ends "failed" or "unbounded"
+    # raises at the first such point, as solving the points one at a time
+    # does, and infeasible points before it are returned as infeasible
+    monkeypatch.setattr(optim, setting, value)
+    rates = _shipped_rates(name)
+    raised = False
+    for size in range(1, len(grid) + 1):
+        expected = []
+        try:
+            for lam in orthogonal.sweep_rates(rates.m_s, 1, grid[:size], others):
+                expected.append(orthogonal.envelope_point(rates, lam, 1))
+        except RuntimeError as exc:
+            raised = True
+            with pytest.raises(RuntimeError, match=f"^{exc}$"):
+                orthogonal.sweep_envelope(rates, 1, grid[:size], others)
+            continue
+        for got, want in zip(orthogonal.sweep_envelope(rates, 1, grid[:size], others), expected, strict=True):
+            _assert_same_point(got, want)
+    assert raised == (value != 6)
