@@ -1,8 +1,10 @@
 """Stability envelope of the orthogonal band-allocation system (system S).
 
 The envelope is the LP over assignment fractions omega[j, k] (row and
-column sums at most one), solved one point at a time or over a sweep; the
-two-user/two-band case also has a closed form. The other special cases
+column sums at most one). A sweep's LPs differ only in the right-hand side
+of the swept user's service row, so ``sweep_envelope`` builds c and A once
+and hands every grid point to ``optim.solve_lps`` together; ``envelope_point``
+solves one point. The two-user/two-band case also has a closed form. The other special cases
 (single band, symmetric users or bands) are test oracles in ``tests/oracles.py``.
 
 Convention used throughout the package: envelope computations use non-strict
@@ -66,21 +68,44 @@ def _assignment_constraints(mu: np.ndarray, lam: np.ndarray, served) -> tuple[np
     Row sums, then column sums (each at most one), then one row per user l in
     ``served`` whose service covers its arrivals: -sum_j omega[j,l]*mu[j,l] <= -lam[l].
     With omega >= 0, a row sum of at most one already gives omega <= 1, so the
-    LP carries no bound rows.
+    LP carries no bound rows. ``lam`` may be a stack of rate vectors, one row
+    of b each.
     """
     m_p, m_s = mu.shape
+    served = list(served)
     # Basic slices only: an index-array fill (cols // m_s, cols % m_s) is
     # slower and faults in 64 KB more of numpy's code per process.
     A = np.zeros((m_p + m_s + len(served), m_p * m_s))
-    b = np.ones(len(A))
     for j in range(m_p):
         A[j, j * m_s : (j + 1) * m_s] = 1.0
     for l in range(m_s):
         A[m_p + l, l::m_s] = 1.0
     for i, l in enumerate(served, m_p + m_s):
         A[i, l::m_s] = -mu[:, l]
-        b[i] = -lam[l]
+    b = np.ones(lam.shape[:-1] + (len(A),))
+    b[..., m_p + m_s :] = -lam[..., served]
     return A, b
+
+
+def _envelope_lp(rates: RateMatrix, lam: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c, A and b of the LP maximizing user k's rate; ``lam`` may be a stack of rate vectors.
+
+    max sum_j omega[j,k]*mu[j,k] subject to omega >= 0, row/column sums <= 1,
+    and each other user's rate not exceeding its service rate.
+    """
+    c = np.zeros(rates.m_p * rates.m_s)
+    c[k :: rates.m_s] = rates.mu[:, k]
+    A, b = _assignment_constraints(rates.mu, lam, [l for l in range(rates.m_s) if l != k])
+    return c, A, b
+
+
+def _envelope_point(rates: RateMatrix, sol: optim.LpSolution) -> EnvelopePoint:
+    if sol.status == "infeasible":
+        return EnvelopePoint(feasible=False)
+    if not sol.is_optimal:
+        raise RuntimeError(f"envelope LP unexpectedly {sol.status}")
+    omega = AssignmentMatrix(sol.x.reshape(rates.m_p, rates.m_s))
+    return EnvelopePoint(feasible=True, max_rate=sol.value, omega_star=omega)
 
 
 def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:
@@ -90,22 +115,10 @@ def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:
     <= 1, and each fixed user's rate not exceeding its service rate. The entry
     of ``fixed_lambdas`` at position k is ignored.
     """
-    m_p, m_s = rates.m_p, rates.m_s
-    if not 0 <= k < m_s:
+    if not 0 <= k < rates.m_s:
         raise ConfigurationError(f"user index {k} out of range")
-    lam = rate_vector(fixed_lambdas, m_s, skip=k)
-
-    n = m_p * m_s
-    c = np.zeros(n)
-    c[np.arange(m_p) * m_s + k] = rates.mu[:, k]
-    A, b = _assignment_constraints(rates.mu, lam, [l for l in range(m_s) if l != k])
-    sol = optim.solve_lp(optim.LpProblem(c=c, A=A, b=b, lo=np.zeros(n)))
-    if sol.status == "infeasible":
-        return EnvelopePoint(feasible=False)
-    if not sol.is_optimal:
-        raise RuntimeError(f"envelope LP unexpectedly {sol.status}")
-    omega = AssignmentMatrix(sol.x.reshape(m_p, m_s))
-    return EnvelopePoint(feasible=True, max_rate=sol.value, omega_star=omega)
+    c, A, b = _envelope_lp(rates, rate_vector(fixed_lambdas, rates.m_s, skip=k), k)
+    return _envelope_point(rates, optim.solve_lp(optim.LpProblem(c=c, A=A, b=b, lo=np.zeros(c.size))))
 
 
 def max_slack_assignment(rates: RateMatrix, lambdas) -> AssignmentMatrix:
@@ -187,7 +200,15 @@ def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.n
 def sweep_envelope(rates: RateMatrix, axis: int, grid, others=None, sweep_user=None) -> list[EnvelopePoint]:
     """Envelope of user ``axis`` at each row of ``sweep_rates`` (same arguments).
 
-    Infeasible grid points are returned as infeasible envelope points rather
-    than raised.
+    The grid points' LPs share c and A and are solved together by
+    ``optim.solve_lps``. Infeasible grid points are returned as infeasible
+    envelope points rather than raised; an LP that ends otherwise raises at
+    the first such point, and so does a negative grid value.
     """
-    return [envelope_point(rates, lam, axis) for lam in sweep_rates(rates.m_s, axis, grid, others, sweep_user)]
+    lam = sweep_rates(rates.m_s, axis, grid, others, sweep_user)
+    bad = np.flatnonzero(~np.all(lam >= 0, axis=1))  # NaN fails the test
+    c, A, b = _envelope_lp(rates, lam[: bad[0]] if bad.size else lam, axis)
+    points = [_envelope_point(rates, sol) for sol in optim.solve_lps(c, A, b, np.zeros(c.size))]
+    if bad.size:
+        rate_vector(lam[bad[0]], rates.m_s, skip=axis)  # raises
+    return points

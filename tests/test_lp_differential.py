@@ -142,16 +142,22 @@ def _recorded_lps(calls):
 
 
 def _recorded_solves(calls):
-    """(problem, solution) for every LpProblem the calls hand to ``optim.solve_lp``."""
+    """(problem, solution) for every LP the calls hand to ``optim.solve_lp`` or ``optim.solve_lps``."""
     solves = []
-    solve = optim.solve_lp
+    solve, solve_batch = optim.solve_lp, optim.solve_lps
 
     def record(problem):
         solves.append((problem, solve(problem)))
         return solves[-1][1]
 
+    def record_batch(c, A, rhs, lo):
+        solutions = solve_batch(c, A, rhs, lo)
+        solves.extend((LpProblem(c=c, A=A, b=b, lo=lo), sol) for b, sol in zip(rhs, solutions))
+        return solutions
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optim, "solve_lp", record)
+        mp.setattr(optim, "solve_lps", record_batch)
         for call in calls:
             try:
                 call()
