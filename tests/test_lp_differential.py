@@ -444,3 +444,69 @@ def test_sweep_errors_in_grid_order(monkeypatch, name, others, setting, value, g
         for got, want in zip(orthogonal.sweep_envelope(rates, 1, grid[:size], others), expected, strict=True):
             _assert_same_point(got, want)
     assert raised == (value != 6)
+
+
+@pytest.mark.parametrize("grid", [[-0.1, 0.2], [0.0, 0.1, math.nan], [0.0, 0.8, math.nan]])
+def test_sweep_refuses_bad_grid_values_in_grid_order(grid):
+    rates = _shipped_rates("reference_2x2")
+    with pytest.raises(ConfigurationError) as alone:
+        for lam in orthogonal.sweep_rates(rates.m_s, 1, grid):
+            orthogonal.envelope_point(rates, lam, 1)
+    with pytest.raises(ConfigurationError, match=f"^{alone.value}$"):
+        orthogonal.sweep_envelope(rates, 1, grid)
+
+
+def test_sweep_does_not_depend_on_the_batch_size(monkeypatch):
+    # _LPS_PER_CALL only bounds the memory of one stack of tableaux
+    rates = _shipped_rates("five_by_four")
+    grid = np.linspace(0.0, 0.6, 21)
+    whole = orthogonal.sweep_envelope(rates, 1, grid, others=[0.0, 0.0, 0.15, 0.2])
+    monkeypatch.setattr(optim, "_LPS_PER_CALL", 3)
+    for got, want in zip(orthogonal.sweep_envelope(rates, 1, grid, others=[0.0, 0.0, 0.15, 0.2]), whole,
+                         strict=True):
+        _assert_same_point(got, want)
+
+
+class TestSolveLps:
+    """``optim.solve_lps`` on LPs that share c, A and lo, against the reference one LP at a time."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_shared_box_lps(self, seed, monkeypatch):
+        # each batch mixes flip patterns, and optimal, infeasible and
+        # unbounded LPs; batches of 5 split most of them across calls
+        monkeypatch.setattr(optim, "_LPS_PER_CALL", 5)
+        rng = np.random.default_rng(seed)
+        kinds = ("uniform", "rounded", "sparse", "equality")
+        statuses = set()
+        for i in range(60):
+            shared = _box_lp(rng, kinds[i % 4])
+            rhs = shared.b + rng.uniform(-0.6, 0.6, (12, shared.b.size))
+            if kinds[i % 4] == "rounded":
+                rhs = np.round(rhs, 1)
+            rhs[rng.random(12) < 0.2] = shared.b  # repeated rows
+            solutions = optim.solve_lps(shared.c, shared.A, rhs, shared.lo)
+            assert len(solutions) == len(rhs)
+            for b, sol in zip(rhs, solutions):
+                problem = LpProblem(c=shared.c, A=shared.A, b=b, lo=shared.lo)
+                statuses.add(_assert_equal(sol, reference_solve_lp(problem)).status)
+                _assert_equal(sol, optim.solve_lp(problem))
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    def test_no_rows_and_no_lps(self):
+        lo = np.array([0.0, -0.5])
+        assert optim.solve_lps(np.ones(2), np.zeros((1, 2)), np.zeros((0, 1)), lo) == []
+        statuses = []
+        for c in ([-1.0, -0.0], [-1.0, 1.0]):  # x = lo is optimal; x2 grows without bound
+            (sol,) = optim.solve_lps(c, np.zeros((0, 2)), np.zeros((1, 0)), lo)
+            statuses.append(_assert_equal(sol, reference_solve_lp(
+                LpProblem(c=c, A=np.zeros((0, 2)), b=np.zeros(0), lo=lo))).status)
+        assert statuses == ["optimal", "unbounded"]
+
+    @pytest.mark.parametrize("rhs, message", [
+        ([1.0, 2.0], "one row of b per LP"),
+        ([[1.0, math.inf]], "b must be finite"),
+        ([[1.0, 2.0, 3.0]], "disagree on the number of constraints"),
+    ])
+    def test_refuses_bad_rhs(self, rhs, message):
+        with pytest.raises(ValueError, match=message):
+            optim.solve_lps(np.ones(2), np.eye(2), rhs, np.zeros(2))
