@@ -119,7 +119,8 @@ def _simplex(T: np.ndarray, basis: np.ndarray, allowed: int) -> list[str]:
     """
     m = basis.shape[1]
     if not m:  # no row to pivot on
-        return ["unbounded" if p else "optimal" for p in np.logical_or.reduce(T[:, -1, :allowed] > _PIVOT_TOL, axis=1)]
+        entering = np.logical_or.reduce(T[:, -1, :allowed] > _PIVOT_TOL, axis=1)
+        return ["unbounded" if e else "optimal" for e in entering]
     status = ["failed"] * len(T)
     live = lps = np.arange(len(T))
     W, B = T, basis

@@ -1,11 +1,12 @@
 """Stability envelope of the orthogonal band-allocation system (system S).
 
 The envelope is the LP over assignment fractions omega[j, k] (row and
-column sums at most one). A sweep's LPs differ only in the right-hand side
-of the swept user's service row, so ``sweep_envelope`` builds c and A once
-and hands every grid point to ``optim.solve_lps`` together; ``envelope_point``
-solves one point. The two-user/two-band case also has a closed form. The other special cases
-(single band, symmetric users or bands) are test oracles in ``tests/oracles.py``.
+column sums at most one). ``envelope_point`` solves it at one point. The LPs
+of a sweep differ only in the right-hand side of the swept user's service
+row, so ``sweep_envelope`` builds c and A once and hands all its grid points
+to ``optim.solve_lps`` together. The two-user/two-band case also has a
+closed form. The other special cases (single band, symmetric users or
+bands) are test oracles in ``tests/oracles.py``.
 
 Convention used throughout the package: envelope computations use non-strict
 constraints (the closure of the stability region), region-membership
@@ -72,7 +73,6 @@ def _assignment_constraints(mu: np.ndarray, lam: np.ndarray, served) -> tuple[np
     of b each.
     """
     m_p, m_s = mu.shape
-    served = list(served)
     # Basic slices only: an index-array fill (cols // m_s, cols % m_s) is
     # slower and faults in 64 KB more of numpy's code per process.
     A = np.zeros((m_p + m_s + len(served), m_p * m_s))
