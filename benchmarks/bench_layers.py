@@ -13,14 +13,16 @@ and union-region section on the reference 2x2 scenario, two S_hat sweeps
 (``randalloc.shat_envelope``: the reference scenario on the region-2x2
 benchmark grid 0:0.175:0.025, and a jittered copy of it, mu times
 [[1.03, 0.97], [0.98, 1.02]], on 6 points up to 0.98 of its largest
-mu[:, 0], where 4 of the 6 sections bisect), the S envelope LP and the
-max-slack assignment LP on both shipped scenarios, the padding and Birkhoff
+mu[:, 0], where 4 of the 6 sections bisect), the S envelope LP on both
+shipped scenarios, both as ``orthogonal.envelope_point`` and as the
+``optim.solve_lp`` call it makes, the max-slack assignment LP on both
+shipped scenarios, the padding and Birkhoff
 decomposition of the 5x4 max-slack assignment
 (``schedule.schedule_from_assignment``, which ``decompose`` and ``simulate
 --system S`` call), a 21-point S sweep on the 5x4 scenario
 (``orthogonal.sweep_envelope``) and the same sweep of the fixed system,
-both as ``fixedalloc.sweep_envelope`` and as the whole ``envelope`` command
-through ``cli.main``, three more whole commands on the reference 2x2
+each both as a library sweep and as the whole ``envelope`` command through
+``cli.main``, three more whole commands on the reference 2x2
 scenario through ``cli.main`` (a 100-point S ``envelope`` sweep, a 29-point
 ``compare`` and a 1e5-slot ``simulate --system S`` at rates (0.3, 0.3)),
 each with its output sent to the null device, and a 1e5-slot ``sim.run``
@@ -61,9 +63,23 @@ def cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
+def envelope_lp(rates, lam, k):
+    """The LpProblem that ``orthogonal.envelope_point(rates, lam, k)`` hands to ``optim.solve_lp``."""
+    from bandalloc import optim, orthogonal
+
+    seen = []
+    solve = optim.solve_lp
+    optim.solve_lp = lambda problem: seen.append(problem) or solve(problem)
+    try:
+        orthogonal.envelope_point(rates, lam, k)
+    finally:
+        optim.solve_lp = solve
+    return seen[0]
+
+
 def cases():
     """(name, zero-argument callable) for each timed call."""
-    from bandalloc import cli, fixedalloc, model, orthogonal, randalloc, schedule, sim
+    from bandalloc import cli, fixedalloc, model, optim, orthogonal, randalloc, schedule, sim
 
     ref_scenario = cli.load_scenario(str(ROOT / "scenarios" / "reference_2x2.json"))[0]
     ref = model.rate_matrix(ref_scenario)
@@ -88,10 +104,14 @@ def cases():
     jitter_top = 0.98 * float(jittered[:, 0].max())
     jitter_grid = [i * (jitter_top / 5) for i in range(6)]
     ref_path = str(ROOT / "scenarios" / "reference_2x2.json")
+    ref_lp = envelope_lp(ref, [0.3, 0.0], 1)
+    big_lp = envelope_lp(big, [0.0, 0.1, 0.1, 0.1], 0)
     commands = {
-        "envelope --system fixed 5x4 21 points": [
-            "envelope", "--scenario", big_path, "--system", "fixed", "--axis", "1",
-            "--grid", "0:0.6:0.03", "--fixed", "3=0.2,4=0.3", "--json"],
+        f"envelope --system {system} 5x4 21 points": [
+            "envelope", "--scenario", big_path, "--system", system, "--axis", "1",
+            "--grid", "0:0.6:0.03", "--fixed", "3=0.2,4=0.3", "--json"]
+        for system in ("fixed", "S")
+    } | {
         "envelope --system S 2x2 100 points": [
             "envelope", "--scenario", ref_path, "--system", "S", "--axis", "2", "--grid", "0:0.99:0.01"],
         "compare 2x2 29 points": ["compare", "--scenario", ref_path, "--grid", "0:0.7:0.025"],
@@ -108,6 +128,8 @@ def cases():
          lambda: randalloc.shat_envelope(jittered, 1, jitter_grid)),
         ("orthogonal.envelope_point 2x2", lambda: orthogonal.envelope_point(ref, [0.3, 0.0], 1)),
         ("orthogonal.envelope_point 5x4", lambda: orthogonal.envelope_point(big, [0.0, 0.1, 0.1, 0.1], 0)),
+        ("optim.solve_lp 2x2 envelope LP", lambda: optim.solve_lp(ref_lp)),
+        ("optim.solve_lp 5x4 envelope LP", lambda: optim.solve_lp(big_lp)),
         ("orthogonal.max_slack_assignment 2x2", lambda: orthogonal.max_slack_assignment(ref, lam)),
         ("orthogonal.max_slack_assignment 5x4", lambda: orthogonal.max_slack_assignment(big, big_lam)),
         ("schedule.schedule_from_assignment 5x4",
