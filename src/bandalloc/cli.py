@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -58,7 +58,7 @@ def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
         raise CliError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
-def _number(value, where: str):
+def _number(value, name: str):
     """``value`` when it is a finite JSON number (booleans are not numbers)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
@@ -66,11 +66,29 @@ def _number(value, where: str):
                 return value
         except OverflowError:  # an integer beyond the float range
             pass
-    raise CliError(f"{where} must be a finite number, got {json.dumps(value, default=repr)}")
+    raise ConfigurationError(f"{name} must be a finite number, got {json.dumps(value, default=repr)}")
 
 
-def _numbers(doc: dict, where: str) -> dict:
-    return {name: _number(value, f"{where}: {name}") for name, value in doc.items()}
+def _entry(cls, doc, fields: set[str], where: str):
+    """``cls`` built from one scenario entry; every error reads ``where: message``.
+
+    The entry must be an object with no field outside ``fields``, each value a
+    finite number (``out_complement_row`` a list of them, checked last).
+    """
+    if not isinstance(doc, dict):
+        raise CliError(f"{where}: must be an object")
+    _reject_unknown(doc, fields, where)
+    try:
+        values = {name: _number(value, name) for name, value in doc.items() if name != "out_complement_row"}
+        if "out_complement_row" in doc:
+            row = doc["out_complement_row"]
+            if not isinstance(row, list):
+                raise ConfigurationError("out_complement_row must be a list")
+            values["out_complement_row"] = tuple(
+                _number(p, f"out_complement_row[{i}]") for i, p in enumerate(row))
+        return cls(**values)
+    except (ConfigurationError, TypeError) as exc:
+        raise CliError(f"{where}: {exc}") from exc
 
 
 def parse_scenario_dict(doc: dict) -> Scenario:
@@ -87,49 +105,17 @@ def parse_scenario_dict(doc: dict) -> Scenario:
             raise CliError("scenario: physical mode requires a slot section")
         slot = SlotConfig()
     else:
-        if not isinstance(slot_doc, dict):
-            raise CliError("slot: must be an object")
-        _reject_unknown(slot_doc, _SLOT_FIELDS, "slot")
-        try:
-            slot = SlotConfig(**_numbers(slot_doc, "slot"))
-        except ConfigurationError as exc:
-            raise CliError(f"slot: {exc}") from exc
+        slot = _entry(SlotConfig, slot_doc, _SLOT_FIELDS, "slot")
     bands_doc = doc.get("bands")
     users_doc = doc.get("users")
     if not isinstance(bands_doc, list) or not bands_doc:
         raise CliError("scenario: bands must be a non-empty list")
     if not isinstance(users_doc, list) or not users_doc:
         raise CliError("scenario: users must be a non-empty list")
-    bands = []
-    for j, band_doc in enumerate(bands_doc):
-        where = f"bands[{j}]"
-        if not isinstance(band_doc, dict):
-            raise CliError(f"{where}: must be an object")
-        _reject_unknown(band_doc, _BAND_FIELDS[mode], where)
-        try:
-            bands.append(PrimaryBand(**_numbers(band_doc, where)))
-        except (ConfigurationError, TypeError) as exc:
-            raise CliError(f"{where}: {exc}") from exc
-    users = []
-    for k, user_doc in enumerate(users_doc):
-        where = f"users[{k}]"
-        if not isinstance(user_doc, dict):
-            raise CliError(f"{where}: must be an object")
-        _reject_unknown(user_doc, _USER_FIELDS[mode], where)
-        prepared = _numbers({n: v for n, v in user_doc.items() if n != "out_complement_row"}, where)
-        if "out_complement_row" in user_doc:
-            row = user_doc["out_complement_row"]
-            if not isinstance(row, list):
-                raise CliError(f"{where}: out_complement_row must be a list")
-            prepared["out_complement_row"] = tuple(
-                _number(p, f"{where}: out_complement_row[{i}]") for i, p in enumerate(row)
-            )
-        try:
-            users.append(SecondaryUser(**prepared))
-        except (ConfigurationError, TypeError) as exc:
-            raise CliError(f"{where}: {exc}") from exc
+    bands = tuple(_entry(PrimaryBand, d, _BAND_FIELDS[mode], f"bands[{j}]") for j, d in enumerate(bands_doc))
+    users = tuple(_entry(SecondaryUser, d, _USER_FIELDS[mode], f"users[{k}]") for k, d in enumerate(users_doc))
     try:
-        scenario = Scenario(slot=slot, bands=tuple(bands), users=tuple(users))
+        scenario = Scenario(slot=slot, bands=bands, users=users)
     except ConfigurationError as exc:
         raise CliError(f"scenario: {exc}") from exc
     if scenario.mode != mode:
@@ -191,6 +177,8 @@ def _parse_fixed(spec: str | None, m_s: int) -> dict[int, float]:
             raise CliError(f"--fixed rates must be finite, got {item!r}")
         if rate < 0:
             raise CliError("--fixed rates must be >= 0")
+        if user - 1 in fixed:
+            raise CliError(f"--fixed user {user} is given twice")
         fixed[user - 1] = rate
     return fixed
 
@@ -261,73 +249,31 @@ def cmd_rates(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class RegionReport:
-    """One envelope sweep: grid of the swept user's rates and the axis user's maxima.
+def _envelope_report(rates, digest, system, axis, sweep_user, fixed, grid, mapping=None) -> dict:
+    """One envelope sweep as its ``--json`` document: the axis user's maximum at each grid point.
 
-    ``values[i]`` is None where the grid point is infeasible; provenance always
-    carries the scenario digest and tool version (plus the seed where one was
-    involved).
+    ``values[i]`` is None where the grid point is infeasible. ``mapping``
+    restricts the fixed system to that one mapping.
     """
-
-    system: str
-    axis_user: int
-    sweep_user: int
-    grid: tuple[float, ...]
-    values: tuple[float | None, ...]
-    provenance: dict
-    fixed: dict[int, float]
-
-    def __post_init__(self) -> None:
-        if len(self.grid) != len(self.values):
-            raise ValueError("grid and values must have the same length")
-
-    def to_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "system": self.system,
-            "axis_user": self.axis_user,
-            "sweep_user": self.sweep_user,
-            "fixed": {str(u): r for u, r in sorted(self.fixed.items())},
-            "grid": [float(g) for g in self.grid],
-            "values": [None if v is None else float(v) for v in self.values],
-        }
-
-    def to_csv(self) -> str:
-        lines = [
-            _csv_header(self.provenance)
-            + f"lambda_s{self.sweep_user},lambda_s{self.axis_user}_max,feasible"
-        ]
-        for g, v in zip(self.grid, self.values):
-            lines.append(f"{_r(g)},{'' if v is None else _r(v)},{v is not None}")
-        return "\n".join(lines) + "\n"
-
-
-def _fixed_values(rates, axis, grid, **sweep) -> list[float | None]:
-    """Fixed-system envelope values of a sweep (``fixedalloc.sweep_envelope`` arguments)."""
-    return [None if best is None else best[0] for best in fixedalloc.sweep_envelope(rates, axis, grid, **sweep)]
-
-
-def _envelope_report(rates, digest, system, axis, sweep_user, fixed, grid) -> RegionReport:
     others = np.zeros(rates.m_s)
-    for u, rate in fixed.items():
-        others[u] = rate
+    others[list(fixed)] = list(fixed.values())
     if system == "S":
-        points = orthogonal.sweep_envelope(rates, axis, grid, others=others, sweep_user=sweep_user)
+        points = orthogonal.sweep_envelope(rates, axis, grid, others, sweep_user)
         values = [p.max_rate if p.feasible else None for p in points]
     elif system == "S_hat":
         values = randalloc.shat_envelope(rates.mu, axis, grid)
     else:  # fixed
-        values = _fixed_values(rates, axis, grid, others=others, sweep_user=sweep_user)
-    return RegionReport(
-        system=system,
-        axis_user=axis + 1,
-        sweep_user=sweep_user + 1,
-        grid=tuple(grid),
-        values=tuple(values),
-        provenance=_provenance(digest),
-        fixed={u + 1: r for u, r in fixed.items()},
-    )
+        sweep = fixedalloc.sweep_envelope(rates, axis, grid, others, sweep_user, mapping)
+        values = [None if best is None else best[0] for best in sweep]
+    return {
+        "provenance": _provenance(digest),
+        "system": system,
+        "axis_user": axis + 1,
+        "sweep_user": sweep_user + 1,
+        "fixed": {str(u + 1): r for u, r in sorted(fixed.items())},
+        "grid": [float(g) for g in grid],
+        "values": [None if v is None else float(v) for v in values],
+    }
 
 
 def cmd_envelope(args) -> int:
@@ -338,9 +284,12 @@ def cmd_envelope(args) -> int:
     rates = model.rate_matrix(scenario)
     report = _envelope_report(rates, digest, args.system, axis, sweep_user, fixed, grid)
     if args.json:
-        _emit(json.dumps(report.to_dict(), sort_keys=True) + "\n", args.out)
-    else:
-        _emit(report.to_csv(), args.out)
+        _emit(json.dumps(report, sort_keys=True) + "\n", args.out)
+        return 0
+    lines = [_csv_header(report["provenance"]) + f"lambda_s{sweep_user + 1},lambda_s{axis + 1}_max,feasible"]
+    for g, v in zip(grid, report["values"]):
+        lines.append(f"{_r(g)},{'' if v is None else _r(v)},{v is not None}")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -349,8 +298,7 @@ def cmd_decompose(args) -> int:
     rates = model.rate_matrix(scenario)
     axis, fixed = _axis_and_fixed(args, scenario.m_s)
     lam = np.zeros(scenario.m_s)
-    for u, rate in fixed.items():
-        lam[u] = rate
+    lam[list(fixed)] = list(fixed.values())
     point = orthogonal.envelope_point(rates, lam, axis)
     if not point.feasible:
         raise CliError("envelope LP infeasible at the requested fixed rates")
@@ -399,8 +347,7 @@ def cmd_simulate(args) -> int:
     rates = model.rate_matrix(scenario)
     fixed = _parse_fixed(args.fixed, scenario.m_s)
     lam = np.array(scenario.arrival_rates, dtype=float)
-    for u, rate in fixed.items():
-        lam[u] = rate
+    lam[list(fixed)] = list(fixed.values())
     if np.any(lam > 1):
         raise CliError("arrival rates must lie in [0, 1] packets/slot")
     users = tuple(replace(u, arrival_rate_lambda_s=float(lam[k])) for k, u in enumerate(scenario.users))
@@ -440,13 +387,13 @@ def cmd_compare(args) -> int:
         for system in ("S", "S_hat", "fixed")
     }
     columns = {
-        "S": reports["S"].values,
-        "S_hat": reports["S_hat"].values,
-        "fixed_best": reports["fixed"].values,
+        "S": reports["S"]["values"],
+        "S_hat": reports["S_hat"]["values"],
+        "fixed_best": reports["fixed"]["values"],
     }
     for m in ((1, 2), (2, 1)):
-        columns[f"fixed_d{m[0]}{m[1]}"] = _fixed_values(
-            rates, axis, grid, sweep_user=sweep, mapping=fixedalloc.FixedMapping(m))
+        columns[f"fixed_d{m[0]}{m[1]}"] = _envelope_report(
+            rates, digest, "fixed", axis, sweep, {}, grid, mapping=fixedalloc.FixedMapping(m))["values"]
     flags = []
     for s_val, shat_val, fixed_val in zip(columns["S"], columns["S_hat"], columns["fixed_best"]):
         row_violations = []
@@ -467,7 +414,7 @@ def cmd_compare(args) -> int:
             "sweep_user": sweep + 1,
             "grid": grid,
             "systems": columns,
-            "reports": {name: rep.to_dict() for name, rep in reports.items()},
+            "reports": reports,
             "violations": flags,
         }
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import orthogonal
-from .model import CLOSURE_TOL, ConfigurationError, RateMatrix
+from .model import CLOSURE_TOL, ConfigurationError, RateMatrix, rate_rows
 
 _MAX_ENUMERATION = 1_000_000
 _CHUNK_ELEMENTS = 1 << 20
@@ -58,20 +58,20 @@ def _check_mapping(d: FixedMapping, rates: RateMatrix) -> None:
         raise ConfigurationError("mapping uses a band outside the scenario")
 
 
-def _scan(rates: RateMatrix, lambdas, k: int | None = None, mapping: FixedMapping | None = None):
-    """Best score and mapping (1-based bands) for each rate row of ``lambdas``.
+def _scan(rates: RateMatrix, lam: np.ndarray, k: int | None = None, mapping: FixedMapping | None = None):
+    """Best score and mapping (1-based bands) for each rate row of ``lam``.
 
-    The score is user k's closure rate mu[m_k, k] (-inf where the mapping does
-    not support the other users), or the worst-case margin when k is None. The
-    table holds ``mapping`` alone when given, else every one-to-one mapping in
+    The rows come from ``rate_rows``, with entry k read as 0 when k is given,
+    so that user k always passes the closure test. The score is user k's
+    closure rate mu[m_k, k] (-inf where the mapping does not support the other
+    users), or the worst-case margin when k is None. The table holds
+    ``mapping`` alone when given, else every one-to-one mapping in
     lexicographic order, built and scored in chunks of at most
     ``_CHUNK_ELEMENTS`` rate rows x mappings x users. argmax takes the first
     maximum within a chunk and a later chunk wins only when strictly better,
     so ties go to the lexicographically first mapping.
     """
     m_p, m_s = rates.m_p, rates.m_s
-    if k is not None and not 0 <= k < m_s:
-        raise ConfigurationError(f"user index {k} out of range")
     if mapping is not None:
         _check_mapping(mapping, rates)
         total, flat = 1, (m - 1 for m in mapping.assignment)
@@ -83,15 +83,6 @@ def _scan(rates: RateMatrix, lambdas, k: int | None = None, mapping: FixedMappin
                 f"brute-force mapping search refuses M_s={m_s}, M_p={m_p} ({total} mappings)"
             )
         flat = itertools.chain.from_iterable(itertools.permutations(range(m_p), m_s))
-    lam = np.array(lambdas, dtype=float)
-    if lam.shape[1] != m_s:
-        raise ConfigurationError("rates must have one entry per user")
-    for l in range(m_s):
-        if l != k and not np.all(lam[:, l] >= 0):  # NaN fails the test
-            bad = lam[~(lam[:, l] >= 0), l][0]
-            raise ConfigurationError(f"rate of user {l + 1} must be >= 0, got {float(bad)}")
-    if k is not None:
-        lam[:, k] = 0.0  # so user k always passes the closure test
     per_chunk = max(1, _CHUNK_ELEMENTS // (max(len(lam), 1) * m_s))
     users, rows = np.arange(m_s), np.arange(len(lam))
     best = np.full(len(lam), -np.inf)
@@ -121,7 +112,7 @@ def best_fixed_max(rates: RateMatrix, fixed_lambdas, k: int) -> tuple[float, Fix
     mapping supports the fixed rates. Entry k of ``fixed_lambdas`` is ignored;
     the others must be >= 0.
     """
-    (value,), (assignment,) = _scan(rates, [fixed_lambdas], k)
+    (value,), (assignment,) = _scan(rates, rate_rows([fixed_lambdas], rates.m_s, skip=k), k)
     return None if value == -np.inf else (float(value), FixedMapping(assignment))
 
 
@@ -145,4 +136,4 @@ def best_margin_mapping(rates: RateMatrix, lambdas) -> FixedMapping:
     Ties go to the lexicographically first mapping. The margin is negative when
     no mapping supports the rates; the least-overloaded mapping is returned then.
     """
-    return FixedMapping(_scan(rates, [lambdas])[1][0])
+    return FixedMapping(_scan(rates, rate_rows([lambdas], rates.m_s))[1][0])

@@ -40,17 +40,34 @@ def check_unit_interval(values, name: str) -> None:
         raise ConfigurationError(f"{name} entries must lie in [0, 1]")
 
 
-def rate_vector(rates, m_s: int, skip: int | None = None) -> np.ndarray:
-    """A copy of ``rates`` as one arrival rate per user, each >= 0; entry ``skip`` is read as 0."""
+def check_user_index(k: int, m_s: int) -> None:
+    """Refuse ``k`` unless it is a 0-based index of one of ``m_s`` users."""
+    if not 0 <= k < m_s:
+        raise ConfigurationError(f"user index {k} out of range")
+
+
+def rate_rows(rates, m_s: int, skip: int | None = None) -> np.ndarray:
+    """A copy of ``rates`` as rows of one arrival rate per user, each >= 0; entry ``skip`` is read as 0.
+
+    The first refused rate in row order is named.
+    """
+    if skip is not None:
+        check_user_index(skip, m_s)
     lam = np.array(rates, dtype=float)
-    if lam.shape != (m_s,):
+    if lam.ndim != 2 or lam.shape[1] != m_s:
         raise ConfigurationError("rates must have one entry per user")
     if skip is not None:
-        lam[skip] = 0.0
-    bad = np.flatnonzero(~(lam >= 0))  # NaN fails the test
+        lam[:, skip] = 0.0
+    bad = np.argwhere(~(lam >= 0))  # NaN fails the test
     if bad.size:
-        raise ConfigurationError(f"rate of user {bad[0] + 1} must be >= 0, got {float(lam[bad[0]])}")
+        row, user = bad[0]
+        raise ConfigurationError(f"rate of user {user + 1} must be >= 0, got {float(lam[row, user])}")
     return lam
+
+
+def rate_vector(rates, m_s: int, skip: int | None = None) -> np.ndarray:
+    """``rate_rows`` of the single row ``rates``."""
+    return rate_rows([rates], m_s, skip)[0]
 
 
 @dataclass(frozen=True)
@@ -330,8 +347,7 @@ def secondary_service_rate(omega, rates: RateMatrix, k: int) -> float:
     omega = np.asarray(omega, dtype=float)
     if omega.shape != rates.mu.shape:
         raise ConfigurationError(f"omega has shape {omega.shape}, expected {rates.mu.shape}")
-    if not 0 <= k < rates.m_s:
-        raise ConfigurationError(f"user index {k} out of range")
+    check_user_index(k, rates.m_s)
     return float(omega[:, k] @ rates.mu[:, k])
 
 

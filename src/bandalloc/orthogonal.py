@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .model import ConfigurationError, RateMatrix, rate_vector
+from .model import (ConfigurationError, RateMatrix, check_unit_interval, check_user_index, rate_rows,
+                    rate_vector)
 
 _TOL = 1e-9
 
@@ -115,8 +116,6 @@ def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:
     <= 1, and each fixed user's rate not exceeding its service rate. The entry
     of ``fixed_lambdas`` at position k is ignored.
     """
-    if not 0 <= k < rates.m_s:
-        raise ConfigurationError(f"user index {k} out of range")
     c, A, b = _envelope_lp(rates, rate_vector(fixed_lambdas, rates.m_s, skip=k), k)
     return _envelope_point(rates, optim.solve_lp(optim.LpProblem(c=c, A=A, b=b, lo=np.zeros(c.size))))
 
@@ -151,6 +150,7 @@ def two_by_two_closed_form(mu, lambda_s1: float) -> tuple[float, float] | None:
     When mu12 == mu22 every feasible eps is optimal and the smallest is returned.
     """
     mu = np.asarray(mu, dtype=float)
+    check_unit_interval(mu, "mu")
     if mu.shape != (2, 2):
         raise ConfigurationError("mu must be 2x2")
     if not lambda_s1 >= 0:  # also refuses NaN
@@ -180,12 +180,12 @@ def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.n
 
     ``sweep_user`` (default: the lowest index other than ``axis``) takes each
     grid value in turn; the remaining users keep the rates given in ``others``
-    (default all zero). Entry ``axis`` is 0.
+    (default all zero). Entry ``axis`` is 0. Every rate is checked here.
     """
-    if not 0 <= axis < m_s:
-        raise ConfigurationError(f"user index {axis} out of range")
+    check_user_index(axis, m_s)
     if sweep_user is None:
         sweep_user = next((u for u in range(m_s) if u != axis), axis)
+    check_user_index(sweep_user, m_s)
     if sweep_user == axis:
         raise ConfigurationError("sweep_user must differ from axis")
     grid = [float(v) for v in grid]
@@ -194,21 +194,17 @@ def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.n
     base = np.zeros(m_s) if others is None else rate_vector(others, m_s, skip=axis)
     lam = np.tile(base, (len(grid), 1))
     lam[:, sweep_user] = grid
-    return lam
+    return rate_rows(lam, m_s)
 
 
 def sweep_envelope(rates: RateMatrix, axis: int, grid, others=None, sweep_user=None) -> list[EnvelopePoint]:
     """Envelope of user ``axis`` at each row of ``sweep_rates`` (same arguments).
 
     The grid points' LPs share c and A and are solved together by
-    ``optim.solve_lps``. Infeasible grid points are returned as infeasible
-    envelope points rather than raised; an LP that ends otherwise raises at
-    the first such point, and so does a negative grid value.
+    ``optim.solve_lps``. A negative or NaN rate is refused before any LP is
+    solved. Infeasible grid points are returned as infeasible envelope points
+    rather than raised; an LP that ends otherwise raises at the first such
+    point.
     """
-    lam = sweep_rates(rates.m_s, axis, grid, others, sweep_user)
-    bad = np.flatnonzero(~np.all(lam >= 0, axis=1))  # NaN fails the test
-    c, A, b = _envelope_lp(rates, lam[: bad[0]] if bad.size else lam, axis)
-    points = [_envelope_point(rates, sol) for sol in optim.solve_lps(c, A, b, np.zeros(c.size))]
-    if bad.size:
-        rate_vector(lam[bad[0]], rates.m_s, skip=axis)  # raises
-    return points
+    c, A, b = _envelope_lp(rates, sweep_rates(rates.m_s, axis, grid, others, sweep_user), axis)
+    return [_envelope_point(rates, sol) for sol in optim.solve_lps(c, A, b, np.zeros(c.size))]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLOSURE_TOL, ConfigurationError, check_unit_interval, rate_vector
+from .model import CLOSURE_TOL, ConfigurationError, check_unit_interval, check_user_index, rate_vector
 from .optim import fractional_argmax
 
 _TOL = 1e-9
@@ -259,8 +259,7 @@ def shat_envelope(mu, axis: int, grid) -> list[float | None]:
         raise ConfigurationError(
             "analytic envelope for system S_hat covers only M_s=2, M_p<=2; use simulate"
         )
-    if axis not in (0, 1):
-        raise ConfigurationError(f"user index {axis} out of range")
+    check_user_index(axis, 2)
     _check_rates(grid, f"lambda_s{2 - axis}")
     return _shat_sections(padded if axis == 1 else padded[:, ::-1], [float(v) for v in grid])
 

@@ -167,6 +167,26 @@ class TestSecondaryServiceRate:
             model.secondary_service_rate(np.zeros((3, 2)), ref_2x2_rates, 0)
 
 
+class TestRateRows:
+    def test_names_the_first_refused_rate_in_row_order(self):
+        rows = [[0.1, 0.2, 0.3], [0.1, 0.2, -1.0], [-2.0, math.nan, 0.3]]
+        with pytest.raises(ConfigurationError, match="^rate of user 3 must be >= 0, got -1.0$"):
+            model.rate_rows(rows, 3)
+        with pytest.raises(ConfigurationError, match="^rate of user 1 must be >= 0, got -2.0$"):
+            model.rate_rows(rows, 3, skip=2)
+        assert model.rate_rows(rows[:1], 3, skip=0).tolist() == [[0.0, 0.2, 0.3]]
+
+    @pytest.mark.parametrize("rates", [[0.1, 0.2], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]])
+    def test_refuses_a_wrong_shape(self, rates):
+        with pytest.raises(ConfigurationError, match="one entry per user"):
+            model.rate_rows(rates, 2)
+
+    @pytest.mark.parametrize("skip", [-1, 2])
+    def test_refuses_a_skipped_user_out_of_range(self, skip):
+        with pytest.raises(ConfigurationError, match=f"^user index {skip} out of range$"):
+            model.rate_rows([[0.1, 0.2]], 2, skip=skip)
+
+
 class TestPermutationCount:
     def test_square(self):
         assert model.permutation_count(2, 2) == 2

@@ -123,6 +123,14 @@ class TestMalformedArguments:
         assert_error(capsys, command, "--scenario", ref_2x2_file, "--axis", "2", "--fixed", "2=0.3,1=0.4",
                      *extra, expect="--axis user cannot also be fixed")
 
+    @pytest.mark.parametrize("command", ["envelope", "decompose", "simulate"])
+    def test_repeated_fixed_user(self, ref_2x2_file, capsys, command):
+        # the last rate used to win silently: decompose reported the envelope
+        # at lambda_s1 = 0.1
+        extra = {"envelope": ["--system", "S", "--grid", "0:0.1:0.1"], "simulate": ["--system", "S", "--seed", "1"]}
+        assert_error(capsys, command, "--scenario", ref_2x2_file, "--fixed", "1=0.4,1=0.1",
+                     *extra.get(command, []), expect="--fixed user 1 is given twice")
+
     @pytest.mark.parametrize("target", ["directory", "missing_parent"])
     def test_unwritable_out(self, ref_2x2_file, tmp_path, capsys, target):
         # used to escape as IsADirectoryError / FileNotFoundError
@@ -208,6 +216,12 @@ class TestNanBoundsAndRates:
         with pytest.raises(ConfigurationError, match="must be >= 0"):
             orthogonal.two_by_two_closed_form(ref_2x2_mu, math.nan)
 
+    @pytest.mark.parametrize("bad", [math.nan, 2.0, -0.5, math.inf])
+    def test_two_by_two_closed_form_refuses_a_bad_mu_entry(self, bad):
+        # [[nan, .5], [.5, .5]] and [[2, .5], [.5, .5]] used to return (0.0, 0.5)
+        with pytest.raises(ConfigurationError, match=r"^mu entries must lie in \[0, 1\]$"):
+            orthogonal.two_by_two_closed_form([[bad, 0.5], [0.5, 0.5]], 0.1)
+
     def test_fully_symmetric_max_refuses_nan(self):
         with pytest.raises(ConfigurationError, match="must be >= 0"):
             fully_symmetric_max(2, 2, math.nan)
@@ -254,6 +268,28 @@ def test_sweeps_refuse_an_axis_out_of_range(ref_2x2_rates, system, axis):
     }[system]
     with pytest.raises(ConfigurationError, match=f"user index {axis} out of range"):
         sweep()
+
+
+@pytest.mark.parametrize("sweep_user", [-1, 2, 5])
+@pytest.mark.parametrize("module", [orthogonal, fixedalloc], ids=["orthogonal", "fixedalloc"])
+def test_sweeps_refuse_a_sweep_user_out_of_range(ref_2x2_rates, module, sweep_user):
+    # -1 used to wrap onto the axis column, so the sweep returned the constant
+    # envelope [0.7875] * 3 here, and 2 or 5 raised IndexError
+    with pytest.raises(ConfigurationError, match=f"^user index {sweep_user} out of range$"):
+        module.sweep_envelope(ref_2x2_rates, 1, [0.0, 0.3, 0.6], sweep_user=sweep_user)
+
+
+@pytest.mark.parametrize("module, kernel", [(orthogonal.optim, "solve_lps"), (fixedalloc, "_scan")],
+                         ids=["orthogonal", "fixedalloc"])
+def test_sweeps_check_the_grid_before_any_lp_or_mapping(ref_2x2_rates, monkeypatch, module, kernel):
+    # the S sweep used to solve the points before the bad one first
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the grid was not checked first")
+
+    sweep = orthogonal.sweep_envelope if module is orthogonal.optim else fixedalloc.sweep_envelope
+    monkeypatch.setattr(module, kernel, no_kernel)
+    with pytest.raises(ConfigurationError, match="^rate of user 1 must be >= 0, got nan$"):
+        sweep(ref_2x2_rates, 1, [0.1, 0.2, math.nan])
 
 
 @pytest.mark.parametrize("lam", [(math.nan, 0.1), (-0.5, 0.1), (0.1, -1e-12)])
