@@ -41,8 +41,8 @@ def check_unit_interval(values, name: str) -> None:
 
 
 def check_user_index(k: int, m_s: int) -> None:
-    """Refuse ``k`` unless it is a 0-based index of one of ``m_s`` users."""
-    if not 0 <= k < m_s:
+    """Refuse ``k`` unless it is a 0-based index of one of ``m_s`` users (0.5 is none)."""
+    if k not in range(m_s):
         raise ConfigurationError(f"user index {k} out of range")
 
 

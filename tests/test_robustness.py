@@ -256,11 +256,11 @@ def test_sweep_needs_a_second_user(module):
         module.sweep_envelope(rates, 0, [0.1])
 
 
-@pytest.mark.parametrize("axis", [2, 7, -1])
+@pytest.mark.parametrize("axis", [2, 7, -1, 0.5])
 @pytest.mark.parametrize("system", ["S", "S_hat", "fixed"])
 def test_sweeps_refuse_an_axis_out_of_range(ref_2x2_rates, system, axis):
     # shat_envelope used to sweep any axis but 0 as axis 1, and the S and fixed
-    # sweeps with ``others`` given raised IndexError for axis 7
+    # sweeps with ``others`` given raised IndexError for axis 7 and 0.5
     sweep = {
         "S": lambda: orthogonal.sweep_envelope(ref_2x2_rates, axis, [0.1], others=[0.0, 0.0]),
         "S_hat": lambda: randalloc.shat_envelope(ref_2x2_rates.mu, axis, [0.1]),
