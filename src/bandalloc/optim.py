@@ -7,20 +7,20 @@ Two tools live here:
   LPs that share c, A and lo in lockstep; an upper bound is one more row of
   A. ``solve_lp`` is the batch of one. The LPs in this package have at most a
   few dozen variables, so a plain tableau is both fast enough and easy to
-  audit. The LPs whose ``b - A @ lo`` has the same negative entries share one
-  stack of tableaux, so they have the same artificial columns. Both phases run
-  on that stack through one pivot loop, ``_simplex``: each iteration picks
-  every active LP's entering column and leaving row and pivots all of them in
-  one array operation, and an LP leaves the loop once it is optimal,
-  unbounded or out of iterations. Phase II keeps the artificial columns out by
-  the column count. Entering is the first column whose reduced cost exceeds
-  _PIVOT_TOL; leaving is the smallest ratio among rows whose pivot element
-  exceeds _PIVOT_MIN = 1e-9, with ratios within _PIVOT_TOL of it tied and a
-  tie going to the smallest basis index. A pivot element of 1.1e-11 near the
-  S boundary of a 5x4 scenario wrecked the tableau: phase II stopped at a
-  point 0.4 outside one constraint, so small elements are never pivoted on.
-  Elementwise, every LP sees the arithmetic of a solve on its own, so its
-  solution does not depend on the batch it is solved in.
+  audit. A batch is one stack of tableaux, with an artificial column for each
+  row that any of its LPs flips (negative ``b - A @ lo``); an LP's artificial
+  never enters on a row it does not flip (``_solve``). Both phases run on the
+  stack through one pivot loop, ``_simplex``: each iteration picks every
+  active LP's entering column and leaving row and pivots all of them in one
+  array operation, and an LP leaves the loop once it is optimal, unbounded or
+  out of iterations. Phase II keeps the artificial columns out by the column
+  count. Entering is the first column whose reduced cost exceeds _PIVOT_TOL;
+  leaving is the smallest ratio among rows whose pivot element exceeds
+  _PIVOT_MIN = 1e-9, with ratios within _PIVOT_TOL of it tied and a tie going
+  to the smallest basis index. A pivot element of 1.1e-11 near the S boundary
+  of a 5x4 scenario wrecked the tableau: phase II stopped at a point 0.4
+  outside one constraint, so small elements are never pivoted on. Every LP
+  sees the arithmetic of a solve on its own, whatever batch it is solved in.
 * ``fractional_argmax``: closed-form maximizer, elementwise over arrays, of the
   one-variable linear fractional objective (K1*g - K2)/(D + C*g) subject to a
   single linear constraint and g in [0, 1], by sign analysis of the derivative.
@@ -153,23 +153,27 @@ def _simplex(T: np.ndarray, basis: np.ndarray, allowed: int) -> list[str]:
     return status
 
 
-def _solve_group(c: np.ndarray, A: np.ndarray, lo: np.ndarray, rhs: np.ndarray, b: np.ndarray,
-                 flip: np.ndarray) -> list[LpSolution]:
-    """Solve the LPs of one flip pattern: ``rhs`` holds their b, and ``b`` the same shifted by lo."""
+def _solve(c: np.ndarray, A: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> list[LpSolution]:
+    """Solve maximize c @ x s.t. A @ x <= b, x >= lo for each row b of ``rhs``, as one stack of tableaux."""
     m, n = A.shape
-    # Columns: variables, one slack per row, then one artificial per flipped
-    # (negative-rhs) row; the last column is the rhs. The tableaux differ only there.
-    art_rows = np.flatnonzero(flip)
+    b = rhs - A @ lo  # shift to y = x - lo >= 0
+    flip = b < 0
+    # Columns: variables, one slack per row, one artificial per row that any LP
+    # flips, then the rhs; each LP negates its own flipped rows and starts from
+    # their artificials. On a row an LP does not flip, the artificial column
+    # equals the slack column and gets the same row operations, so its phase-I
+    # reduced cost stays the slack's minus 1 (rounding keeps the order); Bland's
+    # rule takes the earlier slack, so it never enters. Other columns, the ratio
+    # test and basis order are unchanged; an LP flipping no row ends phase I at once.
+    flipped = np.logical_or.reduce(flip, axis=0)
+    art_rows = np.flatnonzero(flipped)
     n_real = n + m
-    T = np.zeros((m + 1, n_real + art_rows.size + 1))
-    T[:m, :n] = np.where(flip[:, None], -A, A)
-    T[np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
-    T[art_rows, n_real + np.arange(art_rows.size)] = 1.0
-    T = np.repeat(T[None], len(b), axis=0)
+    T = np.zeros((len(b), m + 1, n_real + art_rows.size + 1))
+    T[:, :m, :n] = np.where(flip[:, :, None], -A, A)
+    T[:, np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
+    T[:, art_rows, n_real + np.arange(art_rows.size)] = 1.0
     T[:, :m, -1] = np.where(flip, -b, b)
-    basis = n + np.arange(m)
-    basis[art_rows] = n_real + np.arange(art_rows.size)
-    basis = np.repeat(basis[None], len(b), axis=0)
+    basis = np.where(flip, n_real + np.cumsum(flipped) - 1, n + np.arange(m))
     solutions: list = [None] * len(b)
     alive = np.arange(len(b))
 
@@ -221,22 +225,6 @@ def _solve_group(c: np.ndarray, A: np.ndarray, lo: np.ndarray, rhs: np.ndarray, 
     return solutions
 
 
-def _solve(c: np.ndarray, A: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> list[LpSolution]:
-    """Solve maximize c @ x s.t. A @ x <= b, x >= lo for each row b of ``rhs``, one stack per flip pattern."""
-    b = rhs - A @ lo  # shift to y = x - lo >= 0
-    flip = b < 0
-    groups: dict[bytes, list[int]] = {}
-    for i, pattern in enumerate(flip):
-        groups.setdefault(pattern.tobytes(), []).append(i)
-    if len(groups) == 1:
-        return _solve_group(c, A, lo, rhs, b, flip[0])
-    solutions: list = [None] * len(rhs)
-    for members in groups.values():
-        for i, sol in zip(members, _solve_group(c, A, lo, rhs[members], b[members], flip[members[0]])):
-            solutions[i] = sol
-    return solutions
-
-
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve a small dense LP; never reports a wrong "optimal".
 
@@ -250,8 +238,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 def solve_lps(c, A, rhs, lo) -> list[LpSolution]:
     """``solve_lp(LpProblem(c, A, b, lo))`` for each row b of ``rhs``, bit for bit, in lockstep.
 
-    The LPs are solved at most _LPS_PER_CALL at a time, one tableau stack per
-    pattern of negative entries of ``b - A @ lo``.
+    The LPs are solved at most _LPS_PER_CALL at a time, each batch as one
+    stack of tableaux.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim != 2:

@@ -3,9 +3,10 @@
 The envelope is the LP over assignment fractions omega[j, k] (row and
 column sums at most one). ``envelope_point`` solves it at one point. The LPs
 of a sweep differ only in the right-hand side of the swept user's service
-row, so ``sweep_envelope`` builds c and A once and hands all its grid points
-to ``optim.solve_lps`` together. The two-user/two-band case also has a
-closed form. The other special cases (single band, symmetric users or
+row, so ``sweep_envelope`` builds c and A once and solves its grid points
+with ``optim.solve_lps``, one stack of tableaux at a time, building each
+stack's points before it solves the next. The two-user/two-band case also
+has a closed form. The other special cases (single band, symmetric users or
 bands) are test oracles in ``tests/oracles.py``.
 
 Convention used throughout the package: envelope computations use non-strict
@@ -200,11 +201,13 @@ def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.n
 def sweep_envelope(rates: RateMatrix, axis: int, grid, others=None, sweep_user=None) -> list[EnvelopePoint]:
     """Envelope of user ``axis`` at each row of ``sweep_rates`` (same arguments).
 
-    The grid points' LPs share c and A and are solved together by
-    ``optim.solve_lps``. A negative or NaN rate is refused before any LP is
-    solved. Infeasible grid points are returned as infeasible envelope points
-    rather than raised; an LP that ends otherwise raises at the first such
-    point.
+    The grid points' LPs share c and A. ``optim.solve_lps`` solves them one
+    stack of _LPS_PER_CALL at a time, and each stack's points are built before
+    the next is solved. A negative or NaN rate is refused before any LP is
+    solved. Infeasible points are returned as infeasible envelope points, not
+    raised; an LP that ends otherwise raises at the first such point.
     """
     c, A, b = _envelope_lp(rates, sweep_rates(rates.m_s, axis, grid, others, sweep_user), axis)
-    return [_envelope_point(rates, sol) for sol in optim.solve_lps(c, A, b, np.zeros(c.size))]
+    step = optim._LPS_PER_CALL
+    return [_envelope_point(rates, sol) for i in range(0, len(b), step)
+            for sol in optim.solve_lps(c, A, b[i : i + step], np.zeros(c.size))]
