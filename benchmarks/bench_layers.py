@@ -15,8 +15,10 @@ benchmark grid 0:0.175:0.025, and a jittered copy of it, mu times
 [[1.03, 0.97], [0.98, 1.02]], on 6 points up to 0.98 of its largest
 mu[:, 0], where 4 of the 6 sections bisect), the S envelope LP on both
 shipped scenarios, both as ``orthogonal.envelope_point`` and as the
-``optim.solve_lp`` call it makes, the max-slack assignment LP on both
-shipped scenarios, the padding and Birkhoff
+``optim.solve_lp`` call it makes, the batch of 21 LPs that the 5x4 S sweep
+below hands to ``optim.solve_lps`` (recorded from that sweep; its grid starts
+at 0, so the batch mixes two patterns of negative right-hand sides), the
+max-slack assignment LP on both shipped scenarios, the padding and Birkhoff
 decomposition of the 5x4 max-slack assignment
 (``schedule.schedule_from_assignment``, which ``decompose`` and ``simulate
 --system S`` call), a 21-point S sweep on the 5x4 scenario
@@ -77,6 +79,22 @@ def envelope_lp(rates, lam, k):
     return seen[0]
 
 
+def sweep_batch(sweep):
+    """The (c, A, rhs, lo) that ``sweep()`` hands to ``optim.solve_lps`` (None where the tree has none)."""
+    from bandalloc import optim
+
+    seen = []
+    solve = getattr(optim, "solve_lps", None)
+    if solve is None:
+        return None
+    optim.solve_lps = lambda *args: seen.append(args) or solve(*args)
+    try:
+        sweep()
+    finally:
+        optim.solve_lps = solve
+    return seen[0]
+
+
 def cases():
     """(name, zero-argument callable) for each timed call."""
     from bandalloc import cli, fixedalloc, model, optim, orthogonal, randalloc, schedule, sim
@@ -106,6 +124,8 @@ def cases():
     ref_path = str(ROOT / "scenarios" / "reference_2x2.json")
     ref_lp = envelope_lp(ref, [0.3, 0.0], 1)
     big_lp = envelope_lp(big, [0.0, 0.1, 0.1, 0.1], 0)
+    big_batch = sweep_batch(lambda: orthogonal.sweep_envelope(big, 0, grid, others=[0.0, 0.0, 0.2, 0.3],
+                                                              sweep_user=1))
     commands = {
         f"envelope --system {system} 5x4 21 points": [
             "envelope", "--scenario", big_path, "--system", system, "--axis", "1",
@@ -130,6 +150,7 @@ def cases():
         ("orthogonal.envelope_point 5x4", lambda: orthogonal.envelope_point(big, [0.0, 0.1, 0.1, 0.1], 0)),
         ("optim.solve_lp 2x2 envelope LP", lambda: optim.solve_lp(ref_lp)),
         ("optim.solve_lp 5x4 envelope LP", lambda: optim.solve_lp(big_lp)),
+        ("optim.solve_lps 5x4 21-point sweep batch", lambda: optim.solve_lps(*big_batch)),
         ("orthogonal.max_slack_assignment 2x2", lambda: orthogonal.max_slack_assignment(ref, lam)),
         ("orthogonal.max_slack_assignment 5x4", lambda: orthogonal.max_slack_assignment(big, big_lam)),
         ("schedule.schedule_from_assignment 5x4",

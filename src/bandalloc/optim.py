@@ -158,13 +158,13 @@ def _solve(c: np.ndarray, A: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> lis
     m, n = A.shape
     b = rhs - A @ lo  # shift to y = x - lo >= 0
     flip = b < 0
-    # Columns: variables, one slack per row, one artificial per row that any LP
-    # flips, then the rhs; each LP negates its own flipped rows and starts from
-    # their artificials. On a row an LP does not flip, the artificial column
-    # equals the slack column and gets the same row operations, so its phase-I
-    # reduced cost stays the slack's minus 1 (rounding keeps the order); Bland's
-    # rule takes the earlier slack, so it never enters. Other columns, the ratio
-    # test and basis order are unchanged; an LP flipping no row ends phase I at once.
+    # Columns: variables, a slack per row, an artificial per row that any LP
+    # flips, the rhs. Each LP negates the rows it flips and starts from their
+    # artificials. On a row an LP does not flip, the artificial equals the slack
+    # column under the same row operations, so its phase-I reduced cost stays the
+    # slack's minus 1 (rounding keeps the order) and Bland's rule takes the slack
+    # first: it never enters. Other columns, ratio tests and basis order match a
+    # stack of the LP's own flips; an LP flipping no row ends phase I at once.
     flipped = np.logical_or.reduce(flip, axis=0)
     art_rows = np.flatnonzero(flipped)
     n_real = n + m

@@ -492,6 +492,24 @@ class TestSolveLps:
                 _assert_equal(sol, optim.solve_lp(problem))
         assert statuses == {"optimal", "infeasible", "unbounded"}
 
+    def test_mixed_flip_patterns_share_one_stack(self, monkeypatch):
+        # x1 + x2 <= b0, x1 >= -b1, x2 >= -b2: the rows flipped are none, {1},
+        # {2} and {1, 2}, and the last LP is infeasible. One stack runs phase I
+        # (2 variables, 3 slacks and 2 artificials may enter) and phase II (the
+        # 5 real columns) once each; a stack per flip pattern ran 7 pivot loops.
+        rhs = np.array([[1.0, 0.5, 0.5], [1.0, -0.2, 0.5], [0.6, 0.5, -0.6], [1.0, -0.2, -0.3],
+                        [0.8, 0.0, 0.1], [0.4, -0.2, -0.3]])
+        c, A, lo = np.array([1.0, 0.5]), np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.zeros(2)
+        assert len({tuple(row < 0) for row in rhs}) == 4
+        loops = []
+        simplex = optim._simplex
+        monkeypatch.setattr(optim, "_simplex", lambda *args: loops.append(args[-1]) or simplex(*args))
+        solutions = optim.solve_lps(c, A, rhs, lo)
+        assert loops == [7, 5]
+        statuses = [_assert_equal(sol, reference_solve_lp(LpProblem(c=c, A=A, b=b, lo=lo))).status
+                    for b, sol in zip(rhs, solutions, strict=True)]
+        assert statuses == ["optimal"] * 5 + ["infeasible"]
+
     def test_no_rows_and_no_lps(self):
         lo = np.array([0.0, -0.5])
         assert optim.solve_lps(np.ones(2), np.zeros((1, 2)), np.zeros((0, 1)), lo) == []

@@ -279,6 +279,15 @@ def test_sweeps_refuse_a_sweep_user_out_of_range(ref_2x2_rates, module, sweep_us
         module.sweep_envelope(ref_2x2_rates, 1, [0.0, 0.3, 0.6], sweep_user=sweep_user)
 
 
+@pytest.mark.parametrize("grid", [[0.4, 0.1], [0.1, 0.3, 0.2, 0.4], [0.2, 0.2, -0.1]])
+@pytest.mark.parametrize("module", [orthogonal, fixedalloc], ids=["orthogonal", "fixedalloc"])
+def test_sweeps_refuse_a_descending_grid(ref_2x2_rates, module, grid):
+    # repeated points pass, and one step down anywhere is refused, before the
+    # rates are checked (-0.1 would be refused as a negative rate)
+    with pytest.raises(ConfigurationError, match="^grid must be ascending$"):
+        module.sweep_envelope(ref_2x2_rates, 1, grid)
+
+
 @pytest.mark.parametrize("module, kernel", [(orthogonal.optim, "solve_lps"), (fixedalloc, "_scan")],
                          ids=["orthogonal", "fixedalloc"])
 def test_sweeps_check_the_grid_before_any_lp_or_mapping(ref_2x2_rates, monkeypatch, module, kernel):
