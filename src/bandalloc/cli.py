@@ -258,13 +258,11 @@ def _envelope_report(rates, digest, system, axis, sweep_user, fixed, grid, mappi
     others = np.zeros(rates.m_s)
     others[list(fixed)] = list(fixed.values())
     if system == "S":
-        points = orthogonal.sweep_envelope(rates, axis, grid, others, sweep_user)
-        values = [p.max_rate if p.feasible else None for p in points]
+        values = orthogonal.sweep_envelope(rates, axis, grid, others, sweep_user)
     elif system == "S_hat":
         values = randalloc.shat_envelope(rates.mu, axis, grid)
     else:  # fixed
-        sweep = fixedalloc.sweep_envelope(rates, axis, grid, others, sweep_user, mapping)
-        values = [None if best is None else best[0] for best in sweep]
+        values = fixedalloc.sweep_envelope(rates, axis, grid, others, sweep_user, mapping)
     return {
         "provenance": _provenance(digest),
         "system": system,
@@ -272,7 +270,7 @@ def _envelope_report(rates, digest, system, axis, sweep_user, fixed, grid, mappi
         "sweep_user": sweep_user + 1,
         "fixed": {str(u + 1): r for u, r in sorted(fixed.items())},
         "grid": [float(g) for g in grid],
-        "values": [None if v is None else float(v) for v in values],
+        "values": values,
     }
 
 

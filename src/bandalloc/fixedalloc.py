@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import orthogonal
-from .model import CLOSURE_TOL, ConfigurationError, RateMatrix, rate_rows
+from .model import CLOSURE_TOL, ConfigurationError, RateMatrix, rate_rows, sweep_rates
 
 _MAX_ENUMERATION = 1_000_000
 _CHUNK_ELEMENTS = 1 << 20
@@ -118,16 +117,15 @@ def best_fixed_max(rates: RateMatrix, fixed_lambdas, k: int) -> tuple[float, Fix
 
 def sweep_envelope(
     rates: RateMatrix, axis: int, grid, others=None, sweep_user=None, mapping: FixedMapping | None = None
-) -> list[tuple[float, FixedMapping] | None]:
-    """``best_fixed_max`` of user ``axis`` at each point of a sweep, in one scan.
+) -> list[float | None]:
+    """The value of ``best_fixed_max`` of user ``axis`` at each point of a sweep, in one scan.
 
     The arguments ``grid``, ``others`` and ``sweep_user`` follow
-    ``orthogonal.sweep_envelope``. With ``mapping`` given, only that mapping is
+    ``model.sweep_rates``. With ``mapping`` given, only that mapping is
     considered (the envelope of its own orthotope).
     """
-    lam = orthogonal.sweep_rates(rates.m_s, axis, grid, others, sweep_user)
-    values, chosen = _scan(rates, lam, axis, mapping)
-    return [None if v == -np.inf else (float(v), FixedMapping(m)) for v, m in zip(values, chosen)]
+    values = _scan(rates, sweep_rates(rates.m_s, axis, grid, others, sweep_user), axis, mapping)[0]
+    return [None if v == -np.inf else v for v in values.tolist()]
 
 
 def best_margin_mapping(rates: RateMatrix, lambdas) -> FixedMapping:

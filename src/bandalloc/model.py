@@ -70,6 +70,28 @@ def rate_vector(rates, m_s: int, skip: int | None = None) -> np.ndarray:
     return rate_rows([rates], m_s, skip)[0]
 
 
+def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.ndarray:
+    """Rates of a sweep of user ``axis``'s envelope, one row per point of an ascending grid.
+
+    ``sweep_user`` (default: the lowest index other than ``axis``) takes each
+    grid value in turn; the remaining users keep the rates given in ``others``
+    (default all zero). Entry ``axis`` is 0. Every rate is checked here.
+    """
+    check_user_index(axis, m_s)
+    if sweep_user is None:
+        sweep_user = next((u for u in range(m_s) if u != axis), axis)
+    check_user_index(sweep_user, m_s)
+    if sweep_user == axis:
+        raise ConfigurationError("sweep_user must differ from axis")
+    grid = [float(v) for v in grid]
+    if any(b < a for a, b in zip(grid, grid[1:])):
+        raise ConfigurationError("grid must be ascending")
+    base = np.zeros(m_s) if others is None else rate_vector(others, m_s, skip=axis)
+    lam = np.tile(base, (len(grid), 1))
+    lam[:, sweep_user] = grid
+    return rate_rows(lam, m_s)
+
+
 @dataclass(frozen=True)
 class SlotConfig:
     """Slot timing: duration ``T`` (s), sensing time ``tau`` (s), packet size ``b`` (bits)."""

@@ -214,11 +214,15 @@ def _solve(c: np.ndarray, A: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> lis
     statuses = _simplex(T, basis, n_real)
     y = np.zeros((len(T), T.shape[2] - 1))
     y[np.arange(len(T))[:, None], basis] = T[:, :m, -1]
-    for i, status, x in zip(alive, statuses, y[:, :n] + lo):
-        # Independent residual check before declaring victory.
+    xs = y[:, :n] + lo
+    # Independent residual check, one array test per stack. Each A @ x is its own
+    # product, as in a lone solve: a stacked one rounds differently near _FEAS_TOL.
+    ax = np.array([A @ x for x in xs])
+    off = np.logical_or.reduce(np.hstack([ax - rhs[alive], lo - xs]) > _FEAS_TOL, axis=1)
+    for i, status, x, bad in zip(alive, statuses, xs, off.tolist()):
         if status != "optimal":
             solutions[i] = LpSolution(status=status)
-        elif np.any(A @ x - rhs[i] > _FEAS_TOL) or np.any(lo - x > _FEAS_TOL):
+        elif bad:
             solutions[i] = LpSolution(status="failed")
         else:
             solutions[i] = LpSolution(status="optimal", value=float(c @ x), x=x)

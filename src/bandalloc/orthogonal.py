@@ -4,8 +4,8 @@ The envelope is the LP over assignment fractions omega[j, k] (row and
 column sums at most one). ``envelope_point`` solves it at one point. The LPs
 of a sweep differ only in the right-hand side of the swept user's service
 row, so ``sweep_envelope`` builds c and A once and solves its grid points
-with ``optim.solve_lps``, one stack of tableaux at a time, building each
-stack's points before it solves the next. The two-user/two-band case also
+with ``optim.solve_lps``, one stack of tableaux at a time, reading each
+stack's values before it solves the next. The two-user/two-band case also
 has a closed form. The other special cases (single band, symmetric users or
 bands) are test oracles in ``tests/oracles.py``.
 
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .model import (ConfigurationError, RateMatrix, check_unit_interval, check_user_index, rate_rows,
-                    rate_vector)
+from .model import ConfigurationError, RateMatrix, check_unit_interval, rate_vector, sweep_rates
 
 _TOL = 1e-9
 
@@ -101,13 +100,13 @@ def _envelope_lp(rates: RateMatrix, lam: np.ndarray, k: int) -> tuple[np.ndarray
     return c, A, b
 
 
-def _envelope_point(rates: RateMatrix, sol: optim.LpSolution) -> EnvelopePoint:
+def _max_rate(sol: optim.LpSolution) -> float | None:
+    """The envelope LP's optimum, or None where it is infeasible; any other end raises."""
     if sol.status == "infeasible":
-        return EnvelopePoint(feasible=False)
+        return None
     if not sol.is_optimal:
         raise RuntimeError(f"envelope LP unexpectedly {sol.status}")
-    omega = AssignmentMatrix(sol.x.reshape(rates.m_p, rates.m_s))
-    return EnvelopePoint(feasible=True, max_rate=sol.value, omega_star=omega)
+    return sol.value
 
 
 def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:
@@ -118,7 +117,12 @@ def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:
     of ``fixed_lambdas`` at position k is ignored.
     """
     c, A, b = _envelope_lp(rates, rate_vector(fixed_lambdas, rates.m_s, skip=k), k)
-    return _envelope_point(rates, optim.solve_lp(optim.LpProblem(c=c, A=A, b=b, lo=np.zeros(c.size))))
+    sol = optim.solve_lp(optim.LpProblem(c=c, A=A, b=b, lo=np.zeros(c.size)))
+    value = _max_rate(sol)
+    if value is None:
+        return EnvelopePoint(feasible=False)
+    omega = AssignmentMatrix(sol.x.reshape(rates.m_p, rates.m_s))
+    return EnvelopePoint(feasible=True, max_rate=value, omega_star=omega)
 
 
 def max_slack_assignment(rates: RateMatrix, lambdas) -> AssignmentMatrix:
@@ -154,8 +158,7 @@ def two_by_two_closed_form(mu, lambda_s1: float) -> tuple[float, float] | None:
     check_unit_interval(mu, "mu")
     if mu.shape != (2, 2):
         raise ConfigurationError("mu must be 2x2")
-    if not lambda_s1 >= 0:  # also refuses NaN
-        raise ConfigurationError("lambda_s1 must be >= 0")
+    lambda_s1 = rate_vector([lambda_s1, 0.0], 2)[0]
     mu11, mu12, mu21, mu22 = mu[0, 0], mu[0, 1], mu[1, 0], mu[1, 1]
     a = mu21 - mu11
     r = lambda_s1 - mu11
@@ -176,38 +179,15 @@ def two_by_two_closed_form(mu, lambda_s1: float) -> tuple[float, float] | None:
     return eps, float(eps * mu12 + (1.0 - eps) * mu22)
 
 
-def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.ndarray:
-    """Rates of a sweep of user ``axis``'s envelope, one row per point of an ascending grid.
-
-    ``sweep_user`` (default: the lowest index other than ``axis``) takes each
-    grid value in turn; the remaining users keep the rates given in ``others``
-    (default all zero). Entry ``axis`` is 0. Every rate is checked here.
-    """
-    check_user_index(axis, m_s)
-    if sweep_user is None:
-        sweep_user = next((u for u in range(m_s) if u != axis), axis)
-    check_user_index(sweep_user, m_s)
-    if sweep_user == axis:
-        raise ConfigurationError("sweep_user must differ from axis")
-    grid = [float(v) for v in grid]
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ConfigurationError("grid must be ascending")
-    base = np.zeros(m_s) if others is None else rate_vector(others, m_s, skip=axis)
-    lam = np.tile(base, (len(grid), 1))
-    lam[:, sweep_user] = grid
-    return rate_rows(lam, m_s)
-
-
-def sweep_envelope(rates: RateMatrix, axis: int, grid, others=None, sweep_user=None) -> list[EnvelopePoint]:
-    """Envelope of user ``axis`` at each row of ``sweep_rates`` (same arguments).
+def sweep_envelope(rates: RateMatrix, axis: int, grid, others=None, sweep_user=None) -> list[float | None]:
+    """User ``axis``'s envelope value at each row of ``model.sweep_rates`` (same arguments).
 
     The grid points' LPs share c and A. ``optim.solve_lps`` solves them one
-    stack of _LPS_PER_CALL at a time, and each stack's points are built before
-    the next is solved. A negative or NaN rate is refused before any LP is
-    solved. Infeasible points are returned as infeasible envelope points, not
-    raised; an LP that ends otherwise raises at the first such point.
+    stack of _LPS_PER_CALL at a time, reading each stack's values before it
+    solves the next. Every rate is checked before any LP is solved. An
+    infeasible point gives None; the first LP that ends otherwise raises.
     """
     c, A, b = _envelope_lp(rates, sweep_rates(rates.m_s, axis, grid, others, sweep_user), axis)
     step = optim._LPS_PER_CALL
-    return [_envelope_point(rates, sol) for i in range(0, len(b), step)
+    return [_max_rate(sol) for i in range(0, len(b), step)
             for sol in optim.solve_lps(c, A, b[i : i + step], np.zeros(c.size))]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLOSURE_TOL, ConfigurationError, check_unit_interval, check_user_index, rate_vector
+from .model import CLOSURE_TOL, ConfigurationError, check_unit_interval, rate_vector, sweep_rates
 from .optim import fractional_argmax
 
 _TOL = 1e-9
@@ -74,13 +74,6 @@ class DominantEnvelopePoint:
     feasible: bool
     max_lambda: float | None = None
     gamma_star: SelectionMatrix | None = None
-
-
-def _check_rates(values, name: str) -> None:
-    """Refuse a negative or NaN rate in ``values``, naming the rate ``name`` and giving its value."""
-    for value in values:
-        if not value >= 0:  # NaN fails too
-            raise ConfigurationError(f"{name} must be >= 0, got {float(value)}")
 
 
 def _checked_mu(mu) -> np.ndarray:
@@ -168,8 +161,8 @@ def _dominant1_envelopes(mu: np.ndarray, lambdas: list[float]) -> list[tuple | N
 
 def _envelope_point(mu: np.ndarray, lam, dominant: str) -> DominantEnvelopePoint:
     """The dominant-1 kernel at one rate, as the envelope point of dominant system ``dominant``."""
-    first = dominant == "first"
-    point = _dominant1_envelopes(mu if first else mu[:, ::-1], [float(lam)])[0]
+    first, lam = dominant == "first", float(lam)
+    point = _dominant1_envelopes(mu if first else mu[:, ::-1], [lam])[0]
     if point is None:
         return DominantEnvelopePoint(fixed_lambda=lam, dominant=dominant, feasible=False)
     best, g21, g22 = point
@@ -187,16 +180,12 @@ def dominant1_envelope_2x2(mu, lambda_s2: float) -> DominantEnvelopePoint:
     the inner one-dimensional fractional program solved in closed form at
     each, in one array call, and takes the first best.
     """
-    mu = _mu_2x2(mu)
-    _check_rates([lambda_s2], "lambda_s2")
-    return _envelope_point(mu, lambda_s2, "first")
+    return _envelope_point(_mu_2x2(mu), rate_vector([0.0, lambda_s2], 2)[1], "first")
 
 
 def dominant2_envelope_2x2(mu, lambda_s1: float) -> DominantEnvelopePoint:
     """Mirror image of dominant1_envelope_2x2 with the user roles swapped."""
-    mu = _mu_2x2(mu)
-    _check_rates([lambda_s1], "lambda_s1")
-    return _envelope_point(mu, lambda_s1, "second")
+    return _envelope_point(_mu_2x2(mu), rate_vector([lambda_s1, 0.0], 2)[0], "second")
 
 
 def _shat_sections(mu: np.ndarray, lam1: list[float]) -> list[float | None]:
@@ -238,10 +227,8 @@ def _shat_sections(mu: np.ndarray, lam1: list[float]) -> list[float | None]:
 
 
 def shat_section_lambda2(mu, lambda_s1: float) -> float | None:
-    """Largest lambda_s2 such that (lambda_s1, lambda_s2) is in the union region (``_shat_sections``)."""
-    mu = _mu_2x2(mu)
-    _check_rates([lambda_s1], "lambda_s1")
-    return _shat_sections(mu, [float(lambda_s1)])[0]
+    """Largest lambda_s2 such that (lambda_s1, lambda_s2) is in the union region (``shat_envelope``)."""
+    return shat_envelope(_mu_2x2(mu), 1, [lambda_s1])[0]
 
 
 def _padded_2x2(mu: np.ndarray) -> np.ndarray | None:
@@ -259,9 +246,8 @@ def shat_envelope(mu, axis: int, grid) -> list[float | None]:
         raise ConfigurationError(
             "analytic envelope for system S_hat covers only M_s=2, M_p<=2; use simulate"
         )
-    check_user_index(axis, 2)
-    _check_rates(grid, f"lambda_s{2 - axis}")
-    return _shat_sections(padded if axis == 1 else padded[:, ::-1], [float(v) for v in grid])
+    lam = sweep_rates(2, axis, grid)[:, 1 - axis].tolist()
+    return _shat_sections(padded if axis == 1 else padded[:, ::-1], lam)
 
 
 def selection_for_rates(mu, lambdas) -> SelectionMatrix:

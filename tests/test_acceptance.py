@@ -342,21 +342,21 @@ def test_large_scenario_sweep_speed():
         others = np.array([0.0, 0.0, 0.35, 0.35])
         grid = np.linspace(0.0, 0.6, 100)
         start = time.perf_counter()
-        points = orthogonal.sweep_envelope(rates, 1, grid, others=others, sweep_user=0)
+        values = orthogonal.sweep_envelope(rates, 1, grid, others=others, sweep_user=0)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"sweep took {elapsed:.2f}s"
-        values = [p.max_rate for p in points if p.feasible]
+        values = [v for v in values if v is not None]
         assert len(values) >= 50
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
         # three-user variant whose optimal allocation probabilities feed downstream plots
         rates3 = model.RateMatrix(mu=rates.mu[:3, :3], mu_p=np.ones(3), pi=rates.pi[:3])
         start = time.perf_counter()
-        points3 = orthogonal.sweep_envelope(
-            rates3, 1, np.linspace(0.0, 0.5, 100), others=np.array([0.0, 0.0, 0.35]), sweep_user=0
-        )
+        grid3 = np.linspace(0.0, 0.5, 100)
+        values3 = orthogonal.sweep_envelope(rates3, 1, grid3, others=np.array([0.0, 0.0, 0.35]), sweep_user=0)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0
-        feasible3 = [p for p in points3 if p.feasible]
-        assert feasible3
-        _, sched3 = schedule.schedule_from_assignment(feasible3[0].omega_star)
+        first = next(i for i, v in enumerate(values3) if v is not None)
+        point3 = orthogonal.envelope_point(rates3, [grid3[first], 0.0, 0.35], 1)
+        assert point3.max_rate == values3[first]
+        _, sched3 = schedule.schedule_from_assignment(point3.omega_star)
         assert sum(w for _, w in sched3.entries) == pytest.approx(1.0, abs=1e-9)

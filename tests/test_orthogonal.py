@@ -203,19 +203,17 @@ class TestSymmetricCases:
 
 class TestSweep:
     def test_singleton(self, ref_2x2_rates):
-        points = orthogonal.sweep_envelope(ref_2x2_rates, 1, [0.4])
-        assert len(points) == 1
-        assert points[0].max_rate == pytest.approx(0.541071, abs=1e-6)
+        values = orthogonal.sweep_envelope(ref_2x2_rates, 1, [0.4])
+        assert values == [orthogonal.envelope_point(ref_2x2_rates, [0.4, 0.0], 1).max_rate]
+        assert values[0] == pytest.approx(0.541071, abs=1e-6)
 
     def test_ref_2x2_three_points(self, ref_2x2_rates):
-        points = orthogonal.sweep_envelope(ref_2x2_rates, 1, [0.1, 0.4, 0.7])
-        values = [p.max_rate for p in points]
+        values = orthogonal.sweep_envelope(ref_2x2_rates, 1, [0.1, 0.4, 0.7])
         assert values == pytest.approx([0.7875, 0.5410714285714285, 0.2125], abs=1e-9)
 
     def test_monotone_nonincreasing(self, ref_2x2_rates):
         grid = np.linspace(0, 0.7, 15)
-        points = orthogonal.sweep_envelope(ref_2x2_rates, 1, grid)
-        values = [p.max_rate for p in points if p.feasible]
+        values = [v for v in orthogonal.sweep_envelope(ref_2x2_rates, 1, grid) if v is not None]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
     def test_rejects_descending_grid(self, ref_2x2_rates):
@@ -223,22 +221,22 @@ class TestSweep:
             orthogonal.sweep_envelope(ref_2x2_rates, 1, [0.4, 0.1])
 
     def test_infeasible_points_marked(self, ref_2x2_rates):
-        points = orthogonal.sweep_envelope(ref_2x2_rates, 1, [0.6, 0.8])
-        assert points[0].feasible and not points[1].feasible
+        values = orthogonal.sweep_envelope(ref_2x2_rates, 1, [0.6, 0.8])
+        assert values == [orthogonal.envelope_point(ref_2x2_rates, [0.6, 0.0], 1).max_rate, None]
 
     def test_memory_is_bounded_by_the_stack(self, ref_2x2_rates, monkeypatch):
         # With stacks of 64 LPs a 2000-point sweep peaks about 0.2 MB above the
-        # points it returns. Holding every LpSolution until the last point was
+        # values it returns. Holding every LpSolution until the last point was
         # built added about 290 bytes a point: the sweep peaked 0.58 MB above.
         monkeypatch.setattr(optim, "_LPS_PER_CALL", 64)
         grid = np.linspace(0.0, 0.7, 2000).tolist()
         tracemalloc.start()
         try:
-            points = orthogonal.sweep_envelope(ref_2x2_rates, 1, grid)
+            values = orthogonal.sweep_envelope(ref_2x2_rates, 1, grid)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(points) == 2000 and points[0].feasible
+        assert len(values) == 2000 and values[0] is not None
         assert peak - kept < 400_000
 
 

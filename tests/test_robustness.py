@@ -279,26 +279,35 @@ def test_sweeps_refuse_a_sweep_user_out_of_range(ref_2x2_rates, module, sweep_us
         module.sweep_envelope(ref_2x2_rates, 1, [0.0, 0.3, 0.6], sweep_user=sweep_user)
 
 
+# The three systems' sweeps of user 2's envelope along user 1's rate.
+SWEEPS = {
+    "orthogonal": lambda rates, grid: orthogonal.sweep_envelope(rates, 1, grid),
+    "fixedalloc": lambda rates, grid: fixedalloc.sweep_envelope(rates, 1, grid),
+    "randalloc": lambda rates, grid: randalloc.shat_envelope(rates.mu, 1, grid),
+}
+
+
 @pytest.mark.parametrize("grid", [[0.4, 0.1], [0.1, 0.3, 0.2, 0.4], [0.2, 0.2, -0.1]])
-@pytest.mark.parametrize("module", [orthogonal, fixedalloc], ids=["orthogonal", "fixedalloc"])
+@pytest.mark.parametrize("module", SWEEPS)
 def test_sweeps_refuse_a_descending_grid(ref_2x2_rates, module, grid):
     # repeated points pass, and one step down anywhere is refused, before the
-    # rates are checked (-0.1 would be refused as a negative rate)
+    # rates are checked (-0.1 would be refused as a negative rate); S_hat used
+    # to take a descending grid
     with pytest.raises(ConfigurationError, match="^grid must be ascending$"):
-        module.sweep_envelope(ref_2x2_rates, 1, grid)
+        SWEEPS[module](ref_2x2_rates, grid)
 
 
-@pytest.mark.parametrize("module, kernel", [(orthogonal.optim, "solve_lps"), (fixedalloc, "_scan")],
-                         ids=["orthogonal", "fixedalloc"])
-def test_sweeps_check_the_grid_before_any_lp_or_mapping(ref_2x2_rates, monkeypatch, module, kernel):
+@pytest.mark.parametrize("module", SWEEPS)
+def test_sweeps_check_the_grid_before_any_lp_or_mapping(ref_2x2_rates, monkeypatch, module):
     # the S sweep used to solve the points before the bad one first
     def no_kernel(*args, **kwargs):
         raise AssertionError("the grid was not checked first")
 
-    sweep = orthogonal.sweep_envelope if module is orthogonal.optim else fixedalloc.sweep_envelope
-    monkeypatch.setattr(module, kernel, no_kernel)
+    kernel = {"orthogonal": (orthogonal.optim, "solve_lps"), "fixedalloc": (fixedalloc, "_scan"),
+              "randalloc": (randalloc, "_dominant1_values")}[module]
+    monkeypatch.setattr(*kernel, no_kernel)
     with pytest.raises(ConfigurationError, match="^rate of user 1 must be >= 0, got nan$"):
-        sweep(ref_2x2_rates, 1, [0.1, 0.2, math.nan])
+        SWEEPS[module](ref_2x2_rates, [0.1, 0.2, math.nan])
 
 
 @pytest.mark.parametrize("lam", [(math.nan, 0.1), (-0.5, 0.1), (0.1, -1e-12)])
@@ -323,10 +332,10 @@ class TestRandomSelectionRates:
     def test_envelopes_name_the_refused_rate(self, ref_2x2_mu, bad):
         # the dominant-2 envelope and the section used to call a bad
         # lambda_s1 "lambda_s2"
-        for envelope, name in ((randalloc.dominant1_envelope_2x2, "lambda_s2"),
-                               (randalloc.dominant2_envelope_2x2, "lambda_s1"),
-                               (randalloc.shat_section_lambda2, "lambda_s1")):
-            with pytest.raises(ConfigurationError, match=f"^{name} must be >= 0, got {bad}$"):
+        for envelope, user in ((randalloc.dominant1_envelope_2x2, 2),
+                               (randalloc.dominant2_envelope_2x2, 1),
+                               (randalloc.shat_section_lambda2, 1)):
+            with pytest.raises(ConfigurationError, match=f"^rate of user {user} must be >= 0, got {bad}$"):
                 envelope(ref_2x2_mu, bad)
 
     @pytest.mark.parametrize("axis, name", [(1, "lambda_s1"), (0, "lambda_s2")])
@@ -334,16 +343,8 @@ class TestRandomSelectionRates:
     def test_shat_envelope_names_the_refused_grid_rate(self, ref_2x2_mu, axis, name, bad):
         # the grid holds the other user's rate; shat_envelope used to compute
         # the sections before it and then name lambda_s2 whatever the axis
-        with pytest.raises(ConfigurationError, match=f"^{name} must be >= 0, got {bad}$"):
-            randalloc.shat_envelope(ref_2x2_mu, axis, [0.1, bad])
-
-    def test_shat_envelope_checks_the_grid_before_any_section(self, ref_2x2_mu, monkeypatch):
-        def no_kernel(*args, **kwargs):
-            raise AssertionError("a section was computed before the grid was checked")
-
-        monkeypatch.setattr(randalloc, "_dominant1_values", no_kernel)
-        with pytest.raises(ConfigurationError, match="got -0.2"):
-            randalloc.shat_envelope(ref_2x2_mu, 1, [0.1, -0.2])
+        with pytest.raises(ConfigurationError, match=f"^rate of user {name[-1]} must be >= 0, got {bad}$"):
+            randalloc.shat_envelope(ref_2x2_mu, axis, [bad, 0.1])
 
     @pytest.mark.parametrize("lam", [(math.nan, 0.1), (0.1, math.nan)])
     def test_selection_for_rates_refuses_nan(self, ref_2x2_mu, lam):
