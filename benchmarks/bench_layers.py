@@ -24,9 +24,10 @@ decomposition of the 5x4 max-slack assignment
 --system S`` call), a 21-point S sweep on the 5x4 scenario
 (``orthogonal.sweep_envelope``) and the same sweep of the fixed system,
 each both as a library sweep and as the whole ``envelope`` command through
-``cli.main``, three more whole commands on the reference 2x2
-scenario through ``cli.main`` (a 100-point S ``envelope`` sweep, a 29-point
-``compare`` and a 1e5-slot ``simulate --system S`` at rates (0.3, 0.3)),
+``cli.main``, four more whole commands on the reference 2x2
+scenario through ``cli.main`` (S ``envelope`` sweeps of 100 and of 2001
+points, where the cost per point shows, a 29-point ``compare`` and a
+1e5-slot ``simulate --system S`` at rates (0.3, 0.3)),
 each with its output sent to the null device, and a 1e5-slot ``sim.run``
 of each policy on the reference 2x2 scenario at rates (0.3, 0.3), with the
 policy ``simulate`` derives there (slots per second = 1e5 / the time per
@@ -134,6 +135,8 @@ def cases():
     } | {
         "envelope --system S 2x2 100 points": [
             "envelope", "--scenario", ref_path, "--system", "S", "--axis", "2", "--grid", "0:0.99:0.01"],
+        "envelope --system S 2x2 2001 points": [
+            "envelope", "--scenario", ref_path, "--system", "S", "--axis", "2", "--grid", "0:0.8:0.0004"],
         "compare 2x2 29 points": ["compare", "--scenario", ref_path, "--grid", "0:0.7:0.025"],
         "simulate --system S 2x2 1e5 slots": [
             "simulate", "--scenario", ref_path, "--system", "S", "--fixed", "1=0.3,2=0.3",
