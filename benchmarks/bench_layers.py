@@ -33,9 +33,11 @@ of each policy on the reference 2x2 scenario at rates (0.3, 0.3), with the
 policy ``simulate`` derives there (slots per second = 1e5 / the time per
 call). ``timeit`` picks a loop count of at least 0.2 s per repeat; the case
 reports the median and the minimum over ``_REPEAT`` (7) repeats, in
-milliseconds per call. The output is one JSON object with the Python and
-numpy versions and the CPU model next to the timings. Not part of the test
-suite.
+milliseconds per call. A case that pivots a simplex tableau also reports
+``pivots``, the calls of ``optim._pivot`` in one untimed call: a count that
+repeats exactly, where one lockstep pivot pivots every active LP of a stack.
+The output is one JSON object with the Python and numpy versions and the CPU
+model next to the timings. Not part of the test suite.
 """
 
 from __future__ import annotations
@@ -94,6 +96,28 @@ def sweep_batch(sweep):
     finally:
         optim.solve_lps = solve
     return seen[0]
+
+
+def pivot_count(fn):
+    """Calls of ``optim._pivot`` in one call of ``fn`` (None where the tree has no ``_pivot``)."""
+    from bandalloc import optim
+
+    pivot = getattr(optim, "_pivot", None)
+    if pivot is None:
+        return None
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return pivot(*args)
+
+    optim._pivot = counted
+    try:
+        fn()
+    finally:
+        optim._pivot = pivot
+    return count
 
 
 def cases():
@@ -191,6 +215,9 @@ def main(argv=None) -> int:
             "calls_per_repeat": number,
             "repeats": _REPEAT,
         }
+        pivots = pivot_count(fn)
+        if pivots:
+            results[name]["pivots"] = pivots
     doc = {
         "python": platform.python_version(),
         "numpy": np.__version__,

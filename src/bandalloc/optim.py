@@ -2,25 +2,27 @@
 
 Two tools live here:
 
-* ``solve_lps``: a two-phase dense simplex with Bland's anti-cycling rule
-  (Bland 1977) for ``maximize c @ x s.t. A @ x <= b, x >= lo``, solving many
-  LPs that share c, A and lo in lockstep; an upper bound is one more row of
-  A. ``solve_lp`` is the batch of one. The LPs in this package have at most a
-  few dozen variables, so a plain tableau is both fast enough and easy to
-  audit. A batch is one stack of tableaux, with an artificial column for each
-  row that any of its LPs flips (negative ``b - A @ lo``); an LP's artificial
-  never enters on a row it does not flip (``_solve``). Both phases run on the
-  stack through one pivot loop, ``_simplex``: each iteration picks every
-  active LP's entering column and leaving row and pivots all of them in one
-  array operation, and an LP leaves the loop once it is optimal, unbounded or
-  out of iterations. Phase II keeps the artificial columns out by the column
-  count. Entering is the first column whose reduced cost exceeds _PIVOT_TOL;
-  leaving is the smallest ratio among rows whose pivot element exceeds
-  _PIVOT_MIN = 1e-9, with ratios within _PIVOT_TOL of it tied and a tie going
-  to the smallest basis index. A pivot element of 1.1e-11 near the S boundary
-  of a 5x4 scenario wrecked the tableau: phase II stopped at a point 0.4
-  outside one constraint, so small elements are never pivoted on. Every LP
-  sees the arithmetic of a solve on its own, whatever batch it is solved in.
+* ``solve_lps``: a two-phase dense simplex for ``maximize c @ x s.t.
+  A @ x <= b, x >= lo``, solving many LPs that share c, A and lo in lockstep;
+  an upper bound is one more row of A. ``solve_lp`` is the batch of one. The
+  LPs in this package have at most a few dozen variables, so a plain tableau
+  is both fast enough and easy to audit. A batch is one stack of tableaux,
+  with an artificial column for each row that any of its LPs flips (negative
+  ``b - A @ lo``); an LP's artificial never enters on a row it does not flip
+  (``_solve``). Both phases run on the stack through one pivot loop,
+  ``_simplex``: each iteration picks every active LP's entering column and
+  leaving row and pivots all of them in one array operation, and an LP leaves
+  the loop once it is optimal, unbounded or out of iterations. Phase II keeps
+  the artificial columns out by the column count. Entering is the column of
+  the largest reduced cost above _PIVOT_TOL (Dantzig 1963), or, right after a
+  degenerate pivot of the LP, the first such column (Bland 1977), which keeps
+  the loop from cycling; leaving is the smallest ratio among rows whose pivot
+  element exceeds _PIVOT_MIN = 1e-9, with ratios within _PIVOT_TOL of it tied
+  and a tie going to the smallest basis index. A pivot element of 1.1e-11
+  near the S boundary of a 5x4 scenario wrecked the tableau: phase II stopped
+  at a point 0.4 outside one constraint, so small elements are never pivoted
+  on. Every LP sees the arithmetic of a solve on its own, whatever batch it
+  is solved in.
 * ``fractional_argmax``: closed-form maximizer, elementwise over arrays, of the
   one-variable linear fractional objective (K1*g - K2)/(D + C*g) subject to a
   single linear constraint and g in [0, 1], by sign analysis of the derivative.
@@ -80,14 +82,15 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray, f: np.ndarray,
-           pivots: np.ndarray) -> None:
+def _pivot(T: np.ndarray, basis: np.ndarray, lps: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+           f: np.ndarray, pivots: np.ndarray) -> None:
     """Pivot each tableau ``T[i]`` of the stack on ``(rows[i], cols[i])``.
 
-    ``f[i]`` is tableau i's column ``cols[i]``, and ``pivots[i]`` its element in row ``rows[i]``.
+    ``lps`` is ``arange(len(T))``, ``f[i]`` tableau i's column ``cols[i]``, and
+    ``pivots[i, 0]`` its element in row ``rows[i]``.
     """
-    lps = np.arange(len(T))
-    prow = T[lps, rows] / pivots[:, None]
+    prow = T[lps, rows]
+    prow /= pivots
     # Rows with a zero multiplier are left alone, which keeps their signed zeros.
     # The pivot row is overwritten with the divided row just after.
     np.subtract(T, f[:, :, None] * prow[:, None], out=T, where=(f != 0.0)[:, :, None])
@@ -111,11 +114,16 @@ def _price(T: np.ndarray, basis: np.ndarray, costs: np.ndarray) -> None:
 
 
 def _simplex(T: np.ndarray, basis: np.ndarray, allowed: int) -> list[str]:
-    """Bland pivots on each tableau of the stack T (last row objective, last column rhs), in lockstep.
+    """Simplex pivots on each tableau of the stack T (last row objective, last column rhs), in lockstep.
 
-    Only the first ``allowed`` columns enter. Returns each tableau's status. The
-    stack is pivoted in place while every LP is active; once one stops, the
-    active ones are pivoted in a copy, and each is written back when it stops.
+    Only the first ``allowed`` columns enter. An LP enters the column of its
+    largest reduced cost (Dantzig), the first one on ties, unless its last
+    pivot was degenerate (pivot-row rhs at most _PIVOT_TOL): then the first
+    column whose reduced cost exceeds _PIVOT_TOL (Bland). Every pivot of a
+    cycle is degenerate, so once one of its bases repeats every choice is
+    Bland's, which does not cycle. Returns each tableau's status. The stack is
+    pivoted in place while every LP is active; once one stops, the active ones
+    are pivoted in a copy, and each is written back when it stops.
     """
     m = basis.shape[1]
     if not m:  # no row to pivot on
@@ -125,29 +133,32 @@ def _simplex(T: np.ndarray, basis: np.ndarray, allowed: int) -> list[str]:
     live = lps = np.arange(len(T))
     W, B = T, basis
     ratios = np.empty(B.shape)
+    bland = np.zeros((len(T), 1), dtype=bool)
     for _ in range(_MAX_ITER):
-        cols = (W[:, -1, :allowed] > _PIVOT_TOL).argmax(axis=1)
+        obj = W[:, -1, :allowed]
+        improving = obj > _PIVOT_TOL
+        cols = np.where(bland, improving, obj).argmax(axis=1)
         f = W[lps, :, cols]
         # Ineligible rows keep a NaN ratio, which no comparison selects.
         ratios.fill(np.nan)
         np.divide(W[:, :m, -1], f[:, :m], out=ratios, where=f[:, :m] > _PIVOT_MIN)
-        ties = ratios <= np.fmin.reduce(ratios, axis=1)[:, None] + _PIVOT_TOL
+        ties = ratios <= np.fmin.reduce(ratios, axis=1, keepdims=True) + _PIVOT_TOL
         rows = np.where(ties, B, W.shape[2]).argmin(axis=1)
-        # Without an eligible row, row 0 is chosen, and its element is not above _PIVOT_MIN.
-        pivots = f[lps, rows]
-        going = (f[:, -1] > _PIVOT_TOL) & (pivots > _PIVOT_MIN)
-        if np.count_nonzero(going) < going.size:
+        # Without an eligible row, row 0 is chosen, and it is no tie.
+        going = improving[lps, cols] & ties[lps, rows]
+        if not going.all():
             stop = ~going
             for i in np.flatnonzero(stop):
-                status[live[i]] = "unbounded" if f[i, -1] > _PIVOT_TOL else "optimal"
+                status[live[i]] = "unbounded" if improving[i, cols[i]] else "optimal"
             if W is not T:
                 T[live[stop]], basis[live[stop]] = W[stop], B[stop]
             if not going.any():
                 return status
             live, W, B = live[going], W[going], B[going]
-            rows, cols, f, pivots = rows[going], cols[going], f[going], pivots[going]
+            rows, cols, f = rows[going], cols[going], f[going]
             lps, ratios = np.arange(live.size), np.empty(B.shape)
-        _pivot(W, B, rows, cols, f, pivots)
+        bland = W[lps, rows, -1:] <= _PIVOT_TOL  # a degenerate pivot: Bland's column next
+        _pivot(W, B, lps, rows, cols, f, f[lps, rows, None])
     if W is not T:
         T[live], basis[live] = W, B
     return status
@@ -162,9 +173,11 @@ def _solve(c: np.ndarray, A: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> lis
     # flips, the rhs. Each LP negates the rows it flips and starts from their
     # artificials. On a row an LP does not flip, the artificial equals the slack
     # column under the same row operations, so its phase-I reduced cost stays the
-    # slack's minus 1 (rounding keeps the order) and Bland's rule takes the slack
-    # first: it never enters. Other columns, ratio tests and basis order match a
-    # stack of the LP's own flips; an LP flipping no row ends phase I at once.
+    # slack's minus 1. Rounding keeps it below the slack's, or at worst equal, and
+    # a tie goes to the slack's lower index: Dantzig's argmax and Bland's first
+    # column both take the slack, and the artificial never enters. Other columns,
+    # ratio tests and basis order match a stack of the LP's own flips; an LP
+    # flipping no row ends phase I at once.
     flipped = np.logical_or.reduce(flip, axis=0)
     art_rows = np.flatnonzero(flipped)
     n_real = n + m
@@ -206,7 +219,7 @@ def _solve(c: np.ndarray, A: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> lis
             if lps.size:
                 sub, sub_basis = T[lps], basis[lps]
                 f = sub[np.arange(lps.size), :, cols]
-                _pivot(sub, sub_basis, np.full(lps.size, row), cols, f, f[:, row])
+                _pivot(sub, sub_basis, np.arange(lps.size), np.full(lps.size, row), cols, f, f[:, row, None])
                 T[lps], basis[lps] = sub, sub_basis
 
     # Phase II on the same tableaux; artificial columns never enter.

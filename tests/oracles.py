@@ -8,9 +8,10 @@ explicit permutation matrices. ``reference_shat_section_lambda2`` keeps the
 one-section-at-a-time bisection that the lockstep sweep in
 ``randalloc.shat_envelope`` replaced, ``reference_run`` keeps the
 slot-by-slot simulator loop that the blocked engine in ``sim`` replaced,
-``reference_solve_lp`` keeps the two-loop Bland simplex that
-``optim.solve_lp`` replaced (``bound_rows_lp`` writes upper bounds as the rows
-``solve_lp`` once built from them), and ``reference_best_fixed_max``,
+``reference_solve_lp`` keeps the two-loop simplex that
+``optim.solve_lp`` replaced, with the solver's entering rule (``bland_solve_lp``
+keeps Bland's rule, which the solver used before; ``bound_rows_lp`` writes
+upper bounds as the rows ``solve_lp`` once built from them), and ``reference_best_fixed_max``,
 ``reference_best_margin_mapping`` and ``reference_mapping_max`` keep the
 mapping-by-mapping search that the table scan in ``fixedalloc`` replaced; the
 differential tests require the replacements to reproduce them exactly.
@@ -577,9 +578,13 @@ def reference_shat_section_lambda2(mu, lambda_s1, dominant1=dominant1_envelope_2
     return None if best is None else float(best)
 
 
-# The dense two-phase Bland simplex that ``optim.solve_lp`` replaced, kept
-# statement for statement with its own tolerances, so the differential test
-# can require the one-loop solver to reproduce it bit for bit.
+# The dense two-phase simplex that ``optim.solve_lp`` replaced, kept statement
+# for statement with its own tolerances, so the differential test can require
+# the one-loop solver to reproduce it bit for bit. ``reference_solve_lp``
+# enters by the solver's rule: Dantzig's column, or Bland's right after a
+# degenerate pivot. ``bland_solve_lp`` keeps Bland's rule throughout, the rule
+# the solver used before; ``dantzig_solve_lp`` never falls back to Bland's, and
+# cycles on Beale's example.
 _REF_FEAS_TOL = 1e-9
 _REF_PIVOT_TOL = 1e-12
 _REF_MAX_ITER = 20000
@@ -601,6 +606,15 @@ def _ref_bland_entering(obj: np.ndarray, allowed: int) -> int | None:
     return None
 
 
+def _ref_dantzig_entering(obj: np.ndarray, allowed: int) -> int | None:
+    """Column with the largest positive reduced cost; the smallest index among equals."""
+    best = None
+    for j in range(allowed):
+        if obj[j] > _REF_PIVOT_TOL and (best is None or obj[j] > obj[best]):
+            best = j
+    return best
+
+
 def _ref_bland_leaving(T: np.ndarray, basis: list[int], col: int, m: int) -> int | None:
     """Minimum-ratio row; ties broken by smallest basis variable index (Bland)."""
     best_row = None
@@ -619,15 +633,24 @@ def _ref_bland_leaving(T: np.ndarray, basis: list[int], col: int, m: int) -> int
     return best_row
 
 
-def _ref_run_simplex(T: np.ndarray, basis: list[int], n_allowed: int, m: int) -> str:
-    """Iterate Bland pivots on tableau T (last row = objective, last col = rhs)."""
+def _ref_run_simplex(T: np.ndarray, basis: list[int], n_allowed: int, m: int, rule: str) -> str:
+    """Iterate pivots on tableau T (last row = objective, last col = rhs).
+
+    ``rule`` is "bland", "dantzig" or "hybrid": Dantzig's column unless the
+    last pivot was degenerate (pivot-row rhs at most _REF_PIVOT_TOL).
+    """
+    degenerate = False
     for _ in range(_REF_MAX_ITER):
-        col = _ref_bland_entering(T[-1], n_allowed)
+        if rule == "bland" or (rule == "hybrid" and degenerate):
+            col = _ref_bland_entering(T[-1], n_allowed)
+        else:
+            col = _ref_dantzig_entering(T[-1], n_allowed)
         if col is None:
             return "optimal"
         row = _ref_bland_leaving(T, basis, col, m)
         if row is None:
             return "unbounded"
+        degenerate = T[row, -1] <= _REF_PIVOT_TOL
         _ref_pivot(T, basis, row, col)
     return "failed"
 
@@ -653,6 +676,20 @@ def reference_solve_lp(problem: LpProblem) -> LpSolution:
     bound within 1e-9; if the tableau degrades numerically beyond that the
     status is "failed".
     """
+    return _ref_solve_lp(problem, "hybrid")
+
+
+def bland_solve_lp(problem: LpProblem) -> LpSolution:
+    """``reference_solve_lp`` with Bland's entering rule at every pivot."""
+    return _ref_solve_lp(problem, "bland")
+
+
+def dantzig_solve_lp(problem: LpProblem) -> LpSolution:
+    """``reference_solve_lp`` with Dantzig's entering rule at every pivot, degenerate or not."""
+    return _ref_solve_lp(problem, "dantzig")
+
+
+def _ref_solve_lp(problem: LpProblem, rule: str) -> LpSolution:
     n = problem.c.size
     # Shift to y = x - lo >= 0.
     shift = problem.lo
@@ -686,7 +723,7 @@ def reference_solve_lp(problem: LpProblem) -> LpSolution:
         for i, bv in enumerate(basis):
             if T[-1, bv] != 0.0:
                 T[-1] -= T[-1, bv] * T[i]
-        status = _ref_run_simplex(T, basis, n_total, m)
+        status = _ref_run_simplex(T, basis, n_total, m, rule)
         if status != "optimal":
             return LpSolution(status="failed")
         # Objective cell holds -(phase-I value); a positive residual means some
@@ -718,7 +755,7 @@ def reference_solve_lp(problem: LpProblem) -> LpSolution:
     for i, bv in enumerate(basis):
         if T[-1, bv] != 0.0:
             T[-1] -= T[-1, bv] * T[i]
-    status = _ref_run_simplex(T, basis, n_total, m)
+    status = _ref_run_simplex(T, basis, n_total, m, rule)
     if status == "unbounded":
         return LpSolution(status="unbounded")
     if status != "optimal":

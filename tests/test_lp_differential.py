@@ -24,7 +24,8 @@ from bandalloc import cli, model, optim, orthogonal
 from bandalloc.model import ConfigurationError
 from bandalloc.optim import LpProblem
 
-from oracles import bound_rows_lp, reference_solve_lp
+from conftest import ref_2x2_scenario
+from oracles import bland_solve_lp, bound_rows_lp, dantzig_solve_lp, reference_solve_lp
 
 # five_by_four_jitter_28.json as the region-5x4 benchmark generates it for
 # seed 7, with users 3 and 4 pinned and user 1 at the grid point where the
@@ -95,13 +96,15 @@ def _box_lp(rng, kind):
     return bound_rows_lp(c, A, b, lo, hi)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_box_lps(seed):
+def _box_lps(seed):
     rng = np.random.default_rng(seed)
     kinds = ("uniform", "rounded", "sparse", "equality")
-    statuses = set()
-    for i in range(400):
-        statuses.add(_assert_same(_box_lp(rng, kinds[i % 4])).status)
+    return [_box_lp(rng, kinds[i % 4]) for i in range(400)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_box_lps(seed):
+    statuses = {_assert_same(problem).status for problem in _box_lps(seed)}
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
@@ -112,8 +115,8 @@ def _lp(c, A, b, lo=None, hi=None):
     return bound_rows_lp(c, A, b, lo, hi)
 
 
-def test_optim_test_shapes(ref_2x2_mu):
-    mu = ref_2x2_mu
+def _optim_test_shapes():
+    mu = model.rate_matrix(ref_2x2_scenario()).mu
     problems = [
         _lp([1.0], [[1.0]], [0.5]),
         _lp([1.0], [[-1.0]], [-2.0]),
@@ -132,7 +135,11 @@ def test_optim_test_shapes(ref_2x2_mu):
                  for _ in range(3)]
     rng = np.random.default_rng(5)
     problems.append(_lp(rng.uniform(-1, 1, 6), rng.uniform(-1, 1, (8, 6)), rng.uniform(0.1, 1.0, 8)))
-    for problem in problems:
+    return problems
+
+
+def test_optim_test_shapes():
+    for problem in _optim_test_shapes():
         _assert_same(problem)
 
 
@@ -195,10 +202,14 @@ def _random_assignment_calls(rng, count, kinds):
     return envelope, slack
 
 
-def test_assignment_lps():
+def _assignment_lps():
     kinds = ("uniform", "rounded", "symmetric_users", "symmetric_bands")
     envelope, slack = _random_assignment_calls(np.random.default_rng(11), 160, kinds)
-    problems = _recorded_lps(envelope + slack)
+    return _recorded_lps(envelope + slack)
+
+
+def test_assignment_lps():
+    problems = _assignment_lps()
     assert len(problems) == 320
     for problem in problems:
         _assert_same(problem)
@@ -209,13 +220,17 @@ def _shipped_rates(name):
     return model.rate_matrix(cli.load_scenario(str(path))[0])
 
 
-@pytest.mark.parametrize("name, axis, pinned, grid_stop", [
+# (scenario, axis, pinned rates of the other users, last grid point)
+SHIPPED_SWEEPS = [
     ("reference_2x2", 1, None, 0.7),
     ("reference_2x2", 0, None, 0.8),
     ("five_by_four", 1, [0.0, 0.0, 0.15, 0.2], 0.55),
     ("five_by_four", 0, [0.0, 0.1, 0.25, 0.3], 0.5),
-])
-def test_shipped_scenario_sweeps(name, axis, pinned, grid_stop):
+]
+
+
+def _shipped_sweep_lps(name, axis, pinned, grid_stop):
+    """The LPs of a 21-point S sweep and of max_slack_assignment at every fourth of its points."""
     rates = _shipped_rates(name)
     grid = np.linspace(0.0, grid_stop, 21)
     calls = [lambda: orthogonal.sweep_envelope(rates, axis, grid, others=pinned)]
@@ -224,7 +239,12 @@ def test_shipped_scenario_sweeps(name, axis, pinned, grid_stop):
         lam[axis] = 0.5 * grid_stop
         lam[1 - axis] = lam1
         calls.append(lambda lam=lam: orthogonal.max_slack_assignment(rates, lam))
-    problems = _recorded_lps(calls)
+    return _recorded_lps(calls)
+
+
+@pytest.mark.parametrize("name, axis, pinned, grid_stop", SHIPPED_SWEEPS)
+def test_shipped_scenario_sweeps(name, axis, pinned, grid_stop):
+    problems = _shipped_sweep_lps(name, axis, pinned, grid_stop)
     assert len(problems) == 27
     for problem in problems:
         _assert_same(problem)
@@ -266,12 +286,14 @@ def test_implied_bound_rows_change_nothing(source):
 
 
 class TestSBoundaryPoint:
-    """The envelope point that the reference solver reports as "failed"."""
+    """The envelope point where Bland's rule, which the solver used before, ends "failed"."""
 
     def test_listed_exception(self):
+        # Bland's rule pivots on an element of 1.1e-11 there; the solver's
+        # rule, which the reference follows, never meets it
         (problem,) = _recorded_lps([lambda: orthogonal.envelope_point(jitter_28_rates(), JITTER_28_LAMBDA, 1)])
-        assert reference_solve_lp(problem).status == "failed"
-        sol = optim.solve_lp(problem)
+        assert bland_solve_lp(problem).status == "failed"
+        sol = _assert_same(problem)
         assert sol.status == "optimal"
         assert np.all(problem.A @ sol.x - problem.b <= 1e-9)
         assert np.all(sol.x >= problem.lo - 1e-9)
@@ -349,27 +371,37 @@ def _pinned(rates, share):
     return others, top
 
 
+def _jittered_sweeps():
+    """(rates, grid, others) of 12 seeded 5x4 sweeps that maximize user 2 over user 1's rate.
+
+    Users 3 and 4 are pinned, and user 1's rate runs from 0 to past its
+    largest, so every sweep holds unflipped, flipped and infeasible points.
+    """
+    rng = np.random.default_rng(12)
+    sweeps = []
+    for i in range(12):
+        rates = _jittered_five_by_four(rng)
+        others, top = _pinned(rates, 0.4 + 0.3 * i / 11)
+        sweeps.append((rates, np.linspace(0.0, 1.1 * top, 21), others))
+    return sweeps
+
+
+def _boundary_sweep():
+    """(rates, grid, others) of the CLI sweep of TestSBoundaryPoint, through JITTER_28_LAMBDA."""
+    grid = cli._parse_grid("0:0.5382089933605835:0.026910449668029173")
+    return jitter_28_rates(), grid, [0.0, 0.0, *JITTER_28_LAMBDA[2:]]
+
+
 class TestSweepBatches:
-    @pytest.mark.parametrize("name, axis, others, stop", [
-        ("reference_2x2", 1, None, 0.7),
-        ("reference_2x2", 0, None, 0.8),
-        ("five_by_four", 1, [0.0, 0.0, 0.15, 0.2], 0.55),
-        ("five_by_four", 0, [0.0, 0.1, 0.25, 0.3], 0.5),
-    ])
+    @pytest.mark.parametrize("name, axis, others, stop", SHIPPED_SWEEPS)
     def test_shipped_scenarios(self, name, axis, others, stop):
         statuses, exceptions = _check_sweep(_shipped_rates(name), axis, np.linspace(0.0, stop, 21), others)
         assert exceptions == 0 and "optimal" in statuses
 
     def test_seeded_five_by_four_jitters(self):
-        # users 3 and 4 pinned, user 2 maximized over user 1's rate from 0 to
-        # past its largest, so every sweep holds unflipped, flipped and
-        # infeasible points
-        rng = np.random.default_rng(12)
         seen = set()
-        for i in range(12):
-            rates = _jittered_five_by_four(rng)
-            others, top = _pinned(rates, 0.4 + 0.3 * i / 11)
-            statuses, exceptions = _check_sweep(rates, 1, np.linspace(0.0, 1.1 * top, 21), others, 0)
+        for rates, grid, others in _jittered_sweeps():
+            statuses, exceptions = _check_sweep(rates, 1, grid, others, 0)
             assert exceptions == 0
             assert statuses[0] == "optimal" and statuses[-1] == "infeasible"
             seen.update(statuses)
@@ -397,14 +429,13 @@ class TestSweepBatches:
         assert statuses == ["optimal"] * 5 + ["infeasible"] * 3
 
     def test_through_the_s_boundary_point(self):
-        # the CLI grid of TestSBoundaryPoint: the reference fails at
-        # JITTER_28_LAMBDA's point only, and the sweep still solves it
-        grid = cli._parse_grid("0:0.5382089933605835:0.026910449668029173")
+        # the CLI grid of TestSBoundaryPoint: where Bland's rule fails, the
+        # sweep and the reference agree bit for bit
+        rates, grid, others = _boundary_sweep()
         assert JITTER_28_LAMBDA[0] in grid
-        others = [0.0, 0.0, *JITTER_28_LAMBDA[2:]]
-        statuses, exceptions = _check_sweep(jitter_28_rates(), 1, grid, others, 0)
-        assert exceptions == 1
-        assert statuses[grid.index(JITTER_28_LAMBDA[0])] == "failed"
+        statuses, exceptions = _check_sweep(rates, 1, grid, others, 0)
+        assert exceptions == 0
+        assert statuses[grid.index(JITTER_28_LAMBDA[0])] == "optimal"
 
 
 def test_empty_sweep():
@@ -412,10 +443,12 @@ def test_empty_sweep():
 
 
 @pytest.mark.parametrize("name, others, setting, value, grid", [
-    # the second point runs out of pivots, the last is infeasible
+    # the second point runs out of pivots (it takes 3 in phase II on the 2x2
+    # scenario and 5 on the 5x4 one, the first point 2 and 4), the last is
+    # infeasible; no point of the 2x2 grid takes more than 3 in a phase
+    ("reference_2x2", None, "_MAX_ITER", 3, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8]),
     ("reference_2x2", None, "_MAX_ITER", 4, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8]),
-    ("reference_2x2", None, "_MAX_ITER", 6, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8]),
-    ("five_by_four", [0.0, 0.0, 0.15, 0.2], "_MAX_ITER", 11, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
+    ("five_by_four", [0.0, 0.0, 0.15, 0.2], "_MAX_ITER", 5, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
     # no row passes the pivot test: the unflipped first point ends
     # "unbounded" and the flipped ones fail in phase I
     ("reference_2x2", None, "_PIVOT_MIN", 10.0, [0.0, 0.1, 0.2]),
@@ -426,20 +459,20 @@ def test_sweep_errors_in_grid_order(monkeypatch, name, others, setting, value, g
     # does, and infeasible points before it are returned as infeasible
     monkeypatch.setattr(optim, setting, value)
     rates = _shipped_rates(name)
-    raised = False
+    raised_at = None  # the first prefix size that raises
     for size in range(1, len(grid) + 1):
         expected = []
         try:
             for lam in model.sweep_rates(rates.m_s, 1, grid[:size], others):
                 expected.append(orthogonal.envelope_point(rates, lam, 1))
         except RuntimeError as exc:
-            raised = True
+            raised_at = raised_at or size
             with pytest.raises(RuntimeError, match=f"^{exc}$"):
                 orthogonal.sweep_envelope(rates, 1, grid[:size], others)
             continue
         for got, want in zip(orthogonal.sweep_envelope(rates, 1, grid[:size], others), expected, strict=True):
             _assert_same_value(got, want)
-    assert raised == (value != 6)
+    assert raised_at == (None if value == 4 else 2 if setting == "_MAX_ITER" else 1)
 
 
 @pytest.mark.parametrize("grid", [[-0.1, 0.2], [0.0, 0.1, math.nan], [0.0, 0.8, math.nan]])
@@ -522,3 +555,76 @@ class TestSolveLps:
     def test_refuses_bad_rhs(self, rhs, message):
         with pytest.raises(ValueError, match=message):
             optim.solve_lps(np.ones(2), np.eye(2), rhs, np.zeros(2))
+
+
+# --- Bland's rule, which the solver's entering rule replaced -----------------
+# Where the LP is degenerate, Dantzig's column can reach another optimal
+# vertex, in fewer pivots. Over the LPs above, the solver must reach the status
+# Bland's rule reaches, its optimal value to rounding, and a feasible x. The
+# one exception is the S boundary point of TestSBoundaryPoint, where Bland's
+# rule ends "failed".
+
+def _jittered_sweep_lps():
+    sweeps = [*_jittered_sweeps(), _boundary_sweep()]
+    return _recorded_lps([lambda s=sweep: orthogonal.sweep_envelope(s[0], 1, s[1], others=s[2], sweep_user=0)
+                          for sweep in sweeps])
+
+
+LP_CORPUS = {
+    "box LPs seed 1": lambda: _box_lps(1),
+    "box LPs seed 2": lambda: _box_lps(2),
+    "test_optim shapes": _optim_test_shapes,
+    "assignment LPs": _assignment_lps,
+    "shipped sweeps": lambda: [p for sweep in SHIPPED_SWEEPS for p in _shipped_sweep_lps(*sweep)],
+    "jittered sweeps": _jittered_sweep_lps,
+}
+
+
+@pytest.mark.parametrize("corpus", LP_CORPUS)
+def test_against_blands_rule(corpus):
+    exceptions = 0
+    for problem in LP_CORPUS[corpus]():
+        got, want = optim.solve_lp(problem), bland_solve_lp(problem)
+        if want.status == "failed" and got.status == "optimal":
+            exceptions += 1
+        else:
+            assert got.status == want.status
+        if got.status == "optimal":
+            assert np.all(problem.A @ got.x - problem.b <= optim._FEAS_TOL)
+            assert np.all(got.x >= problem.lo - optim._FEAS_TOL)
+        if want.status == "optimal":
+            assert abs(got.value - want.value) <= 1e-12 * max(1.0, abs(want.value))
+    assert exceptions == (corpus == "jittered sweeps")
+
+
+class TestCycling:
+    """Beale's example (Beale 1955), on which Dantzig's rule alone cycles.
+
+    From the degenerate start x = 0, Dantzig's column with the smallest basis
+    index leaving returns to the starting basis after six pivots. The first
+    degenerate pivot hands the choice to Bland's rule, which does not cycle.
+    """
+
+    c = np.array([0.75, -20.0, 0.5, -6.0])
+    A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    b = np.array([0.0, 0.0, 1.0])
+
+    def problem(self, b):
+        return LpProblem(c=self.c, A=self.A, b=b, lo=np.zeros(4))
+
+    def test_dantzig_alone_cycles(self):
+        assert dantzig_solve_lp(self.problem(self.b)).status == "failed"
+
+    def test_solve_lp(self):
+        sol = _assert_same(self.problem(self.b))
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(1.25, abs=1e-12)
+
+    def test_in_a_stack(self):
+        # next to LPs whose start is not degenerate, on which Dantzig's rule does not cycle
+        rhs = np.array([[0.5, 0.5, 1.0], self.b, [1.0, 0.2, 2.0], self.b])
+        assert [dantzig_solve_lp(self.problem(b)).status for b in rhs[[0, 2]]] == ["optimal"] * 2
+        solutions = optim.solve_lps(self.c, self.A, rhs, np.zeros(4))
+        for b, sol in zip(rhs, solutions, strict=True):
+            _assert_equal(sol, _assert_same(self.problem(b)))
+        assert [sol.value for sol in solutions[1::2]] == [pytest.approx(1.25, abs=1e-12)] * 2
