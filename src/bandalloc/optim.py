@@ -13,16 +13,14 @@ Two tools live here:
   ``_simplex``: each iteration picks every active LP's entering column and
   leaving row and pivots all of them in one array operation, and an LP leaves
   the loop once it is optimal, unbounded or out of iterations. Phase II keeps
-  the artificial columns out by the column count. Entering is the column of
-  the largest reduced cost above _PIVOT_TOL (Dantzig 1963), or, right after a
-  degenerate pivot of the LP, the first such column (Bland 1977), which keeps
-  the loop from cycling; leaving is the smallest ratio among rows whose pivot
-  element exceeds _PIVOT_MIN = 1e-9, with ratios within _PIVOT_TOL of it tied
-  and a tie going to the smallest basis index. A pivot element of 1.1e-11
-  near the S boundary of a 5x4 scenario wrecked the tableau: phase II stopped
-  at a point 0.4 outside one constraint, so small elements are never pivoted
-  on. Every LP sees the arithmetic of a solve on its own, whatever batch it
-  is solved in.
+  the artificial columns out by the column count. Entering is Dantzig's
+  column (Dantzig 1963), or Bland's (Bland 1977) right after a degenerate
+  pivot; leaving is the smallest ratio among rows whose pivot element exceeds
+  _PIVOT_MIN = 1e-9, with ratios within _PIVOT_TOL of it tied and a tie going
+  to the smallest basis index. A pivot element of 1.1e-11 near the S boundary
+  of a 5x4 scenario wrecked the tableau: phase II stopped at a point 0.4
+  outside one constraint, so small elements are never pivoted on. Every LP
+  sees the arithmetic of a solve on its own, whatever batch it is solved in.
 * ``fractional_argmax``: closed-form maximizer, elementwise over arrays, of the
   one-variable linear fractional objective (K1*g - K2)/(D + C*g) subject to a
   single linear constraint and g in [0, 1], by sign analysis of the derivative.

@@ -1,16 +1,20 @@
-"""``optim.solve_lp`` against the two-loop Bland simplex kept in ``oracles``.
+"""``optim.solve_lp`` against the two-loop simplex kept in ``oracles``.
 
 Every instance must give exactly the same ``status``, ``value`` and ``x``
-(``==``, no tolerance): seeded box LPs, the problem shapes of
-``test_optim.py`` (phase-I equality-like rows included), the assignment LPs of
+as ``reference_solve_lp``, which enters by the solver's rule (``==``, no
+tolerance): seeded box LPs, the problem shapes of ``test_optim.py``
+(phase-I equality-like rows included), the assignment LPs of
 ``orthogonal.envelope_point`` and ``orthogonal.max_slack_assignment`` on
 random, rounded and symmetric scenarios, and the sweeps of both shipped
 scenarios. Those assignment LPs must also solve exactly as they did with their
-implied upper bounds (omega <= 1, t <= 2) as explicit rows. The one listed
-exception is a point near the S boundary of a 5x4 scenario where the
-reference pivots on an element of 1.1e-11 and ends "failed"; there the solver
-must return an optimal point that passes the residual check, and the envelope
-point and the CLI sweep through it succeed.
+implied upper bounds (omega <= 1, t <= 2) as explicit rows. Against
+``bland_solve_lp``, Bland's rule, which the solver used before, the same LPs
+must reach the same status and optimal value to rounding. The one listed
+exception is a point near the S boundary of a 5x4 scenario where Bland's rule
+pivots on an element of 1.1e-11 and ends "failed"; there the solver must
+return an optimal point that passes the residual check, and the envelope
+point and the CLI sweep through it succeed. Beale's example, on which
+Dantzig's rule alone cycles, must solve.
 """
 
 import json
