@@ -5,9 +5,12 @@ the same pre-drawn stream rows. Every run compares the whole result with
 ``==``: the end-of-slot trace of every slot (``trace_stride=1``), the queue
 counters, post-warmup departures, empty fractions, collisions and verdicts.
 Runs cover the reference 2x2 scenario, the shipped 5x4 one, one band shared by
-two users (the padded S_hat case) and a scenario with a declared virtual band;
-rates at zero, light, beyond the boundary and saturated; all three policies;
-and the engine's block length patched to 1 and 7 as well as its default.
+two users (the padded S_hat case), one band shared by three users (so the
+contention sweeps update more than two users in turn) and a scenario with a
+declared virtual band; rates at zero, light, beyond the boundary and
+saturated; all three policies; the engine's block length patched to 1 and 7 as
+well as its default; and the heaviest contention point of the sim-boundary-2x2
+benchmark over more than two default blocks.
 """
 
 import functools
@@ -25,9 +28,9 @@ from oracles import reference_run, to_json
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _one_band():
+def _one_band(*links):
     bands = (model.PrimaryBand(availability_pi=0.6),)
-    users = tuple(model.SecondaryUser(arrival_rate_lambda_s=0.0, out_complement_row=(p,)) for p in (0.7, 0.9))
+    users = tuple(model.SecondaryUser(arrival_rate_lambda_s=0.0, out_complement_row=(p,)) for p in links)
     return model.Scenario(slot=model.SlotConfig(), bands=bands, users=users)
 
 
@@ -48,7 +51,8 @@ SCENARIOS = {
     "2x2": (ref_2x2_scenario(), [(0.1, 0.2), (0.4, 0.53), (0.36, 0.48)]),
     "5x4": (cli.load_scenario(str(ROOT / "scenarios" / "five_by_four.json"))[0],
             [(0.05, 0.1, 0.05, 0.1), (0.3, 0.3, 0.3, 0.3)]),
-    "one-band": (_one_band(), [(0.05, 0.1), (0.2, 0.3)]),
+    "one-band": (_one_band(0.7, 0.9), [(0.05, 0.1), (0.2, 0.3)]),
+    "three-on-one": (_one_band(0.7, 0.9, 0.8), [(0.05, 0.1, 0.05), (0.2, 0.3, 0.1)]),
     "virtual": (_virtual_band(), [(0.1, 0.2), (0.5, 0.7)]),
 }
 # Selection matrices beyond the derived ones: incomplete columns (a user may
@@ -56,6 +60,7 @@ SCENARIOS = {
 EXTRA_SELECTIONS = {
     "2x2": [np.array([[0.3, 0.5], [0.5, 0.2]])],
     "virtual": [np.array([[0.2, 0.3], [0.5, 0.0], [0.3, 0.7]])],
+    "three-on-one": [np.array([[0.5, 0.8, 1.0]])],
 }
 SEEDS = (3, -7)
 
@@ -126,3 +131,16 @@ def test_output_does_not_depend_on_block_length(monkeypatch):
         monkeypatch.setattr(sim, "_BLOCK", block)
         results.append(to_json(sim.run(scenario, policy, config)))
     assert len(set(results)) == 1
+
+
+def test_contention_at_the_shat_boundary():
+    # 0.9x of the reference S_hat boundary at the lambda_s1 of the
+    # sim-boundary-2x2 benchmark, whose contention fixed point takes the most
+    # sweeps there
+    scenario = ref_2x2_scenario()
+    rates = model.rate_matrix(scenario)
+    lam1 = float(np.linspace(0.0, 0.44, 14)[7])
+    lam = (0.9 * lam1, 0.9 * randalloc.shat_section_lambda2(rates.mu, lam1))
+    policy = sim.Policy.random(randalloc.selection_for_rates(rates.mu, lam))
+    config = sim.SimConfig(n_slots=2 * sim._BLOCK + 300, seed=4, trace_stride=1)
+    assert_same(_with_rates(scenario, lam), policy, config, lam)
