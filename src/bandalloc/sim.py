@@ -17,13 +17,21 @@ every primary queue, and every secondary queue under the orthogonal and fixed
 policies, whose service depends only on the primary backlogs. Under random
 selection a user's service is its solo service (band picked, band idle at the
 slot start, link success), lost when another backlogged user picked the same
-band. That map from backlog indicators to backlog indicators is monotone and
-causal: the backlog at a slot start depends on service in earlier slots only.
-Iterated from "nobody backlogged", round r is exact on the first r slots, so
-the iteration reaches the slot-sequential trajectory within n + 1 rounds on n
-slots (in practice a few); a run that does not converge raises. The engine
-walks the horizon in blocks of ``_BLOCK`` slots and carries each queue's
-backlog from block to block, so memory does not grow with the run length.
+band. That map from backlog indicators to backlog indicators is monotone (more
+rivals backlogged, more backlog) and causal: the backlog at a slot start
+depends on service in earlier slots only. Iterated from "nobody backlogged",
+its Jacobi rounds rise to the fixed point, round r exact on the first r slots.
+The engine runs Gauss-Seidel sweeps instead (Bertsekas & Tsitsiklis 1989, ch.
+6): users in index order, each against the latest indicators of the others,
+skipping a user whose lost slots did not change. Each sweep lies between the
+Jacobi round and the fixed point, so sweep r is exact on the first r slots
+too: the sweeps converge within n + 1 on n slots (in practice a few), and a
+run that does not converge raises. Departures are counted by conservation in
+exact integers: arrivals minus the final backlog (queues start empty), and
+after the warmup the backlog at its first slot plus the arrivals since minus
+the final backlog. The engine walks the horizon in blocks of ``_BLOCK`` slots
+and carries each queue's backlog from block to block, so memory does not grow
+with the run length.
 
 Randomness (stream contract version ``STREAM_VERSION`` = 2) is
 bit-reproducible. Every stream is its own numpy Generator spawned from a
@@ -188,9 +196,11 @@ def _streams(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in children]
 
 
-def _draw(streams, n: int) -> np.ndarray:
-    """The next ``n`` uniforms of each stream, one row per stream."""
-    return np.array([stream.random(n) for stream in streams])
+def _draw(streams, out: np.ndarray) -> np.ndarray:
+    """Fill row i of ``out`` with the next uniforms of stream i; return ``out``."""
+    for stream, row in zip(streams, out):
+        stream.random(out=row)
+    return out
 
 
 def _band_picker(policy: Policy, m_p: int, m_s: int, streams):
@@ -206,10 +216,11 @@ def _band_picker(policy: Policy, m_p: int, m_s: int, streams):
             raise ConfigurationError("schedule permutation length must equal M_s")
         if any(m > m_p for perm, _ in entries for m in perm):
             raise ConfigurationError("schedule assigns a band outside the scenario")
-        table = np.array([perm for perm, _ in entries]) - 1
+        table = np.array([perm for perm, _ in entries]).T.copy() - 1  # user x entry
         weights = [w for _, w in entries]
         assignment = streams[0]
-        return lambda n: table[sample_indices(weights, assignment.random(n), len(entries) - 1)].T
+        return lambda n: np.take(table, sample_indices(weights, assignment.random(n), len(entries) - 1),
+                                 axis=1)
     if policy.kind == "random":
         g = policy.selection.gamma
         if g.shape != (m_p, m_s):
@@ -230,7 +241,7 @@ def _band_picker(policy: Policy, m_p: int, m_s: int, streams):
     return lambda n: np.repeat(bands, n, axis=1)
 
 
-def _reflect(q0: np.ndarray, arrivals: np.ndarray, service: np.ndarray):
+def _reflect(q0: np.ndarray, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
     """Backlogs of queues ``q' = max(q - S, 0) + A`` over a run of slots.
 
     ``q0`` holds each queue's backlog at the first slot start; ``arrivals`` and
@@ -238,7 +249,7 @@ def _reflect(q0: np.ndarray, arrivals: np.ndarray, service: np.ndarray):
     in slot t is a random walk with steps A[t-1] - S[t] reflected at zero, so it
     is the walk minus its running minimum (floored at -q0) (Lindley 1952).
     Returns the start-of-slot backlogs (queues x slots+1; the last column is
-    the backlog after the final slot) and the departures in each slot.
+    the backlog after the final slot).
     """
     steps = -service.astype(np.int64)
     steps[:, 1:] += arrivals[:, :-1]
@@ -247,29 +258,32 @@ def _reflect(q0: np.ndarray, arrivals: np.ndarray, service: np.ndarray):
     backlog = np.empty((len(q0), walk.shape[1] + 1), dtype=np.int64)
     backlog[:, 0] = q0
     backlog[:, 1:] = served + arrivals
-    return backlog, backlog[:, :-1] - served
+    return backlog
 
 
 def _contend(q0: np.ndarray, arrivals: np.ndarray, solo: np.ndarray, bands: np.ndarray):
-    """Backlogs, departures and backlogged indicators of users sharing bands.
+    """Start-of-slot backlogs and backlogged indicators of users sharing bands.
 
-    A user's service in a slot is its solo service, lost when another
-    backlogged user picked the same band. Each round recomputes every
-    trajectory from the previous round's backlog indicators, starting from
-    "nobody backlogged"; round r is exact on the first r slots (module
-    docstring), so the fixed point is reached within n + 1 rounds.
+    A user's service is its solo service, lost when another backlogged user
+    picked the same band. Gauss-Seidel sweeps from "nobody backlogged" reach
+    the fixed point within n + 1 sweeps (module docstring).
     """
     m_s, n = solo.shape
     rivals = (bands[:, None] == bands[None, :]) & (bands >= 0)[:, None]
     rivals[np.arange(m_s), np.arange(m_s)] = False
+    backlog = np.empty((m_s, n + 1), dtype=np.int64)
     busy = np.zeros((m_s, n), dtype=bool)
+    lost = [None] * m_s
     for _ in range(n + 1):
-        lost = (rivals & busy[None]).any(axis=1)
-        backlog, departures = _reflect(q0, arrivals, solo & ~lost)
-        fresh = backlog[:, :-1] > 0
-        if np.array_equal(fresh, busy):
-            return backlog, departures, busy
-        busy = fresh
+        before = busy.copy()
+        for k in range(m_s):
+            hit = (rivals[k] & busy).any(axis=0)
+            if lost[k] is None or not np.array_equal(hit, lost[k]):
+                lost[k] = hit
+                backlog[k] = _reflect(q0[k:k + 1], arrivals[k:k + 1], solo[k:k + 1] & ~hit)[0]
+                busy[k] = backlog[k, :-1] > 0
+        if np.array_equal(busy, before):
+            return backlog, busy
     raise RuntimeError("collision fixed point did not converge")
 
 
@@ -285,8 +299,7 @@ def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
     mu_p = links.mu_p[:, None]
     lam_p = links.lambda_p[:, None]
     lam_s = links.lambda_s[:, None]
-    psucc = links.p_success.T  # user x band
-    users = np.arange(m_s)[:, None]
+    psucc = links.p_success[:, :, None]  # band x user x 1
     # zero-bandwidth bands carry no transmissions at all
     live = np.array([not band.is_virtual for band in scenario.bands])
     band_ids = np.arange(m_p)[:, None, None]
@@ -294,10 +307,8 @@ def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
     qp = np.zeros(m_p, dtype=np.int64)
     qs = np.zeros(m_s, dtype=np.int64)
     arr_p = np.zeros(m_p, dtype=np.int64)
-    dep_p = np.zeros(m_p, dtype=np.int64)
     empty_post = np.zeros(m_p, dtype=np.int64)
     arr_s = np.zeros(m_s, dtype=np.int64)
-    dep_s = np.zeros(m_s, dtype=np.int64)
     dep_s_post = np.zeros(m_s, dtype=np.int64)
     collisions = 0
 
@@ -309,35 +320,35 @@ def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
     trace_p = np.empty((len(trace_slots), m_p), dtype=np.int64)
     trace_s = np.empty((len(trace_slots), m_s), dtype=np.int64)
     traced = 0
+    draws_p = np.empty((2 * m_p, min(_BLOCK, n_slots)))
+    draws_s = np.empty((2 * m_s, min(_BLOCK, n_slots)))
     for start in range(0, n_slots, _BLOCK):
         n = min(_BLOCK, n_slots - start)
-        post = max(warmup - start, 0)  # first post-warmup slot of the block
+        post = min(max(warmup - start, 0), n)  # first post-warmup slot of the block
 
         # Primary queues: availability is the backlog at the slot start.
-        u = _draw(primary_streams, n)
+        u = _draw(primary_streams, draws_p[:, :n])
         arrive = u[m_p:] < lam_p
-        backlog_p, departed_p = _reflect(qp, arrive, u[:m_p] < mu_p)
+        backlog_p = _reflect(qp, arrive, u[:m_p] < mu_p)
         avail = backlog_p[:, :-1] == 0
         arr_p += arrive.sum(axis=1)
-        dep_p += departed_p.sum(axis=1)
         empty_post += avail[:, post:].sum(axis=1)
 
         # Secondary queues: solo service on the picked band, then contention.
-        u = _draw(secondary_streams[1 + m_s:], n)
+        u = _draw(secondary_streams[1 + m_s:], draws_s[:, :n])
         arrive = u[m_s:] < lam_s
         bands = pick(n)
-        on = np.maximum(bands, 0)
-        solo = ((bands >= 0) & live[on] & np.take_along_axis(avail, on, axis=0)
-                & (u[:m_s] < psucc[users, on]))
+        solo = np.zeros((m_s, n), dtype=bool)
+        for j in np.flatnonzero(live):
+            solo |= (bands == j) & avail[j] & (u[:m_s] < psucc[j])
         if contending:
-            backlog_s, departed_s, busy = _contend(qs, arrive, solo, bands)
+            backlog_s, busy = _contend(qs, arrive, solo, bands)
             load = ((bands[None] == band_ids) & busy[None]).sum(axis=1)
             collisions += int(((load > 1) & live[:, None] & avail).sum())
         else:
-            backlog_s, departed_s = _reflect(qs, arrive, solo)
+            backlog_s = _reflect(qs, arrive, solo)
         arr_s += arrive.sum(axis=1)
-        dep_s += departed_s.sum(axis=1)
-        dep_s_post += departed_s[:, post:].sum(axis=1)
+        dep_s_post += backlog_s[:, post] - backlog_s[:, -1] + arrive[:, post:].sum(axis=1)
 
         stop = int(np.searchsorted(trace_slots, start + n))
         ends = trace_slots[traced:stop] - start + 1  # columns after the traced slots
@@ -352,8 +363,8 @@ def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
         n_slots=n_slots,
         warmup=warmup,
         seed=config.seed,
-        primary=tuple(QueueStats(*row) for row in zip(arr_p.tolist(), dep_p.tolist(), qp.tolist())),
-        secondary=tuple(QueueStats(*row) for row in zip(arr_s.tolist(), dep_s.tolist(), qs.tolist())),
+        primary=tuple(QueueStats(*row) for row in zip(arr_p.tolist(), (arr_p - qp).tolist(), qp.tolist())),
+        secondary=tuple(QueueStats(*row) for row in zip(arr_s.tolist(), (arr_s - qs).tolist(), qs.tolist())),
         trace_slots=tuple(trace_slots.tolist()),
         trace_primary=tuple(map(tuple, trace_p.tolist())),
         trace_secondary=tuple(map(tuple, trace_s.tolist())),
