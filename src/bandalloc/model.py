@@ -75,7 +75,8 @@ def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.n
 
     ``sweep_user`` (default: the lowest index other than ``axis``) takes each
     grid value in turn; the remaining users keep the rates given in ``others``
-    (default all zero). Entry ``axis`` is 0. Every rate is checked here.
+    (default all zero). Entry ``axis`` is 0. Every rate is checked here, and
+    must also be finite.
     """
     check_user_index(axis, m_s)
     if sweep_user is None:
@@ -89,7 +90,12 @@ def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.n
     base = np.zeros(m_s) if others is None else rate_vector(others, m_s, skip=axis)
     lam = np.tile(base, (len(grid), 1))
     lam[:, sweep_user] = grid
-    return rate_rows(lam, m_s)
+    lam = rate_rows(lam, m_s)
+    bad = np.argwhere(np.isinf(lam))
+    if bad.size:
+        row, user = bad[0]
+        raise ConfigurationError(f"rate of user {user + 1} must be finite, got {float(lam[row, user])}")
+    return lam
 
 
 @dataclass(frozen=True)

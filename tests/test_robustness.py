@@ -310,6 +310,23 @@ def test_sweeps_check_the_grid_before_any_lp_or_mapping(ref_2x2_rates, monkeypat
         SWEEPS[module](ref_2x2_rates, [0.1, 0.2, math.nan])
 
 
+@pytest.mark.parametrize("module", SWEEPS)
+def test_sweeps_refuse_an_infinite_grid_rate(ref_2x2_rates, module):
+    # the S sweep used to raise a bare ValueError from the LP batch, and the
+    # S_hat and fixed sweeps to return [0.7875, None]
+    with pytest.raises(ConfigurationError, match="^rate of user 1 must be finite, got inf$"):
+        SWEEPS[module](ref_2x2_rates, [0.1, math.inf])
+    with pytest.raises(ConfigurationError, match="^rate of user 1 must be >= 0, got -inf$"):
+        SWEEPS[module](ref_2x2_rates, [-math.inf, 0.1])
+
+
+@pytest.mark.parametrize("module", [orthogonal, fixedalloc], ids=["orthogonal", "fixedalloc"])
+def test_sweeps_refuse_an_infinite_pinned_rate(module):
+    rates = model.RateMatrix(mu=np.full((3, 3), 0.5), mu_p=np.ones(3), pi=np.ones(3))
+    with pytest.raises(ConfigurationError, match="^rate of user 3 must be finite, got inf$"):
+        module.sweep_envelope(rates, 0, [0.1, 0.2], others=[0.0, 0.0, math.inf], sweep_user=1)
+
+
 @pytest.mark.parametrize("lam", [(math.nan, 0.1), (-0.5, 0.1), (0.1, -1e-12)])
 def test_max_slack_assignment_refuses_a_bad_rate(ref_2x2_rates, lam):
     # a NaN rate used to escape as a bare ValueError from LpProblem and a
