@@ -28,10 +28,12 @@ each both as a library sweep and as the whole ``envelope`` command through
 scenario through ``cli.main`` (S ``envelope`` sweeps of 100 and of 2001
 points, where the cost per point shows, a 29-point ``compare`` and a
 1e5-slot ``simulate --system S`` at rates (0.3, 0.3)),
-each with its output sent to the null device, and a 1e5-slot ``sim.run``
+each with its output sent to the null device, a 1e5-slot ``sim.run``
 of each policy on the reference 2x2 scenario at rates (0.3, 0.3), with the
 policy ``simulate`` derives there (slots per second = 1e5 / the time per
-call). ``timeit`` picks a loop count of at least 0.2 s per repeat; the case
+call), and one more of random selection at 0.9x of the S_hat boundary point
+of the sim-boundary-2x2 benchmark, where the contention fixed point takes the
+most sweeps. ``timeit`` picks a loop count of at least 0.2 s per repeat; the case
 reports the median and the minimum over ``_REPEAT`` (7) repeats, in
 milliseconds per call. A case that pivots a simplex tableau also reports
 ``pivots``, the calls of ``optim._pivot`` in one untimed call: a count that
@@ -141,6 +143,11 @@ def cases():
         "fixed": sim.Policy.fixed(fixedalloc.best_margin_mapping(ref, lam)),
     }
     config = sim.SimConfig(n_slots=100_000, seed=1)
+    shat_lam1 = float(np.linspace(0.0, 0.44, 14)[7])
+    shat_lam = [0.9 * shat_lam1, 0.9 * randalloc.shat_section_lambda2(mu, shat_lam1)]
+    contended = replace(ref_scenario, users=tuple(replace(u, arrival_rate_lambda_s=v)
+                                                  for u, v in zip(ref_scenario.users, shat_lam)))
+    contended_policy = sim.Policy.random(randalloc.selection_for_rates(mu, shat_lam))
     grid = [i * 0.03 for i in range(21)]
     region_grid = [i * 0.025 for i in range(8)]  # 0:0.175:0.025 as the CLI builds it
     jittered = mu * np.array([[1.03, 0.97], [0.98, 1.02]])
@@ -192,6 +199,9 @@ def cases():
     ] + [
         (f"sim.run {kind} 1e5 slots", lambda p=policy: sim.run(loaded, p, config))
         for kind, policy in policies.items()
+    ] + [
+        ("sim.run random 1e5 slots at 0.9x the S_hat boundary",
+         lambda: sim.run(contended, contended_policy, config)),
     ]
 
 
