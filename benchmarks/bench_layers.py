@@ -33,8 +33,8 @@ of each policy on the reference 2x2 scenario at rates (0.3, 0.3), with the
 policy ``simulate`` derives there (slots per second = 1e5 / the time per
 call), and one more of random selection at 0.9x of the S_hat boundary point
 of the sim-boundary-2x2 benchmark, where the contention fixed point takes the
-most sweeps. ``timeit`` picks a loop count of at least 0.2 s per repeat; the case
-reports the median and the minimum over ``_REPEAT`` (7) repeats, in
+most sweeps. ``timeit`` picks a loop count of at least 0.2 s per repeat; the
+case reports the median and the minimum over ``_REPEAT`` (7) repeats, in
 milliseconds per call. A case that pivots a simplex tableau also reports
 ``pivots``, the calls of ``optim._pivot`` in one untimed call: a count that
 repeats exactly, where one lockstep pivot pivots every active LP of a stack.
@@ -134,8 +134,12 @@ def cases():
     lam = [0.3, 0.3]
     big_lam = [0.1, 0.1, 0.1, 0.1]
     big_omega = orthogonal.max_slack_assignment(big, big_lam)
-    loaded = replace(ref_scenario, users=tuple(replace(u, arrival_rate_lambda_s=v)
-                                               for u, v in zip(ref_scenario.users, lam)))
+
+    def at_rates(rates):
+        return replace(ref_scenario, users=tuple(replace(u, arrival_rate_lambda_s=v)
+                                                 for u, v in zip(ref_scenario.users, rates)))
+
+    loaded = at_rates(lam)
     policies = {
         "orthogonal": sim.Policy.orthogonal(
             schedule.schedule_from_assignment(orthogonal.max_slack_assignment(ref, lam))[1]),
@@ -145,8 +149,7 @@ def cases():
     config = sim.SimConfig(n_slots=100_000, seed=1)
     shat_lam1 = float(np.linspace(0.0, 0.44, 14)[7])
     shat_lam = [0.9 * shat_lam1, 0.9 * randalloc.shat_section_lambda2(mu, shat_lam1)]
-    contended = replace(ref_scenario, users=tuple(replace(u, arrival_rate_lambda_s=v)
-                                                  for u, v in zip(ref_scenario.users, shat_lam)))
+    contended = at_rates(shat_lam)
     contended_policy = sim.Policy.random(randalloc.selection_for_rates(mu, shat_lam))
     grid = [i * 0.03 for i in range(21)]
     region_grid = [i * 0.025 for i in range(8)]  # 0:0.175:0.025 as the CLI builds it
