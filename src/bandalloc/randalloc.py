@@ -18,9 +18,10 @@ lies at one of ten closed-form points: an end of the feasible set, a switch
 between pieces or a stationary point of a piece. The kernel evaluates those
 points, and their float neighbours, for all its rates in one array call.
 ``shat_envelope`` solves the sections of all its grid points in lockstep:
-each bisection step is one kernel call over the midpoints of the sections
-still bracketing. The one-rate functions are the kernel, or the sweep, at one
-rate.
+one kernel call evaluates every midpoint that the next few bisection steps of
+the sections still bracketing can visit (fewer steps per call the more
+sections bracket), and each section then walks its own steps. The one-rate
+functions are the kernel, or the sweep, at one rate.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ _SECTION_TOL = 1e-6  # bisection stops once the lambda_s2 bracket is this narrow
 # Sections per kernel call: each holds 30 candidate points, so one call's
 # temporaries are arrays of at most 30 * 1024 = 30720 floats (240 KB each).
 _SECTIONS_PER_CALL = 1024
+# Bisection midpoints per kernel call. A call costs about 65-100 us plus about
+# 2 us per rate (2-vCPU Xeon), so a sweep with few sections still bracketing
+# spends its time on calls, not rates. Each call therefore evaluates the next L
+# levels of every bracketing section's midpoint tree, 2**L - 1 midpoints each,
+# with L as large as fits in this many; from 32 sections on, one level per call.
+_MIDPOINTS_PER_CALL = 32
 
 
 @dataclass(frozen=True)
@@ -123,17 +130,19 @@ def _candidates(mu: np.ndarray, lam: np.ndarray) -> np.ndarray:
     its nearer end.
     """
     (mu11, mu12), (mu21, mu22) = mu
-    lam = lam[:, None]
     with np.errstate(all="ignore"):
         cross, total = np.sqrt(mu11 * mu22), mu12 + mu22
         root = np.sqrt(lam * total - mu12 * mu22)
-        points = np.hstack(np.broadcast_arrays(
+        columns = (
             0.0, 1.0, lam / mu12, 1.0 - lam / mu22,  # ends: D = lambda_s2, D + C = lambda_s2
             mu22 / total, cross / (cross + np.sqrt(mu12 * mu21)),  # C = 0; K2*C + D*K1 = 0
             np.sqrt(lam * mu11 / (mu12 * (mu11 - mu21))),  # stationary: gamma22 = 0
             1.0 - np.sqrt(lam * mu21 / (mu22 * (mu21 - mu11))),  # gamma22 = 1
             (mu22 + root) / total, (mu22 - root) / total,  # gamma22 = r
-        ))
+        )
+        points = np.empty((lam.size, len(columns)))
+        for c, column in enumerate(columns):
+            points[:, c] = column
         points = np.where(points > 0.0, np.minimum(points, 1.0), 0.0)  # NaN fails > 0
         inner = (points > 0.0) & (points < 1.0)
         below, above = (np.where(inner, np.nextafter(points, end), points) for end in (0.0, 1.0))
@@ -188,14 +197,35 @@ def dominant2_envelope_2x2(mu, lambda_s1: float) -> DominantEnvelopePoint:
     return _envelope_point(_mu_2x2(mu), rate_vector([lambda_s1, 0.0], 2)[0], "second")
 
 
+def _midpoint_levels(lo: list[float], hi: list[float], levels: int) -> list[float]:
+    """The midpoints the next ``levels`` bisection steps from each bracket [lo[j], hi[j]] can visit.
+
+    Level by level: level d holds the 2**d midpoints of each bracket in turn,
+    left to right, so with w brackets the midpoint at index i has its lower
+    half's midpoint at 2i + w and its upper half's at 2i + w + 1. Each is
+    ``(lo + hi) / 2.0`` of its own bracket, the one a one-step bisection
+    would hold there.
+    """
+    mids = level = [(a + b) / 2.0 for a, b in zip(lo, hi)]
+    for _ in range(levels - 1):
+        lo = [end for a, mid in zip(lo, level) for end in (a, mid)]
+        hi = [end for mid, b in zip(level, hi) for end in (mid, b)]
+        level = [(a + b) / 2.0 for a, b in zip(lo, hi)]
+        mids = mids + level
+    return mids
+
+
 def _shat_sections(mu: np.ndarray, lam1: list[float]) -> list[float | None]:
     """Largest lambda_s2 such that (lambda_s1, lambda_s2) is in the union region, at each lambda_s1.
 
     Takes the better of the dominant-2 envelope at lambda_s1 and the inverse of
     the dominant-1 envelope (nonincreasing in lambda_s2, so invertible by
     bisection). None when even lambda_s2 = 0 cannot carry lambda_s1. The
-    bisections of all sections run in lockstep: one dominant-1 kernel call per
-    step, over the midpoints of every section still bracketing.
+    bisections of all sections run in lockstep. Each dominant-1 kernel call
+    evaluates ``_midpoint_levels`` of every section still bracketing, L levels
+    deep (see _MIDPOINTS_PER_CALL); each section then walks down its levels
+    with the same comparison and stop test as a one-step bisection, so it
+    stops on the same midpoint.
     """
     def reach(point) -> float:
         return -math.inf if point is None else point[0]
@@ -211,12 +241,18 @@ def _shat_sections(mu: np.ndarray, lam1: list[float]) -> list[float | None]:
         active = [k for k in active if hi[k] - lo[k] > _SECTION_TOL]
         if not active:
             break
-        mids = [(lo[k] + hi[k]) / 2.0 for k in active]
-        for k, mid, point in zip(active, mids, _dominant1_envelopes(mu, mids)):
-            if reach(point) >= need[k]:
-                lo[k] = mid
-            else:
-                hi[k] = mid
+        width = len(active)
+        # The most levels L with width * (2**L - 1) <= _MIDPOINTS_PER_CALL, at least one.
+        levels = max(1, (_MIDPOINTS_PER_CALL // width + 1).bit_length() - 1)
+        mids = _midpoint_levels([lo[k] for k in active], [hi[k] for k in active], levels)
+        points, end = _dominant1_envelopes(mu, mids), len(mids)
+        # Section j starts at node j; a node past its last level is >= end.
+        for node, k in enumerate(active):
+            while node < end and hi[k] - lo[k] > _SECTION_TOL:
+                if reach(points[node]) >= need[k]:
+                    lo[k], node = mids[node], 2 * node + width + 1
+                else:
+                    hi[k], node = mids[node], 2 * node + width
     sections = []
     for n, lo_k, d2 in zip(need, lo, _dominant1_envelopes(mu[:, ::-1], lam1)):
         best = None if d2 is None else float(d2[0])

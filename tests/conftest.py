@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bandalloc import model
+from bandalloc import model, randalloc
 
 def ref_2x2_scenario(lam1: float = 0.0, lam2: float = 0.0) -> model.Scenario:
     """The two-band/two-user comparison scenario: pi=(0.25, 0.875), Pbar rows per band."""
@@ -31,6 +31,20 @@ def ref_2x2_rates():
 @pytest.fixture
 def ref_2x2_mu(ref_2x2_rates):
     return ref_2x2_rates.mu
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The number of rates in each ``randalloc._dominant1_envelopes`` call from here on."""
+    sizes = []
+    kernel = randalloc._dominant1_envelopes
+
+    def counted(mu, lambdas):
+        sizes.append(len(lambdas))
+        return kernel(mu, lambdas)
+
+    monkeypatch.setattr(randalloc, "_dominant1_envelopes", counted)
+    return sizes
 
 
 @pytest.fixture

@@ -13,7 +13,9 @@ grid oracle. Every floating-point warning is raised as an error.
 
 The S_hat sweeps of ``randalloc.shat_envelope`` must equal, section by
 section, the one-bisection-per-point ``reference_shat_section_lambda2``
-(``==``, None included), on both axes.
+(``==``, None included), on both axes, at every depth of the midpoint trees
+that one kernel call evaluates, and with the midpoint budget per call set to
+one (a single bisection step per call) or far above its default.
 """
 
 import numpy as np
@@ -217,3 +219,49 @@ def test_sweep_does_not_depend_on_the_kernel_block(ref_2x2_mu, monkeypatch):
     mu = ref_2x2_mu * np.array([[1.03, 0.97], [0.98, 1.02]])
     with np.errstate(all="raise"):
         _assert_sweep(mu, 1, np.linspace(0.0, 0.98 * float(mu[:, 0].max()), 11))
+
+
+# Bracketing sections per sweep, and the levels of each section's midpoint
+# tree in the sweep's first bisection call at the default budget of 32.
+_TREE_LEVELS = {1: 5, 2: 4, 3: 3, 4: 3, 5: 2, 8: 2, 9: 2, 16: 1, 17: 1, 31: 1, 32: 1, 33: 1}
+
+
+def _bracketing_grid(mu, count):
+    """``count`` lambda_s1 that lambda_s2 = 0 carries and lambda_s2 = max(mu[:, 1]) does not: all bisect."""
+    low = randalloc.dominant1_envelope_2x2(mu, float(mu[:, 1].max())).max_lambda or 0.0
+    high = randalloc.dominant1_envelope_2x2(mu, 0.0).max_lambda
+    return np.linspace(low, high, count + 2)[1:-1].tolist()
+
+
+def test_sweep_matches_the_reference_at_every_tree_depth(ref_2x2_mu, kernel_calls, monkeypatch):
+    mu = ref_2x2_mu * np.array([[1.03, 0.97], [0.98, 1.02]])
+    default = randalloc._MIDPOINTS_PER_CALL
+    with np.errstate(all="raise"):
+        for count, levels in _TREE_LEVELS.items():
+            grid = _bracketing_grid(mu, count)
+            want = [reference_shat_section_lambda2(mu, lam) for lam in grid]
+            assert None not in want
+            for budget, tree in ((default, 2**levels - 1), (1, 1), (4096, None)):
+                monkeypatch.setattr(randalloc, "_MIDPOINTS_PER_CALL", budget)
+                kernel_calls.clear()
+                assert randalloc.shat_envelope(mu, 1, grid) == want, (count, budget)
+                # Call 0 is the envelope at lambda_s2 = 0 and at the top; call 1 the first bisection call.
+                assert tree is None or kernel_calls[1] == count * tree, (count, budget)
+
+
+def test_lone_section_stops_in_the_middle_of_a_tree(ref_2x2_mu, kernel_calls, monkeypatch):
+    # With mu halved, the bracket [0, 0.39375] of lambda_s1 = 0.2 falls under
+    # _SECTION_TOL after 19 halvings. A lone section's trees are 5 levels
+    # deep, so it stops inside its fourth tree: 4 bisection calls, not 19.
+    mu = ref_2x2_mu * 0.5
+    lams = (0.0, 0.1, 0.2, 0.35, 0.5)
+    with np.errstate(all="raise"):
+        want = [reference_shat_section_lambda2(mu, lam) for lam in lams]
+        assert want[-1] is None
+        for budget, steps in ((1, 19), (randalloc._MIDPOINTS_PER_CALL, 4)):
+            monkeypatch.setattr(randalloc, "_MIDPOINTS_PER_CALL", budget)
+            kernel_calls.clear()
+            assert randalloc.shat_section_lambda2(mu, 0.2) == want[2]
+            # One call at lambda_s2 = 0 and the top, the bisection, one dominant-2 call.
+            assert len(kernel_calls) == 1 + steps + 1, budget
+            assert [randalloc.shat_section_lambda2(mu, lam) for lam in lams] == want, budget

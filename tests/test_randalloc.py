@@ -203,3 +203,20 @@ def test_sweep_memory_is_bounded_by_the_kernel_block(ref_2x2_mu, monkeypatch):
         tracemalloc.stop()
     assert len(sections) == 1000 and sections[0] is not None
     assert peak < 1_500_000
+
+
+def test_sweep_kernel_calls(ref_2x2_mu, kernel_calls, monkeypatch):
+    # bench_layers' jittered 6-point sweep: 4 sections bisect for 20 steps.
+    # Their 3-level midpoint trees take 7 kernel calls instead of 20; with the
+    # call at lambda_s2 = 0 and the top and the dominant-2 call, 9 (22 at one step per call).
+    mu = ref_2x2_mu * np.array([[1.03, 0.97], [0.98, 1.02]])
+    top = 0.98 * float(mu[:, 0].max())
+    randalloc.shat_envelope(mu, 1, [i * (top / 5) for i in range(6)])
+    assert len(kernel_calls) == 9
+    # 40 bracketing sections take one step per call, as with a budget of 1: 1 + 20 + 1.
+    grid = np.linspace(0.2, 0.65, 40).tolist()
+    for budget in (randalloc._MIDPOINTS_PER_CALL, 1):
+        monkeypatch.setattr(randalloc, "_MIDPOINTS_PER_CALL", budget)
+        kernel_calls.clear()
+        randalloc.shat_envelope(mu, 1, grid)
+        assert kernel_calls[1] == 40 and len(kernel_calls) == 22, budget
