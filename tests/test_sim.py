@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from bandalloc import model, orthogonal, randalloc, schedule, sim
+from bandalloc import fixedalloc, model, orthogonal, randalloc, schedule, sim
 from bandalloc.model import ConfigurationError
 from bandalloc.schedule import PermutationSchedule
 
 from conftest import ref_2x2_scenario
-from oracles import assess_stability, conditional_service_rate, to_json, trace_csv
+from oracles import assess_stability, conditional_service_rate, reference_run, to_json, trace_csv
 
 
 def ref_2x2_schedule(lam1=0.4):
@@ -42,11 +42,21 @@ class TestRunBasics:
         assert q.departures / res.n_slots == pytest.approx(0.5, abs=0.01)
 
     def test_conservation_every_queue(self):
+        # sim.run counts departures as arrivals minus the final backlog, so
+        # conservation alone would hold by construction; the slot-by-slot
+        # reference loop counts every departure, and every post-warmup one, itself.
         sc = ref_2x2_scenario(0.3, 0.4)
+        rates, lam = model.rate_matrix(sc), (0.3, 0.4)
         _, _, sched = ref_2x2_schedule()
-        res = sim.run(sc, sim.Policy.orthogonal(sched), sim.SimConfig(n_slots=20_000, seed=3))
-        for q in res.primary + res.secondary:
-            assert q.arrivals == q.departures + q.final_length
+        config = sim.SimConfig(n_slots=20_000, seed=3)
+        for policy in (sim.Policy.orthogonal(sched),
+                       sim.Policy.random(randalloc.selection_for_rates(rates.mu, lam)),
+                       sim.Policy.fixed(fixedalloc.best_margin_mapping(rates, lam))):
+            res, ref = sim.run(sc, policy, config), reference_run(sc, policy, config)
+            for q, want in zip(res.primary + res.secondary, ref.primary + ref.secondary):
+                assert q.arrivals == q.departures + q.final_length
+                assert q.departures == want.departures, policy.kind
+            assert res.post_warmup_departures == ref.post_warmup_departures, policy.kind
 
     def test_inside_point_stable_with_flow_conservation(self):
         rates, point, sched = ref_2x2_schedule(0.4)
