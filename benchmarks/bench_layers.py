@@ -38,6 +38,9 @@ case reports the median and the minimum over ``_REPEAT`` (7) repeats, in
 milliseconds per call. A case that pivots a simplex tableau also reports
 ``pivots``, the calls of ``optim._pivot`` in one untimed call: a count that
 repeats exactly, where one lockstep pivot pivots every active LP of a stack.
+A case that evaluates the S_hat dominant-1 kernel likewise reports
+``kernel_calls``, the calls of ``randalloc._dominant1_envelopes`` in one
+untimed call.
 The output is one JSON object with the Python and numpy versions and the CPU
 model next to the timings. Not part of the test suite.
 """
@@ -100,25 +103,23 @@ def sweep_batch(sweep):
     return seen[0]
 
 
-def pivot_count(fn):
-    """Calls of ``optim._pivot`` in one call of ``fn`` (None where the tree has no ``_pivot``)."""
-    from bandalloc import optim
-
-    pivot = getattr(optim, "_pivot", None)
-    if pivot is None:
+def call_count(module, name, fn):
+    """Calls of ``module.name`` in one call of ``fn`` (None where the tree has no such function)."""
+    original = getattr(module, name, None)
+    if original is None:
         return None
     count = 0
 
     def counted(*args):
         nonlocal count
         count += 1
-        return pivot(*args)
+        return original(*args)
 
-    optim._pivot = counted
+    setattr(module, name, counted)
     try:
         fn()
     finally:
-        optim._pivot = pivot
+        setattr(module, name, original)
     return count
 
 
@@ -228,9 +229,11 @@ def main(argv=None) -> int:
             "calls_per_repeat": number,
             "repeats": _REPEAT,
         }
-        pivots = pivot_count(fn)
-        if pivots:
-            results[name]["pivots"] = pivots
+        for key, module, func in (("pivots", "optim", "_pivot"),
+                                  ("kernel_calls", "randalloc", "_dominant1_envelopes")):
+            count = call_count(sys.modules[f"bandalloc.{module}"], func, fn)
+            if count:
+                results[name][key] = count
     doc = {
         "python": platform.python_version(),
         "numpy": np.__version__,
