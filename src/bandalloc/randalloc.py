@@ -40,10 +40,9 @@ _SECTION_TOL = 1e-6  # bisection stops once the lambda_s2 bracket is this narrow
 # temporaries are arrays of at most 30 * 1024 = 30720 floats (240 KB each).
 _SECTIONS_PER_CALL = 1024
 # Bisection midpoints per kernel call. A call costs about 65-100 us plus about
-# 2 us per rate (2-vCPU Xeon), so a sweep with few sections still bracketing
-# spends its time on calls, not rates. Each call therefore evaluates the next L
-# levels of every bracketing section's midpoint tree, 2**L - 1 midpoints each,
-# with L as large as fits in this many; from 32 sections on, one level per call.
+# 2 us per rate (2-vCPU Xeon), so each call takes the next L bisection steps of
+# every bracketing section, 2**L - 1 midpoints each, with L as large as fits in
+# this many: 5 steps for a lone section, one step from 32 sections on.
 _MIDPOINTS_PER_CALL = 32
 
 
