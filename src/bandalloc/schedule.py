@@ -177,18 +177,21 @@ def schedule_from_assignment(omega: AssignmentMatrix | np.ndarray) -> tuple[Doub
     return padded, PermutationSchedule(entries)
 
 
-def sample_indices(weights, u: np.ndarray, fallback: int) -> np.ndarray:
-    """Index drawn by each uniform in ``u`` from a list of nonnegative weights.
+def sample_indices(weights, u: np.ndarray, fallback) -> np.ndarray:
+    """Index drawn by each uniform in ``u``, one weight column per row of draws.
 
-    Each draw walks the weights in order, subtracting them from its uniform,
-    and takes the first index at which the remainder turns negative; a draw
-    that outlasts every weight takes ``fallback``. The subtractions run in the
-    same order as a scalar walk, so the result matches it bit for bit. The
-    remainder never grows, so the index is the count of nonnegative remainders.
+    ``weights`` is (indices x rows) and nonnegative, ``u`` is (rows x draws)
+    and ``fallback`` holds one index per row. Each draw of row r walks column
+    r of the weights in order, subtracting them from its uniform, and takes the
+    first index at which the remainder turns negative; a draw that outlasts
+    every weight takes ``fallback[r]``. The subtractions run in the same order
+    as a scalar walk, so the result matches it bit for bit. The remainder never
+    grows, so the index is the count of nonnegative remainders.
     """
+    weights = np.asarray(weights, dtype=float)
     rest = np.array(u, dtype=float)
     count = np.zeros(rest.shape, dtype=np.intp)
     for w in weights:
-        rest -= w
+        rest -= w[:, None]
         count += rest >= 0
-    return np.where(count == len(weights), fallback, count)
+    return np.where(count == len(weights), np.asarray(fallback)[:, None], count)

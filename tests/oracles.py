@@ -29,12 +29,14 @@ service rate (``conditional_service_rate``), the S_hat membership tests
 (``one_band_gamma_opt``), the fixed-mapping orthotope test
 (``region_for_mapping``), the scenario writer (``scenario_to_dict``), the scalar
 fractional maximizer (``FractionalCoeffs``, ``maximize_fractional_1d``), the
-one-draw schedule sampler (``sample_permutation``), and the former methods
+one-draw schedule sampler (``sample_permutation``) with the scalar walk
+``schedule.sample_indices`` vectorizes (``scalar_pick``), and the former methods
 ``marginal`` and ``schedule_from_dict`` of ``PermutationSchedule`` and
 ``to_json`` and ``trace_csv`` of ``SimResult``. ``assess_stability``
 re-derives a result's verdicts from its stored trace tuples; ``reference_run``
 and the simulator tests compare it with the verdicts ``sim.run`` computes from
-its trace arrays.
+its trace arrays. ``polyfit_verdict`` keeps the ``np.polyfit`` slope that
+``sim._verdict``'s closed form replaced.
 """
 
 import itertools
@@ -56,7 +58,7 @@ from bandalloc.randalloc import (
     dominant1_envelope_2x2,
     dominant2_envelope_2x2,
 )
-from bandalloc.schedule import PermutationSchedule, sample_indices
+from bandalloc.schedule import PermutationSchedule
 
 
 def random_doubly_stochastic(rng, n):
@@ -370,11 +372,20 @@ def maximize_fractional_1d(coeffs: FractionalCoeffs) -> tuple[float | None, str]
     return (float(g), "optimal") if feasible else (None, "infeasible")
 
 
+def scalar_pick(weights, u: float, fallback: int) -> int:
+    """The scalar walk ``schedule.sample_indices`` vectorizes: the first index at
+    which ``u`` minus the weights so far turns negative, else ``fallback``."""
+    for index, w in enumerate(weights):
+        u -= w
+        if u < 0:
+            return index
+    return fallback
+
+
 def sample_permutation(schedule: PermutationSchedule, rng) -> tuple[int, ...]:
     """Draw one assignment pattern; consumes exactly one uniform from ``rng``."""
     entries = schedule.entries
-    index = sample_indices([w for _, w in entries], rng.random(), len(entries) - 1)
-    return entries[int(index)][0]
+    return entries[scalar_pick([w for _, w in entries], rng.random(), len(entries) - 1)][0]
 
 
 def marginal(schedule: PermutationSchedule, band: int, user: int) -> float:
@@ -403,6 +414,21 @@ def trace_csv(result: sim.SimResult) -> str:
         row += [str(v) for v in result.trace_secondary[i]]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def polyfit_verdict(trace_slots, lengths, warmup: int, n_slots: int, final_length: int) -> str:
+    """``sim._verdict`` as it was before its closed-form slope: ``np.polyfit``'s."""
+    slots = np.asarray(trace_slots)
+    post = slots >= warmup
+    xs = slots[post]
+    if len(xs) < 3:
+        return "inconclusive"
+    slope = float(np.polyfit(xs, np.asarray(lengths)[post], 1)[0])
+    if slope < sim.SLOPE_STABLE and final_length < sim.BACKLOG_FRACTION * (n_slots - warmup):
+        return "stable"
+    if slope > sim.SLOPE_UNSTABLE:
+        return "unstable"
+    return "inconclusive"
 
 
 def assess_stability(result: sim.SimResult) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -15,7 +15,7 @@ from bandalloc.schedule import (
 )
 
 
-from oracles import marginal, random_doubly_stochastic, sample_permutation, schedule_from_dict
+from oracles import marginal, random_doubly_stochastic, sample_permutation, scalar_pick, schedule_from_dict
 
 
 class TestPadding:
@@ -129,7 +129,7 @@ class TestSampling:
         """The patterns of ``draws`` sample_permutation calls: the same uniforms, one array call."""
         u = np.array([rng.random() for _ in range(draws)])
         entries = sched.entries
-        index = sample_indices([w for _, w in entries], u, len(entries) - 1)
+        index = sample_indices([[w] for _, w in entries], u[None], [len(entries) - 1])[0]
         return np.array([pattern for pattern, _ in entries])[index]
 
     def test_frequencies(self):
@@ -149,6 +149,60 @@ class TestSampling:
             for band in range(1, omega.shape[0] + 1):
                 counts[band - 1, user] += np.count_nonzero(bands == band)
         assert np.max(np.abs(counts / draws - omega)) <= 0.01
+
+
+class TestSampleIndices:
+    """One weight column per row of draws, against the scalar walk per row, bit for bit."""
+
+    @staticmethod
+    def draws(weights, rng):
+        """Uniforms per row: random ones, every remainder-zero point of the
+        row's walk (each cumulative weight as the walk subtracts it) and the
+        float neighbours of each, and the largest float below 1."""
+        rows = []
+        for col in np.asarray(weights, dtype=float).T:
+            edges, total = [], 0.0
+            for w in col:
+                total += w
+                edges += [total, np.nextafter(total, 0.0), np.nextafter(total, 1.0)]
+            edges = [u for u in edges if 0.0 <= u < 1.0] + [col[0], np.nextafter(1.0, 0.0)]
+            rows.append(np.concatenate([rng.random(200), edges]))
+        width = min(len(r) for r in rows)
+        return np.array([r[-width:] for r in rows])
+
+    def check(self, weights, fallback, seed=0):
+        u = self.draws(weights, np.random.default_rng(seed))
+        got = sample_indices(weights, u, fallback)
+        cols = np.asarray(weights, dtype=float).T
+        want = [[scalar_pick(col.tolist(), float(x), fb) for x in row] for col, row, fb in zip(cols, u, fallback)]
+        assert got.shape == u.shape
+        assert got.tolist() == want
+        return got
+
+    def test_incomplete_columns_fall_back_to_none(self):
+        got = self.check([[0.3, 0.5], [0.5, 0.2]], [-1, -1])
+        assert (got == -1).any(axis=1).all()
+
+    def test_complete_columns_fall_back_to_the_last_positive_band(self):
+        # the largest draw below 1 outlasts ten weights of 0.1 (its remainder
+        # ends at 2.8e-17), so the third row's fallback picks its last band
+        weights = np.array([[0.4, 1.0, 0.1], [0.6, 0.0, 0.1]] + [[0.0, 0.0, 0.1]] * 8)
+        self.check(weights, [1, 0, 9])
+        u = np.full((3, 1), np.nextafter(1.0, 0.0))
+        assert sample_indices(weights, u, [1, 0, 9]).tolist() == [[1], [0], [9]]
+        assert sample_indices(weights, u, [1, 0, -1]).tolist() == [[1], [0], [-1]]
+
+    def test_weight_on_a_virtual_band(self):
+        self.check([[0.2, 0.3], [0.5, 0.0], [0.3, 0.7]], [2, 2])
+
+    def test_one_row_is_the_schedule_pick(self):
+        # the orthogonal policy's call: one row, the schedule's weights as its
+        # column, the last entry as fallback
+        for m_p, m_s in [(2, 2), (3, 2), (5, 4)]:
+            omega = random_doubly_stochastic(np.random.default_rng(m_p * m_s), max(m_p, m_s))[:m_p, :m_s]
+            entries = schedule_from_assignment(omega)[1].entries
+            got = self.check([[w] for _, w in entries], [len(entries) - 1], seed=m_p)
+            assert len(set(got[0].tolist())) == len(entries)
 
 
 class TestScheduleValidation:

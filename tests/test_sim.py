@@ -6,7 +6,14 @@ from bandalloc.model import ConfigurationError
 from bandalloc.schedule import PermutationSchedule
 
 from conftest import ref_2x2_scenario
-from oracles import assess_stability, conditional_service_rate, reference_run, to_json, trace_csv
+from oracles import (
+    assess_stability,
+    conditional_service_rate,
+    polyfit_verdict,
+    reference_run,
+    to_json,
+    trace_csv,
+)
 
 
 def ref_2x2_schedule(lam1=0.4):
@@ -228,3 +235,111 @@ class TestVerdictsAndSerialization:
             sim.SimConfig(n_slots=0, seed=0)
         with pytest.raises(ConfigurationError):
             sim.SimConfig(n_slots=10, seed=0, warmup=10)
+
+
+@pytest.fixture
+def verdict_calls(monkeypatch):
+    """(arguments, verdict) of every ``sim._verdict`` call from here on."""
+    calls = []
+    verdict = sim._verdict
+
+    def recorded(*args):
+        calls.append((args, verdict(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sim, "_verdict", recorded)
+    return calls
+
+
+class TestVerdictSlope:
+    """The closed-form slope of ``sim._verdict`` against the np.polyfit one it replaced."""
+
+    def test_same_verdicts_on_criterion_7_runs(self, verdict_calls):
+        from test_acceptance import _criterion7_points
+
+        for pts in _criterion7_points().values():
+            for i, (boundary, policy) in enumerate(pts):
+                sim.run(ref_2x2_scenario(*(0.9 * boundary)), policy,
+                        sim.SimConfig(n_slots=100_000, seed=9_000 + i))
+                sim.run(ref_2x2_scenario(*np.minimum(1.1 * boundary, 1.0)), policy,
+                        sim.SimConfig(n_slots=100_000, seed=9_500 + i))
+        assert len(verdict_calls) == 3 * 20 * 2 * 4
+        for args, verdict in verdict_calls:
+            assert verdict == polyfit_verdict(*args)
+
+    def test_same_verdicts_on_golden_simulate_commands(self, verdict_calls):
+        from test_cli_golden import COMMANDS, run_command
+
+        commands = [argv for argv in COMMANDS if argv[0] == "simulate"]
+        for argv in commands:
+            assert run_command(argv)["exit"] == 0, argv
+        assert len(commands) == 10 and len(verdict_calls) == 4 * 7 + 9 * 3
+        for args, verdict in verdict_calls:
+            assert verdict == polyfit_verdict(*args)
+
+    def test_exact_slope_at_the_thresholds(self):
+        # Three points (0, s, 2s) at slots 0, 1, 2: every step of the closed
+        # form is exact, so the verdict is that of s itself, strict on both
+        # thresholds. np.polyfit lands 1-2 ulp high on these traces.
+        for threshold, verdicts in ((sim.SLOPE_STABLE, ("stable", "inconclusive", "inconclusive")),
+                                    (sim.SLOPE_UNSTABLE, ("inconclusive", "inconclusive", "unstable"))):
+            slopes = (np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0))
+            for s, want in zip(slopes, verdicts):
+                assert sim._verdict([0, 1, 2], [0.0, s, 2 * s], 0, 100, 0) == want, s
+
+    def test_slope_on_random_walks(self):
+        # Integer backlogs on the trace slots of a 1e5-slot run: within 1e-12
+        # of np.polyfit, and equal to the exact least-squares slope rounded once.
+        rng = np.random.default_rng(20)
+        slots = np.arange(49, 100_000, 50)
+        xs = slots[slots >= 10_000]
+        n = len(xs)
+        for _ in range(1000):
+            steps = rng.choice([-1, 0, 1], size=len(slots), p=rng.dirichlet([1, 1, 1]))
+            trace = np.abs(np.cumsum(steps))
+            ys = trace[slots >= 10_000]
+            dx = xs - xs.mean()
+            slope = float(dx @ ys / (dx @ dx))
+            fit = float(np.polyfit(xs, ys, 1)[0])
+            assert abs(slope - fit) <= 1e-12 * abs(fit)
+            sx, sy = int(xs.sum()), int(ys.sum())
+            exact = (n * int(xs @ ys) - sx * sy) / (n * int(xs @ xs) - sx * sx)
+            assert slope == exact
+            for final in (0, 10**6):
+                verdict = sim._verdict(slots, trace, 10_000, 100_000, final)
+                assert verdict == polyfit_verdict(slots, trace, 10_000, 100_000, final)
+
+
+def test_contention_reflections_at_the_shat_boundary(monkeypatch):
+    # Row reflections under _contend in the 1e5-slot run at 0.9x of the
+    # reference S_hat boundary, at the lambda_s1 of the sim-boundary-2x2
+    # benchmark. Seed 1 took 234 with sweeps from "nobody backlogged" and
+    # 4096-slot blocks.
+    scenario = ref_2x2_scenario()
+    mu = model.rate_matrix(scenario).mu
+    lam1 = float(np.linspace(0.0, 0.44, 14)[7])
+    lam = (0.9 * lam1, 0.9 * randalloc.shat_section_lambda2(mu, lam1))
+    policy = sim.Policy.random(randalloc.selection_for_rates(mu, lam))
+    reflect, contend = sim._reflect, sim._contend
+    per_block = []
+    contending = False
+
+    def counted_reflect(*args):
+        if contending:
+            per_block[-1] += 1
+        return reflect(*args)
+
+    def counted_contend(*args):
+        nonlocal contending
+        per_block.append(0)
+        contending = True
+        try:
+            return contend(*args)
+        finally:
+            contending = False
+
+    monkeypatch.setattr(sim, "_reflect", counted_reflect)
+    monkeypatch.setattr(sim, "_contend", counted_contend)
+    sim.run(ref_2x2_scenario(*lam), policy, sim.SimConfig(n_slots=100_000, seed=1))
+    assert len(per_block) == -(-100_000 // sim._BLOCK)
+    assert sum(per_block) == 97 and sum(per_block) < 234 / 2

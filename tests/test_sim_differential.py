@@ -9,8 +9,10 @@ two users (the padded S_hat case), one band shared by three users (so the
 contention sweeps update more than two users in turn) and a scenario with a
 declared virtual band; rates at zero, light, beyond the boundary and
 saturated; all three policies; the engine's block length patched to 1 and 7 as
-well as its default; and the heaviest contention point of the sim-boundary-2x2
-benchmark over more than two default blocks.
+well as its default; the heaviest contention point of the sim-boundary-2x2
+benchmark over more than two default blocks; and saturated runs whose backlogs
+carry across more than three default blocks, so the engine's int32 backlogs
+start blocks with thousands of packets queued.
 """
 
 import functools
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from bandalloc import cli, fixedalloc, model, orthogonal, randalloc, schedule, sim
+from bandalloc.model import ConfigurationError
 
 from conftest import ref_2x2_scenario
 from oracles import reference_run, to_json
@@ -127,7 +130,7 @@ def test_output_does_not_depend_on_block_length(monkeypatch):
     _, scenario, policy = next(c for c in cases("2x2") if c[0] == "2x2 random (0.36, 0.48)")
     config = sim.SimConfig(n_slots=1100, seed=5)
     results = []
-    for block in (1000, 7, 8192, 1100):
+    for block in (1000, 7, 4096, 8192, 1100):
         monkeypatch.setattr(sim, "_BLOCK", block)
         results.append(to_json(sim.run(scenario, policy, config)))
     assert len(set(results)) == 1
@@ -144,3 +147,19 @@ def test_contention_at_the_shat_boundary():
     policy = sim.Policy.random(randalloc.selection_for_rates(rates.mu, lam))
     config = sim.SimConfig(n_slots=2 * sim._BLOCK + 300, seed=4, trace_stride=1)
     assert_same(_with_rates(scenario, lam), policy, config, lam)
+
+
+def test_saturated_backlog_across_blocks():
+    runs = [c for c in cases("2x2") if c[0].endswith("(1.0, 1.0)")]
+    assert {policy.kind for _, _, policy in runs} == {"orthogonal", "random", "fixed"}
+    for label, scenario, policy in runs:
+        config = sim.SimConfig(n_slots=3 * sim._BLOCK + 500, seed=12, trace_stride=1)
+        engine = sim.run(scenario, policy, config)
+        assert engine == reference_run(scenario, policy, config), label
+        assert min(q.final_length for q in engine.secondary) > config.n_slots // 4, label
+
+
+def test_run_length_fits_int32_backlogs():
+    assert sim.SimConfig(n_slots=2**31 - 1, seed=0).n_slots == 2**31 - 1
+    with pytest.raises(ConfigurationError):
+        sim.SimConfig(n_slots=2**31, seed=0)
