@@ -40,7 +40,10 @@ milliseconds per call. A case that pivots a simplex tableau also reports
 repeats exactly, where one lockstep pivot pivots every active LP of a stack.
 A case that evaluates the S_hat dominant-1 kernel likewise reports
 ``kernel_calls``, the calls of ``randalloc._dominant1_envelopes`` in one
-untimed call.
+untimed call, and a case that simulates reports ``reflections``, the calls of
+``sim._reflect``: one per block for the primary queues, and one per block
+for the secondary queues or, under random selection, one per user recomputed
+in a contention sweep.
 The output is one JSON object with the Python and numpy versions and the CPU
 model next to the timings. Not part of the test suite.
 """
@@ -230,7 +233,8 @@ def main(argv=None) -> int:
             "repeats": _REPEAT,
         }
         for key, module, func in (("pivots", "optim", "_pivot"),
-                                  ("kernel_calls", "randalloc", "_dominant1_envelopes")):
+                                  ("kernel_calls", "randalloc", "_dominant1_envelopes"),
+                                  ("reflections", "sim", "_reflect")):
             count = call_count(sys.modules[f"bandalloc.{module}"], func, fn)
             if count:
                 results[name][key] = count
