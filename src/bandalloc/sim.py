@@ -21,24 +21,24 @@ the walk is bounded by ``_BLOCK`` and a backlog by the run length, which
 is its solo service (band picked, band idle at the slot start, link success),
 lost when another backlogged user picked the same band. That map from backlog
 indicators to backlog indicators is causal: the backlog at a slot start
-depends on service in earlier slots only. So from any start, once every user
-has been recomputed r times against indicators exact on the first r - 1
-slots, its indicators are exact on the first r slots; and the fixed point is
-unique, since two fixed points agree slot by slot from the first. The engine
-runs Gauss-Seidel sweeps (Bertsekas & Tsitsiklis 1989, ch. 6): users in index
-order, each against the latest indicators of the others, skipping a user whose
-lost slots did not change. Sweep r is exact on the first r slots, so the
+depends on service in earlier slots only. So a user recomputed against
+indicators exact on the first r - 1 slots is exact on the first r, whatever
+the indicators after them, and the fixed point is unique: two fixed points
+agree slot by slot. The engine runs Gauss-Seidel sweeps (Bertsekas &
+Tsitsiklis 1989, ch. 6): users in index order, each against the latest
+indicators of the others, skipping a user whose lost slots did not change.
+By induction sweep r is exact on the first r slots, from any start, so the
 sweeps converge within n + 1 on n slots, and a run that does not converge
 raises. They start from "everyone backlogged", which is closer than "nobody
 backlogged" to the fixed point of a loaded run, where contention matters: at
 0.9x of the reference S_hat boundary a 1e5-slot run takes about 96 row
-reflections instead of 238. A sweep ends the iteration when no user's
-indicators changed. Departures are counted by conservation in exact integers:
-arrivals minus the final backlog (queues start empty), and after the warmup
-the backlog at its first slot plus the arrivals since minus the final backlog.
-The engine walks the horizon in blocks of ``_BLOCK`` slots and carries each
-queue's backlog from block to block, so memory does not grow with the run
-length.
+reflections instead of 134 (seeds 1-5). The sweeps stop at the first one that
+changes no user's indicators. Departures are counted by conservation in exact
+integers: arrivals minus the final backlog (queues start empty), and after the
+warmup the backlog at its first slot plus the arrivals since minus the final
+backlog. The engine walks the horizon in blocks of ``_BLOCK`` slots and
+carries each queue's backlog from block to block, so memory does not grow with
+the run length.
 
 Randomness (stream contract version ``STREAM_VERSION`` = 2) is
 bit-reproducible. Every stream is its own numpy Generator spawned from a
@@ -86,8 +86,6 @@ _MASK64 = (1 << 64) - 1
 STREAM_VERSION = 2
 # Slots per block of the array engine; output does not depend on it.
 _BLOCK = 8192
-# Longest run: the engine keeps backlogs in int32.
-_MAX_SLOTS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -137,8 +135,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_slots < 1:
             raise ConfigurationError("n_slots must be >= 1")
-        if self.n_slots > _MAX_SLOTS:
-            raise ConfigurationError(f"n_slots must be <= {_MAX_SLOTS}")
+        if self.n_slots >= 2**31:
+            raise ConfigurationError("n_slots must be < 2**31 (backlogs are int32)")
         warmup = self.n_slots // 10 if self.warmup is None else self.warmup
         stride = max(1, self.n_slots // 2000) if self.trace_stride is None else self.trace_stride
         if not 0 <= warmup < self.n_slots:
@@ -186,22 +184,24 @@ class SimResult:
                 "secondary": [vars(q) for q in self.secondary]}
 
 
-def _verdict(trace_slots, lengths, warmup: int, n_slots: int, final_length: int) -> str:
-    """Slope/backlog surrogate for the asymptotic stability definition.
+def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Least-squares slope of ys on xs: sum((x - mean x) y) / sum((x - mean x)**2).
 
-    The slope is the least-squares line's in closed form, sum((x - mean x)(y -
-    mean y)) / sum((x - mean x)**2), with the numerator summed as
-    sum((x - mean x) y): the x - mean x sum to zero. Trace slots are evenly
-    spaced, so their mean is exact; on integer backlogs every product and
-    partial sum is then exact too (while below 2**53), and the slope is the
-    exact one, rounded once.
+    That is the closed form with mean y dropped, since the x - mean x sum to
+    zero. Evenly spaced integer xs have an exact mean, so with integer ys every
+    term and partial sum is exact below 2**53, and the slope is rounded once.
     """
+    dx = xs - xs.mean()
+    return float(dx @ ys / (dx @ dx))
+
+
+def _verdict(trace_slots, lengths, warmup: int, n_slots: int, final_length: int) -> str:
+    """Slope/backlog surrogate for the asymptotic stability definition."""
     slots = np.asarray(trace_slots)
     post = slots >= warmup
     if np.count_nonzero(post) < 3:
         return "inconclusive"
-    dx = slots[post] - slots[post].mean()
-    slope = float(dx @ np.asarray(lengths)[post] / (dx @ dx))
+    slope = _slope(slots[post], np.asarray(lengths)[post])
     if slope < SLOPE_STABLE and final_length < BACKLOG_FRACTION * (n_slots - warmup):
         return "stable"
     if slope > SLOPE_UNSTABLE:
@@ -278,11 +278,11 @@ def _reflect(q0: np.ndarray, arrivals: np.ndarray, service: np.ndarray) -> np.nd
     walk = np.cumsum(steps, axis=1, dtype=np.int32)
     backlog = np.empty((len(q0), walk.shape[1] + 1), dtype=np.int32)
     backlog[:, 0] = q0
-    floor = backlog[:, 1:]
-    np.minimum.accumulate(walk, axis=1, out=floor)
-    np.minimum(floor, -backlog[:, :1], out=floor)
-    np.subtract(walk, floor, out=floor)
-    floor += arrivals
+    after = backlog[:, 1:]  # the floored running minimum, then the backlogs
+    np.minimum.accumulate(walk, axis=1, out=after)
+    np.minimum(after, -backlog[:, :1], out=after)
+    np.subtract(walk, after, out=after)
+    after += arrivals
     return backlog
 
 

@@ -174,7 +174,8 @@ class TestSampleIndices:
         u = self.draws(weights, np.random.default_rng(seed))
         got = sample_indices(weights, u, fallback)
         cols = np.asarray(weights, dtype=float).T
-        want = [[scalar_pick(col.tolist(), float(x), fb) for x in row] for col, row, fb in zip(cols, u, fallback)]
+        want = [[scalar_pick(col.tolist(), float(x), fb) for x in row]
+                for col, row, fb in zip(cols, u, fallback)]
         assert got.shape == u.shape
         assert got.tolist() == want
         return got

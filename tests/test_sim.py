@@ -298,8 +298,7 @@ class TestVerdictSlope:
             steps = rng.choice([-1, 0, 1], size=len(slots), p=rng.dirichlet([1, 1, 1]))
             trace = np.abs(np.cumsum(steps))
             ys = trace[slots >= 10_000]
-            dx = xs - xs.mean()
-            slope = float(dx @ ys / (dx @ dx))
+            slope = sim._slope(xs, ys)
             fit = float(np.polyfit(xs, ys, 1)[0])
             assert abs(slope - fit) <= 1e-12 * abs(fit)
             sx, sy = int(xs.sum()), int(ys.sum())
