@@ -28,8 +28,8 @@ from .model import ConfigurationError, PrimaryBand, Scenario, SecondaryUser, Slo
 _GRID_TOL = 2e-3
 _ANALYTIC_TOL = 1e-9
 _MAX_GRID_POINTS = 100_000
-# Memory of a run does not grow with --slots, but its time does: 0.2-0.3 us
-# per slot on the reference 2x2 scenario, so 1e8 slots take up to a minute.
+# Memory of a run does not grow with --slots, but its time does: 0.1-0.3 us
+# per slot on the reference 2x2 scenario, so 1e8 slots take up to 30 seconds.
 _MAX_SLOTS = 10**8
 
 _SLOT_FIELDS = {"T", "tau", "b"}
