@@ -372,8 +372,8 @@ def run(scenario: Scenario, policy: Policy, config: SimConfig) -> SimResult:
             solo |= (bands == j) & avail[j] & (u[:m_s] < psucc[j])
         if contending:
             backlog_s, busy = _contend(qs, arrive, solo, bands)
-            load = ((bands[None] == band_ids) & busy[None]).sum(axis=1)
-            collisions += int(((load > 1) & live[:, None] & avail).sum())
+            load = ((bands[None] == band_ids) & busy[None]).sum(axis=1, dtype=np.int32)
+            collisions += int(np.count_nonzero((load > 1) & live[:, None] & avail))
         else:
             backlog_s = _reflect(qs, arrive, solo)
         arr_s += arrive.sum(axis=1)
