@@ -9,19 +9,34 @@ union-region sections and the selection policy below. The general multi-user
 case is only simulated. The one-band closed forms, the collision service rate
 and the union-region membership test are test oracles in ``tests/oracles.py``.
 
-One kernel, ``_dominant1_envelopes``, computes the dominant-1 envelope at a
-list of lambda_s2; the dominant-2 envelope is the same kernel on mu with its
-columns swapped. For a fixed gamma21 the best gamma22 is an end of its
-feasible interval (``optim.fractional_argmax``), so the dominant-1 value is a
+Two kernels over a list of rates serve every function here. The forward
+kernel, ``_dominant1_envelopes``, computes the dominant-1 envelope at each
+lambda_s2; the dominant-2 envelope is the same kernel on mu with its columns
+swapped. For a fixed gamma21 the best gamma22 is an end of its feasible
+interval (``optim.fractional_argmax``), so the dominant-1 value is a
 continuous function of gamma21 made of three rational pieces, and its maximum
 lies at one of ten closed-form points: an end of the feasible set, a switch
 between pieces or a stationary point of a piece. The kernel evaluates those
 points, and their float neighbours, for all its rates in one array call.
-``shat_envelope`` solves the sections of all its grid points in lockstep:
-one kernel call evaluates every midpoint that the next few bisection steps of
-the sections still bracketing can visit (fewer steps per call the more
-sections bracket), and each section then walks its own steps. The one-rate
-functions are the kernel, or the sweep, at one rate.
+
+The inverse kernel, ``_dominant1_sections``, computes the largest lambda_s2
+the dominant-1 system carries at each lambda_s1. With x = gamma21 and
+y = gamma22, user 1 is served at a = (1-x) mu11 + x mu21 while user 2 is
+empty and loses b = (1-x)(1-y) mu11 + x y mu21 of it to collisions while user
+2 is backlogged; user 2 is served at c = x mu12 (1-y) + y (1-x) mu22. Both are
+stable iff lambda_s2 <= c and lambda_s1 <= a - lambda_s2 b / c, so the section
+is the maximum over (x, y) with a >= lambda_s1 of min(c, c (a - lambda_s1) / b)
+(c where b = 0). Both terms are monotone in y, so for a fixed x the best y is
+0, 1 or y_c = (x mu21 - lambda_s1) / (x mu21 - (1-x) mu11), where they meet.
+On each of these three y-pieces the value is a quadratic over a linear
+function of x, so the best x is an end (0 or 1), a switch between pieces
+(lambda_s1 / mu21 and 1 - lambda_s1 / mu11, where y_c reaches 0 and 1) or one
+of the two stationary points of a piece. (a is linear in x, so a >= lambda_s1
+holds at an end if anywhere; at its edge a = lambda_s1 the value is 0 unless
+b = 0, and then the edge is a switch.) The kernel evaluates those 10 x, each
+with its 3 y, for all its rates in one array call. ``shat_envelope`` takes the better
+of it and the dominant-2 envelope at each point; the one-rate functions are
+the kernels, or the sweep, at one rate.
 """
 
 from __future__ import annotations
@@ -35,15 +50,9 @@ from .model import CLOSURE_TOL, ConfigurationError, check_unit_interval, rate_ve
 from .optim import fractional_argmax
 
 _TOL = 1e-9
-_SECTION_TOL = 1e-6  # bisection stops once the lambda_s2 bracket is this narrow
 # Sections per kernel call: each holds 30 candidate points, so one call's
 # temporaries are arrays of at most 30 * 1024 = 30720 floats (240 KB each).
 _SECTIONS_PER_CALL = 1024
-# Bisection midpoints per kernel call. A call costs about 65-100 us plus about
-# 2 us per rate (2-vCPU Xeon), so each call takes the next L bisection steps of
-# every bracketing section, 2**L - 1 midpoints each, with L as large as fits in
-# this many: 5 steps for a lone section, one step from 32 sections on.
-_MIDPOINTS_PER_CALL = 32
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,14 @@ def _dominant1_values(mu: np.ndarray, lambda_s2: np.ndarray, g21: np.ndarray):
     return np.where(feasible, values, -np.inf), g22
 
 
+def _unit_table(columns, shape: tuple[int, ...]) -> np.ndarray:
+    """``columns`` side by side on a last axis after ``shape``; NaN reads as 0, beyond [0, 1] as its nearer end."""
+    table = np.empty(shape + (len(columns),))
+    for c, column in enumerate(columns):
+        table[..., c] = column
+    return np.where(table > 0.0, np.minimum(table, 1.0), 0.0)  # NaN fails > 0
+
+
 def _candidates(mu: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The gamma21 where the dominant-1 maximum can lie, one row of 30 per rate in ``lam``.
 
@@ -124,25 +141,19 @@ def _candidates(mu: np.ndarray, lam: np.ndarray) -> np.ndarray:
     the feasible set, a switch between pieces or a stationary point of a
     piece. Each point strictly inside (0, 1) comes with its two float
     neighbours, against rounding at the switches; nextafter(0, 1) is
-    subnormal and would underflow in the kernel. Undefined points (0/0, the
-    square root of a negative number) are read as 0, points beyond [0, 1] as
-    its nearer end.
+    subnormal and would underflow in the kernel.
     """
     (mu11, mu12), (mu21, mu22) = mu
     with np.errstate(all="ignore"):
         cross, total = np.sqrt(mu11 * mu22), mu12 + mu22
         root = np.sqrt(lam * total - mu12 * mu22)
-        columns = (
+        points = _unit_table((
             0.0, 1.0, lam / mu12, 1.0 - lam / mu22,  # ends: D = lambda_s2, D + C = lambda_s2
             mu22 / total, cross / (cross + np.sqrt(mu12 * mu21)),  # C = 0; K2*C + D*K1 = 0
             np.sqrt(lam * mu11 / (mu12 * (mu11 - mu21))),  # stationary: gamma22 = 0
             1.0 - np.sqrt(lam * mu21 / (mu22 * (mu21 - mu11))),  # gamma22 = 1
             (mu22 + root) / total, (mu22 - root) / total,  # gamma22 = r
-        )
-        points = np.empty((lam.size, len(columns)))
-        for c, column in enumerate(columns):
-            points[:, c] = column
-        points = np.where(points > 0.0, np.minimum(points, 1.0), 0.0)  # NaN fails > 0
+        ), lam.shape)
         inner = (points > 0.0) & (points < 1.0)
         below, above = (np.where(inner, np.nextafter(points, end), points) for end in (0.0, 1.0))
     return np.hstack([points, below, above])
@@ -152,12 +163,9 @@ def _dominant1_envelopes(mu: np.ndarray, lambdas: list[float]) -> list[tuple | N
     """The dominant-1 envelope (max lambda_s1, gamma21, gamma22) at each lambda_s2 in ``lambdas``.
 
     None where lambda_s2 is unsupportable. One array call evaluates the
-    ``_candidates`` of every section, at most _SECTIONS_PER_CALL at a time,
-    and each section takes its first best candidate.
+    ``_candidates`` of every rate, and each rate takes its first best
+    candidate.
     """
-    if len(lambdas) > _SECTIONS_PER_CALL:
-        return [point for i in range(0, len(lambdas), _SECTIONS_PER_CALL)
-                for point in _dominant1_envelopes(mu, lambdas[i:i + _SECTIONS_PER_CALL])]
     lam = np.array(lambdas, dtype=float)
     g21 = _candidates(mu, lam)
     values, g22 = _dominant1_values(mu, lam[:, None], g21)
@@ -165,6 +173,40 @@ def _dominant1_envelopes(mu: np.ndarray, lambdas: list[float]) -> list[tuple | N
     return [None if value == -math.inf else (value, g, r)
             for value, g, r in zip(values[rows, best].tolist(), g21[rows, best].tolist(),
                                    g22[rows, best].tolist())]
+
+
+def _stationary(n0, n1, n2, d0, d1) -> tuple:
+    """The x where (n0 + n1 x + n2 x**2) / (d0 + d1 x) is stationary: n2 d1 x**2 + 2 n2 d0 x + n1 d0 - n0 d1 = 0."""
+    half, lead = n2 * d0, n2 * d1
+    root = np.sqrt(half * half - lead * (n1 * d0 - n0 * d1))
+    return (root - half) / lead, (-root - half) / lead
+
+
+def _dominant1_sections(mu: np.ndarray, lambdas: list[float]) -> list[float | None]:
+    """The largest lambda_s2 the dominant-1 system carries at each lambda_s1 in ``lambdas``.
+
+    None where even lambda_s2 = 0 cannot carry lambda_s1. One array call
+    evaluates the candidates of the module docstring for every rate.
+    """
+    (mu11, mu12), (mu21, mu22) = mu.tolist()
+    lam = np.array(lambdas, dtype=float)
+    with np.errstate(all="ignore"):
+        x = _unit_table((
+            0.0, 1.0, lam / mu21, 1.0 - lam / mu11,
+            *_stationary(0.0, mu11 - lam, mu21 - mu11, 1.0, -1.0),  # y = 0
+            *_stationary(mu11 - lam, mu21 - 2.0 * mu11 + lam, mu11 - mu21, 0.0, 1.0),  # y = 1
+            *_stationary(-mu22 * lam, mu12 * (lam - mu11) + mu22 * (mu21 + lam),  # y = y_c
+                         mu12 * mu11 - mu22 * mu21, -mu11, mu11 + mu21),
+        ), lam.shape)
+        lam = lam[:, None]
+        y = _unit_table((0.0, 1.0, (x * mu21 - lam) / (x * mu21 - (1.0 - x) * mu11)), x.shape)
+        x, lam = x[..., None], lam[..., None]
+        a = (1.0 - x) * mu11 + x * mu21
+        b = (1.0 - x) * (1.0 - y) * mu11 + x * y * mu21
+        c = x * mu12 * (1.0 - y) + y * (1.0 - x) * mu22
+        values = np.where(b > 0.0, np.minimum(c, c * (a - lam) / b), c)
+    best = np.where(a >= lam, values, -np.inf).reshape(len(lambdas), -1).max(axis=1)
+    return [None if value == -math.inf else value for value in best.tolist()]
 
 
 def _envelope_point(mu: np.ndarray, lam, dominant: str) -> DominantEnvelopePoint:
@@ -196,68 +238,20 @@ def dominant2_envelope_2x2(mu, lambda_s1: float) -> DominantEnvelopePoint:
     return _envelope_point(_mu_2x2(mu), rate_vector([lambda_s1, 0.0], 2)[0], "second")
 
 
-def _midpoint_levels(lo: list[float], hi: list[float], levels: int) -> list[float]:
-    """The midpoints the next ``levels`` bisection steps from each bracket [lo[j], hi[j]] can visit.
-
-    Level by level: level d holds the 2**d midpoints of each bracket in turn,
-    left to right, so with w brackets the midpoint at index i has its lower
-    half's midpoint at 2i + w and its upper half's at 2i + w + 1. Each is
-    ``(lo + hi) / 2.0`` of its own bracket, the one a one-step bisection
-    would hold there.
-    """
-    mids = level = [(a + b) / 2.0 for a, b in zip(lo, hi)]
-    for _ in range(levels - 1):
-        lo = [end for a, mid in zip(lo, level) for end in (a, mid)]
-        hi = [end for mid, b in zip(level, hi) for end in (mid, b)]
-        level = [(a + b) / 2.0 for a, b in zip(lo, hi)]
-        mids = mids + level
-    return mids
-
-
 def _shat_sections(mu: np.ndarray, lam1: list[float]) -> list[float | None]:
     """Largest lambda_s2 such that (lambda_s1, lambda_s2) is in the union region, at each lambda_s1.
 
-    Takes the better of the dominant-2 envelope at lambda_s1 and the inverse of
-    the dominant-1 envelope (nonincreasing in lambda_s2, so invertible by
-    bisection). None when even lambda_s2 = 0 cannot carry lambda_s1. The
-    bisections of all sections run in lockstep. Each dominant-1 kernel call
-    evaluates ``_midpoint_levels`` of every section still bracketing, L levels
-    deep (see _MIDPOINTS_PER_CALL); each section then walks down its levels
-    with the same comparison and stop test as a one-step bisection, so it
-    stops on the same midpoint.
+    The better of the dominant-2 envelope and the dominant-1 section, which
+    carries lambda_s1 once it reaches lambda_s1 - CLOSURE_TOL; None when
+    neither carries it. Each kernel runs once per _SECTIONS_PER_CALL sections.
     """
-    def reach(point) -> float:
-        return -math.inf if point is None else point[0]
-
-    # The dominant-1 envelope at lambda_s2 carries lambda_s1 once it reaches lambda_s1 - CLOSURE_TOL.
-    need = [lam - CLOSURE_TOL for lam in lam1]
-    top = float(max(mu[0, 1], mu[1, 1]))
-    at_zero, at_top = (reach(p) for p in _dominant1_envelopes(mu, [0.0, top]))
-    lo = [top if top > 0 and at_top >= n else 0.0 for n in need]
-    hi = [top] * len(lam1)
-    active = [k for k, n in enumerate(need) if at_zero >= n and lo[k] < top]
-    while True:
-        active = [k for k in active if hi[k] - lo[k] > _SECTION_TOL]
-        if not active:
-            break
-        width = len(active)
-        # The most levels L with width * (2**L - 1) <= _MIDPOINTS_PER_CALL, at least one.
-        levels = max(1, (_MIDPOINTS_PER_CALL // width + 1).bit_length() - 1)
-        mids = _midpoint_levels([lo[k] for k in active], [hi[k] for k in active], levels)
-        points, end = _dominant1_envelopes(mu, mids), len(mids)
-        # Section j starts at node j; a node past its last level is >= end.
-        for node, k in enumerate(active):
-            while node < end and hi[k] - lo[k] > _SECTION_TOL:
-                if reach(points[node]) >= need[k]:
-                    lo[k], node = mids[node], 2 * node + width + 1
-                else:
-                    hi[k], node = mids[node], 2 * node + width
     sections = []
-    for n, lo_k, d2 in zip(need, lo, _dominant1_envelopes(mu[:, ::-1], lam1)):
-        best = None if d2 is None else float(d2[0])
-        if at_zero >= n and (best is None or lo_k > best):
-            best = lo_k
-        sections.append(best)
+    for i in range(0, len(lam1), _SECTIONS_PER_CALL):
+        block = lam1[i:i + _SECTIONS_PER_CALL]
+        own = _dominant1_sections(mu, [lam - CLOSURE_TOL for lam in block])
+        for d1, d2 in zip(own, _dominant1_envelopes(mu[:, ::-1], block)):
+            best = None if d2 is None else float(d2[0])
+            sections.append(d1 if d1 is not None and (best is None or d1 > best) else best)
     return sections
 
 

@@ -35,15 +35,18 @@ def ref_2x2_mu(ref_2x2_rates):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The number of rates in each ``randalloc._dominant1_envelopes`` call from here on."""
+    """The number of rates in each call of either dominant-1 kernel from here on, in call order.
+
+    The kernels are the forward ``randalloc._dominant1_envelopes`` and the
+    inverse ``randalloc._dominant1_sections``.
+    """
     sizes = []
-    kernel = randalloc._dominant1_envelopes
+    for name in ("_dominant1_envelopes", "_dominant1_sections"):
+        def counted(mu, lambdas, kernel=getattr(randalloc, name)):
+            sizes.append(len(lambdas))
+            return kernel(mu, lambdas)
 
-    def counted(mu, lambdas):
-        sizes.append(len(lambdas))
-        return kernel(mu, lambdas)
-
-    monkeypatch.setattr(randalloc, "_dominant1_envelopes", counted)
+        monkeypatch.setattr(randalloc, name, counted)
     return sizes
 
 

@@ -5,8 +5,11 @@ scans a probability grid directly, the selection oracle scans the raw
 two-parameter objective, ``grid_search`` maximizes any objective over a boxed
 grid, and doubly stochastic inputs are built as convex combinations of
 explicit permutation matrices. ``reference_shat_section_lambda2`` keeps the
-one-section-at-a-time bisection that the lockstep sweep in
-``randalloc.shat_envelope`` replaced, ``reference_run`` keeps the
+one-section-at-a-time bisection that the closed-form sections in
+``randalloc.shat_envelope`` replaced (the sections must stay within its
+stopping tolerance of it, and within 1e-9 of it at a tolerance of 1e-12),
+``gamma_grid_oracle_section`` scans the S_hat section's (gamma21, gamma22)
+grid, ``reference_run`` keeps the
 slot-by-slot simulator loop that the blocked engine in ``sim`` replaced,
 ``reference_solve_lp`` keeps the two-loop simplex that
 ``optim.solve_lp`` replaced, with the solver's entering rule (``bland_solve_lp``
@@ -123,6 +126,29 @@ def gamma_grid_oracle_dominant1(mu, lam2, step=1e-3):
                 frac = lam2 / mus2
                 lam1 = np.where(feasible & (mus2 > 0), frac * coll + base * (1 - frac), -np.inf)
         best = max(best, lam1.max())
+    return float(best) if np.isfinite(best) else None
+
+
+def gamma_grid_oracle_section(mu, lam1, step=2.5e-3):
+    """Brute-force largest lambda_s2 that the first dominant system carries at ``lam1``.
+
+    The (gamma21, gamma22) grid has the given ``step``.
+
+    At each grid point user 2 is served at mus2 and user 1 at base, less coll
+    while user 2 is backlogged, which it is a fraction lambda_s2 / mus2 of the
+    time; so the point carries every lambda_s2 <= mus2 with
+    lam1 <= base - lambda_s2 * coll / mus2. None where no grid point has
+    base >= lam1.
+    """
+    mu = np.asarray(mu, dtype=float)
+    g = np.arange(0.0, 1.0 + step / 2, step)
+    G21, G22 = g[:, None], g[None, :]
+    mus2 = (1 - G22) * G21 * mu[0, 1] + G22 * (1 - G21) * mu[1, 1]
+    base = (1 - G21) * mu[0, 0] + G21 * mu[1, 0]
+    coll = (1 - G21) * (1 - G22) * mu[0, 0] + G21 * G22 * mu[1, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam2 = np.where(coll > 0, np.minimum(mus2, mus2 * (base - lam1) / coll), mus2)
+    best = np.where(base >= lam1, lam2, -np.inf).max()
     return float(best) if np.isfinite(best) else None
 
 
@@ -565,17 +591,19 @@ def scalar_dominant2_envelope_2x2(mu, lambda_s1, grid_step=1e-3):
     )
 
 
-# The one-section-at-a-time S_hat section that the lockstep sweep in
-# ``randalloc.shat_envelope`` replaced, kept statement for statement.
+# The one-section-at-a-time S_hat section by bisection on the dominant-1
+# envelope, which the closed-form sections in ``randalloc.shat_envelope``
+# replaced, kept statement for statement with its stopping tolerance.
 _REF_SECTION_TOL = 1e-6
 
 
 def reference_shat_section_lambda2(mu, lambda_s1, dominant1=dominant1_envelope_2x2,
-                                   dominant2=dominant2_envelope_2x2):
+                                   dominant2=dominant2_envelope_2x2, tol=_REF_SECTION_TOL):
     """Largest lambda_s2 with (lambda_s1, lambda_s2) in the union region, by one bisection.
 
     ``dominant1`` and ``dominant2`` default to the library's envelopes; the
-    scalar ones above tie the section to the one-gamma21-at-a-time path.
+    scalar ones above tie the section to the one-gamma21-at-a-time path. The
+    bisection stops once its bracket is ``tol`` wide, at the lower end.
     """
     mu = np.asarray(mu, dtype=float)
     best = None
@@ -593,7 +621,7 @@ def reference_shat_section_lambda2(mu, lambda_s1, dominant1=dominant1_envelope_2
         if hi > 0 and carries(hi):
             lo = hi
         elif hi > 0:
-            while hi - lo > _REF_SECTION_TOL:
+            while hi - lo > tol:
                 mid = (lo + hi) / 2.0
                 if carries(mid):
                     lo = mid
