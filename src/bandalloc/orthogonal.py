@@ -36,9 +36,9 @@ class AssignmentMatrix:
         omega = np.asarray(self.omega, dtype=float)
         if omega.ndim != 2:
             raise ConfigurationError("omega must be an M_p x M_s matrix")
-        if np.any(omega < -_TOL):
+        if not np.all(omega >= -_TOL):  # NaN fails >=
             raise ConfigurationError("omega entries must be nonnegative")
-        if np.any(omega.sum(axis=1) > 1 + _TOL) or np.any(omega.sum(axis=0) > 1 + _TOL):
+        if not (np.all(omega.sum(axis=1) <= 1 + _TOL) and np.all(omega.sum(axis=0) <= 1 + _TOL)):
             raise ConfigurationError("omega row and column sums must not exceed 1")
         object.__setattr__(self, "omega", np.clip(omega, 0.0, None))
 

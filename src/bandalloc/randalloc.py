@@ -65,9 +65,9 @@ class SelectionMatrix:
         gamma = np.asarray(self.gamma, dtype=float)
         if gamma.ndim != 2:
             raise ConfigurationError("gamma must be an M_p x M_s matrix")
-        if np.any(gamma < -_TOL):
+        if not np.all(gamma >= -_TOL):  # NaN fails >=
             raise ConfigurationError("gamma entries must be nonnegative")
-        if np.any(gamma.sum(axis=0) > 1 + _TOL):
+        if not np.all(gamma.sum(axis=0) <= 1 + _TOL):
             raise ConfigurationError("gamma column sums must not exceed 1")
         object.__setattr__(self, "gamma", np.clip(gamma, 0.0, None))
 

@@ -39,9 +39,9 @@ class DoublyStochasticMatrix:
         m = np.asarray(self.m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigurationError("matrix must be square")
-        if np.any(m < -_TOL):
+        if not np.all(m >= -_TOL):  # NaN fails >=
             raise ConfigurationError("matrix entries must be nonnegative")
-        if np.any(np.abs(m.sum(axis=0) - 1) > _TOL) or np.any(np.abs(m.sum(axis=1) - 1) > _TOL):
+        if not (np.all(np.abs(m.sum(axis=0) - 1) <= _TOL) and np.all(np.abs(m.sum(axis=1) - 1) <= _TOL)):
             raise ConfigurationError("rows and columns must each sum to 1")
         object.__setattr__(self, "m", np.clip(m, 0.0, None))
 
@@ -66,13 +66,13 @@ class PermutationSchedule:
         for perm, w in entries:
             if len(perm) != size:
                 raise ConfigurationError("all permutations must have the same length")
-            if w <= 0:
+            if not w > 0:  # NaN fails >
                 raise ConfigurationError("weights must be > 0")
             real = [m for m in perm if m != 0]
             if len(set(real)) != len(real):
                 raise ConfigurationError(f"assignment {perm} reuses a band")
             total += w
-        if abs(total - 1.0) > _TOL:
+        if not abs(total - 1.0) <= _TOL:
             raise ConfigurationError(f"weights sum to {total!r}, expected 1")
 
     @property

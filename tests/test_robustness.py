@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from bandalloc import cli, fixedalloc, model, orthogonal, randalloc
+from bandalloc import cli, fixedalloc, model, orthogonal, randalloc, schedule
 from bandalloc.model import ConfigurationError, PrimaryBand, SecondaryUser, SlotConfig
 from bandalloc.optim import LpProblem
 
@@ -225,6 +225,22 @@ class TestNanBoundsAndRates:
     def test_fully_symmetric_max_refuses_nan(self):
         with pytest.raises(ConfigurationError, match="must be >= 0"):
             fully_symmetric_max(2, 2, math.nan)
+
+    # Each of these used to accept NaN, because NaN fails every < and > guard,
+    # and sim.run then simulated it: gamma [[nan, 0.5], [0.5, 0.5]] gave
+    # verdicts ('unstable', 'stable') on the reference scenario at rates
+    # (0.2, 0.2), 1e5 slots, seed 1.
+    @pytest.mark.parametrize("build, match", [
+        (lambda: randalloc.SelectionMatrix(np.array([[math.nan, 0.5], [0.5, 0.5]])), "nonnegative"),
+        (lambda: randalloc.SelectionMatrix(np.array([[0.0, 0.5], [math.nan, 0.5]])), "nonnegative"),
+        (lambda: orthogonal.AssignmentMatrix(np.array([[math.nan, 0.5], [0.5, 0.5]])), "nonnegative"),
+        (lambda: schedule.DoublyStochasticMatrix(np.array([[math.nan, 0.5], [0.5, 0.5]])), "nonnegative"),
+        (lambda: schedule.PermutationSchedule(entries=(((1, 2), math.nan),)), "weights must be > 0"),
+        (lambda: schedule.PermutationSchedule(entries=(((1, 2), 0.5), ((2, 1), math.nan))), "weights must be > 0"),
+    ], ids=["selection", "selection_second_row", "assignment", "doubly_stochastic", "lone_weight", "second_weight"])
+    def test_validators_refuse_a_nan_entry(self, build, match):
+        with pytest.raises(ConfigurationError, match=match):
+            build()
 
 
 class TestFixedAllocationRates:
