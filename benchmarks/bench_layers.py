@@ -9,11 +9,12 @@ checkout's ``src``), so one harness can time two revisions on the same machine.
 A case is named after the function it times; where the ``--src`` tree lacks
 that function, the case is reported as ``{"absent": true}`` instead.
 Each case is one call on a fixed input: the S_hat dominant-system envelopes
-and union-region section on the reference 2x2 scenario, two S_hat sweeps
+and union-region section on the reference 2x2 scenario, three S_hat sweeps
 (``randalloc.shat_envelope``: the reference scenario on the region-2x2
-benchmark grid 0:0.175:0.025, and a jittered copy of it, mu times
-[[1.03, 0.97], [0.98, 1.02]], on 6 points up to 0.98 of its largest
-mu[:, 0], where 4 of the 6 sections bisect), the S envelope LP on both
+benchmark grid 0:0.175:0.025 and on 1e4 points from 0 to 0.7, and a jittered
+copy of it, mu times [[1.03, 0.97], [0.98, 1.02]], on 6 points up to 0.98 of
+its largest mu[:, 0], where 4 of the 6 dominant-1 sections lie strictly
+between 0 and the largest mu[:, 1]), the S envelope LP on both
 shipped scenarios, both as ``orthogonal.envelope_point`` and as the
 ``optim.solve_lp`` call it makes, the batch of 21 LPs that the 5x4 S sweep
 below hands to ``optim.solve_lps`` (recorded from that sweep; its grid starts
@@ -38,9 +39,10 @@ case reports the median and the minimum over ``_REPEAT`` (7) repeats, in
 milliseconds per call. A case that pivots a simplex tableau also reports
 ``pivots``, the calls of ``optim._pivot`` in one untimed call: a count that
 repeats exactly, where one lockstep pivot pivots every active LP of a stack.
-A case that evaluates the S_hat dominant-1 kernel likewise reports
-``kernel_calls``, the calls of ``randalloc._dominant1_envelopes`` in one
-untimed call, and a case that simulates reports ``reflections``, the calls of
+A case that evaluates an S_hat dominant-1 kernel likewise reports
+``kernel_calls``, the calls of the forward kernel
+``randalloc._dominant1_envelopes`` and the inverse kernel
+``randalloc._dominant1_sections`` together in one untimed call, and a case that simulates reports ``reflections``, the calls of
 ``sim._reflect``: one per block for the primary queues, and one per block
 for the secondary queues or, under random selection, one per user recomputed
 in a contention sweep.
@@ -106,23 +108,30 @@ def sweep_batch(sweep):
     return seen[0]
 
 
-def call_count(module, name, fn):
-    """Calls of ``module.name`` in one call of ``fn`` (None where the tree has no such function)."""
-    original = getattr(module, name, None)
-    if original is None:
+def call_count(module, names, fn):
+    """Calls of the functions ``names`` of ``module`` in one call of ``fn``, together.
+
+    A name the tree lacks counts no calls; None where it has none of them.
+    """
+    originals = {name: getattr(module, name) for name in names if hasattr(module, name)}
+    if not originals:
         return None
     count = 0
 
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return original(*args)
+    def counting(original):
+        def counted(*args):
+            nonlocal count
+            count += 1
+            return original(*args)
+        return counted
 
-    setattr(module, name, counted)
+    for name, original in originals.items():
+        setattr(module, name, counting(original))
     try:
         fn()
     finally:
-        setattr(module, name, original)
+        for name, original in originals.items():
+            setattr(module, name, original)
     return count
 
 
@@ -160,6 +169,7 @@ def cases():
     jittered = mu * np.array([[1.03, 0.97], [0.98, 1.02]])
     jitter_top = 0.98 * float(jittered[:, 0].max())
     jitter_grid = [i * (jitter_top / 5) for i in range(6)]
+    long_grid = np.linspace(0.0, 0.7, 10_000).tolist()
     ref_path = str(ROOT / "scenarios" / "reference_2x2.json")
     ref_lp = envelope_lp(ref, [0.3, 0.0], 1)
     big_lp = envelope_lp(big, [0.0, 0.1, 0.1, 0.1], 0)
@@ -185,8 +195,9 @@ def cases():
         ("randalloc.dominant2_envelope_2x2", lambda: randalloc.dominant2_envelope_2x2(mu, 0.3)),
         ("randalloc.shat_section_lambda2", lambda: randalloc.shat_section_lambda2(mu, 0.3)),
         ("randalloc.shat_envelope 2x2 8 points", lambda: randalloc.shat_envelope(mu, 1, region_grid)),
-        ("randalloc.shat_envelope 2x2 6 points bisecting",
+        ("randalloc.shat_envelope 2x2 6 points jittered",
          lambda: randalloc.shat_envelope(jittered, 1, jitter_grid)),
+        ("randalloc.shat_envelope 2x2 1e4 points", lambda: randalloc.shat_envelope(mu, 1, long_grid)),
         ("orthogonal.envelope_point 2x2", lambda: orthogonal.envelope_point(ref, [0.3, 0.0], 1)),
         ("orthogonal.envelope_point 5x4", lambda: orthogonal.envelope_point(big, [0.0, 0.1, 0.1, 0.1], 0)),
         ("optim.solve_lp 2x2 envelope LP", lambda: optim.solve_lp(ref_lp)),
@@ -232,10 +243,10 @@ def main(argv=None) -> int:
             "calls_per_repeat": number,
             "repeats": _REPEAT,
         }
-        for key, module, func in (("pivots", "optim", "_pivot"),
-                                  ("kernel_calls", "randalloc", "_dominant1_envelopes"),
-                                  ("reflections", "sim", "_reflect")):
-            count = call_count(sys.modules[f"bandalloc.{module}"], func, fn)
+        for key, module, funcs in (("pivots", "optim", ["_pivot"]),
+                                   ("kernel_calls", "randalloc", ["_dominant1_envelopes", "_dominant1_sections"]),
+                                   ("reflections", "sim", ["_reflect"])):
+            count = call_count(sys.modules[f"bandalloc.{module}"], funcs, fn)
             if count:
                 results[name][key] = count
     doc = {
