@@ -42,7 +42,8 @@ repeats exactly, where one lockstep pivot pivots every active LP of a stack.
 A case that evaluates an S_hat dominant-1 kernel likewise reports
 ``kernel_calls``, the calls of the forward kernel
 ``randalloc._dominant1_envelopes`` and the inverse kernel
-``randalloc._dominant1_sections`` together in one untimed call, and a case that simulates reports ``reflections``, the calls of
+``randalloc._dominant1_sections`` together in one untimed call, and a case
+that simulates reports ``reflections``, the calls of
 ``sim._reflect``: one per block for the primary queues, and one per block
 for the secondary queues or, under random selection, one per user recomputed
 in a contention sweep.
@@ -244,7 +245,8 @@ def main(argv=None) -> int:
             "repeats": _REPEAT,
         }
         for key, module, funcs in (("pivots", "optim", ["_pivot"]),
-                                   ("kernel_calls", "randalloc", ["_dominant1_envelopes", "_dominant1_sections"]),
+                                   ("kernel_calls", "randalloc",
+                                    ["_dominant1_envelopes", "_dominant1_sections"]),
                                    ("reflections", "sim", ["_reflect"])):
             count = call_count(sys.modules[f"bandalloc.{module}"], funcs, fn)
             if count:

@@ -34,9 +34,9 @@ function of x, so the best x is an end (0 or 1), a switch between pieces
 of the two stationary points of a piece. (a is linear in x, so a >= lambda_s1
 holds at an end if anywhere; at its edge a = lambda_s1 the value is 0 unless
 b = 0, and then the edge is a switch.) The kernel evaluates those 10 x, each
-with its 3 y, for all its rates in one array call. ``shat_envelope`` takes the better
-of it and the dominant-2 envelope at each point; the one-rate functions are
-the kernels, or the sweep, at one rate.
+with its 3 y, for all its rates in one array call. ``shat_envelope`` takes
+the better of it and the dominant-2 envelope at each point; the one-rate
+functions are the kernels, or the sweep, at one rate.
 """
 
 from __future__ import annotations
@@ -241,9 +241,10 @@ def dominant2_envelope_2x2(mu, lambda_s1: float) -> DominantEnvelopePoint:
 def _shat_sections(mu: np.ndarray, lam1: list[float]) -> list[float | None]:
     """Largest lambda_s2 such that (lambda_s1, lambda_s2) is in the union region, at each lambda_s1.
 
-    The better of the dominant-2 envelope and the dominant-1 section, which
-    carries lambda_s1 once it reaches lambda_s1 - CLOSURE_TOL; None when
-    neither carries it. Each kernel runs once per _SECTIONS_PER_CALL sections.
+    The better of the dominant-2 envelope and the dominant-1 section at
+    lambda_s1 - CLOSURE_TOL (an envelope value that close carries lambda_s1);
+    None when neither carries it. Each kernel runs once per
+    _SECTIONS_PER_CALL sections.
     """
     sections = []
     for i in range(0, len(lam1), _SECTIONS_PER_CALL):

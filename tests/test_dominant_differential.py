@@ -199,8 +199,8 @@ def test_sweep_matches_the_per_section_reference(kind, axis):
 @pytest.mark.parametrize("axis", [0, 1])
 def test_sweep_matches_the_per_section_reference_on_jittered_scenarios(ref_2x2_mu, axis):
     # Seeded jitters of the reference scenario, as the region-2x2 benchmark
-    # builds them, swept to just under the swept user's maximum; most of
-    # these sections run the bisection.
+    # builds them, swept to just under the swept user's maximum; the
+    # dominant-2 envelope gives every one of these sections.
     rng = np.random.default_rng(70 + axis)
     with np.errstate(all="raise"):
         for scale in ([[1.03, 0.97], [0.98, 1.02]], *rng.uniform(0.9, 1.1, (2, 2, 2))):

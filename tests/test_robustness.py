@@ -236,8 +236,10 @@ class TestNanBoundsAndRates:
         (lambda: orthogonal.AssignmentMatrix(np.array([[math.nan, 0.5], [0.5, 0.5]])), "nonnegative"),
         (lambda: schedule.DoublyStochasticMatrix(np.array([[math.nan, 0.5], [0.5, 0.5]])), "nonnegative"),
         (lambda: schedule.PermutationSchedule(entries=(((1, 2), math.nan),)), "weights must be > 0"),
-        (lambda: schedule.PermutationSchedule(entries=(((1, 2), 0.5), ((2, 1), math.nan))), "weights must be > 0"),
-    ], ids=["selection", "selection_second_row", "assignment", "doubly_stochastic", "lone_weight", "second_weight"])
+        (lambda: schedule.PermutationSchedule(entries=(((1, 2), 0.5), ((2, 1), math.nan))),
+         "weights must be > 0"),
+    ], ids=["selection", "selection_second_row", "assignment", "doubly_stochastic",
+            "lone_weight", "second_weight"])
     def test_validators_refuse_a_nan_entry(self, build, match):
         with pytest.raises(ConfigurationError, match=match):
             build()
