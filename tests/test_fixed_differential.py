@@ -1,8 +1,10 @@
-"""Differential test: the chunked mapping-table scan in ``fixedalloc`` against the
-mapping-by-mapping search it replaced (``oracles.reference_*``).
+"""Differential test: the chunked mapping-table scan and the step-function sweep in
+``fixedalloc`` against the mapping-by-mapping search they replaced
+(``oracles.reference_*``).
 
-Values and chosen mappings must be equal (``==``), also when the chunk size is
-cut so far that chunk boundaries fall inside groups of tied mappings.
+Values and chosen mappings must be equal (``==``, and a sweep's values equal in
+``repr``), also when the chunk size is cut so far that chunk boundaries fall
+inside groups of tied mappings.
 """
 
 import itertools
@@ -59,31 +61,56 @@ def test_best_fixed_max_and_margin_match_reference(chunk):
             assert fixedalloc.best_margin_mapping(rates, lam) == reference_best_margin_mapping(rates, lam)
 
 
+def sweep_grids(rng, column: np.ndarray):
+    """Sweep grids along a mu column: points drawn by ``edge_rates``, and a grid through
+    every mu, its closure edge and the next float past it, each point twice."""
+    edge = column + CLOSURE_TOL
+    yield np.sort(edge_rates(rng, column, 8))
+    yield np.sort(np.repeat(np.concatenate([[0.0], column, edge, np.nextafter(edge, 2.0)]), 2))
+
+
+def assert_sweep_matches_reference(rates, axis, sweep_user, others, grid, mapping):
+    """``sweep_envelope`` against the reference search point by point, best mapping and
+    ``mapping`` alone; repr tells the signs of zero apart."""
+    expected, alone = [], []
+    for value in grid:
+        lam = others.copy()
+        lam[sweep_user] = value
+        best = reference_best_fixed_max(rates, lam, axis)
+        expected.append(None if best is None else best[0])
+        alone.append(reference_mapping_max(rates, mapping, lam, axis))
+    got = fixedalloc.sweep_envelope(rates, axis, grid, others=others, sweep_user=sweep_user)
+    assert list(map(repr, got)) == list(map(repr, expected))
+    one = fixedalloc.sweep_envelope(rates, axis, grid, others=others, sweep_user=sweep_user,
+                                    mapping=FixedMapping(mapping))
+    assert list(map(repr, one)) == list(map(repr, alone))
+
+
 def test_sweep_matches_reference(chunk):
-    for rng, rates in instances(2, 200):
+    for i, (rng, rates) in enumerate(instances(2, 200)):
         m_s = rates.m_s
         if m_s == 1:
             continue
+        if i % 2:  # signed zeros: a tie of 0.0 and -0.0 goes to the first mapping too
+            rates = rate_matrix(np.where((rates.mu == 0) & (rng.uniform(size=rates.mu.shape) < 0.5), -0.0, rates.mu))
         axis = int(rng.integers(m_s))
         sweep_user = int(rng.choice([u for u in range(m_s) if u != axis]))
         others = np.array([edge_rates(rng, rates.mu[:, l], 1)[0] for l in range(m_s)])
-        grid = np.sort(edge_rates(rng, rates.mu[:, sweep_user], 8))
-        expected = []
-        for value in grid:
-            lam = others.copy()
-            lam[sweep_user] = value
-            expected.append(reference_best_fixed_max(rates, lam, axis))
-        got = fixedalloc.sweep_envelope(rates, axis, grid, others=others, sweep_user=sweep_user)
-        assert got == [None if best is None else best[0] for best in expected]
-
         mapping = next(itertools.islice(
             itertools.permutations(range(1, rates.m_p + 1), m_s), int(rng.integers(math.perm(rates.m_p, m_s))), None))
-        one = fixedalloc.sweep_envelope(rates, axis, grid, others=others, sweep_user=sweep_user,
-                                        mapping=FixedMapping(mapping))
-        for value, best in zip(grid, one, strict=True):
-            lam = others.copy()
-            lam[sweep_user] = value
-            assert best == reference_mapping_max(rates, mapping, lam, axis)
+        for grid in sweep_grids(rng, rates.mu[:, sweep_user]):
+            assert_sweep_matches_reference(rates, axis, sweep_user, others, grid, mapping)
+    # one long sweep: 1,200 points across every threshold of a rounded 5x3 scenario
+    rng = np.random.default_rng(3)
+    rates = rate_matrix(np.round(rng.uniform(0.0, 1.0, (5, 3)), 1))
+    edges = rates.mu[:, 1] + CLOSURE_TOL
+    grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, 1000), rates.mu[:, 1], edges,
+                                   np.nextafter(edges, 2.0), rng.uniform(0.0, 1.0, 185)]))
+    assert_sweep_matches_reference(rates, 0, 1, np.array([0.0, 0.0, 0.3]), grid, (2, 4, 1))
+    # every value a signed zero: the first mapping's sign wins, whichever it is
+    for column in ([-0.0, 0.0, 0.0], [0.0, -0.0, -0.0]):
+        rates = rate_matrix(np.column_stack([column, [0.5, 0.25, 0.5]]))
+        assert_sweep_matches_reference(rates, 0, 1, np.zeros(2), np.array([0.0, 0.25, 0.5, 0.6]), (3, 2))
 
 
 def test_infinite_rates_match_reference():
