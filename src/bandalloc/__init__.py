@@ -3,8 +3,9 @@
 Modules: model (domain types and rate formulas), optim (dense simplex,
 fractional maximizer), orthogonal (system S envelopes),
 schedule (Birkhoff-von Neumann permutation schedules), randalloc (random
-selection, dominant systems), fixedalloc (fixed assignments), sim (slot-level
-Monte Carlo), cli (command-line front end).
+selection, dominant systems), fixedalloc (fixed assignments), regions (sweeps
+by system, containment check), sim (slot-level Monte Carlo), cli
+(command-line front end).
 """
 
 __version__ = "0.1.0"

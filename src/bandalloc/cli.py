@@ -5,8 +5,9 @@ JSON (see ``load_scenario``); grid sweeps emit CSV by default, single results
 structured text; ``--json`` switches everything to one JSON document. User and
 band numbers are 1-based on the command line.
 
-The CLI only parses arguments and formats output. ``simulate --system ...``
-takes its policy from the library (there are no raw policy flags): S from
+The CLI only parses arguments and formats output. Sweeps and the containment
+check of ``compare`` come from ``regions``. ``simulate --system ...`` takes
+its policy from the library (there are no raw policy flags): S from
 ``orthogonal.max_slack_assignment`` decomposed into a schedule, S_hat from
 ``randalloc.selection_for_rates``, fixed from ``fixedalloc.best_margin_mapping``.
 """
@@ -22,11 +23,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, fixedalloc, model, orthogonal, randalloc, schedule, sim
+from . import __version__, fixedalloc, model, orthogonal, randalloc, regions, schedule, sim
 from .model import ConfigurationError, PrimaryBand, Scenario, SecondaryUser, SlotConfig
 
-_GRID_TOL = 2e-3
-_ANALYTIC_TOL = 1e-9
 _MAX_GRID_POINTS = 100_000
 # Memory of a run does not grow with --slots, but its time does: 0.1-0.3 us
 # per slot on the reference 2x2 scenario, so 1e8 slots take up to 30 seconds.
@@ -249,20 +248,8 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _envelope_report(rates, digest, system, axis, sweep_user, fixed, grid, mapping=None) -> dict:
-    """One envelope sweep as its ``--json`` document: the axis user's maximum at each grid point.
-
-    ``values[i]`` is None where the grid point is infeasible. ``mapping``
-    restricts the fixed system to that one mapping.
-    """
-    others = np.zeros(rates.m_s)
-    others[list(fixed)] = list(fixed.values())
-    if system == "S":
-        values = orthogonal.sweep_envelope(rates, axis, grid, others, sweep_user)
-    elif system == "S_hat":
-        values = randalloc.shat_envelope(rates.mu, axis, grid)
-    else:  # fixed
-        values = fixedalloc.sweep_envelope(rates, axis, grid, others, sweep_user, mapping)
+def _envelope_report(digest, system, axis, sweep_user, fixed, grid, values) -> dict:
+    """One envelope sweep's ``values`` (None where a grid point is infeasible) as its ``--json`` document."""
     return {
         "provenance": _provenance(digest),
         "system": system,
@@ -274,18 +261,26 @@ def _envelope_report(rates, digest, system, axis, sweep_user, fixed, grid, mappi
     }
 
 
+def _pinned_rates(fixed: dict[int, float], m_s: int) -> np.ndarray:
+    """One rate per user: the ``--fixed`` rates, 0 for every other user."""
+    lam = np.zeros(m_s)
+    lam[list(fixed)] = list(fixed.values())
+    return lam
+
+
 def cmd_envelope(args) -> int:
     scenario, digest = load_scenario(args.scenario)
     axis, fixed = _axis_and_fixed(args, scenario.m_s)
     grid = _parse_grid(args.grid)
     sweep_user = _sweep_user(axis, fixed, scenario.m_s)
     rates = model.rate_matrix(scenario)
-    report = _envelope_report(rates, digest, args.system, axis, sweep_user, fixed, grid)
+    values = regions.envelope(rates, args.system, axis, grid, _pinned_rates(fixed, scenario.m_s), sweep_user)
+    report = _envelope_report(digest, args.system, axis, sweep_user, fixed, grid, values)
     if args.json:
         _emit(json.dumps(report, sort_keys=True) + "\n", args.out)
         return 0
     lines = [_csv_header(report["provenance"]) + f"lambda_s{sweep_user + 1},lambda_s{axis + 1}_max,feasible"]
-    for g, v in zip(grid, report["values"]):
+    for g, v in zip(grid, values):
         lines.append(f"{_r(g)},{'' if v is None else _r(v)},{v is not None}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -295,9 +290,7 @@ def cmd_decompose(args) -> int:
     scenario, digest = load_scenario(args.scenario)
     rates = model.rate_matrix(scenario)
     axis, fixed = _axis_and_fixed(args, scenario.m_s)
-    lam = np.zeros(scenario.m_s)
-    lam[list(fixed)] = list(fixed.values())
-    point = orthogonal.envelope_point(rates, lam, axis)
+    point = orthogonal.envelope_point(rates, _pinned_rates(fixed, scenario.m_s), axis)
     if not point.feasible:
         raise CliError("envelope LP infeasible at the requested fixed rates")
     padded, sched = schedule.schedule_from_assignment(point.omega_star)
@@ -373,35 +366,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario, digest = load_scenario(args.scenario)
-    if scenario.m_s != 2 or scenario.m_p != 2:
-        raise CliError("compare needs a 2x2 scenario (2 bands, 2 users)")
     rates = model.rate_matrix(scenario)
     axis = _axis_index(args.axis, scenario.m_s)
     sweep = 1 - axis
     grid = _parse_grid(args.grid)
-
-    reports = {
-        system: _envelope_report(rates, digest, system, axis, sweep, {}, grid)
-        for system in ("S", "S_hat", "fixed")
-    }
-    columns = {
-        "S": reports["S"]["values"],
-        "S_hat": reports["S_hat"]["values"],
-        "fixed_best": reports["fixed"]["values"],
-    }
-    for m in ((1, 2), (2, 1)):
-        columns[f"fixed_d{m[0]}{m[1]}"] = _envelope_report(
-            rates, digest, "fixed", axis, sweep, {}, grid, mapping=fixedalloc.FixedMapping(m))["values"]
-    flags = []
-    for s_val, shat_val, fixed_val in zip(columns["S"], columns["S_hat"], columns["fixed_best"]):
-        row_violations = []
-        if fixed_val is not None and (shat_val is None or fixed_val > shat_val + _GRID_TOL):
-            row_violations.append("fixed>S_hat")
-        if shat_val is not None and (s_val is None or shat_val > s_val + _GRID_TOL):
-            row_violations.append("S_hat>S")
-        if fixed_val is not None and (s_val is None or fixed_val > s_val + _ANALYTIC_TOL):
-            row_violations.append("fixed>S")
-        flags.append(row_violations)
+    columns, flags = regions.compare(rates, axis, grid)
     violations = sum(len(row_violations) for row_violations in flags)
 
     prov = _provenance(digest)
@@ -412,7 +381,8 @@ def cmd_compare(args) -> int:
             "sweep_user": sweep + 1,
             "grid": grid,
             "systems": columns,
-            "reports": reports,
+            "reports": {system: _envelope_report(digest, system, axis, sweep, {}, grid, columns[column])
+                        for system, column in (("S", "S"), ("S_hat", "S_hat"), ("fixed", "fixed_best"))},
             "violations": flags,
         }
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)

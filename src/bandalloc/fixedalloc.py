@@ -2,11 +2,13 @@
 
 Every user keeps one band for the lifetime of the network, so each mapping
 yields an open orthotope stability region lambda_k < mu[m_k, k]; the system's
-region is the union over all one-to-one mappings. Searches scan the
+region is the union over all one-to-one mappings. Searches read the
 lexicographic table of mappings in chunks of at most ``_CHUNK_ELEMENTS``
-(rate rows x mappings x users) elements, one array expression per chunk, so
-a whole sweep costs one scan. More than 8 users or 1e6 mappings are refused.
-Requires at least as many bands as users.
+(mappings x users) elements, one array expression per chunk: a one-point
+search scores each mapping, and a sweep is a step function of the swept
+user's rate, read at the whole grid by one ``searchsorted`` per chunk. More
+than 8 users or 1e6 mappings are refused. Requires at least as many bands as
+users.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLOSURE_TOL, ConfigurationError, RateMatrix, rate_rows, sweep_rates
+from .model import CLOSURE_TOL, ConfigurationError, RateMatrix, rate_vector, sweep_rates
 
 _MAX_ENUMERATION = 1_000_000
 _CHUNK_ELEMENTS = 1 << 20
@@ -42,63 +44,53 @@ class FixedMapping:
         return len(self.assignment)
 
 
-def _check_shape(rates: RateMatrix) -> None:
-    if rates.m_p < rates.m_s:
-        raise ConfigurationError(
-            f"fixed allocation needs M_p >= M_s, got M_p={rates.m_p}, M_s={rates.m_s}"
-        )
+def _tables(rates: RateMatrix, mapping: FixedMapping | None = None):
+    """Chunks of the mapping table, one row of 0-based bands per mapping, after the refusals.
 
-
-def _check_mapping(d: FixedMapping, rates: RateMatrix) -> None:
-    _check_shape(rates)
-    if d.m_s != rates.m_s:
-        raise ConfigurationError("mapping length must equal the number of users")
-    if any(m > rates.m_p for m in d.assignment):
-        raise ConfigurationError("mapping uses a band outside the scenario")
-
-
-def _scan(rates: RateMatrix, lam: np.ndarray, k: int | None = None, mapping: FixedMapping | None = None):
-    """Best score and mapping (1-based bands) for each rate row of ``lam``.
-
-    The rows come from ``rate_rows``, with entry k read as 0 when k is given,
-    so that user k always passes the closure test. The score is user k's
-    closure rate mu[m_k, k] (-inf where the mapping does not support the other
-    users), or the worst-case margin when k is None. The table holds
-    ``mapping`` alone when given, else every one-to-one mapping in
-    lexicographic order, built and scored in chunks of at most
-    ``_CHUNK_ELEMENTS`` rate rows x mappings x users. argmax takes the first
-    maximum within a chunk and a later chunk wins only when strictly better,
-    so ties go to the lexicographically first mapping.
+    The table holds ``mapping`` alone when given, else every one-to-one
+    mapping in lexicographic order, in chunks of at most ``_CHUNK_ELEMENTS``
+    mappings x users. Shape, size and mapping errors are raised by this call,
+    before the first chunk is built.
     """
     m_p, m_s = rates.m_p, rates.m_s
+    if m_p < m_s:
+        raise ConfigurationError(f"fixed allocation needs M_p >= M_s, got M_p={m_p}, M_s={m_s}")
     if mapping is not None:
-        _check_mapping(mapping, rates)
-        total, flat = 1, (m - 1 for m in mapping.assignment)
-    else:
-        _check_shape(rates)
-        total = math.perm(m_p, m_s)
-        if m_s > 8 or total > _MAX_ENUMERATION:
-            raise ConfigurationError(
-                f"brute-force mapping search refuses M_s={m_s}, M_p={m_p} ({total} mappings)"
-            )
-        flat = itertools.chain.from_iterable(itertools.permutations(range(m_p), m_s))
-    per_chunk = max(1, _CHUNK_ELEMENTS // (max(len(lam), 1) * m_s))
-    users, rows = np.arange(m_s), np.arange(len(lam))
-    best = np.full(len(lam), -np.inf)
-    chosen = np.tile(users, (len(lam), 1))  # the first mapping, kept where every score is -inf
-    for start in range(0, total, per_chunk):
-        table = np.fromiter(flat, dtype=np.intp, count=min(per_chunk, total - start) * m_s).reshape(-1, m_s)
+        if mapping.m_s != m_s:
+            raise ConfigurationError("mapping length must equal the number of users")
+        if any(m > m_p for m in mapping.assignment):
+            raise ConfigurationError("mapping uses a band outside the scenario")
+        return [np.array([mapping.assignment], dtype=np.intp) - 1]
+    total = math.perm(m_p, m_s)
+    if m_s > 8 or total > _MAX_ENUMERATION:
+        raise ConfigurationError(f"brute-force mapping search refuses M_s={m_s}, M_p={m_p} ({total} mappings)")
+    flat = itertools.chain.from_iterable(itertools.permutations(range(m_p), m_s))
+    per_chunk = max(1, _CHUNK_ELEMENTS // m_s)
+    return (np.fromiter(flat, dtype=np.intp, count=min(per_chunk, total - start) * m_s).reshape(-1, m_s)
+            for start in range(0, total, per_chunk))
+
+
+def _scan(rates: RateMatrix, lam: np.ndarray, k: int | None = None):
+    """Best score and mapping (1-based bands) for the rate vector ``lam``.
+
+    ``lam`` comes from ``rate_vector``, with entry k read as 0 when k is
+    given, so that user k always passes the closure test. The score is user
+    k's closure rate mu[m_k, k] (-inf where the mapping does not support the
+    other users), or the worst-case margin when k is None. argmax takes the
+    first maximum within a chunk and a later chunk wins only when strictly
+    better, so ties go to the lexicographically first mapping.
+    """
+    users = np.arange(rates.m_s)
+    best, chosen = -np.inf, users  # the first mapping, kept where every score is -inf
+    for table in _tables(rates):
         served = rates.mu[table, users]  # served[i, l] = mu[m_l, l] under mapping i
         if k is None:
-            scores = np.min(served - lam[:, None, :], axis=2)
+            scores = np.min(served - lam, axis=1)
         else:
-            supported = np.all(lam[:, None, :] <= served + CLOSURE_TOL, axis=2)
-            scores = np.where(supported, served[:, k], -np.inf)
-        pick = np.argmax(scores, axis=1)
-        top = scores[rows, pick]
-        better = top > best
-        best[better] = top[better]
-        chosen[better] = table[pick[better]]
+            scores = np.where(np.all(lam <= served + CLOSURE_TOL, axis=1), served[:, k], -np.inf)
+        pick = np.argmax(scores)
+        if scores[pick] > best:
+            best, chosen = scores[pick], table[pick]
     return best, chosen + 1
 
 
@@ -111,21 +103,43 @@ def best_fixed_max(rates: RateMatrix, fixed_lambdas, k: int) -> tuple[float, Fix
     mapping supports the fixed rates. Entry k of ``fixed_lambdas`` is ignored;
     the others must be >= 0.
     """
-    (value,), (assignment,) = _scan(rates, rate_rows([fixed_lambdas], rates.m_s, skip=k), k)
+    value, assignment = _scan(rates, rate_vector(fixed_lambdas, rates.m_s, skip=k), k)
     return None if value == -np.inf else (float(value), FixedMapping(assignment))
 
 
 def sweep_envelope(
     rates: RateMatrix, axis: int, grid, others=None, sweep_user=None, mapping: FixedMapping | None = None
 ) -> list[float | None]:
-    """The value of ``best_fixed_max`` of user ``axis`` at each point of a sweep, in one scan.
+    """The value of ``best_fixed_max`` of user ``axis`` at each point of a sweep, as one step function.
 
     The arguments ``grid``, ``others`` and ``sweep_user`` follow
     ``model.sweep_rates``. With ``mapping`` given, only that mapping is
-    considered (the envelope of its own orthotope).
+    considered (the envelope of its own orthotope). Along a sweep only the
+    swept user's rate g moves. Among the mappings that support the pinned
+    users, the value at g is therefore the first in order of decreasing
+    mu[m_axis, axis] (ties in table order) whose threshold
+    mu[m_sweep, sweep] + CLOSURE_TOL is at least g: the closure test and the
+    tie-break of ``best_fixed_max``, float for float. Each chunk of mappings
+    sorts them so, takes the running maximum of their thresholds, and answers
+    every grid point with one ``searchsorted``; a later chunk wins a grid
+    point only when strictly better.
     """
-    values = _scan(rates, sweep_rates(rates.m_s, axis, grid, others, sweep_user), axis, mapping)[0]
-    return [None if v == -np.inf else v for v in values.tolist()]
+    lam = sweep_rates(rates.m_s, axis, grid, others, sweep_user)
+    tables = _tables(rates, mapping)  # refuses a bad shape or mapping, also for an empty grid
+    if not len(lam):
+        return []
+    sweep = next(u for u in range(rates.m_s) if u != axis) if sweep_user is None else sweep_user
+    users = np.arange(rates.m_s)
+    pinned = users != sweep
+    best = np.full(len(lam), -np.inf)
+    for table in tables:
+        served = rates.mu[table, users]
+        served = served[np.all(lam[0, pinned] <= served[:, pinned] + CLOSURE_TOL, axis=1)]
+        served = served[np.argsort(-served[:, axis], kind="stable")]
+        reach = np.maximum.accumulate(served[:, sweep] + CLOSURE_TOL)
+        value = np.append(served[:, axis], -np.inf)[np.searchsorted(reach, lam[:, sweep])]
+        best = np.where(value > best, value, best)
+    return [None if v == -np.inf else v for v in best.tolist()]
 
 
 def best_margin_mapping(rates: RateMatrix, lambdas) -> FixedMapping:
@@ -134,4 +148,4 @@ def best_margin_mapping(rates: RateMatrix, lambdas) -> FixedMapping:
     Ties go to the lexicographically first mapping. The margin is negative when
     no mapping supports the rates; the least-overloaded mapping is returned then.
     """
-    return FixedMapping(_scan(rates, rate_rows([lambdas], rates.m_s))[1][0])
+    return FixedMapping(_scan(rates, rate_vector(lambdas, rates.m_s))[1])

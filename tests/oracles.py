@@ -51,7 +51,7 @@ import numpy as np
 
 from bandalloc import model, sim
 from bandalloc.cli import _BAND_FIELDS, _USER_FIELDS
-from bandalloc.fixedalloc import FixedMapping, _check_mapping
+from bandalloc.fixedalloc import FixedMapping, _tables
 from bandalloc.model import CLOSURE_TOL, ConfigurationError, RateMatrix, Scenario, rate_vector
 from bandalloc.optim import LpProblem, LpSolution, fractional_argmax
 from bandalloc.orthogonal import AssignmentMatrix, EnvelopePoint
@@ -336,7 +336,7 @@ def one_band_region_check(mu11: float, mu12: float, lambda_pair) -> bool:
 
 def region_for_mapping(d: FixedMapping, rates: RateMatrix, lambdas) -> bool:
     """True iff every user's rate is strictly below its assigned band's service rate."""
-    _check_mapping(d, rates)
+    _tables(rates, d)  # the library's shape and mapping checks
     lambdas = list(lambdas)
     if len(lambdas) != rates.m_s:
         raise ConfigurationError("lambdas must have one entry per user")

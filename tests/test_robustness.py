@@ -88,7 +88,7 @@ class TestMalformedArguments:
         # 99999.5 / 1 steps give 100000 points plus the appended stop point,
         # which used to pass the cap; refused before any sweep runs
         assert len(cli._parse_grid("0:99999:1")) == 100_000
-        monkeypatch.setattr(cli, "_envelope_report", None)
+        monkeypatch.setattr(cli.regions, "envelope", None)
         assert_error(capsys, "envelope", "--scenario", ref_2x2_file, "--system", "S",
                      "--grid=0:99999.5:1", expect="more than 100000 points")
 
@@ -321,7 +321,7 @@ def test_sweeps_check_the_grid_before_any_lp_or_mapping(ref_2x2_rates, monkeypat
     def no_kernel(*args, **kwargs):
         raise AssertionError("the grid was not checked first")
 
-    kernel = {"orthogonal": (orthogonal.optim, "solve_lps"), "fixedalloc": (fixedalloc, "_scan"),
+    kernel = {"orthogonal": (orthogonal.optim, "solve_lps"), "fixedalloc": (fixedalloc, "_tables"),
               "randalloc": (randalloc, "_dominant1_values")}[module]
     monkeypatch.setattr(*kernel, no_kernel)
     with pytest.raises(ConfigurationError, match="^rate of user 1 must be >= 0, got nan$"):
