@@ -25,7 +25,8 @@ decomposition of the 5x4 max-slack assignment
 --system S`` call), a 21-point S sweep on the 5x4 scenario
 (``orthogonal.sweep_envelope``) and the same sweep of the fixed system,
 each both as a library sweep and as the whole ``envelope`` command through
-``cli.main``, four more whole commands on the reference 2x2
+``cli.main``, the fixed sweep again over the same span in 1e5 points
+(a library sweep only), four more whole commands on the reference 2x2
 scenario through ``cli.main`` (S ``envelope`` sweeps of 100 and of 2001
 points, where the cost per point shows, a 29-point ``compare`` and a
 1e5-slot ``simulate --system S`` at rates (0.3, 0.3)),
@@ -171,6 +172,7 @@ def cases():
     jitter_top = 0.98 * float(jittered[:, 0].max())
     jitter_grid = [i * (jitter_top / 5) for i in range(6)]
     long_grid = np.linspace(0.0, 0.7, 10_000).tolist()
+    fixed_grid = np.linspace(0.0, 0.6, 100_000).tolist()  # the span of ``grid`` in 1e5 points
     ref_path = str(ROOT / "scenarios" / "reference_2x2.json")
     ref_lp = envelope_lp(ref, [0.3, 0.0], 1)
     big_lp = envelope_lp(big, [0.0, 0.1, 0.1, 0.1], 0)
@@ -212,6 +214,8 @@ def cases():
             big, 0, grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
         ("fixedalloc.sweep_envelope 5x4 21 points", lambda: fixedalloc.sweep_envelope(
             big, 0, grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
+        ("fixedalloc.sweep_envelope 5x4 1e5 points", lambda: fixedalloc.sweep_envelope(
+            big, 0, fixed_grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
     ] + [
         (f"cli.main {label}", lambda argv=argv: cli.main(argv + ["--out", os.devnull]))
         for label, argv in commands.items()
