@@ -371,7 +371,7 @@ def cmd_compare(args) -> int:
     sweep = 1 - axis
     grid = _parse_grid(args.grid)
     columns, flags = regions.compare(rates, axis, grid)
-    violations = sum(len(row_violations) for row_violations in flags)
+    violations = sum(map(bool, flags))  # grid points with any flag
 
     prov = _provenance(digest)
     if args.json:

@@ -205,6 +205,10 @@ def _solve(c: np.ndarray, A: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> lis
             return solutions
         if alive.size < len(b):
             T, basis = T[alive], basis[alive]
+        # Artificials still basic hold at most _FEAS_TOL. Zeroed, they pivot out
+        # without shifting the other rows' levels: an artificial at 1.0e-12 on an
+        # element of that size moved a 2x2 point past the 1e-9 residual check.
+        T[:, :m, -1][basis >= n_real] = 0.0
         # Pivot leftover artificials out of the basis, row by row. One that cannot
         # leave sits on a redundant row, whose elements outside the artificial
         # columns are all within _PIVOT_MIN of zero, so phase II never pivots on it.

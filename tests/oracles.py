@@ -794,6 +794,7 @@ def _ref_solve_lp(problem: LpProblem, rule: str) -> LpSolution:
             pivot_col = int(np.argmax(row))
             if row[pivot_col] <= _REF_PIVOT_TOL:
                 continue  # redundant constraint
+            T[i, -1] = 0.0  # its level, at most _REF_FEAS_TOL, shifts no other row
             _ref_pivot(T, basis, i, pivot_col)
             keep.append(i)
         if len(keep) != m:

@@ -270,6 +270,42 @@ class TestCompare:
         doc = json.loads(out)
         assert any("fixed>S_hat" in v for v in doc["violations"])
 
+    def test_violations_count_grid_points(self, ref_2x2_file, capsys, monkeypatch):
+        # each of the 2 points breaks two relations (S_hat>S and fixed>S);
+        # the count used to be of flags, 4
+        from bandalloc import orthogonal
+
+        monkeypatch.setattr(orthogonal, "sweep_envelope", lambda rates, axis, grid, *args: [None] * len(grid))
+        code, out, err = run_cli(capsys, "compare", "--scenario", ref_2x2_file, "--grid", "0:0.1:0.1")
+        assert code == 1
+        assert out.splitlines()[-1].endswith(",S_hat>S;fixed>S")
+        assert err == "containment violated at 2 grid point(s)\n"
+
+
+# One grid point past mu[1, 0] (mu21 + 1e-12) on an abstract 2x2 scenario with
+# pi = 1: phase I left an artificial basic at 1.0e-12 there, and the phase-II
+# point failed the residual check, so each command ended in a traceback.
+CLOSURE_EDGE = {
+    "mode": "abstract",
+    "bands": [{"availability_pi": 1.0}, {"availability_pi": 1.0}],
+    "users": [
+        {"arrival_rate_lambda_s": 0.0, "out_complement_row": [2.691851401265266e-4, 0.9822631521337858]},
+        {"arrival_rate_lambda_s": 0.0, "out_complement_row": [0.6996302675814486, 0.8808836147113194]},
+    ],
+}
+PAST_THE_EDGE = "0.9822631521347858"
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--system", "S", "--axis", "2", "--grid", f"{PAST_THE_EDGE}:{PAST_THE_EDGE}:1"],
+    ["compare", "--axis", "2", "--grid", f"{PAST_THE_EDGE}:{PAST_THE_EDGE}:1"],
+    ["decompose", "--axis", "2", "--fixed", f"1={PAST_THE_EDGE}"],
+])
+def test_closure_edge_point(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--scenario", write_scenario(tmp_path, CLOSURE_EDGE))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1]
+
 
 class TestSimulatePolicies:
     def test_fixed_system(self, ref_2x2_file, capsys):
