@@ -1,6 +1,6 @@
 """Small dense LP machinery.
 
-Two tools live here:
+Three tools live here:
 
 * ``solve_lps``: a two-phase dense simplex for ``maximize c @ x s.t.
   A @ x <= b, x >= lo``, solving many LPs that share c, A and lo in lockstep;
@@ -21,6 +21,14 @@ Two tools live here:
   of a 5x4 scenario wrecked the tableau: phase II stopped at a point 0.4
   outside one constraint, so small elements are never pivoted on. Every LP
   sees the arithmetic of a solve on its own, whatever batch it is solved in.
+* ``solve_sweep``: the LPs of a sweep that moves one entry of b, one way.
+  It solves the first with ``_solve``, which hands back its final tableaux,
+  and walks that basis along the sweep: each basis covers the points down to
+  its breakpoint, and one dual simplex pivot per breakpoint gives the next.
+  A covered point passes the residual check of ``_solve`` and a reduced-cost
+  check before its value counts; every other point goes to ``solve_lps``.
+  On a 21-point 5x4 sweep that is one two-phase solve and about a dozen
+  pivots, against 21 LPs in lockstep.
 * ``fractional_argmax``: closed-form maximizer, elementwise over arrays, of the
   one-variable linear fractional objective (K1*g - K2)/(D + C*g) subject to a
   single linear constraint and g in [0, 1], by sign analysis of the derivative.
@@ -28,6 +36,8 @@ Two tools live here:
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +49,7 @@ _MAX_ITER = 20000
 # LPs per tableau stack: a 5x4 envelope tableau takes 3.7 KB, and a pivot
 # allocates one more array of the stack's size.
 _LPS_PER_CALL = 256
+_ONE = np.zeros(1, dtype=int)  # the ``lps`` of a stack of one tableau
 
 
 @dataclass(frozen=True)
@@ -162,8 +173,13 @@ def _simplex(T: np.ndarray, basis: np.ndarray, allowed: int) -> list[str]:
     return status
 
 
-def _solve(c: np.ndarray, A: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> list[LpSolution]:
-    """Solve maximize c @ x s.t. A @ x <= b, x >= lo for each row b of ``rhs``, as one stack of tableaux."""
+def _solve(c: np.ndarray, A: np.ndarray, lo: np.ndarray, rhs: np.ndarray
+           ) -> tuple[list[LpSolution], np.ndarray, np.ndarray]:
+    """Solve maximize c @ x s.t. A @ x <= b, x >= lo for each row b of ``rhs``, as one stack of tableaux.
+
+    Returns the solutions, and the final tableaux and bases of the LPs that
+    reached phase II, in the order of ``rhs``.
+    """
     m, n = A.shape
     b = rhs - A @ lo  # shift to y = x - lo >= 0
     flip = b < 0
@@ -202,7 +218,7 @@ def _solve(c: np.ndarray, A: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> lis
                 solutions[i] = LpSolution(status="infeasible")
         alive = np.flatnonzero([sol is None for sol in solutions])
         if not alive.size:
-            return solutions
+            return solutions, T[alive], basis[alive]
         if alive.size < len(b):
             T, basis = T[alive], basis[alive]
         # Artificials still basic hold at most _FEAS_TOL. Zeroed, they pivot out
@@ -241,7 +257,7 @@ def _solve(c: np.ndarray, A: np.ndarray, lo: np.ndarray, rhs: np.ndarray) -> lis
             solutions[i] = LpSolution(status="failed")
         else:
             solutions[i] = LpSolution(status="optimal", value=float(c @ x), x=x)
-    return solutions
+    return solutions, T, basis
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -251,7 +267,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     bound within 1e-9; if the tableau degrades numerically beyond that the
     status is "failed".
     """
-    return _solve(problem.c, problem.A, problem.lo, problem.b[None])[0]
+    return _solve(problem.c, problem.A, problem.lo, problem.b[None])[0][0]
 
 
 def solve_lps(c, A, rhs, lo) -> list[LpSolution]:
@@ -260,14 +276,133 @@ def solve_lps(c, A, rhs, lo) -> list[LpSolution]:
     The LPs are solved at most _LPS_PER_CALL at a time, each batch as one
     stack of tableaux.
     """
+    shared, rhs = _shared_lp(c, A, rhs, lo)
+    return [sol for i in range(0, len(rhs), _LPS_PER_CALL)
+            for sol in _solve(shared.c, shared.A, shared.lo, rhs[i : i + _LPS_PER_CALL])[0]]
+
+
+def _shared_lp(c, A, rhs, lo) -> tuple[LpProblem, np.ndarray]:
+    """The checked LP of a batch (with b = 0) and its right-hand sides, one row per LP."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim != 2:
         raise ValueError("rhs must hold one row of b per LP")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("b must be finite")
-    shared = LpProblem(c=c, A=A, b=np.zeros(rhs.shape[1]), lo=lo)  # checks c, A, lo and the row count
-    return [sol for i in range(0, len(rhs), _LPS_PER_CALL)
-            for sol in _solve(shared.c, shared.A, shared.lo, rhs[i : i + _LPS_PER_CALL])]
+    return LpProblem(c=c, A=A, b=np.zeros(rhs.shape[1]), lo=lo), rhs  # checks c, A, lo and the row count
+
+
+def solve_sweep(c, A, rhs, lo, row: int) -> Iterator[float | LpSolution]:
+    """Solve the LPs of ``rhs``, whose rows differ only in entry ``row``, non-increasing down the rows.
+
+    Yields, in the order of ``rhs``, each LP's optimal value (a float) where
+    the walk below certifies it, and an ``LpSolution`` where the LP is solved
+    on its own. The first LP is solved by the two-phase simplex; its value is
+    that solve's. Its optimal basis is then walked along the sweep
+    (parametric right-hand side, Gass & Saaty 1955): moving b[row] by delta
+    moves the basic levels by delta times the final tableau's slack column of
+    ``row``, so a basis covers every point down to the breakpoint where its
+    first level reaches zero (a negative level counts as zero, so no step
+    goes backwards). At the first point it does not cover, the right-hand
+    side moves to the breakpoint and one dual simplex pivot (Lemke 1954) on
+    that row lets in the non-artificial column with the smallest reduced
+    cost / element among elements below -_PIVOT_MIN, the first on ties.
+    Walk pivots count against _MAX_ITER.
+
+    A covered point x yields c @ x only when x >= lo - _FEAS_TOL,
+    A @ x <= b + _FEAS_TOL and every reduced cost of its basis is at most
+    _PIVOT_TOL; a point that fails is solved by ``solve_lps``. So is every
+    point after the walk stops (no column can enter, or _MAX_ITER), and every
+    point after the first when the first solve is not optimal or leaves an
+    artificial basic. Such a tail stops at its first infeasible point, which
+    every later point repeats: as b[row] falls the feasible set shrinks, and
+    the phase-I value does not fall. Covered points are certified
+    _LPS_PER_CALL at a time.
+    """
+    shared, rhs = _shared_lp(c, A, rhs, lo)
+    c, A, lo = shared.c, shared.A, shared.lo
+    t, others = rhs[:, row], np.delete(rhs, row, axis=1)
+    if np.any(others != others[:1]) or np.any(t[1:] > t[:-1]):
+        raise ValueError("rhs rows must differ only in entry row, non-increasing down the rows")
+    if not len(rhs):
+        return
+    (first,), T, basis = _solve(c, A, lo, rhs[:1])
+    yield first
+    m, n = A.shape
+    if not first.is_optimal or np.any(basis >= n + m):
+        yield from _tail(c, A, rhs, lo, 1, first)
+        return
+    n_real, tl, descending = n + m, t.tolist(), -t
+    levels, along = T[0, :m, -1], T[0, :m, n + row]  # views: each pivot updates them
+    beta, pos, pivots = tl[0], 1, 0
+    # Covered points wait in ys (basic levels scattered by column) until a
+    # chunk's worth is certified at once; sound holds each one's dual check.
+    ys, sound, held = np.empty((min(_LPS_PER_CALL, len(rhs)), n_real)), np.empty(_LPS_PER_CALL, bool), 0
+    ratios, costs = np.empty(m), np.empty(n_real)
+    while pos < len(rhs):
+        np.maximum(levels, 0.0, out=levels)
+        ratios.fill(np.inf)
+        np.divide(levels, along, out=ratios, where=along > 0.0)
+        r = ratios.argmin(keepdims=True)
+        breakpoint = beta - float(ratios[r[0]])  # where the first level reaches zero
+        k = min(int(np.searchsorted(descending, -breakpoint, "right")), pos + len(ys) - held) - pos
+        if k > 0:
+            ys[held : held + k] = 0.0
+            ys[held : held + k, basis[0]] = (t[pos : pos + k, None] - beta) * along + levels
+            sound[held : held + k] = T[0, -1, :n_real].max() <= _PIVOT_TOL
+            held, pos = held + k, pos + k
+            if held == len(ys) or pos == len(rhs):
+                yield from _certified(ys[:held], sound[:held], c, A, rhs[pos - held : pos], lo)
+                held = 0
+            if pos == len(rhs) or tl[pos] >= breakpoint:
+                continue
+        if pivots == _MAX_ITER:
+            break
+        target = max(breakpoint, tl[pos])  # never past the point not covered
+        T[0, :, -1] += (target - beta) * T[0, :, n + row]
+        beta = target
+        costs.fill(np.inf)
+        elements = T[0, r[0], :n_real]
+        np.divide(T[0, -1, :n_real], elements, out=costs, where=elements < -_PIVOT_MIN)
+        col = costs.argmin(keepdims=True)
+        if costs[col[0]] == np.inf:  # no column can enter
+            break
+        f = T[:, :, col[0]].copy()
+        _pivot(T, basis, _ONE, r, col, f, f[:, r])
+        pivots += 1
+    if held:
+        yield from _certified(ys[:held], sound[:held], c, A, rhs[pos - held : pos], lo)
+    yield from _tail(c, A, rhs, lo, pos)
+
+
+def _certified(ys, sound, c, A, rhs, lo) -> Iterator[float | LpSolution]:
+    """c @ x of each point x = ys[:, :n] + lo that passes the certificate, and ``solve_lps``'s solution elsewhere.
+
+    ``sound`` marks the points whose basis has every reduced cost <= _PIVOT_TOL.
+    """
+    x = ys[:, : c.size] + lo
+    ok = sound & np.logical_and.reduce(np.hstack([x @ A.T - rhs, lo - x]) <= _FEAS_TOL, axis=1)
+    values = (x @ c).tolist()
+    if ok.all():
+        yield from values
+        return
+    solved = iter(solve_lps(c, A, rhs[~ok], lo))
+    yield from (value if good else next(solved) for value, good in zip(values, ok.tolist()))
+
+
+def _tail(c, A, rhs, lo, start: int, last: LpSolution | None = None) -> Iterator[LpSolution]:
+    """``solve_lps`` on the LPs of ``rhs[start:]`` in order, until one is infeasible; every later one repeats it.
+
+    ``last`` is the solution of the LP before ``start``, when it is known.
+    """
+    for i in range(start, len(rhs), _LPS_PER_CALL):
+        if last is not None and last.status == "infeasible":
+            break
+        for last in solve_lps(c, A, rhs[i : i + _LPS_PER_CALL], lo):
+            yield last
+            start += 1
+            if last.status == "infeasible":
+                break
+    yield from itertools.repeat(last, len(rhs) - start)
 
 
 def fractional_argmax(K1, K2, C, D, lambda_s2):

@@ -3,9 +3,11 @@
 The envelope is the LP over assignment fractions omega[j, k] (row and
 column sums at most one). ``envelope_point`` solves it at one point. The LPs
 of a sweep differ only in the right-hand side of the swept user's service
-row, so ``sweep_envelope`` builds c and A once and solves its grid points
-with ``optim.solve_lps``, one stack of tableaux at a time, reading each
-stack's values before it solves the next. The two-user/two-band case also
+row, which falls as the grid ascends, so ``sweep_envelope`` builds c and A
+once and hands the grid points to ``optim.solve_sweep``: one two-phase solve,
+then one dual simplex pivot per change of optimal basis along the grid. The
+envelope is piecewise linear between those breakpoints, so a long grid costs
+little more than a short one. The two-user/two-band case also
 has a closed form. The other special cases (single band, symmetric users or
 bands) are test oracles in ``tests/oracles.py``.
 
@@ -182,12 +184,15 @@ def two_by_two_closed_form(mu, lambda_s1: float) -> tuple[float, float] | None:
 def sweep_envelope(rates: RateMatrix, axis: int, grid, others=None, sweep_user=None) -> list[float | None]:
     """User ``axis``'s envelope value at each row of ``model.sweep_rates`` (same arguments).
 
-    The grid points' LPs share c and A. ``optim.solve_lps`` solves them one
-    stack of _LPS_PER_CALL at a time, reading each stack's values before it
-    solves the next. Every rate is checked before any LP is solved. An
-    infeasible point gives None; the first LP that ends otherwise raises.
+    The grid points' LPs share c and A, and ``optim.solve_sweep`` walks one
+    optimal basis along them. The values agree with ``envelope_point``'s to
+    rounding, and the first is its value exactly. Every rate is checked before
+    any LP is solved. An infeasible point gives None; the first LP solved on
+    its own that ends otherwise raises.
     """
     c, A, b = _envelope_lp(rates, sweep_rates(rates.m_s, axis, grid, others, sweep_user), axis)
-    step = optim._LPS_PER_CALL
-    return [_max_rate(sol) for i in range(0, len(b), step)
-            for sol in optim.solve_lps(c, A, b[i : i + step], np.zeros(c.size))]
+    if not len(b):
+        return []
+    row = int(np.argmax(b[0] != b[-1]))  # the swept user's service row; any row when the grid is one value
+    return [value if type(value) is float else _max_rate(value)
+            for value in optim.solve_sweep(c, A, b, np.zeros(c.size), row)]

@@ -234,10 +234,11 @@ SHIPPED_SWEEPS = [
 
 
 def _shipped_sweep_lps(name, axis, pinned, grid_stop):
-    """The LPs of a 21-point S sweep and of max_slack_assignment at every fourth of its points."""
+    """The LPs of a 21-point S sweep (``envelope_point``'s at each point) and of max_slack_assignment at every fourth."""
     rates = _shipped_rates(name)
     grid = np.linspace(0.0, grid_stop, 21)
-    calls = [lambda: orthogonal.sweep_envelope(rates, axis, grid, others=pinned)]
+    calls = [lambda lam=lam: orthogonal.envelope_point(rates, lam, axis)
+             for lam in model.sweep_rates(rates.m_s, axis, grid, pinned)]
     for lam1 in grid[::4]:
         lam = np.zeros(rates.m_s) if pinned is None else np.array(pinned, float)
         lam[axis] = 0.5 * grid_stop
@@ -255,15 +256,15 @@ def test_shipped_scenario_sweeps(name, axis, pinned, grid_stop):
 
 
 def _shipped_sweep_calls():
-    """Every axis of both shipped scenarios at 101 grid points, past the S boundary."""
+    """Every axis of both shipped scenarios at 101 grid points, past the S boundary, one point at a time."""
     envelope, slack = [], []
     for name in ("reference_2x2", "five_by_four"):
         rates = _shipped_rates(name)
         for axis in range(rates.m_s):
             sweep_user = 1 if axis == 0 else 0
             grid = np.linspace(0.0, 1.05 * rates.mu[:, sweep_user].max(), 101)
-            envelope.append(lambda r=rates, a=axis, g=grid: orthogonal.sweep_envelope(r, a, g))
             for lam in model.sweep_rates(rates.m_s, axis, grid):
+                envelope.append(lambda r=rates, l=lam.copy(), a=axis: orthogonal.envelope_point(r, l, a))
                 lam[axis] = 0.5 * lam[sweep_user]
                 slack.append(lambda r=rates, l=lam: orthogonal.max_slack_assignment(r, l))
     return envelope, slack
@@ -318,17 +319,62 @@ class TestSBoundaryPoint:
 
 
 # --- S sweeps, grid point by grid point ---------------------------------------
-# ``orthogonal.sweep_envelope`` must solve, at every grid point, the LP that
-# ``envelope_point`` solves there, to the reference's solution, and return the
-# value of the point ``envelope_point`` returns.
+# ``orthogonal.sweep_envelope`` must hand ``optim.solve_sweep`` the LP that
+# ``envelope_point`` solves at every grid point, and return values within
+# SWEEP_TOL * max(1, |value|) of ``envelope_point``'s, None at the same points
+# (ROADMAP item 3's gate: the walk's values are c @ x at a basis found by dual
+# pivots, not the two-phase solve's). The first point is the two-phase solve's
+# own, and every LP the sweep solves on its own must solve as the reference
+# does, as must every LP ``envelope_point`` solves.
 
 FIVE_BY_FOUR_PINS = (2, 3)  # users 3 and 4, as the region-5x4 benchmark pins them
+SWEEP_TOL = 1e-12
 
 
 def _assert_same_value(got, want):
     """The sweep's value ``got`` is ``want.max_rate``: a float where ``want`` is feasible, else None."""
     assert type(got) is (float if want.feasible else type(None))
     assert got == want.max_rate
+
+
+def _assert_close_value(got, want):
+    """The sweep's value ``got`` lies within SWEEP_TOL * max(1, |v|) of v = ``want``, and is None where it is."""
+    assert type(got) is type(want)
+    if want is not None:
+        assert abs(got - want) <= SWEEP_TOL * max(1.0, abs(want))
+
+
+def _assert_as_reference(problem, sol):
+    """``sol`` is the reference's solution of ``problem``, or, where the reference ends "failed"
+    (the listed exception of ``TestSBoundaryPoint``), an optimum that passes the residual check.
+
+    Returns the reference's status and whether the exception applied.
+    """
+    want = reference_solve_lp(problem)
+    if want.status != "failed":
+        _assert_equal(sol, want)
+        return want.status, False
+    assert sol.status == "optimal"
+    assert np.all(problem.A @ sol.x - problem.b <= 1e-9)
+    assert np.all(sol.x >= problem.lo - 1e-9)
+    return want.status, True
+
+
+def _recorded_sweep(rates, axis, grid, others=None, sweep_user=None):
+    """The sweep's values, the (c, A, rhs, lo) it hands to ``optim.solve_sweep`` and the solves it makes on its own."""
+    batches, values = [], []
+    solve_sweep = optim.solve_sweep
+
+    def record(c, A, rhs, lo, row):
+        batches.append((c, A, rhs, lo))
+        return solve_sweep(c, A, rhs, lo, row)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optim, "solve_sweep", record)
+        alone = _recorded_solves([lambda: values.extend(
+            orthogonal.sweep_envelope(rates, axis, grid, others=others, sweep_user=sweep_user))])
+    (batch,) = batches
+    return values, batch, alone
 
 
 def _check_sweep(rates, axis, grid, others=None, sweep_user=None):
@@ -339,25 +385,20 @@ def _check_sweep(rates, axis, grid, others=None, sweep_user=None):
     (the listed exception of ``TestSBoundaryPoint``).
     """
     rows = model.sweep_rates(rates.m_s, axis, grid, others, sweep_user)
-    points = []
-    solves = _recorded_solves([lambda: points.extend(
-        orthogonal.sweep_envelope(rates, axis, grid, others=others, sweep_user=sweep_user))])
-    alone = _recorded_solves([lambda lam=lam: orthogonal.envelope_point(rates, lam, axis) for lam in rows])
-    assert len(points) == len(solves) == len(alone) == len(rows)
+    values, (c, A, rhs, lo), alone = _recorded_sweep(rates, axis, grid, others, sweep_user)
+    points = _recorded_solves([lambda lam=lam: orthogonal.envelope_point(rates, lam, axis) for lam in rows])
+    assert len(values) == len(rhs) == len(points) == len(rows)
     statuses, exceptions = [], 0
-    for lam, point, (problem, sol), (alone_problem, _) in zip(rows, points, solves, alone):
-        for field in ("c", "A", "b", "lo"):
-            assert np.array_equal(getattr(problem, field), getattr(alone_problem, field))
-        want = reference_solve_lp(problem)
-        statuses.append(want.status)
-        if want.status == "failed":
-            exceptions += 1
-            assert sol.status == "optimal"
-            assert np.all(problem.A @ sol.x - problem.b <= 1e-9)
-            assert np.all(sol.x >= problem.lo - 1e-9)
-        else:
-            _assert_equal(sol, want)
-        _assert_same_value(point, orthogonal.envelope_point(rates, lam, axis))
+    for lam, value, b, (problem, sol) in zip(rows, values, rhs, points):
+        for field, want in (("c", c), ("A", A), ("b", b), ("lo", lo)):
+            assert np.array_equal(getattr(problem, field), want)
+        status, exception = _assert_as_reference(problem, sol)
+        statuses.append(status)
+        exceptions += exception
+        _assert_close_value(value, orthogonal.envelope_point(rates, lam, axis).max_rate)
+    assert values[0] == orthogonal.envelope_point(rates, rows[0], axis).max_rate
+    for problem, sol in alone:
+        _assert_as_reference(problem, sol)
     return statuses, exceptions
 
 
@@ -442,41 +483,129 @@ class TestSweepBatches:
         assert statuses[grid.index(JITTER_28_LAMBDA[0])] == "optimal"
 
 
+# --- The walk against one solve per point ---------------------------------------
+# Random scenarios of each shape, with every user but the maximized and the
+# swept one pinned, on grids through every mu of the swept column, mu + 1e-12
+# and the next float past mu (where a basis changes or the sweep leaves the
+# region), three repeated points and ten points to 1.1 times the largest mu;
+# every 40th scenario sweeps 1,000 points instead. The per-point values come
+# from ``optim.solve_lps``, which is ``envelope_point``'s ``solve_lp``, bit for bit.
+
+WALK_SHAPES = [(2, 2), (3, 2), (3, 3), (4, 4), (5, 4)]
+WALK_SCENARIOS = 200  # per shape
+
+
+def _walk_sweep(rng, m_p, m_s, i):
+    """(rates, axis, grid, others, sweep_user) of the i-th random sweep of a shape."""
+    mu = rng.uniform(0.05, 1.0, (m_p, m_s))
+    if i % 3 == 1:
+        mu = np.round(mu, 2)
+    elif i % 3 == 2:
+        mu = np.where(rng.random((m_p, m_s)) < 0.25, 0.0, np.round(mu, 2))
+    rates = model.RateMatrix(mu=mu, mu_p=np.ones(m_p), pi=np.maximum(mu.max(axis=1), 0.05))
+    axis, sweep_user = (int(u) for u in rng.permutation(m_s)[:2])
+    others = rng.uniform(0.0, 0.5, m_s) * mu.max(axis=0) * min(m_p / m_s, 1.0)
+    column = mu[:, sweep_user]
+    if i % 40 == 39:
+        grid = np.linspace(0.0, 1.1 * column.max(), 1000)
+    else:
+        edges = np.concatenate([column, column + 1e-12, np.nextafter(column, np.inf)])
+        grid = np.sort(np.concatenate([edges, edges[:3], np.linspace(0.0, 1.1 * column.max(), 10)]))
+    return rates, axis, grid, others, sweep_user
+
+
+@pytest.mark.parametrize("shape", WALK_SHAPES, ids=[f"{m_p}x{m_s}" for m_p, m_s in WALK_SHAPES])
+def test_walk_against_points(shape):
+    # the gate of ROADMAP item 3 at every point, the first point equal, and
+    # every LP the sweep solves on its own equal to the reference's solution
+    rng = np.random.default_rng(sum(shape) * 101 + shape[0])
+    points = walked = 0
+    for i in range(WALK_SCENARIOS):
+        rates, axis, grid, others, sweep_user = _walk_sweep(rng, *shape, i)
+        c, A, rhs = orthogonal._envelope_lp(rates, model.sweep_rates(rates.m_s, axis, grid, others, sweep_user), axis)
+        lo, row = np.zeros(c.size), rates.m_p + rates.m_s + sweep_user - (sweep_user > axis)  # its service row
+        values = []
+        alone = _recorded_solves([lambda: values.extend(
+            v if type(v) is float else orthogonal._max_rate(v) for v in optim.solve_sweep(c, A, rhs, lo, row))])
+        want = [orthogonal._max_rate(sol) for sol in optim.solve_lps(c, A, rhs, lo)]
+        assert len(values) == len(want) == len(grid)
+        for got, value in zip(values, want):
+            _assert_close_value(got, value)
+        assert values[0] == want[0]
+        for problem, sol in alone:
+            _assert_equal(sol, reference_solve_lp(problem))
+        points += len(grid)
+        walked += len(grid) - 1 - len(alone)
+    assert points >= 6000 and walked >= points // 2
+
+
+def test_solve_sweep_refuses_rows_that_are_no_sweep():
+    # the walk moves one entry of b, downwards
+    c, A, lo = np.ones(2), np.eye(2), np.zeros(2)
+    for rhs in ([[1.0, 1.0], [1.0, 2.0]], [[1.0, 1.0], [0.5, 0.5]]):
+        with pytest.raises(ValueError, match="differ only in entry row, non-increasing"):
+            list(optim.solve_sweep(c, A, rhs, lo, 0))
+    first, second = optim.solve_sweep(c, A, [[1.0, 1.0], [0.5, 1.0]], lo, 0)
+    assert (first.value, second) == (2.0, 1.5)
+
+
 def test_empty_sweep():
     assert orthogonal.sweep_envelope(_shipped_rates("five_by_four"), 0, []) == []
 
 
-@pytest.mark.parametrize("name, others, setting, value, grid", [
-    # the second point runs out of pivots (it takes 3 in phase II on the 2x2
-    # scenario and 5 on the 5x4 one, the first point 2 and 4), the last is
-    # infeasible; no point of the 2x2 grid takes more than 3 in a phase
-    ("reference_2x2", None, "_MAX_ITER", 3, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8]),
-    ("reference_2x2", None, "_MAX_ITER", 4, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8]),
-    ("five_by_four", [0.0, 0.0, 0.15, 0.2], "_MAX_ITER", 5, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
+@pytest.mark.parametrize("name, others, setting, value, grid, raised_at", [
+    # a point solved on its own after the first runs out of pivots (the
+    # second takes 3 in phase II on the 2x2 scenario and 5 on the 5x4 one, the
+    # first 2 and 4). The 2x2 walk covers every feasible point in at most 3
+    # pivots and hands only the infeasible last one to solve_lps. The 5x4
+    # walk covers 3 points in its 5 pivots and hands the rest to solve_lps.
+    ("reference_2x2", None, "_MAX_ITER", 3, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8], None),
+    ("reference_2x2", None, "_MAX_ITER", 4, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8], None),
+    ("five_by_four", [0.0, 0.0, 0.15, 0.2], "_MAX_ITER", 5, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6], 5),
     # no row passes the pivot test: the unflipped first point ends
     # "unbounded" and the flipped ones fail in phase I
-    ("reference_2x2", None, "_PIVOT_MIN", 10.0, [0.0, 0.1, 0.2]),
+    ("reference_2x2", None, "_PIVOT_MIN", 10.0, [0.0, 0.1, 0.2], 1),
 ])
-def test_sweep_errors_in_grid_order(monkeypatch, name, others, setting, value, grid):
-    # on every prefix of the grid, an LP that ends "failed" or "unbounded"
-    # raises at the first such point, as solving the points one at a time
-    # does, and infeasible points before it are returned as infeasible
-    monkeypatch.setattr(optim, setting, value)
+def test_sweep_errors_in_grid_order(monkeypatch, name, others, setting, value, grid, raised_at):
+    # on every prefix of the grid, the points the sweep solves on its own (the
+    # first, and those it hands to solve_lps) end as solving the points one at
+    # a time does: an LP that ends "failed" or "unbounded" raises at the first
+    # such point, and infeasible points before it are returned as infeasible.
+    # The points the walk covers keep the gate against the default settings.
     rates = _shipped_rates(name)
-    raised_at = None  # the first prefix size that raises
+    rows = model.sweep_rates(rates.m_s, 1, grid, others)
+    default = [orthogonal.envelope_point(rates, lam, 1).max_rate for lam in rows]
+    b = orthogonal._envelope_lp(rates, rows, 1)[2]
+    monkeypatch.setattr(optim, setting, value)
+    first_raise = None  # the first prefix size that raises
     for size in range(1, len(grid) + 1):
+        outcome = []
+
+        def sweep():
+            try:
+                outcome.append(orthogonal.sweep_envelope(rates, 1, grid[:size], others))
+            except RuntimeError as exc:
+                outcome.append(exc)
+
+        alone = {tuple(b[0])} | {tuple(problem.b) for problem, _ in _recorded_solves([sweep])}
         expected = []
-        try:
-            for lam in model.sweep_rates(rates.m_s, 1, grid[:size], others):
+        for i, lam in enumerate(rows[:size]):
+            if tuple(b[i]) not in alone:
+                expected.append(None)  # covered by the walk
+                continue
+            try:
                 expected.append(orthogonal.envelope_point(rates, lam, 1))
-        except RuntimeError as exc:
-            raised_at = raised_at or size
-            with pytest.raises(RuntimeError, match=f"^{exc}$"):
-                orthogonal.sweep_envelope(rates, 1, grid[:size], others)
-            continue
-        for got, want in zip(orthogonal.sweep_envelope(rates, 1, grid[:size], others), expected, strict=True):
-            _assert_same_value(got, want)
-    assert raised_at == (None if value == 4 else 2 if setting == "_MAX_ITER" else 1)
+            except RuntimeError as exc:
+                assert str(outcome[0]) == str(exc)
+                first_raise = first_raise or size
+                break
+        else:
+            for got, want, point in zip(outcome[0], expected, default[:size], strict=True):
+                if want is None:
+                    _assert_close_value(got, point)
+                else:
+                    _assert_same_value(got, want)
+    assert first_raise == raised_at
 
 
 @pytest.mark.parametrize("grid", [[-0.1, 0.2], [0.0, 0.1, math.nan], [0.0, 0.8, math.nan]])
@@ -569,9 +698,10 @@ class TestSolveLps:
 # rule ends "failed".
 
 def _jittered_sweep_lps():
-    sweeps = [*_jittered_sweeps(), _boundary_sweep()]
-    return _recorded_lps([lambda s=sweep: orthogonal.sweep_envelope(s[0], 1, s[1], others=s[2], sweep_user=0)
-                          for sweep in sweeps])
+    """The LPs ``envelope_point`` solves at each point of the seeded 5x4 sweeps and of the boundary sweep."""
+    return _recorded_lps([lambda r=rates, lam=lam: orthogonal.envelope_point(r, lam, 1)
+                          for rates, grid, others in [*_jittered_sweeps(), _boundary_sweep()]
+                          for lam in model.sweep_rates(rates.m_s, 1, grid, others, 0)])
 
 
 LP_CORPUS = {
