@@ -320,8 +320,8 @@ def solve_sweep(c, A, rhs, lo, row: int) -> Iterator[float | LpSolution]:
     """
     shared, rhs = _shared_lp(c, A, rhs, lo)
     c, A, lo = shared.c, shared.A, shared.lo
-    t, others = rhs[:, row], np.delete(rhs, row, axis=1)
-    if np.any(others != others[:1]) or np.any(t[1:] > t[:-1]):
+    t, moved = rhs[:, row], np.logical_or.reduce(rhs != rhs[:1], axis=0)
+    if np.any(np.delete(moved, row)) or np.any(t[1:] > t[:-1]):
         raise ValueError("rhs rows must differ only in entry row, non-increasing down the rows")
     if not len(rhs):
         return
@@ -331,12 +331,13 @@ def solve_sweep(c, A, rhs, lo, row: int) -> Iterator[float | LpSolution]:
     if not first.is_optimal or np.any(basis >= n + m):
         yield from _tail(c, A, rhs, lo, 1, first)
         return
-    n_real, tl, descending = n + m, t.tolist(), -t
+    n_real = n + m
     levels, along = T[0, :m, -1], T[0, :m, n + row]  # views: each pivot updates them
-    beta, pos, pivots = tl[0], 1, 0
+    beta, pos, pivots = float(t[0]), 1, 0
     # Covered points wait in ys (basic levels scattered by column) until a
     # chunk's worth is certified at once; sound holds each one's dual check.
-    ys, sound, held = np.empty((min(_LPS_PER_CALL, len(rhs)), n_real)), np.empty(_LPS_PER_CALL, bool), 0
+    ys = np.empty((min(_LPS_PER_CALL, len(rhs)), n_real))
+    sound, held = np.empty(len(ys), bool), 0
     ratios, costs = np.empty(m), np.empty(n_real)
     while pos < len(rhs):
         np.maximum(levels, 0.0, out=levels)
@@ -344,8 +345,8 @@ def solve_sweep(c, A, rhs, lo, row: int) -> Iterator[float | LpSolution]:
         np.divide(levels, along, out=ratios, where=along > 0.0)
         r = ratios.argmin(keepdims=True)
         breakpoint = beta - float(ratios[r[0]])  # where the first level reaches zero
-        k = min(int(np.searchsorted(descending, -breakpoint, "right")), pos + len(ys) - held) - pos
-        if k > 0:
+        k = int(np.count_nonzero(t[pos : pos + len(ys) - held] >= breakpoint))  # t falls: a prefix
+        if k:
             ys[held : held + k] = 0.0
             ys[held : held + k, basis[0]] = (t[pos : pos + k, None] - beta) * along + levels
             sound[held : held + k] = T[0, -1, :n_real].max() <= _PIVOT_TOL
@@ -353,11 +354,11 @@ def solve_sweep(c, A, rhs, lo, row: int) -> Iterator[float | LpSolution]:
             if held == len(ys) or pos == len(rhs):
                 yield from _certified(ys[:held], sound[:held], c, A, rhs[pos - held : pos], lo)
                 held = 0
-            if pos == len(rhs) or tl[pos] >= breakpoint:
+            if pos == len(rhs) or t[pos] >= breakpoint:
                 continue
         if pivots == _MAX_ITER:
             break
-        target = max(breakpoint, tl[pos])  # never past the point not covered
+        target = max(breakpoint, float(t[pos]))  # never past the point not covered
         T[0, :, -1] += (target - beta) * T[0, :, n + row]
         beta = target
         costs.fill(np.inf)

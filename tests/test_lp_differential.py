@@ -389,14 +389,14 @@ def _check_sweep(rates, axis, grid, others=None, sweep_user=None):
     points = _recorded_solves([lambda lam=lam: orthogonal.envelope_point(rates, lam, axis) for lam in rows])
     assert len(values) == len(rhs) == len(points) == len(rows)
     statuses, exceptions = [], 0
-    for lam, value, b, (problem, sol) in zip(rows, values, rhs, points):
+    for value, b, (problem, sol) in zip(values, rhs, points):
         for field, want in (("c", c), ("A", A), ("b", b), ("lo", lo)):
             assert np.array_equal(getattr(problem, field), want)
         status, exception = _assert_as_reference(problem, sol)
         statuses.append(status)
         exceptions += exception
-        _assert_close_value(value, orthogonal.envelope_point(rates, lam, axis).max_rate)
-    assert values[0] == orthogonal.envelope_point(rates, rows[0], axis).max_rate
+        _assert_close_value(value, orthogonal._max_rate(sol))  # envelope_point's max_rate
+    assert values[0] == orthogonal._max_rate(points[0][1])
     for problem, sol in alone:
         _assert_as_reference(problem, sol)
     return statuses, exceptions

@@ -321,7 +321,7 @@ def test_sweeps_check_the_grid_before_any_lp_or_mapping(ref_2x2_rates, monkeypat
     def no_kernel(*args, **kwargs):
         raise AssertionError("the grid was not checked first")
 
-    kernel = {"orthogonal": (orthogonal.optim, "solve_lps"), "fixedalloc": (fixedalloc, "_tables"),
+    kernel = {"orthogonal": (orthogonal.optim, "solve_sweep"), "fixedalloc": (fixedalloc, "_tables"),
               "randalloc": (randalloc, "_dominant1_values")}[module]
     monkeypatch.setattr(*kernel, no_kernel)
     with pytest.raises(ConfigurationError, match="^rate of user 1 must be >= 0, got nan$"):
