@@ -394,11 +394,17 @@ def _tail(c, A, rhs, lo, start: int, last: LpSolution | None = None) -> Iterator
     """``solve_lps`` on the LPs of ``rhs[start:]`` in order, until one is infeasible; every later one repeats it.
 
     ``last`` is the solution of the LP before ``start``, when it is known.
+    The first LP is solved alone: where the walk stopped at the edge of the
+    feasible set it is most often the infeasible one. The rest go
+    _LPS_PER_CALL at a time.
     """
-    for i in range(start, len(rhs), _LPS_PER_CALL):
+    if start == len(rhs):
+        return
+    edges = [start, *range(start + 1, len(rhs), _LPS_PER_CALL), len(rhs)]
+    for i, j in zip(edges, edges[1:]):
         if last is not None and last.status == "infeasible":
             break
-        for last in solve_lps(c, A, rhs[i : i + _LPS_PER_CALL], lo):
+        for last in solve_lps(c, A, rhs[i:j], lo):
             yield last
             start += 1
             if last.status == "infeasible":
