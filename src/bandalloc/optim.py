@@ -49,7 +49,6 @@ _MAX_ITER = 20000
 # LPs per tableau stack: a 5x4 envelope tableau takes 3.7 KB, and a pivot
 # allocates one more array of the stack's size.
 _LPS_PER_CALL = 256
-_ONE = np.zeros(1, dtype=int)  # the ``lps`` of a stack of one tableau
 
 
 @dataclass(frozen=True)
@@ -338,7 +337,7 @@ def solve_sweep(c, A, rhs, lo, row: int) -> Iterator[float | LpSolution]:
     # chunk's worth is certified at once; sound holds each one's dual check.
     ys = np.empty((min(_LPS_PER_CALL, len(rhs)), n_real))
     sound, held = np.empty(len(ys), bool), 0
-    ratios, costs = np.empty(m), np.empty(n_real)
+    ratios, costs, lps = np.empty(m), np.empty(n_real), np.zeros(1, dtype=int)  # lps: a stack of one tableau
     while pos < len(rhs):
         np.maximum(levels, 0.0, out=levels)
         ratios.fill(np.inf)
@@ -368,7 +367,7 @@ def solve_sweep(c, A, rhs, lo, row: int) -> Iterator[float | LpSolution]:
         if costs[col[0]] == np.inf:  # no column can enter
             break
         f = T[:, :, col[0]].copy()
-        _pivot(T, basis, _ONE, r, col, f, f[:, r])
+        _pivot(T, basis, lps, r, col, f, f[:, r])
         pivots += 1
     if held:
         yield from _certified(ys[:held], sound[:held], c, A, rhs[pos - held : pos], lo)
