@@ -16,17 +16,18 @@ copy of it, mu times [[1.03, 0.97], [0.98, 1.02]], on 6 points up to 0.98 of
 its largest mu[:, 0], where 4 of the 6 dominant-1 sections lie strictly
 between 0 and the largest mu[:, 1]), the S envelope LP on both
 shipped scenarios, both as ``orthogonal.envelope_point`` and as the
-``optim.solve_lp`` call it makes, the batch of 21 LPs that the 5x4 S sweep
-below hands to ``optim.solve_lps`` (recorded from that sweep; its grid starts
-at 0, so the batch mixes two patterns of negative right-hand sides), the
+``optim.solve_lp`` call it makes, the 21 LPs of the 5x4 S sweep below as
+one ``optim.solve_lps`` batch (its grid starts at 0, so the batch mixes two
+patterns of negative right-hand sides), the
 max-slack assignment LP on both shipped scenarios, the padding and Birkhoff
 decomposition of the 5x4 max-slack assignment
 (``schedule.schedule_from_assignment``, which ``decompose`` and ``simulate
 --system S`` call), a 21-point S sweep on the 5x4 scenario
 (``orthogonal.sweep_envelope``) and the same sweep of the fixed system,
 each both as a library sweep and as the whole ``envelope`` command through
-``cli.main``, the fixed sweep again over the same span in 1e5 points
-(a library sweep only), four more whole commands on the reference 2x2
+``cli.main``, the S and fixed sweeps again over the same span in 1e5 points,
+an S sweep of the reference 2x2 scenario's user 2 over 1e5 points from 0 to
+0.7 (library sweeps only), four more whole commands on the reference 2x2
 scenario through ``cli.main`` (S ``envelope`` sweeps of 100 and of 2001
 points, where the cost per point shows, a 29-point ``compare`` and a
 1e5-slot ``simulate --system S`` at rates (0.3, 0.3)),
@@ -39,7 +40,8 @@ most sweeps. ``timeit`` picks a loop count of at least 0.2 s per repeat; the
 case reports the median and the minimum over ``_REPEAT`` (7) repeats, in
 milliseconds per call. A case that pivots a simplex tableau also reports
 ``pivots``, the calls of ``optim._pivot`` in one untimed call: a count that
-repeats exactly, where one lockstep pivot pivots every active LP of a stack.
+repeats exactly, where one lockstep pivot pivots every active LP of a stack
+and one dual pivot of an S sweep's walk (``optim.solve_sweep``) one tableau.
 A case that evaluates an S_hat dominant-1 kernel likewise reports
 ``kernel_calls``, the calls of the forward kernel
 ``randalloc._dominant1_envelopes`` and the inverse kernel
@@ -91,22 +93,6 @@ def envelope_lp(rates, lam, k):
         orthogonal.envelope_point(rates, lam, k)
     finally:
         optim.solve_lp = solve
-    return seen[0]
-
-
-def sweep_batch(sweep):
-    """The (c, A, rhs, lo) that ``sweep()`` hands to ``optim.solve_lps`` (None where the tree has none)."""
-    from bandalloc import optim
-
-    seen = []
-    solve = getattr(optim, "solve_lps", None)
-    if solve is None:
-        return None
-    optim.solve_lps = lambda *args: seen.append(args) or solve(*args)
-    try:
-        sweep()
-    finally:
-        optim.solve_lps = solve
     return seen[0]
 
 
@@ -173,11 +159,12 @@ def cases():
     jitter_grid = [i * (jitter_top / 5) for i in range(6)]
     long_grid = np.linspace(0.0, 0.7, 10_000).tolist()
     fixed_grid = np.linspace(0.0, 0.6, 100_000).tolist()  # the span of ``grid`` in 1e5 points
+    s_long_grid = np.linspace(0.0, 0.7, 100_000).tolist()
     ref_path = str(ROOT / "scenarios" / "reference_2x2.json")
     ref_lp = envelope_lp(ref, [0.3, 0.0], 1)
     big_lp = envelope_lp(big, [0.0, 0.1, 0.1, 0.1], 0)
-    big_batch = sweep_batch(lambda: orthogonal.sweep_envelope(big, 0, grid, others=[0.0, 0.0, 0.2, 0.3],
-                                                              sweep_user=1))
+    big_c, big_A, big_b = orthogonal._envelope_lp(big, model.sweep_rates(4, 0, grid, [0.0, 0.0, 0.2, 0.3], 1), 0)
+    big_batch = (big_c, big_A, big_b, np.zeros(big_c.size))
     commands = {
         f"envelope --system {system} 5x4 21 points": [
             "envelope", "--scenario", big_path, "--system", system, "--axis", "1",
@@ -216,6 +203,9 @@ def cases():
             big, 0, grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
         ("fixedalloc.sweep_envelope 5x4 1e5 points", lambda: fixedalloc.sweep_envelope(
             big, 0, fixed_grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
+        ("orthogonal.sweep_envelope 5x4 1e5 points", lambda: orthogonal.sweep_envelope(
+            big, 0, fixed_grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
+        ("orthogonal.sweep_envelope 2x2 1e5 points", lambda: orthogonal.sweep_envelope(ref, 1, s_long_grid)),
     ] + [
         (f"cli.main {label}", lambda argv=argv: cli.main(argv + ["--out", os.devnull]))
         for label, argv in commands.items()
