@@ -300,7 +300,7 @@ PAST_THE_EDGE = "0.9822631521347858"
     ["envelope", "--system", "S", "--axis", "2", "--grid", f"{PAST_THE_EDGE}:{PAST_THE_EDGE}:1"],
     ["compare", "--axis", "2", "--grid", f"{PAST_THE_EDGE}:{PAST_THE_EDGE}:1"],
     ["decompose", "--axis", "2", "--fixed", f"1={PAST_THE_EDGE}"],
-])
+], ids=["envelope", "compare", "decompose"])
 def test_closure_edge_point(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--scenario", write_scenario(tmp_path, CLOSURE_EDGE))
     assert (code, err) == (0, "")

@@ -553,20 +553,20 @@ def test_empty_sweep():
     assert orthogonal.sweep_envelope(_shipped_rates("five_by_four"), 0, []) == []
 
 
-@pytest.mark.parametrize("name, others, setting, value, grid, raised_at", [
+@pytest.mark.parametrize("name, others, setting, value, grid", [
     # a point solved on its own after the first runs out of pivots (the
     # second takes 3 in phase II on the 2x2 scenario and 5 on the 5x4 one, the
     # first 2 and 4). The 2x2 walk covers every feasible point in at most 3
     # pivots and hands only the infeasible last one to solve_lps. The 5x4
     # walk covers 3 points in its 5 pivots and hands the rest to solve_lps.
-    ("reference_2x2", None, "_MAX_ITER", 3, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8], None),
-    ("reference_2x2", None, "_MAX_ITER", 4, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8], None),
-    ("five_by_four", [0.0, 0.0, 0.15, 0.2], "_MAX_ITER", 5, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6], 5),
+    ("reference_2x2", None, "_MAX_ITER", 3, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8]),
+    ("reference_2x2", None, "_MAX_ITER", 4, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8]),
+    ("five_by_four", [0.0, 0.0, 0.15, 0.2], "_MAX_ITER", 5, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
     # no row passes the pivot test: the unflipped first point ends
     # "unbounded" and the flipped ones fail in phase I
-    ("reference_2x2", None, "_PIVOT_MIN", 10.0, [0.0, 0.1, 0.2], 1),
+    ("reference_2x2", None, "_PIVOT_MIN", 10.0, [0.0, 0.1, 0.2]),
 ])
-def test_sweep_errors_in_grid_order(monkeypatch, name, others, setting, value, grid, raised_at):
+def test_sweep_errors_in_grid_order(monkeypatch, name, others, setting, value, grid):
     # on every prefix of the grid, the points the sweep solves on its own (the
     # first, and those it hands to solve_lps) end as solving the points one at
     # a time does: an LP that ends "failed" or "unbounded" raises at the first
@@ -605,7 +605,7 @@ def test_sweep_errors_in_grid_order(monkeypatch, name, others, setting, value, g
                     _assert_close_value(got, point)
                 else:
                     _assert_same_value(got, want)
-    assert first_raise == raised_at
+    assert first_raise == (5 if name == "five_by_four" else 1 if setting == "_PIVOT_MIN" else None)
 
 
 @pytest.mark.parametrize("grid", [[-0.1, 0.2], [0.0, 0.1, math.nan], [0.0, 0.8, math.nan]])
