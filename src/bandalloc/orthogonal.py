@@ -79,14 +79,16 @@ def _assignment_constraints(mu: np.ndarray, lam: np.ndarray, served) -> tuple[np
     # Basic slices only: an index-array fill (cols // m_s, cols % m_s) is
     # slower and faults in 64 KB more of numpy's code per process.
     A = np.zeros((m_p + m_s + len(served), m_p * m_s))
+    b = np.ones(lam.shape[:-1] + (len(A),))
     for j in range(m_p):
         A[j, j * m_s : (j + 1) * m_s] = 1.0
     for l in range(m_s):
         A[m_p + l, l::m_s] = 1.0
+    # b's service rows column by column: -lam[..., served] as one expression
+    # held two copies of the served rates, the memory peak of a long sweep.
     for i, l in enumerate(served, m_p + m_s):
         A[i, l::m_s] = -mu[:, l]
-    b = np.ones(lam.shape[:-1] + (len(A),))
-    b[..., m_p + m_s :] = -lam[..., served]
+        np.negative(lam[..., l], out=b[..., i])
     return A, b
 
 
