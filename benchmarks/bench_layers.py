@@ -27,10 +27,12 @@ decomposition of the 5x4 max-slack assignment
 each both as a library sweep and as the whole ``envelope`` command through
 ``cli.main``, the S and fixed sweeps again over the same span in 1e5 points,
 an S sweep of the reference 2x2 scenario's user 2 over 1e5 points from 0 to
-0.7 (library sweeps only), four more whole commands on the reference 2x2
-scenario through ``cli.main`` (S ``envelope`` sweeps of 100 and of 2001
-points, where the cost per point shows, a 29-point ``compare`` and a
-1e5-slot ``simulate --system S`` at rates (0.3, 0.3)),
+0.7 (library sweeps only), a whole ``decompose`` command on the 5x4
+scenario (user 2's largest rate with users 1, 3 and 4 at 0.2, 0.2 and 0.3,
+as region-5x4's ``decompose`` commands pin them), four more whole commands on
+the reference 2x2 scenario through ``cli.main`` (S ``envelope`` sweeps of 100
+and of 2001 points, where the cost per point shows, a 29-point ``compare``
+and a 1e5-slot ``simulate --system S`` at rates (0.3, 0.3)),
 each with its output sent to the null device, a 1e5-slot ``sim.run``
 of each policy on the reference 2x2 scenario at rates (0.3, 0.3), with the
 policy ``simulate`` derives there (slots per second = 1e5 / the time per
@@ -40,8 +42,10 @@ most sweeps. ``timeit`` picks a loop count of at least 0.2 s per repeat; the
 case reports the median and the minimum over ``_REPEAT`` (7) repeats, in
 milliseconds per call. A case that pivots a simplex tableau also reports
 ``pivots``, the calls of ``optim._pivot`` in one untimed call: a count that
-repeats exactly, where one lockstep pivot pivots every active LP of a stack
-and one dual pivot of an S sweep's walk (``optim.solve_sweep``) one tableau.
+repeats exactly. Each call pivots one LP's tableau, in a two-phase solve or
+in an S sweep's walk (``optim.solve_sweep``), so the 21-LP ``solve_lps``
+batch reads 215, every pivot of its 21 solves. Trees that pivoted a batch as
+one stack of tableaux in lockstep read 21 there, one per iteration.
 A case that evaluates an S_hat dominant-1 kernel likewise reports
 ``kernel_calls``, the calls of the forward kernel
 ``randalloc._dominant1_envelopes`` and the inverse kernel
@@ -171,6 +175,7 @@ def cases():
             "--grid", "0:0.6:0.03", "--fixed", "3=0.2,4=0.3", "--json"]
         for system in ("fixed", "S")
     } | {
+        "decompose 5x4": ["decompose", "--scenario", big_path, "--axis", "2", "--fixed", "1=0.2,3=0.2,4=0.3"],
         "envelope --system S 2x2 100 points": [
             "envelope", "--scenario", ref_path, "--system", "S", "--axis", "2", "--grid", "0:0.99:0.01"],
         "envelope --system S 2x2 2001 points": [

@@ -28,6 +28,7 @@ from bandalloc import cli, model, optim, orthogonal
 from bandalloc.model import ConfigurationError
 from bandalloc.optim import LpProblem
 
+import oracles
 from conftest import ref_2x2_scenario
 from oracles import bland_solve_lp, bound_rows_lp, dantzig_solve_lp, reference_solve_lp
 
@@ -288,6 +289,36 @@ def test_implied_bound_rows_change_nothing(source):
         for p, sol in solves:
             hi = np.append(np.ones(p.c.size - len(t_bound)), t_bound)
             _assert_equal(sol, optim.solve_lp(bound_rows_lp(p.c, p.A, p.b, p.lo, hi)))
+
+
+@pytest.mark.parametrize("corpus", ["envelope", "max-slack"])
+def test_pivots_per_lp_as_reference(corpus):
+    # each LP is pivoted on its own tableau, and makes the reference's pivots
+    # one for one: phase I, the pivot-out of leftover artificials and phase II
+    kinds = ("uniform", "rounded", "zeros", "symmetric_users", "symmetric_bands")
+    envelope, slack = _random_assignment_calls(np.random.default_rng(29), 1500, kinds)
+    problems = _recorded_lps(envelope if corpus == "envelope" else slack)
+    assert len(problems) == 1500
+    counts = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def pivot(*args):
+            counts[name] += 1
+            return original(*args)
+        return pivot
+
+    total = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optim, "_pivot", counted(optim, "_pivot"))
+        mp.setattr(oracles, "_ref_pivot", counted(oracles, "_ref_pivot"))
+        for problem in problems:
+            counts.update(_pivot=0, _ref_pivot=0)
+            _assert_equal(optim.solve_lp(problem), reference_solve_lp(problem))
+            assert counts["_pivot"] == counts["_ref_pivot"]
+            total += counts["_pivot"]
+    assert total >= len(problems)
 
 
 class TestSBoundaryPoint:
@@ -619,7 +650,7 @@ def test_sweep_refuses_bad_grid_values_in_grid_order(grid):
 
 
 def test_sweep_does_not_depend_on_the_batch_size(monkeypatch):
-    # _LPS_PER_CALL only bounds the memory of one stack of tableaux
+    # _LPS_PER_CALL only bounds the chunk of walked points certified at once
     rates = _shipped_rates("five_by_four")
     grid = np.linspace(0.0, 0.6, 21)
     whole = orthogonal.sweep_envelope(rates, 1, grid, others=[0.0, 0.0, 0.15, 0.2])
@@ -631,10 +662,9 @@ class TestSolveLps:
     """``optim.solve_lps`` on LPs that share c, A and lo, against the reference one LP at a time."""
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_shared_box_lps(self, seed, monkeypatch):
+    def test_shared_box_lps(self, seed):
         # each batch mixes flip patterns, and optimal, infeasible and
-        # unbounded LPs; batches of 5 split most of them across calls
-        monkeypatch.setattr(optim, "_LPS_PER_CALL", 5)
+        # unbounded LPs
         rng = np.random.default_rng(seed)
         kinds = ("uniform", "rounded", "sparse", "equality")
         statuses = set()
@@ -652,11 +682,12 @@ class TestSolveLps:
                 _assert_equal(sol, optim.solve_lp(problem))
         assert statuses == {"optimal", "infeasible", "unbounded"}
 
-    def test_mixed_flip_patterns_share_one_stack(self, monkeypatch):
+    def test_mixed_flip_patterns_enter_only_their_own_artificials(self, monkeypatch):
         # x1 + x2 <= b0, x1 >= -b1, x2 >= -b2: the rows flipped are none, {1},
-        # {2} and {1, 2}, and the last LP is infeasible. One stack runs phase I
-        # (2 variables, 3 slacks and 2 artificials may enter) and phase II (the
-        # 5 real columns) once each; a stack per flip pattern ran 7 pivot loops.
+        # {2} and {1, 2}, and the last LP is infeasible. Each LP's phase I may
+        # enter its 2 variables, 3 slacks and an artificial per row it flips,
+        # and runs only where it flips a row; its phase II the 5 real columns,
+        # and only where phase I found it feasible.
         rhs = np.array([[1.0, 0.5, 0.5], [1.0, -0.2, 0.5], [0.6, 0.5, -0.6], [1.0, -0.2, -0.3],
                         [0.8, 0.0, 0.1], [0.4, -0.2, -0.3]])
         c, A, lo = np.array([1.0, 0.5]), np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.zeros(2)
@@ -665,7 +696,7 @@ class TestSolveLps:
         simplex = optim._simplex
         monkeypatch.setattr(optim, "_simplex", lambda *args: loops.append(args[-1]) or simplex(*args))
         solutions = optim.solve_lps(c, A, rhs, lo)
-        assert loops == [7, 5]
+        assert loops == [5, 6, 5, 6, 5, 7, 5, 5, 7]
         statuses = [_assert_equal(sol, reference_solve_lp(LpProblem(c=c, A=A, b=b, lo=lo))).status
                     for b, sol in zip(rhs, solutions, strict=True)]
         assert statuses == ["optimal"] * 5 + ["infeasible"]
