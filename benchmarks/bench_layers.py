@@ -16,9 +16,7 @@ copy of it, mu times [[1.03, 0.97], [0.98, 1.02]], on 6 points up to 0.98 of
 its largest mu[:, 0], where 4 of the 6 dominant-1 sections lie strictly
 between 0 and the largest mu[:, 1]), the S envelope LP on both
 shipped scenarios, both as ``orthogonal.envelope_point`` and as the
-``optim.solve_lp`` call it makes, the 21 LPs of the 5x4 S sweep below as
-one ``optim.solve_lps`` batch (its grid starts at 0, so the batch mixes two
-patterns of negative right-hand sides), the
+``optim.solve_lp`` call it makes, the
 max-slack assignment LP on both shipped scenarios, the padding and Birkhoff
 decomposition of the 5x4 max-slack assignment
 (``schedule.schedule_from_assignment``, which ``decompose`` and ``simulate
@@ -43,10 +41,9 @@ case reports the median and the minimum over ``_REPEAT`` (7) repeats, in
 milliseconds per call. A case that pivots a simplex tableau also reports
 ``pivots``, the calls of ``optim._pivot`` in one untimed call: a count that
 repeats exactly. Each call pivots one LP's tableau, in a two-phase solve or
-in an S sweep's walk (``optim.solve_sweep``), so the 21-LP ``solve_lps``
-batch reads 215, every pivot of its 21 solves. Trees that pivoted a batch as
-one stack of tableaux in lockstep read 21 there, one per iteration.
-A case that evaluates an S_hat dominant-1 kernel likewise reports
+in an S sweep's walk (``optim.solve_sweep``). The two 1e5-point
+``orthogonal.sweep_envelope`` cases also report ``peak_mb``, the tracemalloc
+peak of one untimed call in MB (1e6 bytes). A case that evaluates an S_hat dominant-1 kernel likewise reports
 ``kernel_calls``, the calls of the forward kernel
 ``randalloc._dominant1_envelopes`` and the inverse kernel
 ``randalloc._dominant1_sections`` together in one untimed call, and a case
@@ -67,6 +64,7 @@ import platform
 import statistics
 import sys
 import timeit
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -74,6 +72,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 _REPEAT = 7
+_PEAK_CASES = ("orthogonal.sweep_envelope 5x4 1e5 points", "orthogonal.sweep_envelope 2x2 1e5 points")
 
 
 def cpu_model() -> str:
@@ -127,6 +126,16 @@ def call_count(module, names, fn):
     return count
 
 
+def peak_mb(fn) -> float:
+    """The tracemalloc peak of one call of ``fn``, in MB (1e6 bytes)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
+    finally:
+        tracemalloc.stop()
+
+
 def cases():
     """(name, zero-argument callable) for each timed call."""
     from bandalloc import cli, fixedalloc, model, optim, orthogonal, randalloc, schedule, sim
@@ -167,8 +176,6 @@ def cases():
     ref_path = str(ROOT / "scenarios" / "reference_2x2.json")
     ref_lp = envelope_lp(ref, [0.3, 0.0], 1)
     big_lp = envelope_lp(big, [0.0, 0.1, 0.1, 0.1], 0)
-    big_c, big_A, big_b = orthogonal._envelope_lp(big, model.sweep_rates(4, 0, grid, [0.0, 0.0, 0.2, 0.3], 1), 0)
-    big_batch = (big_c, big_A, big_b, np.zeros(big_c.size))
     commands = {
         f"envelope --system {system} 5x4 21 points": [
             "envelope", "--scenario", big_path, "--system", system, "--axis", "1",
@@ -197,7 +204,6 @@ def cases():
         ("orthogonal.envelope_point 5x4", lambda: orthogonal.envelope_point(big, [0.0, 0.1, 0.1, 0.1], 0)),
         ("optim.solve_lp 2x2 envelope LP", lambda: optim.solve_lp(ref_lp)),
         ("optim.solve_lp 5x4 envelope LP", lambda: optim.solve_lp(big_lp)),
-        ("optim.solve_lps 5x4 21-point sweep batch", lambda: optim.solve_lps(*big_batch)),
         ("orthogonal.max_slack_assignment 2x2", lambda: orthogonal.max_slack_assignment(ref, lam)),
         ("orthogonal.max_slack_assignment 5x4", lambda: orthogonal.max_slack_assignment(big, big_lam)),
         ("schedule.schedule_from_assignment 5x4",
@@ -250,6 +256,8 @@ def main(argv=None) -> int:
             count = call_count(sys.modules[f"bandalloc.{module}"], funcs, fn)
             if count:
                 results[name][key] = count
+        if name in _PEAK_CASES:
+            results[name]["peak_mb"] = peak_mb(fn)
     doc = {
         "python": platform.python_version(),
         "numpy": np.__version__,

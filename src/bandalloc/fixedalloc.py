@@ -124,11 +124,10 @@ def sweep_envelope(
     every grid point with one ``searchsorted``; a later chunk wins a grid
     point only when strictly better.
     """
-    lam = sweep_rates(rates.m_s, axis, grid, others, sweep_user)
+    lam, sweep = sweep_rates(rates.m_s, axis, grid, others, sweep_user)
     tables = _tables(rates, mapping)  # refuses a bad shape or mapping, also for an empty grid
     if not len(lam):
         return []
-    sweep = next(u for u in range(rates.m_s) if u != axis) if sweep_user is None else sweep_user
     users = np.arange(rates.m_s)
     pinned = users != sweep
     best = np.full(len(lam), -np.inf)

@@ -70,8 +70,8 @@ def rate_vector(rates, m_s: int, skip: int | None = None) -> np.ndarray:
     return rate_rows([rates], m_s, skip)[0]
 
 
-def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.ndarray:
-    """Rates of a sweep of user ``axis``'s envelope, one row per point of an ascending grid.
+def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> tuple[np.ndarray, int]:
+    """Rates of a sweep of user ``axis``'s envelope, one row per point of an ascending grid, and the swept user.
 
     ``sweep_user`` (default: the lowest index other than ``axis``) takes each
     grid value in turn; the remaining users keep the rates given in ``others``
@@ -95,7 +95,7 @@ def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> np.n
     if bad.size:
         row, user = bad[0]
         raise ConfigurationError(f"rate of user {user + 1} must be finite, got {float(lam[row, user])}")
-    return lam
+    return lam, sweep_user
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,17 @@ Three tools live here:
   with ratios within _PIVOT_TOL of it tied and a tie going to the smallest
   basis index. A pivot element of 1.1e-11 near the S boundary of a 5x4
   scenario wrecked the tableau: phase II stopped at a point 0.4 outside one
-  constraint, so small elements are never pivoted on. ``solve_lps`` solves
-  LPs that share c, A and lo, one after another.
-* ``solve_sweep``: the LPs of a sweep that moves one entry of b, one way.
-  It solves the first with ``_solve``, which hands back its final tableau,
-  and walks that basis along the sweep: each basis covers the points down to
-  its breakpoint, and one dual simplex pivot per breakpoint gives the next.
-  A covered point passes the residual check of ``_solve`` and a reduced-cost
-  check before its value counts; every other point goes to ``solve_lps``.
-  On a 21-point 5x4 sweep that is one two-phase solve and one pivot per
-  change of basis (18 on the 5x4 sweep of ``benchmarks/bench_layers.py``),
-  against 21 two-phase solves.
+  constraint, so small elements are never pivoted on.
+* ``solve_sweep``: one LP with one entry of b set to each value of a
+  non-increasing sequence. It solves the first with ``_solve``, which hands
+  back its final tableau, and walks that basis along the sweep: each basis
+  covers the points down to its breakpoint, and one dual simplex pivot per
+  breakpoint gives the next. A covered point passes the residual check of
+  ``_solve`` and a reduced-cost check before its value counts; every other
+  point is solved on its own by ``_solve``, with its right-hand side built
+  only then. On a 21-point 5x4 sweep that is one two-phase solve and one
+  pivot per change of basis (18 on the 5x4 sweep of
+  ``benchmarks/bench_layers.py``), against 21 two-phase solves.
 * ``fractional_argmax``: closed-form maximizer, elementwise over arrays, of the
   one-variable linear fractional objective (K1*g - K2)/(D + C*g) subject to a
   single linear constraint and g in [0, 1], by sign analysis of the derivative.
@@ -67,6 +67,8 @@ class LpProblem:
         for name, arr in (("c", c), ("A", A), ("b", b), ("lower bounds", lo)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
+        if b.ndim != 1:
+            raise ValueError("b must be a vector")
         if lo.shape != c.shape:
             raise ValueError("lower bounds must match the number of variables")
         if A.shape[0] != b.size:
@@ -214,28 +216,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     return _solve(problem.c, problem.A, problem.lo, problem.b)[0]
 
 
-def solve_lps(c, A, rhs, lo) -> list[LpSolution]:
-    """``solve_lp(LpProblem(c, A, b, lo))`` for each row b of ``rhs``."""
-    shared, rhs = _shared_lp(c, A, rhs, lo)
-    return [_solve(shared.c, shared.A, shared.lo, b)[0] for b in rhs]
+def solve_sweep(problem: LpProblem, row: int, t) -> Iterator[float | LpSolution]:
+    """Solve ``problem`` with b[row] set to each value of ``t`` (1-D, finite, non-increasing) in turn.
 
-
-def _shared_lp(c, A, rhs, lo) -> tuple[LpProblem, np.ndarray]:
-    """The checked LP of a batch (with b = 0) and its right-hand sides, one row per LP."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.ndim != 2:
-        raise ValueError("rhs must hold one row of b per LP")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("b must be finite")
-    return LpProblem(c=c, A=A, b=np.zeros(rhs.shape[1]), lo=lo), rhs  # checks c, A, lo and the row count
-
-
-def solve_sweep(c, A, rhs, lo, row: int) -> Iterator[float | LpSolution]:
-    """Solve the LPs of ``rhs``, whose rows differ only in entry ``row``, non-increasing down the rows.
-
-    Yields, in the order of ``rhs``, each LP's optimal value (a float) where
-    the walk below certifies it, and an ``LpSolution`` where the LP is solved
-    on its own. The first LP is solved by the two-phase simplex; its value is
+    Yields, in the order of ``t``, each LP's optimal value (a float) where the
+    walk below certifies it, and an ``LpSolution`` where the LP is solved on
+    its own. The first LP is solved by the two-phase simplex; its value is
     that solve's. Its optimal basis is then walked along the sweep
     (parametric right-hand side, Gass & Saaty 1955): moving b[row] by delta
     moves the basic levels by delta times the final tableau's slack column of
@@ -249,36 +235,37 @@ def solve_sweep(c, A, rhs, lo, row: int) -> Iterator[float | LpSolution]:
 
     A covered point x yields c @ x only when x >= lo - _FEAS_TOL,
     A @ x <= b + _FEAS_TOL and every reduced cost of its basis is at most
-    _PIVOT_TOL; a point that fails is solved by ``solve_lps``. So is every
-    point after the walk stops (no column can enter, or _MAX_ITER), and every
-    point after the first when the first solve is not optimal or leaves an
+    _PIVOT_TOL; a point that fails is solved on its own. So is every point
+    after the walk stops (no column can enter, or _MAX_ITER), and every point
+    after the first when the first solve is not optimal or leaves an
     artificial basic. Such a tail stops at its first infeasible point, which
     every later point repeats: as b[row] falls the feasible set shrinks, and
     the phase-I value does not fall. Covered points are certified
     _LPS_PER_CALL at a time.
     """
-    shared, rhs = _shared_lp(c, A, rhs, lo)
-    c, A, lo = shared.c, shared.A, shared.lo
-    t, moved = rhs[:, row], np.logical_or.reduce(rhs != rhs[:1], axis=0)
-    if np.any(np.delete(moved, row)) or np.any(t[1:] > t[:-1]):
-        raise ValueError("rhs rows must differ only in entry row, non-increasing down the rows")
-    if not len(rhs):
+    c, A, b, lo = problem.c, problem.A, problem.b, problem.lo
+    t = np.asarray(t, dtype=float)
+    if row not in range(b.size):
+        raise ValueError("row must index a row of A")
+    if t.ndim != 1 or not np.all(np.isfinite(t)) or np.any(t[1:] > t[:-1]):
+        raise ValueError("t must be 1-D, finite and non-increasing")
+    if not t.size:
         return
-    first, T, basis = _solve(c, A, lo, rhs[0])
+    first, T, basis = _solve(c, A, lo, _rows(b, row, t[:1])[0])
     yield first
     m, n = A.shape
     if not first.is_optimal or np.any(basis >= n + m):
-        yield from _tail(c, A, rhs, lo, 1, first)
+        yield from _tail(c, A, lo, b, row, t[1:], first)
         return
     n_real = n + m
     levels, along = T[:m, -1], T[:m, n + row]  # views: each pivot updates them
     beta, pos, pivots = float(t[0]), 1, 0
     # Covered points wait in ys (basic levels scattered by column) until a
     # chunk's worth is certified at once; sound holds each one's dual check.
-    ys = np.empty((min(_LPS_PER_CALL, len(rhs)), n_real))
+    ys = np.empty((min(_LPS_PER_CALL, len(t)), n_real))
     sound, held = np.empty(len(ys), bool), 0
     ratios, costs = np.empty(m), np.empty(n_real)
-    while pos < len(rhs):
+    while pos < len(t):
         np.maximum(levels, 0.0, out=levels)
         ratios.fill(np.inf)
         np.divide(levels, along, out=ratios, where=along > 0.0)
@@ -290,10 +277,10 @@ def solve_sweep(c, A, rhs, lo, row: int) -> Iterator[float | LpSolution]:
             ys[held : held + k, basis] = (t[pos : pos + k, None] - beta) * along + levels
             sound[held : held + k] = T[-1, :n_real].max() <= _PIVOT_TOL
             held, pos = held + k, pos + k
-            if held == len(ys) or pos == len(rhs):
-                yield from _certified(ys[:held], sound[:held], c, A, rhs[pos - held : pos], lo)
+            if held == len(ys) or pos == len(t):
+                yield from _certified(ys[:held], sound[:held], c, A, lo, _rows(b, row, t[pos - held : pos]))
                 held = 0
-            if pos == len(rhs) or t[pos] >= breakpoint:
+            if pos == len(t) or t[pos] >= breakpoint:
                 continue
         if pivots == _MAX_ITER:
             break
@@ -309,14 +296,22 @@ def solve_sweep(c, A, rhs, lo, row: int) -> Iterator[float | LpSolution]:
         _pivot(T, basis, r, col)
         pivots += 1
     if held:
-        yield from _certified(ys[:held], sound[:held], c, A, rhs[pos - held : pos], lo)
-    yield from _tail(c, A, rhs, lo, pos)
+        yield from _certified(ys[:held], sound[:held], c, A, lo, _rows(b, row, t[pos - held : pos]))
+    yield from _tail(c, A, lo, b, row, t[pos:])
 
 
-def _certified(ys, sound, c, A, rhs, lo) -> Iterator[float | LpSolution]:
-    """c @ x of each point x = ys[:, :n] + lo that passes the certificate, and ``solve_lps``'s solution elsewhere.
+def _rows(b: np.ndarray, row: int, t: np.ndarray) -> np.ndarray:
+    """Copies of b, one per value of ``t``, with entry ``row`` set to that value."""
+    rhs = np.tile(b, (len(t), 1))
+    rhs[:, row] = t
+    return rhs
 
-    ``sound`` marks the points whose basis has every reduced cost <= _PIVOT_TOL.
+
+def _certified(ys, sound, c, A, lo, rhs) -> Iterator[float | LpSolution]:
+    """c @ x of each point x = ys[:, :n] + lo that passes the certificate, and its LP solved on its own elsewhere.
+
+    Point i's LP has the right-hand side ``rhs[i]``. ``sound`` marks the
+    points whose basis has every reduced cost <= _PIVOT_TOL.
     """
     x = ys[:, : c.size] + lo
     ok = sound & np.logical_and.reduce(np.hstack([x @ A.T - rhs, lo - x]) <= _FEAS_TOL, axis=1)
@@ -324,20 +319,21 @@ def _certified(ys, sound, c, A, rhs, lo) -> Iterator[float | LpSolution]:
     if ok.all():
         yield from values
         return
-    solved = iter(solve_lps(c, A, rhs[~ok], lo))
+    solved = (_solve(c, A, lo, b)[0] for b in rhs[~ok])
     yield from (value if good else next(solved) for value, good in zip(values, ok.tolist()))
 
 
-def _tail(c, A, rhs, lo, start: int, last: LpSolution | None = None) -> Iterator[LpSolution]:
-    """``solve_lps`` on the LPs of ``rhs[start:]`` one at a time, until one is infeasible; every later one repeats it.
+def _tail(c, A, lo, b, row, t, last: LpSolution | None = None) -> Iterator[LpSolution]:
+    """The LPs with b[row] set to each value of ``t``, solved one at a time until one is infeasible.
 
-    ``last`` is the solution of the LP before ``start``, when it is known.
+    Every LP after an infeasible one repeats its solution. ``last`` is the
+    solution of the LP before the first of ``t``, when it is known.
     """
-    for i in range(start, len(rhs)):
+    for i in range(len(t)):
         if last is not None and last.status == "infeasible":
-            yield from itertools.repeat(last, len(rhs) - i)
+            yield from itertools.repeat(last, len(t) - i)
             return
-        (last,) = solve_lps(c, A, rhs[i : i + 1], lo)
+        last = _solve(c, A, lo, _rows(b, row, t[i : i + 1])[0])[0]
         yield last
 
 

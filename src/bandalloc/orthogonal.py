@@ -3,13 +3,14 @@
 The envelope is the LP over assignment fractions omega[j, k] (row and
 column sums at most one). ``envelope_point`` solves it at one point. The LPs
 of a sweep differ only in the right-hand side of the swept user's service
-row, which falls as the grid ascends, so ``sweep_envelope`` builds c and A
-once and hands the grid points to ``optim.solve_sweep``: one two-phase solve,
-then one dual simplex pivot per change of optimal basis along the grid. The
-envelope is piecewise linear between those breakpoints, so a long grid costs
-little more than a short one. The two-user/two-band case also
-has a closed form. The other special cases (single band, symmetric users or
-bands) are test oracles in ``tests/oracles.py``.
+row, which falls as the grid ascends, so ``sweep_envelope`` builds the LP
+once, at the first grid point, and hands ``optim.solve_sweep`` that LP, the
+row and its values along the grid: one two-phase solve, then one dual simplex
+pivot per change of optimal basis along the grid. The envelope is piecewise
+linear between those breakpoints, so a long grid costs little more than a
+short one. The two-user/two-band case also has a closed form. The other
+special cases (single band, symmetric users or bands) are test oracles in
+``tests/oracles.py``.
 
 Convention used throughout the package: envelope computations use non-strict
 constraints (the closure of the stability region), region-membership
@@ -72,28 +73,23 @@ def _assignment_constraints(mu: np.ndarray, lam: np.ndarray, served) -> tuple[np
     Row sums, then column sums (each at most one), then one row per user l in
     ``served`` whose service covers its arrivals: -sum_j omega[j,l]*mu[j,l] <= -lam[l].
     With omega >= 0, a row sum of at most one already gives omega <= 1, so the
-    LP carries no bound rows. ``lam`` may be a stack of rate vectors, one row
-    of b each.
+    LP carries no bound rows.
     """
     m_p, m_s = mu.shape
     # Basic slices only: an index-array fill (cols // m_s, cols % m_s) is
     # slower and faults in 64 KB more of numpy's code per process.
     A = np.zeros((m_p + m_s + len(served), m_p * m_s))
-    b = np.ones(lam.shape[:-1] + (len(A),))
     for j in range(m_p):
         A[j, j * m_s : (j + 1) * m_s] = 1.0
     for l in range(m_s):
         A[m_p + l, l::m_s] = 1.0
-    # b's service rows column by column: -lam[..., served] as one expression
-    # held two copies of the served rates, the memory peak of a long sweep.
     for i, l in enumerate(served, m_p + m_s):
         A[i, l::m_s] = -mu[:, l]
-        np.negative(lam[..., l], out=b[..., i])
-    return A, b
+    return A, np.concatenate([np.ones(m_p + m_s), -lam[served]])
 
 
-def _envelope_lp(rates: RateMatrix, lam: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c, A and b of the LP maximizing user k's rate; ``lam`` may be a stack of rate vectors.
+def _envelope_lp(rates: RateMatrix, lam: np.ndarray, k: int) -> optim.LpProblem:
+    """The LP maximizing user k's rate at the rate vector ``lam``.
 
     max sum_j omega[j,k]*mu[j,k] subject to omega >= 0, row/column sums <= 1,
     and each other user's rate not exceeding its service rate.
@@ -101,7 +97,7 @@ def _envelope_lp(rates: RateMatrix, lam: np.ndarray, k: int) -> tuple[np.ndarray
     c = np.zeros(rates.m_p * rates.m_s)
     c[k :: rates.m_s] = rates.mu[:, k]
     A, b = _assignment_constraints(rates.mu, lam, [l for l in range(rates.m_s) if l != k])
-    return c, A, b
+    return optim.LpProblem(c=c, A=A, b=b, lo=np.zeros(c.size))
 
 
 def _max_rate(sol: optim.LpSolution) -> float | None:
@@ -120,8 +116,7 @@ def envelope_point(rates: RateMatrix, fixed_lambdas, k: int) -> EnvelopePoint:
     <= 1, and each fixed user's rate not exceeding its service rate. The entry
     of ``fixed_lambdas`` at position k is ignored.
     """
-    c, A, b = _envelope_lp(rates, rate_vector(fixed_lambdas, rates.m_s, skip=k), k)
-    sol = optim.solve_lp(optim.LpProblem(c=c, A=A, b=b, lo=np.zeros(c.size)))
+    sol = optim.solve_lp(_envelope_lp(rates, rate_vector(fixed_lambdas, rates.m_s, skip=k), k))
     value = _max_rate(sol)
     if value is None:
         return EnvelopePoint(feasible=False)
@@ -139,7 +134,7 @@ def max_slack_assignment(rates: RateMatrix, lambdas) -> AssignmentMatrix:
     m_p, m_s = rates.m_p, rates.m_s
     lam = rate_vector(lambdas, m_s)
     n = m_p * m_s
-    A, b = _assignment_constraints(rates.mu, lam, range(m_s))
+    A, b = _assignment_constraints(rates.mu, lam, list(range(m_s)))
     slack = np.zeros((A.shape[0], 1))
     slack[m_p + m_s :] = 1.0  # t enters every service row
     problem = optim.LpProblem(c=np.append(np.zeros(n), 1.0), A=np.hstack([A, slack]), b=b,
@@ -186,15 +181,16 @@ def two_by_two_closed_form(mu, lambda_s1: float) -> tuple[float, float] | None:
 def sweep_envelope(rates: RateMatrix, axis: int, grid, others=None, sweep_user=None) -> list[float | None]:
     """User ``axis``'s envelope value at each row of ``model.sweep_rates`` (same arguments).
 
-    The grid points' LPs share c and A, and ``optim.solve_sweep`` walks one
-    optimal basis along them. The values agree with ``envelope_point``'s to
-    rounding, and the first is its value exactly. Every rate is checked before
-    any LP is solved. An infeasible point gives None; the first LP solved on
-    its own that ends otherwise raises.
+    The grid points' LPs differ only in the swept user's service row, so the
+    LP is built once, at the first point, and ``optim.solve_sweep`` walks one
+    optimal basis along that row's values. The values agree with
+    ``envelope_point``'s to rounding, and the first is its value exactly.
+    Every rate is checked before any LP is solved. An infeasible point gives
+    None; the first LP solved on its own that ends otherwise raises.
     """
-    c, A, b = _envelope_lp(rates, sweep_rates(rates.m_s, axis, grid, others, sweep_user), axis)
-    if not len(b):
+    lam, sweep = sweep_rates(rates.m_s, axis, grid, others, sweep_user)
+    if not len(lam):
         return []
-    row = int(np.argmax(b[0] != b[-1]))  # the swept user's service row; any row when the grid is one value
+    row = rates.m_p + rates.m_s + sweep - (sweep > axis)  # the swept user's service row
     return [value if type(value) is float else _max_rate(value)
-            for value in optim.solve_sweep(c, A, b, np.zeros(c.size), row)]
+            for value in optim.solve_sweep(_envelope_lp(rates, lam[0], axis), row, -lam[:, sweep])]

@@ -276,8 +276,8 @@ def shat_envelope(mu, axis: int, grid) -> list[float | None]:
         raise ConfigurationError(
             "analytic envelope for system S_hat covers only M_s=2, M_p<=2; use simulate"
         )
-    lam = sweep_rates(2, axis, grid)[:, 1 - axis].tolist()
-    return _shat_sections(padded if axis == 1 else padded[:, ::-1], lam)
+    lam, sweep = sweep_rates(2, axis, grid)
+    return _shat_sections(padded if axis == 1 else padded[:, ::-1], lam[:, sweep].tolist())
 
 
 def selection_for_rates(mu, lambdas) -> SelectionMatrix:

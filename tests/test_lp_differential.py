@@ -19,6 +19,7 @@ Dantzig's rule alone cycles, must solve.
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -149,27 +150,22 @@ def test_optim_test_shapes():
 
 
 def _recorded_lps(calls):
-    """Every LpProblem the calls hand to ``optim.solve_lp``, in call order."""
+    """Every LpProblem the calls solve, in call order."""
     return [problem for problem, _ in _recorded_solves(calls)]
 
 
 def _recorded_solves(calls):
-    """(problem, solution) for every LP the calls hand to ``optim.solve_lp`` or ``optim.solve_lps``."""
+    """(problem, solution) for every LP the calls solve, recorded at ``optim._solve``, which solves each LP."""
     solves = []
-    solve, solve_batch = optim.solve_lp, optim.solve_lps
+    solve = optim._solve
 
-    def record(problem):
-        solves.append((problem, solve(problem)))
-        return solves[-1][1]
-
-    def record_batch(c, A, rhs, lo):
-        solutions = solve_batch(c, A, rhs, lo)
-        solves.extend((LpProblem(c=c, A=A, b=b, lo=lo), sol) for b, sol in zip(rhs, solutions))
-        return solutions
+    def record(c, A, lo, b):
+        result = solve(c, A, lo, b)
+        solves.append((LpProblem(c=c, A=A, b=b.copy(), lo=lo), result[0]))
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optim, "solve_lp", record)
-        mp.setattr(optim, "solve_lps", record_batch)
+        mp.setattr(optim, "_solve", record)
         for call in calls:
             try:
                 call()
@@ -239,7 +235,7 @@ def _shipped_sweep_lps(name, axis, pinned, grid_stop):
     rates = _shipped_rates(name)
     grid = np.linspace(0.0, grid_stop, 21)
     calls = [lambda lam=lam: orthogonal.envelope_point(rates, lam, axis)
-             for lam in model.sweep_rates(rates.m_s, axis, grid, pinned)]
+             for lam in model.sweep_rates(rates.m_s, axis, grid, pinned)[0]]
     for lam1 in grid[::4]:
         lam = np.zeros(rates.m_s) if pinned is None else np.array(pinned, float)
         lam[axis] = 0.5 * grid_stop
@@ -264,7 +260,7 @@ def _shipped_sweep_calls():
         for axis in range(rates.m_s):
             sweep_user = 1 if axis == 0 else 0
             grid = np.linspace(0.0, 1.05 * rates.mu[:, sweep_user].max(), 101)
-            for lam in model.sweep_rates(rates.m_s, axis, grid):
+            for lam in model.sweep_rates(rates.m_s, axis, grid)[0]:
                 envelope.append(lambda r=rates, l=lam.copy(), a=axis: orthogonal.envelope_point(r, l, a))
                 lam[axis] = 0.5 * lam[sweep_user]
                 slack.append(lambda r=rates, l=lam: orthogonal.max_slack_assignment(r, l))
@@ -350,13 +346,14 @@ class TestSBoundaryPoint:
 
 
 # --- S sweeps, grid point by grid point ---------------------------------------
-# ``orthogonal.sweep_envelope`` must hand ``optim.solve_sweep`` the LP that
-# ``envelope_point`` solves at every grid point, and return values within
+# ``orthogonal.sweep_envelope`` must hand ``optim.solve_sweep`` an LP and
+# values of one row that make, at every grid point, the LP that
+# ``envelope_point`` solves there, and return values within
 # SWEEP_TOL * max(1, |value|) of ``envelope_point``'s, None at the same points
 # (ROADMAP item 3's gate: the walk's values are c @ x at a basis found by dual
 # pivots, not the two-phase solve's). The first point is the two-phase solve's
-# own, and every LP the sweep solves on its own must solve as the reference
-# does, as must every LP ``envelope_point`` solves.
+# own, and every LP the sweep solves on its own (its first LP included) must
+# solve as the reference does, as must every LP ``envelope_point`` solves.
 
 FIVE_BY_FOUR_PINS = (2, 3)  # users 3 and 4, as the region-5x4 benchmark pins them
 SWEEP_TOL = 1e-12
@@ -392,13 +389,13 @@ def _assert_as_reference(problem, sol):
 
 
 def _recorded_sweep(rates, axis, grid, others=None, sweep_user=None):
-    """The sweep's values, the (c, A, rhs, lo) it hands to ``optim.solve_sweep`` and the solves it makes on its own."""
+    """The sweep's values, the (problem, row, t) it hands to ``optim.solve_sweep`` and the LPs it solves on its own."""
     batches, values = [], []
     solve_sweep = optim.solve_sweep
 
-    def record(c, A, rhs, lo, row):
-        batches.append((c, A, rhs, lo))
-        return solve_sweep(c, A, rhs, lo, row)
+    def record(problem, row, t):
+        batches.append((problem, row, t))
+        return solve_sweep(problem, row, t)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optim, "solve_sweep", record)
@@ -408,6 +405,13 @@ def _recorded_sweep(rates, axis, grid, others=None, sweep_user=None):
     return values, batch, alone
 
 
+def _with_entry(b, row, value):
+    """A copy of b with entry ``row`` set to ``value``: one point of a sweep."""
+    b = b.copy()
+    b[row] = value
+    return b
+
+
 def _check_sweep(rates, axis, grid, others=None, sweep_user=None):
     """Compare the sweep with ``envelope_point`` and the reference at every grid point.
 
@@ -415,13 +419,14 @@ def _check_sweep(rates, axis, grid, others=None, sweep_user=None):
     ended "failed" and the solver's optimum passed the residual check instead
     (the listed exception of ``TestSBoundaryPoint``).
     """
-    rows = model.sweep_rates(rates.m_s, axis, grid, others, sweep_user)
-    values, (c, A, rhs, lo), alone = _recorded_sweep(rates, axis, grid, others, sweep_user)
+    rows = model.sweep_rates(rates.m_s, axis, grid, others, sweep_user)[0]
+    values, (sweep, row, t), alone = _recorded_sweep(rates, axis, grid, others, sweep_user)
     points = _recorded_solves([lambda lam=lam: orthogonal.envelope_point(rates, lam, axis) for lam in rows])
-    assert len(values) == len(rhs) == len(points) == len(rows)
+    assert len(values) == len(t) == len(points) == len(rows)
     statuses, exceptions = [], 0
-    for value, b, (problem, sol) in zip(values, rhs, points):
-        for field, want in (("c", c), ("A", A), ("b", b), ("lo", lo)):
+    for value, t_i, (problem, sol) in zip(values, t, points):
+        b = _with_entry(sweep.b, row, t_i)
+        for field, want in (("c", sweep.c), ("A", sweep.A), ("b", b), ("lo", sweep.lo)):
             assert np.array_equal(getattr(problem, field), want)
         status, exception = _assert_as_reference(problem, sol)
         statuses.append(status)
@@ -520,7 +525,7 @@ class TestSweepBatches:
 # and the next float past mu (where a basis changes or the sweep leaves the
 # region), three repeated points and ten points to 1.1 times the largest mu;
 # every 40th scenario sweeps 1,000 points instead. The per-point values come
-# from ``optim.solve_lps``, which is ``envelope_point``'s ``solve_lp``, bit for bit.
+# from ``optim.solve_lp`` on each point's own LP, as ``envelope_point`` solves it.
 
 WALK_SHAPES = [(2, 2), (3, 2), (3, 3), (4, 4), (5, 4)]
 WALK_SCENARIOS = 200  # per shape
@@ -553,12 +558,14 @@ def test_walk_against_points(shape):
     points = walked = 0
     for i in range(WALK_SCENARIOS):
         rates, axis, grid, others, sweep_user = _walk_sweep(rng, *shape, i)
-        c, A, rhs = orthogonal._envelope_lp(rates, model.sweep_rates(rates.m_s, axis, grid, others, sweep_user), axis)
-        lo, row = np.zeros(c.size), rates.m_p + rates.m_s + sweep_user - (sweep_user > axis)  # its service row
+        lam = model.sweep_rates(rates.m_s, axis, grid, others, sweep_user)[0]
+        sweep = orthogonal._envelope_lp(rates, lam[0], axis)
+        row = rates.m_p + rates.m_s + sweep_user - (sweep_user > axis)  # its service row
+        t = -lam[:, sweep_user]
         raw = []
-        alone = _recorded_solves([lambda: raw.extend(optim.solve_sweep(c, A, rhs, lo, row))])
+        alone = _recorded_solves([lambda: raw.extend(optim.solve_sweep(sweep, row, t))])
         values = [v if type(v) is float else orthogonal._max_rate(v) for v in raw]
-        want = [orthogonal._max_rate(sol) for sol in optim.solve_lps(c, A, rhs, lo)]
+        want = [orthogonal._max_rate(optim.solve_lp(replace(sweep, b=_with_entry(sweep.b, row, t_i)))) for t_i in t]
         assert len(values) == len(want) == len(grid)
         for got, value in zip(values, want):
             _assert_close_value(got, value)
@@ -570,13 +577,21 @@ def test_walk_against_points(shape):
     assert points >= 6000 and walked >= points // 2
 
 
-def test_solve_sweep_refuses_rows_that_are_no_sweep():
-    # the walk moves one entry of b, downwards
-    c, A, lo = np.ones(2), np.eye(2), np.zeros(2)
-    for rhs in ([[1.0, 1.0], [1.0, 2.0]], [[1.0, 1.0], [0.5, 0.5]]):
-        with pytest.raises(ValueError, match="differ only in entry row, non-increasing"):
-            list(optim.solve_sweep(c, A, rhs, lo, 0))
-    first, second = optim.solve_sweep(c, A, [[1.0, 1.0], [0.5, 1.0]], lo, 0)
+def test_solve_sweep_refuses_a_rising_or_non_finite_t():
+    # the walk moves one entry of b, downwards, through finite values; an
+    # empty t solves nothing, and a one-point t solves b with b[row] = t[0]
+    problem = LpProblem(c=np.ones(2), A=np.eye(2), b=np.ones(2), lo=np.zeros(2))
+    for t in ([1.0, 2.0], [1.0, math.nan], [math.inf, 1.0], [[1.0, 0.5]]):
+        with pytest.raises(ValueError, match="^t must be 1-D, finite and non-increasing$"):
+            list(optim.solve_sweep(problem, 0, t))
+    for row in (-1, 2):
+        with pytest.raises(ValueError, match="^row must index a row of A$"):
+            list(optim.solve_sweep(problem, row, [1.0]))
+    assert list(optim.solve_sweep(problem, 0, [])) == []
+    (only,) = optim.solve_sweep(problem, 0, [0.25])
+    _assert_equal(only, optim.solve_lp(LpProblem(c=problem.c, A=problem.A, b=[0.25, 1.0], lo=problem.lo)))
+    assert only.value == 1.25
+    first, second = optim.solve_sweep(problem, 0, [1.0, 0.5])
     assert (first.value, second) == (2.0, 1.5)
 
 
@@ -588,8 +603,8 @@ def test_empty_sweep():
     # a point solved on its own after the first runs out of pivots (the
     # second takes 3 in phase II on the 2x2 scenario and 5 on the 5x4 one, the
     # first 2 and 4). The 2x2 walk covers every feasible point in at most 3
-    # pivots and hands only the infeasible last one to solve_lps. The 5x4
-    # walk covers 3 points in its 5 pivots and hands the rest to solve_lps.
+    # pivots and solves only the infeasible last one on its own. The 5x4
+    # walk covers 3 points in its 5 pivots and solves the rest on their own.
     ("reference_2x2", None, "_MAX_ITER", 3, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8]),
     ("reference_2x2", None, "_MAX_ITER", 4, [0.0, 0.1, 0.2, 0.3, 0.7, 0.8]),
     ("five_by_four", [0.0, 0.0, 0.15, 0.2], "_MAX_ITER", 5, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
@@ -599,14 +614,14 @@ def test_empty_sweep():
 ])
 def test_sweep_errors_in_grid_order(monkeypatch, name, others, setting, value, grid):
     # on every prefix of the grid, the points the sweep solves on its own (the
-    # first, and those it hands to solve_lps) end as solving the points one at
+    # first, and those the walk does not cover) end as solving the points one at
     # a time does: an LP that ends "failed" or "unbounded" raises at the first
     # such point, and infeasible points before it are returned as infeasible.
     # The points the walk covers keep the gate against the default settings.
     rates = _shipped_rates(name)
-    rows = model.sweep_rates(rates.m_s, 1, grid, others)
+    rows = model.sweep_rates(rates.m_s, 1, grid, others)[0]
     default = [orthogonal.envelope_point(rates, lam, 1).max_rate for lam in rows]
-    b = orthogonal._envelope_lp(rates, rows, 1)[2]
+    b = [orthogonal._envelope_lp(rates, lam, 1).b for lam in rows]
     monkeypatch.setattr(optim, setting, value)
     first_raise = None  # the first prefix size that raises
     for size in range(1, len(grid) + 1):
@@ -618,7 +633,7 @@ def test_sweep_errors_in_grid_order(monkeypatch, name, others, setting, value, g
             except RuntimeError as exc:
                 outcome.append(exc)
 
-        alone = {tuple(b[0])} | {tuple(problem.b) for problem, _ in _recorded_solves([sweep])}
+        alone = {tuple(problem.b) for problem, _ in _recorded_solves([sweep])}
         expected = []
         for i, lam in enumerate(rows[:size]):
             if tuple(b[i]) not in alone:
@@ -643,7 +658,7 @@ def test_sweep_errors_in_grid_order(monkeypatch, name, others, setting, value, g
 def test_sweep_refuses_bad_grid_values_in_grid_order(grid):
     rates = _shipped_rates("reference_2x2")
     with pytest.raises(ConfigurationError) as alone:
-        for lam in model.sweep_rates(rates.m_s, 1, grid):
+        for lam in model.sweep_rates(rates.m_s, 1, grid)[0]:
             orthogonal.envelope_point(rates, lam, 1)
     with pytest.raises(ConfigurationError, match=f"^{alone.value}$"):
         orthogonal.sweep_envelope(rates, 1, grid)
@@ -658,8 +673,8 @@ def test_sweep_does_not_depend_on_the_batch_size(monkeypatch):
     assert orthogonal.sweep_envelope(rates, 1, grid, others=[0.0, 0.0, 0.15, 0.2]) == whole
 
 
-class TestSolveLps:
-    """``optim.solve_lps`` on LPs that share c, A and lo, against the reference one LP at a time."""
+class TestSharedLps:
+    """``optim.solve_lp`` on LPs that share c, A and lo, one LP at a time, against the reference."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_shared_box_lps(self, seed):
@@ -674,10 +689,10 @@ class TestSolveLps:
             if kinds[i % 4] == "rounded":
                 rhs = np.round(rhs, 1)
             rhs[rng.random(12) < 0.2] = shared.b  # repeated rows
-            solutions = optim.solve_lps(shared.c, shared.A, rhs, shared.lo)
+            problems = [LpProblem(c=shared.c, A=shared.A, b=b, lo=shared.lo) for b in rhs]
+            solutions = [optim.solve_lp(problem) for problem in problems]
             assert len(solutions) == len(rhs)
-            for b, sol in zip(rhs, solutions):
-                problem = LpProblem(c=shared.c, A=shared.A, b=b, lo=shared.lo)
+            for problem, sol in zip(problems, solutions):
                 statuses.add(_assert_equal(sol, reference_solve_lp(problem)).status)
                 _assert_equal(sol, optim.solve_lp(problem))
         assert statuses == {"optimal", "infeasible", "unbounded"}
@@ -695,30 +710,32 @@ class TestSolveLps:
         loops = []
         simplex = optim._simplex
         monkeypatch.setattr(optim, "_simplex", lambda *args: loops.append(args[-1]) or simplex(*args))
-        solutions = optim.solve_lps(c, A, rhs, lo)
+        solutions = [optim.solve_lp(LpProblem(c=c, A=A, b=b, lo=lo)) for b in rhs]
         assert loops == [5, 6, 5, 6, 5, 7, 5, 5, 7]
         statuses = [_assert_equal(sol, reference_solve_lp(LpProblem(c=c, A=A, b=b, lo=lo))).status
                     for b, sol in zip(rhs, solutions, strict=True)]
         assert statuses == ["optimal"] * 5 + ["infeasible"]
 
     def test_no_rows_and_no_lps(self):
+        # no LPs: a sweep over no values of one row
         lo = np.array([0.0, -0.5])
-        assert optim.solve_lps(np.ones(2), np.zeros((1, 2)), np.zeros((0, 1)), lo) == []
+        problem = LpProblem(c=np.ones(2), A=np.zeros((1, 2)), b=np.zeros(1), lo=lo)
+        assert list(optim.solve_sweep(problem, 0, [])) == []
         statuses = []
         for c in ([-1.0, -0.0], [-1.0, 1.0]):  # x = lo is optimal; x2 grows without bound
-            (sol,) = optim.solve_lps(c, np.zeros((0, 2)), np.zeros((1, 0)), lo)
+            sol = optim.solve_lp(LpProblem(c=c, A=np.zeros((0, 2)), b=np.zeros(0), lo=lo))
             statuses.append(_assert_equal(sol, reference_solve_lp(
                 LpProblem(c=c, A=np.zeros((0, 2)), b=np.zeros(0), lo=lo))).status)
         assert statuses == ["optimal", "unbounded"]
 
-    @pytest.mark.parametrize("rhs, message", [
-        ([1.0, 2.0], "one row of b per LP"),
-        ([[1.0, math.inf]], "b must be finite"),
-        ([[1.0, 2.0, 3.0]], "disagree on the number of constraints"),
+    @pytest.mark.parametrize("b, message", [
+        ([[1.0], [2.0]], "b must be a vector"),
+        ([1.0, math.inf], "b must be finite"),
+        ([1.0, 2.0, 3.0], "disagree on the number of constraints"),
     ])
-    def test_refuses_bad_rhs(self, rhs, message):
+    def test_refuses_bad_rhs(self, b, message):
         with pytest.raises(ValueError, match=message):
-            optim.solve_lps(np.ones(2), np.eye(2), rhs, np.zeros(2))
+            LpProblem(c=np.ones(2), A=np.eye(2), b=b, lo=np.zeros(2))
 
 
 # --- Bland's rule, which the solver's entering rule replaced -----------------
@@ -732,7 +749,7 @@ def _jittered_sweep_lps():
     """The LPs ``envelope_point`` solves at each point of the seeded 5x4 sweeps and of the boundary sweep."""
     return _recorded_lps([lambda r=rates, lam=lam: orthogonal.envelope_point(r, lam, 1)
                           for rates, grid, others in [*_jittered_sweeps(), _boundary_sweep()]
-                          for lam in model.sweep_rates(rates.m_s, 1, grid, others, 0)])
+                          for lam in model.sweep_rates(rates.m_s, 1, grid, others, 0)[0]])
 
 
 LP_CORPUS = {
@@ -785,11 +802,11 @@ class TestCycling:
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(1.25, abs=1e-12)
 
-    def test_in_a_stack(self):
+    def test_next_to_other_lps(self):
         # next to LPs whose start is not degenerate, on which Dantzig's rule does not cycle
         rhs = np.array([[0.5, 0.5, 1.0], self.b, [1.0, 0.2, 2.0], self.b])
         assert [dantzig_solve_lp(self.problem(b)).status for b in rhs[[0, 2]]] == ["optimal"] * 2
-        solutions = optim.solve_lps(self.c, self.A, rhs, np.zeros(4))
+        solutions = [optim.solve_lp(self.problem(b)) for b in rhs]
         for b, sol in zip(rhs, solutions, strict=True):
             _assert_equal(sol, _assert_same(self.problem(b)))
         assert [sol.value for sol in solutions[1::2]] == [pytest.approx(1.25, abs=1e-12)] * 2
