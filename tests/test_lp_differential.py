@@ -595,6 +595,23 @@ def test_solve_sweep_refuses_a_rising_or_non_finite_t():
     assert (first.value, second) == (2.0, 1.5)
 
 
+def test_points_failing_the_certificate_are_solved_on_their_own():
+    # no sweep of the suite walks to a point that fails the certificate, so
+    # the chunk test is fed one: the second point's basis is not dual
+    # feasible, and the third point's x breaks row 0. Each yields the
+    # solution of its own LP, b[row] set to its value; the first its c @ x.
+    problem = LpProblem(c=np.ones(2), A=np.eye(2), b=np.ones(2), lo=np.zeros(2))
+    t = np.array([1.0, 0.5, 0.25])
+    rhs = optim._rows(problem.b, 0, t)
+    ys = np.zeros((3, 4))  # variables, then slacks
+    ys[:, 0], ys[:, 1], ys[2, 0] = t, 1.0, 2.0
+    first, second, third = optim._certified(ys, np.array([True, False, True]), problem.c, problem.A,
+                                            problem.lo, rhs)
+    assert first == 2.0
+    for got, b in ((second, [0.5, 1.0]), (third, [0.25, 1.0])):
+        assert _assert_equal(got, optim.solve_lp(replace(problem, b=b))).value == b[0] + 1.0
+
+
 def test_empty_sweep():
     assert orthogonal.sweep_envelope(_shipped_rates("five_by_four"), 0, []) == []
 
