@@ -43,9 +43,9 @@ milliseconds per call. A case that pivots a simplex tableau also reports
 repeats exactly. Each call pivots one LP's tableau, in a two-phase solve or
 in an S sweep's walk (``optim.solve_sweep``). The two 1e5-point
 ``orthogonal.sweep_envelope`` cases also report ``peak_mb``, the tracemalloc
-peak of one untimed call in MB (1e6 bytes). A case that evaluates an S_hat dominant-1 kernel likewise reports
-``kernel_calls``, the calls of the forward kernel
-``randalloc._dominant1_envelopes`` and the inverse kernel
+peak of one untimed call in MB (1e6 bytes). A case that evaluates an S_hat
+dominant-1 kernel likewise reports ``kernel_calls``, the calls of the
+forward kernel ``randalloc._dominant1_envelopes`` and the inverse kernel
 ``randalloc._dominant1_sections`` together in one untimed call, and a case
 that simulates reports ``reflections``, the calls of
 ``sim._reflect``: one per block for the primary queues, and one per block

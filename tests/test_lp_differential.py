@@ -589,7 +589,7 @@ def test_solve_sweep_refuses_a_rising_or_non_finite_t():
             list(optim.solve_sweep(problem, row, [1.0]))
     assert list(optim.solve_sweep(problem, 0, [])) == []
     (only,) = optim.solve_sweep(problem, 0, [0.25])
-    _assert_equal(only, optim.solve_lp(LpProblem(c=problem.c, A=problem.A, b=[0.25, 1.0], lo=problem.lo)))
+    _assert_equal(only, optim.solve_lp(replace(problem, b=[0.25, 1.0])))
     assert only.value == 1.25
     first, second = optim.solve_sweep(problem, 0, [1.0, 0.5])
     assert (first.value, second) == (2.0, 1.5)
