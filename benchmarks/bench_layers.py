@@ -25,10 +25,12 @@ decomposition of the 5x4 max-slack assignment
 each both as a library sweep and as the whole ``envelope`` command through
 ``cli.main``, the S and fixed sweeps again over the same span in 1e5 points,
 an S sweep of the reference 2x2 scenario's user 2 over 1e5 points from 0 to
-0.7 (library sweeps only), a whole ``decompose`` command on the 5x4
-scenario (user 2's largest rate with users 1, 3 and 4 at 0.2, 0.2 and 0.3,
-as region-5x4's ``decompose`` commands pin them), four more whole commands on
-the reference 2x2 scenario through ``cli.main`` (S ``envelope`` sweeps of 100
+0.7 (library sweeps only), a ``regions.compare`` of user 2 on the reference
+2x2 scenario over the region-2x2 grid 0:0.175:0.025, a whole ``decompose``
+command on the 5x4 scenario (user 2's largest rate with users 1, 3 and 4 at
+0.2, 0.2 and 0.3, as region-5x4's ``decompose`` commands pin them), four
+more whole commands on the reference 2x2 scenario through ``cli.main`` (S
+``envelope`` sweeps of 100
 and of 2001 points, where the cost per point shows, a 29-point ``compare``
 and a 1e5-slot ``simulate --system S`` at rates (0.3, 0.3)),
 each with its output sent to the null device, a 1e5-slot ``sim.run``
@@ -50,7 +52,9 @@ forward kernel ``randalloc._dominant1_envelopes`` and the inverse kernel
 that simulates reports ``reflections``, the calls of
 ``sim._reflect``: one per block for the primary queues, and one per block
 for the secondary queues or, under random selection, one per user recomputed
-in a contention sweep.
+in a contention sweep. A case that sweeps a grid reports ``grid_checks``, the
+calls of ``model.sweep_rates`` in one untimed call, counted in every module
+that imports it.
 The output is one JSON object with the Python and numpy versions and the CPU
 model next to the timings. Not part of the test suite.
 """
@@ -102,11 +106,17 @@ def envelope_lp(rates, lam, k):
 def call_count(module, names, fn):
     """Calls of the functions ``names`` of ``module`` in one call of ``fn``, together.
 
-    A name the tree lacks counts no calls; None where it has none of them.
+    Each function is counted in every bandalloc module that holds it, so the
+    calls that other modules make through ``from .model import sweep_rates``
+    count too. A name the tree lacks counts no calls; None where it has none
+    of them.
     """
     originals = {name: getattr(module, name) for name in names if hasattr(module, name)}
     if not originals:
         return None
+    holders = [(held, name, original) for key, held in list(sys.modules.items())
+               if key == "bandalloc" or key.startswith("bandalloc.")
+               for name, original in originals.items() if getattr(held, name, None) is original]
     count = 0
 
     def counting(original):
@@ -116,13 +126,13 @@ def call_count(module, names, fn):
             return original(*args)
         return counted
 
-    for name, original in originals.items():
-        setattr(module, name, counting(original))
+    for held, name, original in holders:
+        setattr(held, name, counting(original))
     try:
         fn()
     finally:
-        for name, original in originals.items():
-            setattr(module, name, original)
+        for held, name, original in holders:
+            setattr(held, name, original)
     return count
 
 
@@ -138,7 +148,7 @@ def peak_mb(fn) -> float:
 
 def cases():
     """(name, zero-argument callable) for each timed call."""
-    from bandalloc import cli, fixedalloc, model, optim, orthogonal, randalloc, schedule, sim
+    from bandalloc import cli, fixedalloc, model, optim, orthogonal, randalloc, regions, schedule, sim
 
     ref_scenario = cli.load_scenario(str(ROOT / "scenarios" / "reference_2x2.json"))[0]
     ref = model.rate_matrix(ref_scenario)
@@ -217,6 +227,7 @@ def cases():
         ("orthogonal.sweep_envelope 5x4 1e5 points", lambda: orthogonal.sweep_envelope(
             big, 0, fixed_grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
         ("orthogonal.sweep_envelope 2x2 1e5 points", lambda: orthogonal.sweep_envelope(ref, 1, s_long_grid)),
+        ("regions.compare 2x2 8 points", lambda: regions.compare(ref, 1, region_grid)),
     ] + [
         (f"cli.main {label}", lambda argv=argv: cli.main(argv + ["--out", os.devnull]))
         for label, argv in commands.items()
@@ -252,7 +263,8 @@ def main(argv=None) -> int:
         for key, module, funcs in (("pivots", "optim", ["_pivot"]),
                                    ("kernel_calls", "randalloc",
                                     ["_dominant1_envelopes", "_dominant1_sections"]),
-                                   ("reflections", "sim", ["_reflect"])):
+                                   ("reflections", "sim", ["_reflect"]),
+                                   ("grid_checks", "model", ["sweep_rates"])):
             count = call_count(sys.modules[f"bandalloc.{module}"], funcs, fn)
             if count:
                 results[name][key] = count

@@ -124,7 +124,13 @@ def sweep_envelope(
     every grid point with one ``searchsorted``; a later chunk wins a grid
     point only when strictly better.
     """
-    lam, sweep = sweep_rates(rates.m_s, axis, grid, others, sweep_user)
+    return sweep_rows(rates, axis, *sweep_rates(rates.m_s, axis, grid, others, sweep_user), mapping)
+
+
+def sweep_rows(
+    rates: RateMatrix, axis: int, lam: np.ndarray, sweep: int, mapping: FixedMapping | None = None
+) -> list[float | None]:
+    """``sweep_envelope`` at the rows ``lam`` and swept user ``sweep`` that ``model.sweep_rates`` returned."""
     tables = _tables(rates, mapping)  # refuses a bad shape or mapping, also for an empty grid
     if not len(lam):
         return []

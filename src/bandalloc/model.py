@@ -14,6 +14,7 @@ primary user) and M_s buffered secondary users. Two input modes exist:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,8 +42,16 @@ def check_unit_interval(values, name: str) -> None:
 
 
 def check_user_index(k: int, m_s: int) -> None:
-    """Refuse ``k`` unless it is a 0-based index of one of ``m_s`` users (0.5 is none)."""
-    if k not in range(m_s):
+    """Refuse ``k`` unless it is an integer 0-based index of one of ``m_s`` users.
+
+    0.5 is no index, and neither are 1.0 and True: numpy refuses a float
+    index and reads a bool one as a mask.
+    """
+    try:
+        index = operator.index(k)
+    except TypeError:
+        index = None
+    if isinstance(k, bool) or index not in range(m_s):
         raise ConfigurationError(f"user index {k} out of range")
 
 
@@ -58,9 +67,9 @@ def rate_rows(rates, m_s: int, skip: int | None = None) -> np.ndarray:
         raise ConfigurationError("rates must have one entry per user")
     if skip is not None:
         lam[:, skip] = 0.0
-    bad = np.argwhere(~(lam >= 0))  # NaN fails the test
-    if bad.size:
-        row, user = bad[0]
+    ok = lam >= 0  # NaN fails the test
+    if not ok.all():
+        row, user = np.argwhere(~ok)[0]
         raise ConfigurationError(f"rate of user {user + 1} must be >= 0, got {float(lam[row, user])}")
     return lam
 
@@ -91,9 +100,9 @@ def sweep_rates(m_s: int, axis: int, grid, others=None, sweep_user=None) -> tupl
     lam = np.tile(base, (len(grid), 1))
     lam[:, sweep_user] = grid
     lam = rate_rows(lam, m_s)
-    bad = np.argwhere(np.isinf(lam))
-    if bad.size:
-        row, user = bad[0]
+    finite = np.isfinite(lam)
+    if not finite.all():
+        row, user = np.argwhere(~finite)[0]  # no NaN is left, so each entry here is inf
         raise ConfigurationError(f"rate of user {user + 1} must be finite, got {float(lam[row, user])}")
     return lam, sweep_user
 

@@ -188,7 +188,11 @@ def sweep_envelope(rates: RateMatrix, axis: int, grid, others=None, sweep_user=N
     Every rate is checked before any LP is solved. An infeasible point gives
     None; the first LP solved on its own that ends otherwise raises.
     """
-    lam, sweep = sweep_rates(rates.m_s, axis, grid, others, sweep_user)
+    return sweep_rows(rates, axis, *sweep_rates(rates.m_s, axis, grid, others, sweep_user))
+
+
+def sweep_rows(rates: RateMatrix, axis: int, lam: np.ndarray, sweep: int) -> list[float | None]:
+    """``sweep_envelope`` at the rows ``lam`` and swept user ``sweep`` that ``model.sweep_rates`` returned."""
     if not len(lam):
         return []
     row = rates.m_p + rates.m_s + sweep - (sweep > axis)  # the swept user's service row

@@ -276,8 +276,12 @@ def shat_envelope(mu, axis: int, grid) -> list[float | None]:
         raise ConfigurationError(
             "analytic envelope for system S_hat covers only M_s=2, M_p<=2; use simulate"
         )
-    lam, sweep = sweep_rates(2, axis, grid)
-    return _shat_sections(padded if axis == 1 else padded[:, ::-1], lam[:, sweep].tolist())
+    return shat_rows(padded, axis, *sweep_rates(2, axis, grid))
+
+
+def shat_rows(mu: np.ndarray, axis: int, lam: np.ndarray, sweep: int) -> list[float | None]:
+    """``shat_envelope`` of a checked 2x2 ``mu`` at the rows ``lam`` and swept user ``sweep`` from ``sweep_rates``."""
+    return _shat_sections(mu if axis == 1 else mu[:, ::-1], lam[:, sweep].tolist())
 
 
 def selection_for_rates(mu, lambdas) -> SelectionMatrix:

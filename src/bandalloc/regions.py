@@ -3,13 +3,16 @@
 The fixed region lies inside S_hat, and S_hat inside S. ``envelope`` sweeps
 one system's envelope; ``compare`` sweeps all three on a 2x2 scenario, with
 the envelopes of the two fixed mappings, and flags each grid point where the
-containment fails (``containment_flags``).
+containment fails (``containment_flags``). ``compare`` checks its grid once,
+with ``model.sweep_rates``, hands the checked rows to each system's
+``sweep_rows`` (``shat_rows`` for S_hat), and takes the best fixed envelope
+from the sweeps of the two fixed mappings that a 2x2 scenario has.
 """
 
 from __future__ import annotations
 
 from . import fixedalloc, orthogonal, randalloc
-from .model import ConfigurationError, RateMatrix
+from .model import ConfigurationError, RateMatrix, sweep_rates
 
 # fixed <= S compares an LP optimum with a closure rate, so it needs only
 # rounding slack. The 2e-3 of the two S_hat relations dates from bisected
@@ -55,12 +58,19 @@ def compare(rates: RateMatrix, axis: int, grid) -> tuple[dict[str, list[float | 
 
     Returns the columns S, S_hat, fixed_best (the best fixed mapping),
     fixed_d12 and fixed_d21 (each fixed mapping alone), and the
-    ``containment_flags`` of each grid point.
+    ``containment_flags`` of each grid point. fixed_best is the elementwise
+    maximum of fixed_d12 and fixed_d21 (None read as -inf, ties to fixed_d12):
+    each value of the step function over all mappings is the largest
+    mu[m_axis, axis] among the mappings whose threshold reaches the grid
+    point, so the two agree float for float.
     """
     if rates.m_s != 2 or rates.m_p != 2:
         raise ConfigurationError("compare needs a 2x2 scenario (2 bands, 2 users)")
-    columns = {"S": envelope(rates, "S", axis, grid), "S_hat": envelope(rates, "S_hat", axis, grid),
-               "fixed_best": envelope(rates, "fixed", axis, grid)} | {
-        f"fixed_d{a}{b}": fixedalloc.sweep_envelope(rates, axis, grid, mapping=fixedalloc.FixedMapping((a, b)))
-        for a, b in ((1, 2), (2, 1))}
+    lam, sweep = sweep_rates(2, axis, grid)
+    d12, d21 = (fixedalloc.sweep_rows(rates, axis, lam, sweep, fixedalloc.FixedMapping(assignment))
+                for assignment in ((1, 2), (2, 1)))
+    columns = {"S": orthogonal.sweep_rows(rates, axis, lam, sweep),
+               "S_hat": randalloc.shat_rows(rates.mu, axis, lam, sweep),
+               "fixed_best": [b if _exceeds(b, a, 0.0) else a for a, b in zip(d12, d21)],
+               "fixed_d12": d12, "fixed_d21": d21}
     return columns, containment_flags(columns["S"], columns["S_hat"], columns["fixed_best"])

@@ -261,7 +261,7 @@ class TestCompare:
         # sabotage the S_hat section so the asserted ordering breaks
         from bandalloc import randalloc
 
-        monkeypatch.setattr(randalloc, "shat_envelope", lambda mu, axis, grid: [1e-6] * len(grid))
+        monkeypatch.setattr(randalloc, "shat_rows", lambda mu, axis, lam, sweep: [1e-6] * len(lam))
         code, out, err = run_cli(
             capsys, "compare", "--scenario", ref_2x2_file, "--grid", "0:0.2:0.1", "--json",
         )
@@ -275,7 +275,7 @@ class TestCompare:
         # the count used to be of flags, 4
         from bandalloc import orthogonal
 
-        monkeypatch.setattr(orthogonal, "sweep_envelope", lambda rates, axis, grid, *args: [None] * len(grid))
+        monkeypatch.setattr(orthogonal, "sweep_rows", lambda rates, axis, lam, sweep: [None] * len(lam))
         code, out, err = run_cli(capsys, "compare", "--scenario", ref_2x2_file, "--grid", "0:0.1:0.1")
         assert code == 1
         assert out.splitlines()[-1].endswith(",S_hat>S;fixed>S")

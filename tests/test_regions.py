@@ -1,8 +1,9 @@
-"""The containment rule of ``compare`` at its tolerances, on hand-made envelope columns.
+"""The containment rule of ``compare`` at its tolerances, on hand-made envelope columns, and its columns.
 
 fixed may exceed S_hat, and S_hat may exceed S, by at most 2e-3; fixed may
 exceed S by at most 1e-9. A feasible value next to None in a larger region is
-a violation.
+a violation. ``compare``'s columns must equal, float for float, the public
+sweeps of each system.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from bandalloc import model, regions
+from bandalloc import fixedalloc, model, orthogonal, randalloc, regions
 from bandalloc.model import ConfigurationError
 
 
@@ -57,3 +58,34 @@ def test_compare_refuses_other_shapes():
     rates = model.RateMatrix(mu=np.full((3, 2), 0.5), mu_p=np.ones(3), pi=np.ones(3))
     with pytest.raises(ConfigurationError, match=r"^compare needs a 2x2 scenario \(2 bands, 2 users\)$"):
         regions.compare(rates, 1, [0.0, 0.1])
+
+
+def test_compare_columns_match_the_public_sweeps():
+    # compare checks the grid once and takes fixed_best from the two mapping
+    # sweeps; each column must repeat, signed zeros included, the sweep it
+    # stands for: the S and S_hat sweeps, each mapping's fixed sweep, and the
+    # fixed sweep over all mappings for fixed_best
+    rng = np.random.default_rng(26)
+    for i in range(200):
+        mu = rng.random((2, 2))
+        if i % 2:
+            mu[rng.random((2, 2)) < 0.4] = 0.0
+        if i % 3 == 0:
+            mu[rng.random((2, 2)) < 0.4] = -0.0
+        if i % 5 == 0:
+            mu = np.round(mu, 1)  # ties between mappings
+        rates = model.RateMatrix(mu=mu, mu_p=np.ones(2), pi=np.ones(2))
+        edges = mu.ravel().tolist()
+        grid = sorted(edges + [v + 1e-12 for v in edges] + [math.nextafter(v, 1.0) for v in edges])
+        axis = i % 2
+        columns, violations = regions.compare(rates, axis, grid)
+        expected = {
+            "S": orthogonal.sweep_envelope(rates, axis, grid),
+            "S_hat": randalloc.shat_envelope(rates.mu, axis, grid),
+            "fixed_best": fixedalloc.sweep_envelope(rates, axis, grid),
+        } | {f"fixed_d{a}{b}": fixedalloc.sweep_envelope(rates, axis, grid, mapping=fixedalloc.FixedMapping((a, b)))
+             for a, b in ((1, 2), (2, 1))}
+        assert list(columns) == ["S", "S_hat", "fixed_best", "fixed_d12", "fixed_d21"]
+        for name, values in expected.items():
+            assert repr(columns[name]) == repr(values), (name, mu.tolist(), axis)
+        assert violations == regions.containment_flags(expected["S"], expected["S_hat"], expected["fixed_best"])

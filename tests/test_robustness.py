@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from bandalloc import cli, fixedalloc, model, orthogonal, randalloc, schedule
+from bandalloc import cli, fixedalloc, model, orthogonal, randalloc, regions, schedule
 from bandalloc.model import ConfigurationError, PrimaryBand, SecondaryUser, SlotConfig
 from bandalloc.optim import LpProblem
 
@@ -274,11 +274,12 @@ def test_sweep_needs_a_second_user(module):
         module.sweep_envelope(rates, 0, [0.1])
 
 
-@pytest.mark.parametrize("axis", [2, 7, -1, 0.5])
+@pytest.mark.parametrize("axis", [2, 7, -1, 0.5, 1.0, True])
 @pytest.mark.parametrize("system", ["S", "S_hat", "fixed"])
 def test_sweeps_refuse_an_axis_out_of_range(ref_2x2_rates, system, axis):
     # shat_envelope used to sweep any axis but 0 as axis 1, and the S and fixed
-    # sweeps with ``others`` given raised IndexError for axis 7 and 0.5
+    # sweeps with ``others`` given raised IndexError for axis 7, 0.5 and 1.0;
+    # every sweep read True as index 1
     sweep = {
         "S": lambda: orthogonal.sweep_envelope(ref_2x2_rates, axis, [0.1], others=[0.0, 0.0]),
         "S_hat": lambda: randalloc.shat_envelope(ref_2x2_rates.mu, axis, [0.1]),
@@ -297,11 +298,32 @@ def test_sweeps_refuse_a_sweep_user_out_of_range(ref_2x2_rates, module, sweep_us
         module.sweep_envelope(ref_2x2_rates, 1, [0.0, 0.3, 0.6], sweep_user=sweep_user)
 
 
-# The three systems' sweeps of user 2's envelope along user 1's rate.
+@pytest.mark.parametrize("index", [1.0, True, np.float64(1.0)], ids=["float", "bool", "np.float64"])
+def test_user_indices_must_be_integers(ref_2x2_rates, index):
+    # sweep_user=True used to give the rows [[0.1, 0.1]], as numpy reads a
+    # bool index as a mask, and 1.0 ended in a bare IndexError, here and in
+    # envelope_point
+    message = f"^user index {index} out of range$"
+    with pytest.raises(ConfigurationError, match=message):
+        model.sweep_rates(2, 0, [0.1], sweep_user=index)
+    with pytest.raises(ConfigurationError, match=message):
+        orthogonal.envelope_point(ref_2x2_rates, [0.3, 0.0], index)
+
+
+def test_numpy_integer_user_indices_pass(ref_2x2_rates):
+    rows, sweep = model.sweep_rates(2, 0, [0.1], sweep_user=np.int64(1))
+    assert (rows.tolist(), sweep) == ([[0.0, 0.1]], 1)
+    point = orthogonal.envelope_point(ref_2x2_rates, [0.3, 0.0], np.int64(1))
+    assert point.max_rate == orthogonal.envelope_point(ref_2x2_rates, [0.3, 0.0], 1).max_rate
+
+
+# The three systems' sweeps of user 2's envelope along user 1's rate, and
+# ``compare``, which sweeps all three.
 SWEEPS = {
     "orthogonal": lambda rates, grid: orthogonal.sweep_envelope(rates, 1, grid),
     "fixedalloc": lambda rates, grid: fixedalloc.sweep_envelope(rates, 1, grid),
     "randalloc": lambda rates, grid: randalloc.shat_envelope(rates.mu, 1, grid),
+    "regions": lambda rates, grid: regions.compare(rates, 1, grid),
 }
 
 
@@ -321,9 +343,10 @@ def test_sweeps_check_the_grid_before_any_lp_or_mapping(ref_2x2_rates, monkeypat
     def no_kernel(*args, **kwargs):
         raise AssertionError("the grid was not checked first")
 
-    kernel = {"orthogonal": (orthogonal.optim, "solve_sweep"), "fixedalloc": (fixedalloc, "_tables"),
-              "randalloc": (randalloc, "_dominant1_values")}[module]
-    monkeypatch.setattr(*kernel, no_kernel)
+    kernels = {"orthogonal": (orthogonal.optim, "solve_sweep"), "fixedalloc": (fixedalloc, "_tables"),
+               "randalloc": (randalloc, "_dominant1_values")}
+    for name in kernels if module == "regions" else [module]:  # compare runs all three
+        monkeypatch.setattr(*kernels[name], no_kernel)
     with pytest.raises(ConfigurationError, match="^rate of user 1 must be >= 0, got nan$"):
         SWEEPS[module](ref_2x2_rates, [0.1, 0.2, math.nan])
 
