@@ -127,9 +127,8 @@ def sweep_envelope(
     return sweep_rows(rates, axis, *sweep_rates(rates.m_s, axis, grid, others, sweep_user), mapping)
 
 
-def sweep_rows(
-    rates: RateMatrix, axis: int, lam: np.ndarray, sweep: int, mapping: FixedMapping | None = None
-) -> list[float | None]:
+def sweep_rows(rates: RateMatrix, axis: int, lam: np.ndarray, sweep: int,
+               mapping: FixedMapping | None) -> list[float | None]:
     """``sweep_envelope`` at the rows ``lam`` and swept user ``sweep`` that ``model.sweep_rates`` returned."""
     tables = _tables(rates, mapping)  # refuses a bad shape or mapping, also for an empty grid
     if not len(lam):
