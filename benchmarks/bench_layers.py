@@ -10,7 +10,7 @@ A case is named after the function it times; where the ``--src`` tree lacks
 that function, the case is reported as ``{"absent": true}`` instead.
 Each case is one call on a fixed input: the S_hat dominant-system envelopes
 and union-region section on the reference 2x2 scenario, three S_hat sweeps
-(``randalloc.shat_envelope``: the reference scenario on the region-2x2
+(``regions.envelope``: the reference scenario on the region-2x2
 benchmark grid 0:0.175:0.025 and on 1e4 points from 0 to 0.7, and a jittered
 copy of it, mu times [[1.03, 0.97], [0.98, 1.02]], on 6 points up to 0.98 of
 its largest mu[:, 0], where 4 of the 6 dominant-1 sections lie strictly
@@ -21,7 +21,7 @@ max-slack assignment LP on both shipped scenarios, the padding and Birkhoff
 decomposition of the 5x4 max-slack assignment
 (``schedule.schedule_from_assignment``, which ``decompose`` and ``simulate
 --system S`` call), a 21-point S sweep on the 5x4 scenario
-(``orthogonal.sweep_envelope``) and the same sweep of the fixed system,
+(``regions.envelope``) and the same sweep of the fixed system,
 each both as a library sweep and as the whole ``envelope`` command through
 ``cli.main``, the S and fixed sweeps again over the same span in 1e5 points,
 an S sweep of the reference 2x2 scenario's user 2 over 1e5 points from 0 to
@@ -44,7 +44,7 @@ milliseconds per call. A case that pivots a simplex tableau also reports
 ``pivots``, the calls of ``optim._pivot`` in one untimed call: a count that
 repeats exactly. Each call pivots one LP's tableau, in a two-phase solve or
 in an S sweep's walk (``optim.solve_sweep``). The two 1e5-point
-``orthogonal.sweep_envelope`` cases also report ``peak_mb``, the tracemalloc
+S sweep cases also report ``peak_mb``, the tracemalloc
 peak of one untimed call in MB (1e6 bytes). A case that evaluates an S_hat
 dominant-1 kernel likewise reports ``kernel_calls``, the calls of the
 forward kernel ``randalloc._dominant1_envelopes`` and the inverse kernel
@@ -76,7 +76,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 _REPEAT = 7
-_PEAK_CASES = ("orthogonal.sweep_envelope 5x4 1e5 points", "orthogonal.sweep_envelope 2x2 1e5 points")
+_PEAK_CASES = ("regions.envelope S 5x4 1e5 points", "regions.envelope S 2x2 1e5 points")
 
 
 def cpu_model() -> str:
@@ -177,8 +177,8 @@ def cases():
     contended_policy = sim.Policy.random(randalloc.selection_for_rates(mu, shat_lam))
     grid = [i * 0.03 for i in range(21)]
     region_grid = [i * 0.025 for i in range(8)]  # 0:0.175:0.025 as the CLI builds it
-    jittered = mu * np.array([[1.03, 0.97], [0.98, 1.02]])
-    jitter_top = 0.98 * float(jittered[:, 0].max())
+    jittered = replace(ref, mu=mu * np.array([[1.03, 0.97], [0.98, 1.02]]))
+    jitter_top = 0.98 * float(jittered.mu[:, 0].max())
     jitter_grid = [i * (jitter_top / 5) for i in range(6)]
     long_grid = np.linspace(0.0, 0.7, 10_000).tolist()
     fixed_grid = np.linspace(0.0, 0.6, 100_000).tolist()  # the span of ``grid`` in 1e5 points
@@ -206,10 +206,10 @@ def cases():
         ("randalloc.dominant1_envelope_2x2", lambda: randalloc.dominant1_envelope_2x2(mu, 0.3)),
         ("randalloc.dominant2_envelope_2x2", lambda: randalloc.dominant2_envelope_2x2(mu, 0.3)),
         ("randalloc.shat_section_lambda2", lambda: randalloc.shat_section_lambda2(mu, 0.3)),
-        ("randalloc.shat_envelope 2x2 8 points", lambda: randalloc.shat_envelope(mu, 1, region_grid)),
-        ("randalloc.shat_envelope 2x2 6 points jittered",
-         lambda: randalloc.shat_envelope(jittered, 1, jitter_grid)),
-        ("randalloc.shat_envelope 2x2 1e4 points", lambda: randalloc.shat_envelope(mu, 1, long_grid)),
+        ("regions.envelope S_hat 2x2 8 points", lambda: regions.envelope(ref, "S_hat", 1, region_grid)),
+        ("regions.envelope S_hat 2x2 6 points jittered",
+         lambda: regions.envelope(jittered, "S_hat", 1, jitter_grid)),
+        ("regions.envelope S_hat 2x2 1e4 points", lambda: regions.envelope(ref, "S_hat", 1, long_grid)),
         ("orthogonal.envelope_point 2x2", lambda: orthogonal.envelope_point(ref, [0.3, 0.0], 1)),
         ("orthogonal.envelope_point 5x4", lambda: orthogonal.envelope_point(big, [0.0, 0.1, 0.1, 0.1], 0)),
         ("optim.solve_lp 2x2 envelope LP", lambda: optim.solve_lp(ref_lp)),
@@ -218,15 +218,15 @@ def cases():
         ("orthogonal.max_slack_assignment 5x4", lambda: orthogonal.max_slack_assignment(big, big_lam)),
         ("schedule.schedule_from_assignment 5x4",
          lambda: schedule.schedule_from_assignment(big_omega)),
-        ("orthogonal.sweep_envelope 5x4 21 points", lambda: orthogonal.sweep_envelope(
-            big, 0, grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
-        ("fixedalloc.sweep_envelope 5x4 21 points", lambda: fixedalloc.sweep_envelope(
-            big, 0, grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
-        ("fixedalloc.sweep_envelope 5x4 1e5 points", lambda: fixedalloc.sweep_envelope(
-            big, 0, fixed_grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
-        ("orthogonal.sweep_envelope 5x4 1e5 points", lambda: orthogonal.sweep_envelope(
-            big, 0, fixed_grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
-        ("orthogonal.sweep_envelope 2x2 1e5 points", lambda: orthogonal.sweep_envelope(ref, 1, s_long_grid)),
+        ("regions.envelope S 5x4 21 points", lambda: regions.envelope(
+            big, "S", 0, grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
+        ("regions.envelope fixed 5x4 21 points", lambda: regions.envelope(
+            big, "fixed", 0, grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
+        ("regions.envelope fixed 5x4 1e5 points", lambda: regions.envelope(
+            big, "fixed", 0, fixed_grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
+        ("regions.envelope S 5x4 1e5 points", lambda: regions.envelope(
+            big, "S", 0, fixed_grid, others=[0.0, 0.0, 0.2, 0.3], sweep_user=1)),
+        ("regions.envelope S 2x2 1e5 points", lambda: regions.envelope(ref, "S", 1, s_long_grid)),
         ("regions.compare 2x2 8 points", lambda: regions.compare(ref, 1, region_grid)),
     ] + [
         (f"cli.main {label}", lambda argv=argv: cli.main(argv + ["--out", os.devnull]))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLOSURE_TOL, ConfigurationError, RateMatrix, rate_vector, sweep_rates
+from .model import CLOSURE_TOL, ConfigurationError, RateMatrix, band_numbers, rate_vector
 
 _MAX_ENUMERATION = 1_000_000
 _CHUNK_ELEMENTS = 1 << 20
@@ -32,7 +32,7 @@ class FixedMapping:
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assignment = tuple(int(m) for m in self.assignment)
+        assignment = band_numbers(self.assignment)
         object.__setattr__(self, "assignment", assignment)
         if len(set(assignment)) != len(assignment):
             raise ConfigurationError("fixed assignments must use distinct bands")
@@ -107,29 +107,20 @@ def best_fixed_max(rates: RateMatrix, fixed_lambdas, k: int) -> tuple[float, Fix
     return None if value == -np.inf else (float(value), FixedMapping(assignment))
 
 
-def sweep_envelope(
-    rates: RateMatrix, axis: int, grid, others=None, sweep_user=None, mapping: FixedMapping | None = None
-) -> list[float | None]:
-    """The value of ``best_fixed_max`` of user ``axis`` at each point of a sweep, as one step function.
-
-    The arguments ``grid``, ``others`` and ``sweep_user`` follow
-    ``model.sweep_rates``. With ``mapping`` given, only that mapping is
-    considered (the envelope of its own orthotope). Along a sweep only the
-    swept user's rate g moves. Among the mappings that support the pinned
-    users, the value at g is therefore the first in order of decreasing
-    mu[m_axis, axis] (ties in table order) whose threshold
-    mu[m_sweep, sweep] + CLOSURE_TOL is at least g: the closure test and the
-    tie-break of ``best_fixed_max``, float for float. Each chunk of mappings
-    sorts them so, takes the running maximum of their thresholds, and answers
-    every grid point with one ``searchsorted``; a later chunk wins a grid
-    point only when strictly better.
-    """
-    return sweep_rows(rates, axis, *sweep_rates(rates.m_s, axis, grid, others, sweep_user), mapping)
-
-
 def sweep_rows(rates: RateMatrix, axis: int, lam: np.ndarray, sweep: int,
                mapping: FixedMapping | None) -> list[float | None]:
-    """``sweep_envelope`` at the rows ``lam`` and swept user ``sweep`` that ``model.sweep_rates`` returned."""
+    """``best_fixed_max`` of user ``axis`` at the rows ``lam`` and swept user ``sweep`` from ``model.sweep_rates``.
+
+    With ``mapping`` given, only that mapping is considered (the envelope of
+    its own orthotope). Along a sweep only the swept user's rate g moves.
+    Among the mappings that support the pinned users, the value at g is
+    therefore the first in order of decreasing mu[m_axis, axis] (ties in
+    table order) whose threshold mu[m_sweep, sweep] + CLOSURE_TOL is at least
+    g: the closure test and the tie-break of ``best_fixed_max``, float for
+    float. Each chunk of mappings sorts them so, takes the running maximum of
+    their thresholds, and answers every grid point with one ``searchsorted``;
+    a later chunk wins a grid point only when strictly better.
+    """
     tables = _tables(rates, mapping)  # refuses a bad shape or mapping, also for an empty grid
     if not len(lam):
         return []

@@ -41,18 +41,30 @@ def check_unit_interval(values, name: str) -> None:
         raise ConfigurationError(f"{name} entries must lie in [0, 1]")
 
 
-def check_user_index(k: int, m_s: int) -> None:
-    """Refuse ``k`` unless it is an integer 0-based index of one of ``m_s`` users.
+def _integer(k) -> int | None:
+    """``k`` as an int, or None unless it is an integer.
 
-    0.5 is no index, and neither are 1.0 and True: numpy refuses a float
-    index and reads a bool one as a mask.
+    Neither 0.5 nor 1.0 nor True is one: numpy refuses a float index and
+    reads a bool one as a mask. A numpy integer is one.
     """
     try:
-        index = operator.index(k)
+        return None if isinstance(k, bool) else operator.index(k)
     except TypeError:
-        index = None
-    if isinstance(k, bool) or index not in range(m_s):
+        return None
+
+
+def check_user_index(k: int, m_s: int) -> None:
+    """Refuse ``k`` unless it is an integer (``_integer``) 0-based index of one of ``m_s`` users."""
+    if _integer(k) not in range(m_s):
         raise ConfigurationError(f"user index {k} out of range")
+
+
+def band_numbers(bands) -> tuple[int, ...]:
+    """``bands`` as a tuple of ints; a band number that is no integer (``_integer``) is refused, not truncated."""
+    numbers = tuple(map(_integer, bands))
+    if None in numbers:
+        raise ConfigurationError(f"band numbers must be integers, got {bands!r}")
+    return numbers
 
 
 def rate_rows(rates, m_s: int, skip: int | None = None) -> np.ndarray:

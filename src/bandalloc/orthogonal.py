@@ -3,7 +3,7 @@
 The envelope is the LP over assignment fractions omega[j, k] (row and
 column sums at most one). ``envelope_point`` solves it at one point. The LPs
 of a sweep differ only in the right-hand side of the swept user's service
-row, which falls as the grid ascends, so ``sweep_envelope`` builds the LP
+row, which falls as the grid ascends, so ``sweep_rows`` builds the LP
 once, at the first grid point, and hands ``optim.solve_sweep`` that LP, the
 row and its values along the grid: one two-phase solve, then one dual simplex
 pivot per change of optimal basis along the grid. The envelope is piecewise
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .model import ConfigurationError, RateMatrix, check_unit_interval, rate_vector, sweep_rates
+from .model import ConfigurationError, RateMatrix, check_unit_interval, rate_vector
 
 _TOL = 1e-9
 
@@ -178,21 +178,16 @@ def two_by_two_closed_form(mu, lambda_s1: float) -> tuple[float, float] | None:
     return eps, float(eps * mu12 + (1.0 - eps) * mu22)
 
 
-def sweep_envelope(rates: RateMatrix, axis: int, grid, others=None, sweep_user=None) -> list[float | None]:
-    """User ``axis``'s envelope value at each row of ``model.sweep_rates`` (same arguments).
+def sweep_rows(rates: RateMatrix, axis: int, lam: np.ndarray, sweep: int) -> list[float | None]:
+    """User ``axis``'s envelope value at the rows ``lam`` and swept user ``sweep`` from ``model.sweep_rates``.
 
     The grid points' LPs differ only in the swept user's service row, so the
     LP is built once, at the first point, and ``optim.solve_sweep`` walks one
     optimal basis along that row's values. The values agree with
-    ``envelope_point``'s to rounding, and the first is its value exactly.
-    Every rate is checked before any LP is solved. An infeasible point gives
-    None; the first LP solved on its own that ends otherwise raises.
+    ``envelope_point``'s to rounding, and the first is its value exactly. An
+    infeasible point gives None; the first LP solved on its own that ends
+    otherwise raises.
     """
-    return sweep_rows(rates, axis, *sweep_rates(rates.m_s, axis, grid, others, sweep_user))
-
-
-def sweep_rows(rates: RateMatrix, axis: int, lam: np.ndarray, sweep: int) -> list[float | None]:
-    """``sweep_envelope`` at the rows ``lam`` and swept user ``sweep`` that ``model.sweep_rates`` returned."""
     if not len(lam):
         return []
     row = rates.m_p + rates.m_s + sweep - (sweep > axis)  # the swept user's service row

@@ -34,7 +34,7 @@ function of x, so the best x is an end (0 or 1), a switch between pieces
 of the two stationary points of a piece. (a is linear in x, so a >= lambda_s1
 holds at an end if anywhere; at its edge a = lambda_s1 the value is 0 unless
 b = 0, and then the edge is a switch.) The kernel evaluates those 10 x, each
-with its 3 y, for all its rates in one array call. ``shat_envelope`` takes
+with its 3 y, for all its rates in one array call. ``shat_rows`` takes
 the better of it and the dominant-2 envelope at each point; the one-rate
 functions are the kernels, or the sweep, at one rate.
 """
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLOSURE_TOL, ConfigurationError, check_unit_interval, rate_vector, sweep_rates
+from .model import CLOSURE_TOL, ConfigurationError, RateMatrix, check_unit_interval, rate_vector, sweep_rates
 from .optim import fractional_argmax
 
 _TOL = 1e-9
@@ -257,8 +257,8 @@ def _shat_sections(mu: np.ndarray, lam1: list[float]) -> list[float | None]:
 
 
 def shat_section_lambda2(mu, lambda_s1: float) -> float | None:
-    """Largest lambda_s2 such that (lambda_s1, lambda_s2) is in the union region (``shat_envelope``)."""
-    return shat_envelope(_mu_2x2(mu), 1, [lambda_s1])[0]
+    """Largest lambda_s2 such that (lambda_s1, lambda_s2) is in the union region (``shat_rows`` at one rate)."""
+    return _shat_sections(_mu_2x2(mu), sweep_rates(2, 1, [lambda_s1])[0][:, 0].tolist())[0]
 
 
 def _padded_2x2(mu: np.ndarray) -> np.ndarray | None:
@@ -269,19 +269,15 @@ def _padded_2x2(mu: np.ndarray) -> np.ndarray | None:
     return mu if m_p == 2 else np.vstack([mu, np.zeros((1, m_s))])
 
 
-def shat_envelope(mu, axis: int, grid) -> list[float | None]:
-    """Union-region section of user ``axis`` (0 or 1) at each of the other user's rates in ``grid``."""
-    padded = _padded_2x2(_checked_mu(mu))
+def shat_rows(rates: RateMatrix, axis: int, lam: np.ndarray, sweep: int) -> list[float | None]:
+    """Union-region section of user ``axis`` at the rows ``lam`` and swept user ``sweep`` from ``model.sweep_rates``.
+
+    Two users on 1-2 bands only; any other shape is refused.
+    """
+    padded = _padded_2x2(rates.mu)
     if padded is None:
-        raise ConfigurationError(
-            "analytic envelope for system S_hat covers only M_s=2, M_p<=2; use simulate"
-        )
-    return shat_rows(padded, axis, *sweep_rates(2, axis, grid))
-
-
-def shat_rows(mu: np.ndarray, axis: int, lam: np.ndarray, sweep: int) -> list[float | None]:
-    """``shat_envelope`` of a checked 2x2 ``mu`` at the rows ``lam`` and swept user ``sweep`` from ``sweep_rates``."""
-    return _shat_sections(mu if axis == 1 else mu[:, ::-1], lam[:, sweep].tolist())
+        raise ConfigurationError("analytic envelope for system S_hat covers only M_s=2, M_p<=2; use simulate")
+    return _shat_sections(padded if axis == 1 else padded[:, ::-1], lam[:, sweep].tolist())
 
 
 def selection_for_rates(mu, lambdas) -> SelectionMatrix:

@@ -3,10 +3,11 @@
 The fixed region lies inside S_hat, and S_hat inside S. ``envelope`` sweeps
 one system's envelope; ``compare`` sweeps all three on a 2x2 scenario, with
 the envelopes of the two fixed mappings, and flags each grid point where the
-containment fails (``containment_flags``). ``compare`` checks its grid once,
-with ``model.sweep_rates``, hands the checked rows to each system's
-``sweep_rows`` (``shat_rows`` for S_hat), and takes the best fixed envelope
-from the sweeps of the two fixed mappings that a 2x2 scenario has.
+containment fails (``containment_flags``). Both check their grid once, with
+``model.sweep_rates``, and hand the checked rows to each system's
+``sweep_rows`` (``shat_rows`` for S_hat); ``compare`` takes the best fixed
+envelope from the sweeps of the two fixed mappings that a 2x2 scenario has.
+They are the only sweeps that take a grid.
 """
 
 from __future__ import annotations
@@ -25,15 +26,19 @@ _ANALYTIC_TOL = 1e-9
 def envelope(rates: RateMatrix, system: str, axis: int, grid, others=None, sweep_user=None) -> list[float | None]:
     """User ``axis``'s envelope of ``system`` ("S", "S_hat" or "fixed") at each point of ``grid``.
 
-    The arguments follow ``model.sweep_rates``; the S_hat sweep is 2x2 only
-    and takes neither ``others`` nor ``sweep_user``. An entry is None where
-    the grid point is infeasible.
+    The arguments follow ``model.sweep_rates``, which checks them once for
+    every system before the system's checked-rows function runs; the S_hat
+    sweep is 2 users on 1-2 bands only. An entry is None where the grid point
+    is infeasible.
     """
+    if system not in ("S", "S_hat", "fixed"):
+        raise ConfigurationError(f"unknown system {system!r}; choose S, S_hat or fixed")
+    lam, sweep = sweep_rates(rates.m_s, axis, grid, others, sweep_user)
     if system == "S":
-        return orthogonal.sweep_envelope(rates, axis, grid, others, sweep_user)
+        return orthogonal.sweep_rows(rates, axis, lam, sweep)
     if system == "S_hat":
-        return randalloc.shat_envelope(rates.mu, axis, grid)
-    return fixedalloc.sweep_envelope(rates, axis, grid, others, sweep_user)
+        return randalloc.shat_rows(rates, axis, lam, sweep)
+    return fixedalloc.sweep_rows(rates, axis, lam, sweep, None)
 
 
 def _exceeds(inner, outer, tol: float) -> bool:
@@ -70,7 +75,7 @@ def compare(rates: RateMatrix, axis: int, grid) -> tuple[dict[str, list[float | 
     d12, d21 = (fixedalloc.sweep_rows(rates, axis, lam, sweep, fixedalloc.FixedMapping(assignment))
                 for assignment in ((1, 2), (2, 1)))
     columns = {"S": orthogonal.sweep_rows(rates, axis, lam, sweep),
-               "S_hat": randalloc.shat_rows(rates.mu, axis, lam, sweep),
+               "S_hat": randalloc.shat_rows(rates, axis, lam, sweep),
                "fixed_best": [b if _exceeds(b, a, 0.0) else a for a, b in zip(d12, d21)],
                "fixed_d12": d12, "fixed_d21": d21}
     return columns, containment_flags(columns["S"], columns["S_hat"], columns["fixed_best"])

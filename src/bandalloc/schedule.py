@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError
+from .model import ConfigurationError, band_numbers
 from .orthogonal import AssignmentMatrix
 
 _TOL = 1e-9
@@ -57,7 +57,7 @@ class PermutationSchedule:
     entries: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple((tuple(int(m) for m in perm), float(w)) for perm, w in self.entries)
+        entries = tuple((band_numbers(perm), float(w)) for perm, w in self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ConfigurationError("schedule needs at least one entry")

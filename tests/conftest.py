@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bandalloc import model, randalloc
+from bandalloc import model, randalloc, regions
 
 def ref_2x2_scenario(lam1: float = 0.0, lam2: float = 0.0) -> model.Scenario:
     """The two-band/two-user comparison scenario: pi=(0.25, 0.875), Pbar rows per band."""
@@ -63,6 +63,13 @@ def ref_2x2_file(tmp_path):
     path = tmp_path / "ref_2x2.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def shat_sweep(mu, axis: int, grid) -> list[float | None]:
+    """The S_hat sweep of ``regions.envelope`` on a raw ``mu`` (2 users on 1-2 bands)."""
+    mu = np.asarray(mu, dtype=float)
+    rates = model.RateMatrix(mu=mu, mu_p=np.ones(mu.shape[0]), pi=np.ones(mu.shape[0]))
+    return regions.envelope(rates, "S_hat", axis, grid)
 
 
 def random_rate_matrix(rng, m_p: int = 2, m_s: int = 2, low: float = 0.05) -> model.RateMatrix:

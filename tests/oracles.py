@@ -6,7 +6,7 @@ two-parameter objective, ``grid_search`` maximizes any objective over a boxed
 grid, and doubly stochastic inputs are built as convex combinations of
 explicit permutation matrices. ``reference_shat_section_lambda2`` keeps the
 one-section-at-a-time bisection that the closed-form sections in
-``randalloc.shat_envelope`` replaced (the sections must stay within its
+``randalloc.shat_rows`` replaced (the sections must stay within its
 stopping tolerance of it, and within 1e-9 of it at a tolerance of 1e-12),
 ``gamma_grid_oracle_section`` scans the S_hat section's (gamma21, gamma22)
 grid, ``reference_run`` keeps the
@@ -592,7 +592,7 @@ def scalar_dominant2_envelope_2x2(mu, lambda_s1, grid_step=1e-3):
 
 
 # The one-section-at-a-time S_hat section by bisection on the dominant-1
-# envelope, which the closed-form sections in ``randalloc.shat_envelope``
+# envelope, which the closed-form sections in ``randalloc.shat_rows``
 # replaced, kept statement for statement with its stopping tolerance.
 _REF_SECTION_TOL = 1e-6
 

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from bandalloc import fixedalloc, model, orthogonal, randalloc, schedule, sim
+from bandalloc import fixedalloc, model, orthogonal, randalloc, regions, schedule, sim
 
 from conftest import ref_2x2_scenario, random_rate_matrix
 from oracles import (
@@ -342,7 +342,7 @@ def test_large_scenario_sweep_speed():
         others = np.array([0.0, 0.0, 0.35, 0.35])
         grid = np.linspace(0.0, 0.6, 100)
         start = time.perf_counter()
-        values = orthogonal.sweep_envelope(rates, 1, grid, others=others, sweep_user=0)
+        values = regions.envelope(rates, "S", 1, grid, others=others, sweep_user=0)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"sweep took {elapsed:.2f}s"
         values = [v for v in values if v is not None]
@@ -352,7 +352,7 @@ def test_large_scenario_sweep_speed():
         rates3 = model.RateMatrix(mu=rates.mu[:3, :3], mu_p=np.ones(3), pi=rates.pi[:3])
         start = time.perf_counter()
         grid3 = np.linspace(0.0, 0.5, 100)
-        values3 = orthogonal.sweep_envelope(rates3, 1, grid3, others=np.array([0.0, 0.0, 0.35]), sweep_user=0)
+        values3 = regions.envelope(rates3, "S", 1, grid3, others=np.array([0.0, 0.0, 0.35]), sweep_user=0)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0
         first = next(i for i, v in enumerate(values3) if v is not None)

@@ -261,7 +261,7 @@ class TestCompare:
         # sabotage the S_hat section so the asserted ordering breaks
         from bandalloc import randalloc
 
-        monkeypatch.setattr(randalloc, "shat_rows", lambda mu, axis, lam, sweep: [1e-6] * len(lam))
+        monkeypatch.setattr(randalloc, "shat_rows", lambda rates, axis, lam, sweep: [1e-6] * len(lam))
         code, out, err = run_cli(
             capsys, "compare", "--scenario", ref_2x2_file, "--grid", "0:0.2:0.1", "--json",
         )

@@ -11,7 +11,7 @@ back its ``max_lambda`` bit for bit through the scalar per-gamma21 value, and
 no envelope may fall more than 1e-15 below the brute-force (gamma21, gamma22)
 grid oracle. Every floating-point warning is raised as an error.
 
-The S_hat sweeps of ``randalloc.shat_envelope`` solve the dominant-1
+The S_hat sweeps of ``regions.envelope`` solve the dominant-1
 section in closed form. Section by section, on both axes, they must be None
 exactly where the one-bisection-per-point ``reference_shat_section_lambda2``
 is, at least its value - 1e-12 and at most its value + 1e-6 (it stops up to
@@ -27,6 +27,7 @@ import pytest
 from bandalloc import randalloc
 from bandalloc.model import CLOSURE_TOL
 
+from conftest import shat_sweep
 from oracles import (
     _scalar_dominant1_at,
     gamma_grid_oracle_dominant1,
@@ -152,7 +153,7 @@ _BISECTION_TOL = 1e-6
 
 
 def _oriented(mu, axis):
-    """The 2x2 mu ``reference_shat_section_lambda2`` sees for ``shat_envelope(mu, axis, grid)``."""
+    """The 2x2 mu ``reference_shat_section_lambda2`` sees for ``shat_sweep(mu, axis, grid)``."""
     mu = np.asarray(mu, dtype=float)
     padded = mu if mu.shape[0] == 2 else np.vstack([mu, np.zeros((1, 2))])
     return padded[:, ::-1] if axis == 0 else padded
@@ -162,7 +163,7 @@ def _assert_sweep(mu, axis, grid, **dominants):
     """The sweep against the bisection: None alike, -1e-12 to +_BISECTION_TOL, == where dominant 2 wins."""
     oriented = _oriented(mu, axis)
     dominant2 = dominants.get("dominant2", randalloc.dominant2_envelope_2x2)
-    got = randalloc.shat_envelope(mu, axis, grid)
+    got = shat_sweep(mu, axis, grid)
     for lam, section in zip(grid, got):
         want = reference_shat_section_lambda2(oriented, lam, **dominants)
         case = (mu.tolist(), axis, lam, section, want)
@@ -235,10 +236,10 @@ def test_sweep_does_not_depend_on_the_kernel_block(ref_2x2_mu, kernel_calls, mon
     mu = ref_2x2_mu * np.array([[1.03, 0.97], [0.98, 1.02]])
     grid = np.linspace(0.0, 0.98 * float(mu[:, 0].max()), 11)
     with np.errstate(all="raise"):
-        want = randalloc.shat_envelope(mu, 1, grid)
+        want = shat_sweep(mu, 1, grid)
         monkeypatch.setattr(randalloc, "_SECTIONS_PER_CALL", 3)
         kernel_calls.clear()
-        assert randalloc.shat_envelope(mu, 1, grid) == want
+        assert shat_sweep(mu, 1, grid) == want
     assert kernel_calls == [3, 3, 3, 3, 3, 3, 2, 2]
 
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from bandalloc import fixedalloc, model
+from bandalloc import fixedalloc, model, regions
 from bandalloc.fixedalloc import FixedMapping
 from bandalloc.model import CLOSURE_TOL, ConfigurationError
 
@@ -70,7 +70,7 @@ def sweep_grids(rng, column: np.ndarray):
 
 
 def assert_sweep_matches_reference(rates, axis, sweep_user, others, grid, mapping):
-    """``sweep_envelope`` against the reference search point by point, best mapping and
+    """The fixed sweep against the reference search point by point, best mapping and
     ``mapping`` alone; repr tells the signs of zero apart."""
     expected, alone = [], []
     for value in grid:
@@ -79,10 +79,10 @@ def assert_sweep_matches_reference(rates, axis, sweep_user, others, grid, mappin
         best = reference_best_fixed_max(rates, lam, axis)
         expected.append(None if best is None else best[0])
         alone.append(reference_mapping_max(rates, mapping, lam, axis))
-    got = fixedalloc.sweep_envelope(rates, axis, grid, others=others, sweep_user=sweep_user)
+    got = regions.envelope(rates, "fixed", axis, grid, others=others, sweep_user=sweep_user)
     assert list(map(repr, got)) == list(map(repr, expected))
-    one = fixedalloc.sweep_envelope(rates, axis, grid, others=others, sweep_user=sweep_user,
-                                    mapping=FixedMapping(mapping))
+    one = fixedalloc.sweep_rows(rates, axis, *model.sweep_rates(rates.m_s, axis, grid, others, sweep_user),
+                                FixedMapping(mapping))
     assert list(map(repr, one)) == list(map(repr, alone))
 
 
@@ -147,10 +147,10 @@ def test_refusals_match_reference(shape, lam):
 @pytest.mark.parametrize("shape", [(2, 3), (9, 9), (12, 7)], ids=["M_p<M_s", "M_s>8", "over-1e6-mappings"])
 def test_sweep_refuses_shape_and_size(shape):
     with pytest.raises(ConfigurationError):
-        fixedalloc.sweep_envelope(rate_matrix(np.full(shape, 0.5)), 0, [0.0, 0.1])
+        regions.envelope(rate_matrix(np.full(shape, 0.5)), "fixed", 0, [0.0, 0.1])
 
 
 @pytest.mark.parametrize("grid, others", [([-0.1, 0.2], None), ([0.1, math.nan], None), ([0.1], [0.0, 0.0, -1.0])])
 def test_sweep_refuses_negative_and_nan_rates(grid, others):
     with pytest.raises(ConfigurationError):
-        fixedalloc.sweep_envelope(rate_matrix(np.full((3, 3), 0.5)), 0, grid, others=others, sweep_user=1)
+        regions.envelope(rate_matrix(np.full((3, 3), 0.5)), "fixed", 0, grid, others=others, sweep_user=1)

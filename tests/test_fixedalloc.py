@@ -20,6 +20,18 @@ class TestFixedMapping:
         with pytest.raises(ConfigurationError):
             FixedMapping((0, 1))
 
+    @pytest.mark.parametrize("assignment", [(1.5, 2.9), (True, 2), (1.0, 2), (np.float64(1.0), 2)])
+    def test_band_numbers_must_be_integers(self, assignment):
+        # int() used to truncate each of these to (1, 2)
+        with pytest.raises(ConfigurationError, match="^band numbers must be integers, got"):
+            FixedMapping(assignment)
+
+    def test_numpy_integer_band_numbers_pass(self):
+        # best_margin_mapping builds its mapping from np.intp bands
+        mapping = FixedMapping(np.array([2, 1], dtype=np.intp))
+        assert mapping == FixedMapping((2, 1))
+        assert [type(m) for m in mapping.assignment] == [int, int]
+
 
 class TestRegionForMapping:
     def test_origin_inside(self, ref_2x2_rates):

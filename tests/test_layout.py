@@ -7,9 +7,16 @@ public method of those classes, must be referenced (a ``Name``, an
 counts. Code that only tests call belongs under ``tests/``; the paper's closed
 forms live in ``tests/oracles.py``. Names are matched without their module, so
 a name that some other object shares can slip through.
+
+The docs name no library attribute that is gone: every backticked
+``module.name`` whose module is a ``bandalloc`` module (or ``bandalloc``
+itself), in ``src/bandalloc``, ``README.md`` and ``benchmarks/bench_layers.py``,
+must resolve with ``hasattr``.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,3 +63,23 @@ def test_every_public_library_name_is_used_outside_the_tests():
     referenced = _referenced_names()
     unused = [qualified for qualified, name in _public_definitions() if name not in referenced]
     assert not unused, f"only tests use {unused}; move them under tests/"
+
+
+def _doc_references():
+    """(file, module, name) of each backticked ``module.name`` reference to a ``bandalloc`` module."""
+    library = ROOT / "src" / "bandalloc"
+    modules = {"bandalloc": importlib.import_module("bandalloc")}
+    modules |= {path.stem: importlib.import_module(f"bandalloc.{path.stem}")
+                for path in library.glob("*.py") if path.stem != "__init__"}
+    for path in (*sorted(library.glob("*.py")), ROOT / "README.md", ROOT / "benchmarks" / "bench_layers.py"):
+        for _, span in re.findall(r"(`+)([^`]+)\1", path.read_text()):
+            for module, name in re.findall(r"(?<![\w.])(?:bandalloc\.)?(\w+)\.(\w+)", span):
+                if module in modules:
+                    yield path.name, modules[module], name
+
+
+def test_backticked_library_names_in_the_docs_exist():
+    references = list(_doc_references())
+    stale = [f"{file}: {module.__name__}.{name}" for file, module, name in references if not hasattr(module, name)]
+    assert len(references) > 40, "the reference pattern no longer finds the docs' references"
+    assert not stale, f"the docs name attributes that do not exist: {stale}"

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bandalloc import cli, model, optim, orthogonal
+from bandalloc import cli, model, optim, orthogonal, regions
 from bandalloc.model import ConfigurationError
 from bandalloc.optim import LpProblem
 
@@ -346,7 +346,7 @@ class TestSBoundaryPoint:
 
 
 # --- S sweeps, grid point by grid point ---------------------------------------
-# ``orthogonal.sweep_envelope`` must hand ``optim.solve_sweep`` an LP and
+# ``orthogonal.sweep_rows`` must hand ``optim.solve_sweep`` an LP and
 # values of one row that make, at every grid point, the LP that
 # ``envelope_point`` solves there, and return values within
 # SWEEP_TOL * max(1, |value|) of ``envelope_point``'s, None at the same points
@@ -400,7 +400,7 @@ def _recorded_sweep(rates, axis, grid, others=None, sweep_user=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optim, "solve_sweep", record)
         alone = _recorded_solves([lambda: values.extend(
-            orthogonal.sweep_envelope(rates, axis, grid, others=others, sweep_user=sweep_user))])
+            regions.envelope(rates, "S", axis, grid, others=others, sweep_user=sweep_user))])
     (batch,) = batches
     return values, batch, alone
 
@@ -613,7 +613,7 @@ def test_points_failing_the_certificate_are_solved_on_their_own():
 
 
 def test_empty_sweep():
-    assert orthogonal.sweep_envelope(_shipped_rates("five_by_four"), 0, []) == []
+    assert regions.envelope(_shipped_rates("five_by_four"), "S", 0, []) == []
 
 
 @pytest.mark.parametrize("name, others, setting, value, grid", [
@@ -646,7 +646,7 @@ def test_sweep_errors_in_grid_order(monkeypatch, name, others, setting, value, g
 
         def sweep():
             try:
-                outcome.append(orthogonal.sweep_envelope(rates, 1, grid[:size], others))
+                outcome.append(regions.envelope(rates, "S", 1, grid[:size], others))
             except RuntimeError as exc:
                 outcome.append(exc)
 
@@ -678,16 +678,16 @@ def test_sweep_refuses_bad_grid_values_in_grid_order(grid):
         for lam in model.sweep_rates(rates.m_s, 1, grid)[0]:
             orthogonal.envelope_point(rates, lam, 1)
     with pytest.raises(ConfigurationError, match=f"^{alone.value}$"):
-        orthogonal.sweep_envelope(rates, 1, grid)
+        regions.envelope(rates, "S", 1, grid)
 
 
 def test_sweep_does_not_depend_on_the_batch_size(monkeypatch):
     # _LPS_PER_CALL only bounds the chunk of walked points certified at once
     rates = _shipped_rates("five_by_four")
     grid = np.linspace(0.0, 0.6, 21)
-    whole = orthogonal.sweep_envelope(rates, 1, grid, others=[0.0, 0.0, 0.15, 0.2])
+    whole = regions.envelope(rates, "S", 1, grid, others=[0.0, 0.0, 0.15, 0.2])
     monkeypatch.setattr(optim, "_LPS_PER_CALL", 3)
-    assert orthogonal.sweep_envelope(rates, 1, grid, others=[0.0, 0.0, 0.15, 0.2]) == whole
+    assert regions.envelope(rates, "S", 1, grid, others=[0.0, 0.0, 0.15, 0.2]) == whole
 
 
 class TestSharedLps:

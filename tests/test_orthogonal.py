@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bandalloc import model, optim, orthogonal
+from bandalloc import model, optim, orthogonal, regions
 from bandalloc.model import ConfigurationError
 from bandalloc.orthogonal import AssignmentMatrix
 
@@ -203,25 +203,25 @@ class TestSymmetricCases:
 
 class TestSweep:
     def test_singleton(self, ref_2x2_rates):
-        values = orthogonal.sweep_envelope(ref_2x2_rates, 1, [0.4])
+        values = regions.envelope(ref_2x2_rates, "S", 1, [0.4])
         assert values == [orthogonal.envelope_point(ref_2x2_rates, [0.4, 0.0], 1).max_rate]
         assert values[0] == pytest.approx(0.541071, abs=1e-6)
 
     def test_ref_2x2_three_points(self, ref_2x2_rates):
-        values = orthogonal.sweep_envelope(ref_2x2_rates, 1, [0.1, 0.4, 0.7])
+        values = regions.envelope(ref_2x2_rates, "S", 1, [0.1, 0.4, 0.7])
         assert values == pytest.approx([0.7875, 0.5410714285714285, 0.2125], abs=1e-9)
 
     def test_monotone_nonincreasing(self, ref_2x2_rates):
         grid = np.linspace(0, 0.7, 15)
-        values = [v for v in orthogonal.sweep_envelope(ref_2x2_rates, 1, grid) if v is not None]
+        values = [v for v in regions.envelope(ref_2x2_rates, "S", 1, grid) if v is not None]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
     def test_rejects_descending_grid(self, ref_2x2_rates):
         with pytest.raises(ConfigurationError):
-            orthogonal.sweep_envelope(ref_2x2_rates, 1, [0.4, 0.1])
+            regions.envelope(ref_2x2_rates, "S", 1, [0.4, 0.1])
 
     def test_infeasible_points_marked(self, ref_2x2_rates):
-        values = orthogonal.sweep_envelope(ref_2x2_rates, 1, [0.6, 0.8])
+        values = regions.envelope(ref_2x2_rates, "S", 1, [0.6, 0.8])
         assert values == [orthogonal.envelope_point(ref_2x2_rates, [0.6, 0.0], 1).max_rate, None]
 
     def test_memory_is_bounded_by_the_stack(self, ref_2x2_rates, monkeypatch):
@@ -233,7 +233,7 @@ class TestSweep:
         grid = np.linspace(0.0, 0.7, 2000).tolist()
         tracemalloc.start()
         try:
-            values = orthogonal.sweep_envelope(ref_2x2_rates, 1, grid)
+            values = regions.envelope(ref_2x2_rates, "S", 1, grid)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

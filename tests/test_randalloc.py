@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bandalloc import model, orthogonal, randalloc
+from bandalloc import model, orthogonal, randalloc, regions
 from bandalloc.model import ConfigurationError
 from bandalloc.randalloc import SelectionMatrix
 
-from conftest import random_rate_matrix
+from conftest import random_rate_matrix, shat_sweep
 from oracles import (
     conditional_service_rate,
     gamma_grid_oracle_dominant1 as grid_oracle_dominant1,
@@ -189,7 +189,7 @@ class TestSelectionMatrix:
             conditional_service_rate(np.ones((1, 1)), {0}, ref_2x2_rates, 0)
 
 
-def test_sweep_memory_is_bounded_by_the_kernel_block(ref_2x2_mu, monkeypatch):
+def test_sweep_memory_is_bounded_by_the_kernel_block(ref_2x2_rates, monkeypatch):
     # With blocks of 64 sections a 1000-point sweep peaks at about 0.5 MB,
     # mostly its per-section lists; one call over all 1000 sections at once
     # holds 30000-float candidate arrays and peaks at about 3.8 MB.
@@ -197,7 +197,7 @@ def test_sweep_memory_is_bounded_by_the_kernel_block(ref_2x2_mu, monkeypatch):
     grid = np.linspace(0.0, 0.7, 1000).tolist()
     tracemalloc.start()
     try:
-        sections = randalloc.shat_envelope(ref_2x2_mu, 1, grid)
+        sections = regions.envelope(ref_2x2_rates, "S_hat", 1, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -210,10 +210,10 @@ def test_sweep_kernel_calls(ref_2x2_mu, kernel_calls, monkeypatch):
     # the dominant-1 sections and one of the forward kernel for dominant 2.
     mu = ref_2x2_mu * np.array([[1.03, 0.97], [0.98, 1.02]])
     top = 0.98 * float(mu[:, 0].max())
-    randalloc.shat_envelope(mu, 1, [i * (top / 5) for i in range(6)])
+    shat_sweep(mu, 1, [i * (top / 5) for i in range(6)])
     assert kernel_calls == [6, 6]
     # Both kernels once per block of _SECTIONS_PER_CALL sections.
     monkeypatch.setattr(randalloc, "_SECTIONS_PER_CALL", 16)
     kernel_calls.clear()
-    randalloc.shat_envelope(mu, 1, np.linspace(0.2, 0.65, 40).tolist())
+    shat_sweep(mu, 1, np.linspace(0.2, 0.65, 40).tolist())
     assert kernel_calls == [16, 16, 16, 16, 8, 8]

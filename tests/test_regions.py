@@ -80,10 +80,11 @@ def test_compare_columns_match_the_public_sweeps():
         axis = i % 2
         columns, violations = regions.compare(rates, axis, grid)
         expected = {
-            "S": orthogonal.sweep_envelope(rates, axis, grid),
-            "S_hat": randalloc.shat_envelope(rates.mu, axis, grid),
-            "fixed_best": fixedalloc.sweep_envelope(rates, axis, grid),
-        } | {f"fixed_d{a}{b}": fixedalloc.sweep_envelope(rates, axis, grid, mapping=fixedalloc.FixedMapping((a, b)))
+            "S": regions.envelope(rates, "S", axis, grid),
+            "S_hat": regions.envelope(rates, "S_hat", axis, grid),
+            "fixed_best": regions.envelope(rates, "fixed", axis, grid),
+        } | {f"fixed_d{a}{b}": fixedalloc.sweep_rows(rates, axis, *model.sweep_rates(2, axis, grid),
+                                                     fixedalloc.FixedMapping((a, b)))
              for a, b in ((1, 2), (2, 1))}
         assert list(columns) == ["S", "S_hat", "fixed_best", "fixed_d12", "fixed_d21"]
         for name, values in expected.items():

@@ -266,36 +266,48 @@ class TestFixedAllocationRates:
         assert expected == (0.7875, fixedalloc.FixedMapping((1, 2)))
 
 
-@pytest.mark.parametrize("module", [orthogonal, fixedalloc], ids=["orthogonal", "fixedalloc"])
-def test_sweep_needs_a_second_user(module):
+@pytest.mark.parametrize("system", ["S", "S_hat", "fixed"])
+def test_sweep_needs_a_second_user(system):
     # a one-user sweep used to escape as a bare StopIteration
     rates = model.RateMatrix(mu=np.full((2, 1), 0.5), mu_p=np.ones(2), pi=np.ones(2))
     with pytest.raises(ConfigurationError):
-        module.sweep_envelope(rates, 0, [0.1])
+        regions.envelope(rates, system, 0, [0.1])
 
 
 @pytest.mark.parametrize("axis", [2, 7, -1, 0.5, 1.0, True])
 @pytest.mark.parametrize("system", ["S", "S_hat", "fixed"])
 def test_sweeps_refuse_an_axis_out_of_range(ref_2x2_rates, system, axis):
-    # shat_envelope used to sweep any axis but 0 as axis 1, and the S and fixed
-    # sweeps with ``others`` given raised IndexError for axis 7, 0.5 and 1.0;
-    # every sweep read True as index 1
-    sweep = {
-        "S": lambda: orthogonal.sweep_envelope(ref_2x2_rates, axis, [0.1], others=[0.0, 0.0]),
-        "S_hat": lambda: randalloc.shat_envelope(ref_2x2_rates.mu, axis, [0.1]),
-        "fixed": lambda: fixedalloc.sweep_envelope(ref_2x2_rates, axis, [0.1], others=[0.0, 0.0]),
-    }[system]
+    # the S_hat sweep used to sweep any axis but 0 as axis 1, and the S and
+    # fixed sweeps with ``others`` given raised IndexError for axis 7, 0.5 and
+    # 1.0; every sweep read True as index 1
     with pytest.raises(ConfigurationError, match=f"user index {axis} out of range"):
-        sweep()
+        regions.envelope(ref_2x2_rates, system, axis, [0.1], others=[0.0, 0.0])
 
 
-@pytest.mark.parametrize("sweep_user", [-1, 2, 5])
-@pytest.mark.parametrize("module", [orthogonal, fixedalloc], ids=["orthogonal", "fixedalloc"])
-def test_sweeps_refuse_a_sweep_user_out_of_range(ref_2x2_rates, module, sweep_user):
-    # -1 used to wrap onto the axis column, so the sweep returned the constant
-    # envelope [0.7875] * 3 here, and 2 or 5 raised IndexError
+@pytest.mark.parametrize("sweep_user", [-1, 2, 5, 7])
+@pytest.mark.parametrize("system", ["S", "S_hat", "fixed"])
+def test_sweeps_refuse_a_sweep_user_out_of_range(ref_2x2_rates, system, sweep_user):
+    # -1 used to wrap onto the axis column, so the S and fixed sweeps returned
+    # the constant envelope [0.7875] * 3 here, and 2 or 5 raised IndexError;
+    # the S_hat sweep ignored sweep_user and returned its sections
     with pytest.raises(ConfigurationError, match=f"^user index {sweep_user} out of range$"):
-        module.sweep_envelope(ref_2x2_rates, 1, [0.0, 0.3, 0.6], sweep_user=sweep_user)
+        regions.envelope(ref_2x2_rates, system, 1, [0.0, 0.3, 0.6], sweep_user=sweep_user)
+
+
+@pytest.mark.parametrize("system", ["S", "S_hat", "fixed"])
+def test_sweeps_refuse_a_sweep_user_on_the_axis_and_a_negative_pinned_rate(ref_2x2_rates, system):
+    # the S_hat sweep ignored both and returned [0.7875] and [0.7000000000000001]
+    with pytest.raises(ConfigurationError, match="^sweep_user must differ from axis$"):
+        regions.envelope(ref_2x2_rates, system, 1, [0.1], sweep_user=1)
+    with pytest.raises(ConfigurationError, match="^rate of user 2 must be >= 0, got -5.0$"):
+        regions.envelope(ref_2x2_rates, system, 0, [0.1], others=[0, -5])
+
+
+def test_envelope_refuses_an_unknown_system(ref_2x2_rates, monkeypatch):
+    # any name but "S" and "S_hat" used to give the fixed sweep: [0.7875, 0.2125] here
+    monkeypatch.setattr(regions, "sweep_rates", None)  # refused before any sweep
+    with pytest.raises(ConfigurationError, match="^unknown system 's'; choose S, S_hat or fixed$"):
+        regions.envelope(ref_2x2_rates, "s", 1, [0.1, 0.2])
 
 
 @pytest.mark.parametrize("index", [1.0, True, np.float64(1.0)], ids=["float", "bool", "np.float64"])
@@ -320,9 +332,9 @@ def test_numpy_integer_user_indices_pass(ref_2x2_rates):
 # The three systems' sweeps of user 2's envelope along user 1's rate, and
 # ``compare``, which sweeps all three.
 SWEEPS = {
-    "orthogonal": lambda rates, grid: orthogonal.sweep_envelope(rates, 1, grid),
-    "fixedalloc": lambda rates, grid: fixedalloc.sweep_envelope(rates, 1, grid),
-    "randalloc": lambda rates, grid: randalloc.shat_envelope(rates.mu, 1, grid),
+    "orthogonal": lambda rates, grid: regions.envelope(rates, "S", 1, grid),
+    "fixedalloc": lambda rates, grid: regions.envelope(rates, "fixed", 1, grid),
+    "randalloc": lambda rates, grid: regions.envelope(rates, "S_hat", 1, grid),
     "regions": lambda rates, grid: regions.compare(rates, 1, grid),
 }
 
@@ -361,11 +373,12 @@ def test_sweeps_refuse_an_infinite_grid_rate(ref_2x2_rates, module):
         SWEEPS[module](ref_2x2_rates, [-math.inf, 0.1])
 
 
-@pytest.mark.parametrize("module", [orthogonal, fixedalloc], ids=["orthogonal", "fixedalloc"])
-def test_sweeps_refuse_an_infinite_pinned_rate(module):
+@pytest.mark.parametrize("system", ["S", "S_hat", "fixed"])
+def test_sweeps_refuse_an_infinite_pinned_rate(system):
+    # checked before the S_hat sweep refuses three users
     rates = model.RateMatrix(mu=np.full((3, 3), 0.5), mu_p=np.ones(3), pi=np.ones(3))
     with pytest.raises(ConfigurationError, match="^rate of user 3 must be finite, got inf$"):
-        module.sweep_envelope(rates, 0, [0.1, 0.2], others=[0.0, 0.0, math.inf], sweep_user=1)
+        regions.envelope(rates, system, 0, [0.1, 0.2], others=[0.0, 0.0, math.inf], sweep_user=1)
 
 
 @pytest.mark.parametrize("lam", [(math.nan, 0.1), (-0.5, 0.1), (0.1, -1e-12)])
@@ -398,11 +411,11 @@ class TestRandomSelectionRates:
 
     @pytest.mark.parametrize("axis, name", [(1, "lambda_s1"), (0, "lambda_s2")])
     @pytest.mark.parametrize("bad", [-0.2, math.nan])
-    def test_shat_envelope_names_the_refused_grid_rate(self, ref_2x2_mu, axis, name, bad):
-        # the grid holds the other user's rate; shat_envelope used to compute
+    def test_shat_sweep_names_the_refused_grid_rate(self, ref_2x2_rates, axis, name, bad):
+        # the grid holds the other user's rate; the S_hat sweep used to compute
         # the sections before it and then name lambda_s2 whatever the axis
         with pytest.raises(ConfigurationError, match=f"^rate of user {name[-1]} must be >= 0, got {bad}$"):
-            randalloc.shat_envelope(ref_2x2_mu, axis, [bad, 0.1])
+            regions.envelope(ref_2x2_rates, "S_hat", axis, [bad, 0.1])
 
     @pytest.mark.parametrize("lam", [(math.nan, 0.1), (0.1, math.nan)])
     def test_selection_for_rates_refuses_nan(self, ref_2x2_mu, lam):
@@ -440,8 +453,6 @@ class TestRandomSelectionRates:
             lambda: randalloc.dominant1_envelope_2x2(mu, 0.1),
             lambda: randalloc.dominant2_envelope_2x2(mu, 0.1),
             lambda: randalloc.shat_section_lambda2(mu, 0.1),
-            lambda: randalloc.shat_envelope(mu, 1, [0.1]),
-            lambda: randalloc.shat_envelope(mu[:1], 0, [0.1]),
             lambda: randalloc.selection_for_rates(mu, [0.1, 0.1]),
             lambda: randalloc.selection_for_rates(square, [0.1, 0.1, 0.1]),
         )

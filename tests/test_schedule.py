@@ -218,6 +218,17 @@ class TestScheduleValidation:
     def test_virtual_zero_may_repeat(self):
         PermutationSchedule((((0, 0, 1), 1.0),))
 
+    @pytest.mark.parametrize("perm", [(1.5, 2.2), (True, 2), (1.0, 2)])
+    def test_band_numbers_must_be_integers(self, perm):
+        # int() used to truncate each of these to (1, 2)
+        with pytest.raises(ConfigurationError, match="^band numbers must be integers, got"):
+            PermutationSchedule((((2, 1), 0.5), (perm, 0.5)))
+
+    def test_numpy_integer_band_numbers_pass(self):
+        sched = PermutationSchedule(((tuple(np.arange(1, 3)), 1.0),))
+        assert sched.entries == (((1, 2), 1.0),)
+        assert [type(m) for m in sched.entries[0][0]] == [int, int]
+
     def test_serialization_roundtrip(self):
         sched = PermutationSchedule((((1, 2), 0.3), ((2, 1), 0.7)))
         assert schedule_from_dict(sched.to_dict()) == sched
